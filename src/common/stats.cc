@@ -8,21 +8,21 @@
 namespace common {
 
 const Counter *
-StatSet::findCounter(const std::string &name) const
+StatSet::findCounter(std::string_view name) const
 {
     auto it = counters_.find(name);
     return it == counters_.end() ? nullptr : &it->second;
 }
 
 const Histogram *
-StatSet::findHistogram(const std::string &name) const
+StatSet::findHistogram(std::string_view name) const
 {
     auto it = histograms_.find(name);
     return it == histograms_.end() ? nullptr : &it->second;
 }
 
 std::uint64_t
-StatSet::counterValue(const std::string &name) const
+StatSet::counterValue(std::string_view name) const
 {
     const Counter *ctr = findCounter(name);
     return ctr == nullptr ? 0 : ctr->value();
@@ -32,9 +32,9 @@ void
 StatSet::merge(const StatSet &other)
 {
     for (const auto &[name, ctr] : other.counters_)
-        counters_[name].inc(ctr.value());
+        counter(name).inc(ctr.value());
     for (const auto &[name, hist] : other.histograms_)
-        histograms_[name].merge(hist);
+        histogram(name).merge(hist);
 }
 
 void

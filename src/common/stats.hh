@@ -12,8 +12,12 @@
 
 #include <cstdint>
 #include <iosfwd>
+#include <functional>
 #include <map>
 #include <string>
+#include <string_view>
+#include <tuple>
+#include <utility>
 
 #include "common/histogram.hh"
 
@@ -41,12 +45,24 @@ class Counter
  *   stats.counter("txn.committed").inc();
  *   stats.histogram("txn.latency").record(latency);
  * @endcode
+ *
+ * Lookups take the name as a string_view and compare it in place, so
+ * a hot-path increment builds no std::string; only the first use of a
+ * name copies it into the set. Entries are never erased, so a
+ * Counter& or Histogram& stays valid for the set's lifetime.
  */
 class StatSet
 {
   public:
-    Counter &counter(const std::string &name) { return counters_[name]; }
-    Histogram &histogram(const std::string &name) { return histograms_[name]; }
+    template <typename T>
+    using Map = std::map<std::string, T, std::less<>>;
+
+    Counter &counter(std::string_view name) { return entry(counters_, name); }
+    Histogram &
+    histogram(std::string_view name)
+    {
+        return entry(histograms_, name);
+    }
 
     /**
      * Read-only lookup that never creates: exporters and report code
@@ -54,20 +70,14 @@ class StatSet
      * grow it — counter()/histogram() are create-on-read by design.
      * @return nullptr when the name was never recorded.
      */
-    const Counter *findCounter(const std::string &name) const;
-    const Histogram *findHistogram(const std::string &name) const;
+    const Counter *findCounter(std::string_view name) const;
+    const Histogram *findHistogram(std::string_view name) const;
 
-    const std::map<std::string, Counter> &counters() const
-    {
-        return counters_;
-    }
-    const std::map<std::string, Histogram> &histograms() const
-    {
-        return histograms_;
-    }
+    const Map<Counter> &counters() const { return counters_; }
+    const Map<Histogram> &histograms() const { return histograms_; }
 
     /** Value of a counter, or 0 when absent (read-only convenience). */
-    std::uint64_t counterValue(const std::string &name) const;
+    std::uint64_t counterValue(std::string_view name) const;
 
     /** Merge all stats from another set into this one. */
     void merge(const StatSet &other);
@@ -97,8 +107,20 @@ class StatSet
     void writeCsv(std::ostream &os, const std::string &prefix = "") const;
 
   private:
-    std::map<std::string, Counter> counters_;
-    std::map<std::string, Histogram> histograms_;
+    template <typename T>
+    static T &
+    entry(Map<T> &map, std::string_view name)
+    {
+        auto it = map.lower_bound(name);
+        if (it == map.end() || it->first != name)
+            it = map.emplace_hint(it, std::piecewise_construct,
+                                  std::forward_as_tuple(name),
+                                  std::forward_as_tuple());
+        return it->second;
+    }
+
+    Map<Counter> counters_;
+    Map<Histogram> histograms_;
 };
 
 } // namespace common

@@ -321,6 +321,12 @@ class Tracer
  * it — including across co_awaits, because the sim layer saves and
  * restores the context around every suspension. finish() restores the
  * surrounding context.
+ *
+ * The span keeps views of its name and tag, not copies: spans sit in
+ * coroutine frames on every RPC, and copying a name longer than the
+ * small-string buffer cost a heap allocation even with tracing off.
+ * The name and every tag must outlive the span; string literals and
+ * the static names of abortReasonName() and friends do.
  */
 class ScopedSpan
 {
@@ -343,8 +349,8 @@ class ScopedSpan
 
   private:
     Tracer &tracer_;
-    std::string name_;
-    std::string tag_;
+    std::string_view name_;
+    std::string_view tag_;
     std::int64_t arg_ = 0;
     std::int64_t arg2_ = 0;
     std::uint64_t span_ = 0;

@@ -1,7 +1,8 @@
 #include "milana/client.hh"
 
 #include <algorithm>
-#include <memory>
+#include <array>
+#include <string>
 
 #include "common/chaos.hh"
 #include "common/logging.hh"
@@ -9,6 +10,27 @@
 #include "sim/sync.hh"
 
 namespace milana {
+
+namespace {
+
+/** "txn.abort.<reason>", built once per reason rather than per abort. */
+const std::string &
+abortCounterName(semel::AbortReason reason)
+{
+    static const auto names = [] {
+        std::array<std::string,
+                   static_cast<std::size_t>(semel::AbortReason::Timeout) + 1>
+            out;
+        for (std::size_t r = 0; r < out.size(); ++r)
+            out[r] = std::string("txn.abort.") +
+                     semel::abortReasonName(
+                         static_cast<semel::AbortReason>(r));
+        return out;
+    }();
+    return names[static_cast<std::size_t>(reason)];
+}
+
+} // namespace
 
 MilanaClient::MilanaClient(sim::Simulator &sim, net::Network &net,
                            NodeId node, ClientId client_id,
@@ -198,20 +220,31 @@ MilanaClient::twoPhaseCommit(Transaction &txn, bool read_only)
     const Version commit_version{clock_.localNow(), clientId_};
     txn.commitVersion_ = commit_version;
 
-    // Partition read and write sets by participant shard.
-    std::map<common::ShardId, semel::PrepareRequest> by_shard;
-    for (const auto &[key, cached] : txn.readSet_) {
-        auto &req = by_shard[master_.shardMap().shardOf(key)];
-        req.readSet.push_back(ReadSetEntry{key, cached.observed});
-    }
-    for (const auto &[key, value] : txn.writeSet_) {
-        auto &req = by_shard[master_.shardMap().shardOf(key)];
-        req.writeSet.push_back(semel::WriteSetEntry{key, value});
-    }
-    std::vector<common::ShardId> participants;
-    for (const auto &[shard, req] : by_shard)
-        participants.push_back(shard);
+    // Partition read and write sets by participant shard, resolving
+    // each key's shard once. participants stays ascending and
+    // requests[i] is participants[i]'s prepare; they go out in order.
+    constexpr std::size_t kInlineShards =
+        semel::PrepareRequest::kInlineShards;
+    common::SmallVector<common::ShardId, kInlineShards> participants;
+    common::SmallVector<semel::PrepareRequest, kInlineShards> requests;
+    auto requestFor = [&](Key key) -> semel::PrepareRequest & {
+        const common::ShardId shard = master_.shardMap().shardOf(key);
+        auto it = std::lower_bound(participants.begin(),
+                                   participants.end(), shard);
+        const auto at = static_cast<std::size_t>(it - participants.begin());
+        if (it == participants.end() || *it != shard) {
+            participants.insert(it, common::ShardId{shard});
+            requests.insert(requests.begin() + at, semel::PrepareRequest{});
+        }
+        return requests[at];
+    };
+    for (const auto &[key, cached] : txn.readSet_)
+        requestFor(key).readSet.push_back(ReadSetEntry{key, cached.observed});
+    for (const auto &[key, value] : txn.writeSet_)
+        requestFor(key).writeSet.push_back(semel::WriteSetEntry{key, value});
 
+    // Lives in this frame: every voter arrives before the quorum wakes
+    // us, and a voter's last act is its arrive().
     struct VoteState
     {
         explicit VoteState(sim::Simulator &s, std::uint32_t n)
@@ -224,20 +257,19 @@ MilanaClient::twoPhaseCommit(Transaction &txn, bool read_only)
         /** First abort reason reported by a participant. */
         semel::AbortReason reason = semel::AbortReason::None;
     };
-    auto votes = std::make_shared<VoteState>(
-        sim_, static_cast<std::uint32_t>(by_shard.size()));
+    VoteState votes(sim_, static_cast<std::uint32_t>(participants.size()));
 
-    for (auto &[shard, req] : by_shard) {
+    for (std::size_t i = 0; i < requests.size(); ++i) {
+        semel::PrepareRequest &req = requests[i];
         req.txn = txn.id_;
         req.commitVersion = commit_version;
         req.beginVersion = txn.begin_;
         req.participants = participants;
-        MilanaServer *primary = milanaPrimaryFor(shard);
+        MilanaServer *primary = milanaPrimaryFor(participants[i]);
 
         sim::spawn([](MilanaClient *self, MilanaServer *primary,
                       semel::PrepareRequest request,
-                      std::shared_ptr<VoteState> votes)
-                       -> sim::Task<void> {
+                      VoteState *votes) -> sim::Task<void> {
             std::optional<semel::PrepareResponse> resp;
             for (std::uint32_t attempt = 0;
                  attempt <= self->tcfg_.prepareRetries && !resp;
@@ -254,14 +286,14 @@ MilanaClient::twoPhaseCommit(Transaction &txn, bool read_only)
                     votes->reason = resp->reason;
             }
             votes->all.arrive();
-        }(this, primary, req, votes));
+        }(this, primary, std::move(req), &votes));
     }
 
-    co_await votes->all.wait();
+    co_await votes.all.wait();
 
     CommitResult result;
     TxnDecision decision;
-    if (votes->anyFailure) {
+    if (votes.anyFailure) {
         result = CommitResult::Failed;
         decision = TxnDecision::Abort;
         // Under an active fault the lost RPC is (almost certainly) the
@@ -270,11 +302,11 @@ MilanaClient::twoPhaseCommit(Transaction &txn, bool read_only)
         txn.abortReason_ = (chaos_ != nullptr && chaos_->anyActive())
                                ? semel::AbortReason::Timeout
                                : semel::AbortReason::PrepareFailed;
-    } else if (votes->anyAbort) {
+    } else if (votes.anyAbort) {
         result = CommitResult::Aborted;
         decision = TxnDecision::Abort;
-        txn.abortReason_ = votes->reason != semel::AbortReason::None
-                               ? votes->reason
+        txn.abortReason_ = votes.reason != semel::AbortReason::None
+                               ? votes.reason
                                : semel::AbortReason::PrepareFailed;
     } else {
         result = CommitResult::Committed;
@@ -354,9 +386,7 @@ MilanaClient::commitTransaction(Transaction &txn)
         break;
       case CommitResult::Aborted:
         stats_.counter("txn.aborted").inc();
-        stats_.counter(std::string("txn.abort.") +
-                       semel::abortReasonName(txn.abortReason_))
-            .inc();
+        stats_.counter(abortCounterName(txn.abortReason_)).inc();
         span.setTag(semel::abortReasonName(txn.abortReason_));
         // Cached reads may have caused the conflict: drop them so the
         // retry reads fresh data.

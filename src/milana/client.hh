@@ -25,6 +25,7 @@
 #include <map>
 #include <optional>
 
+#include "common/small_vector.hh"
 #include "milana/server.hh"
 #include "semel/client.hh"
 
@@ -96,11 +97,16 @@ class Transaction
         Value value;
     };
 
+    /** Keys a transaction holds inline; Retwis touches at most ten.
+     *  Larger transactions spill to the heap. Both sets iterate in key
+     *  order, which fixes the order prepares list and validate keys. */
+    static constexpr std::size_t kInlineKeys = 10;
+
     TxnId id_;
     common::Version begin_;
     std::uint64_t traceId_ = 0;
-    std::map<common::Key, CachedRead> readSet_;
-    std::map<common::Key, Value> writeSet_;
+    common::SmallMap<common::Key, CachedRead, kInlineKeys> readSet_;
+    common::SmallMap<common::Key, Value, kInlineKeys> writeSet_;
     /** A read returned a prepared-flag or a version newer than
      *  ts_begin: the snapshot is not consistent. */
     bool snapshotViolated_ = false;

@@ -277,11 +277,11 @@ MilanaServer::handlePrepare(PrepareRequest request)
     TxnEntry entry;
     entry.txn = request.txn;
     entry.commitVersion = request.commitVersion;
-    entry.writeSet = request.writeSet;
-    entry.participants = request.participants;
+    entry.writeSet.assign(request.writeSet.begin(), request.writeSet.end());
+    entry.participants.assign(request.participants.begin(),
+                              request.participants.end());
     entry.status = semel::TxnStatus::Prepared;
     entry.preparedAt = sim_.now();
-    txns_.insert(std::move(entry));
 
     // Persist the prepare on a majority before voting: replicate the
     // record (with the write set and shard list) and wait for f acks.
@@ -289,8 +289,9 @@ MilanaServer::handlePrepare(PrepareRequest request)
     record.kind = TxnRecordKind::Prepared;
     record.txn = request.txn;
     record.commitVersion = request.commitVersion;
-    record.writeSet = request.writeSet;
-    record.participants = request.participants;
+    record.writeSet = entry.writeSet;
+    record.participants = entry.participants;
+    txns_.insert(std::move(entry));
     co_await replicateTxnRecord(std::move(record), true);
 
     stats_.counter("milana.votes_commit").inc();
@@ -306,12 +307,14 @@ MilanaServer::applyCommit(TxnEntry &entry, bool late)
     // Apply buffered writes in parallel; each key's prepared mark is
     // cleared only after its write is durable, so read-only snapshots
     // taken in the window still see the prepared flag (section 4.3).
-    auto done = std::make_shared<sim::Quorum>(
-        sim_, static_cast<std::uint32_t>(entry.writeSet.size()));
+    // The quorum lives in this frame: every writer arrives before it
+    // wakes us, and arriving is a writer's last act.
+    sim::Quorum done(sim_,
+                     static_cast<std::uint32_t>(entry.writeSet.size()));
     for (const auto &write : entry.writeSet) {
         sim::spawn([](MilanaServer *self, Key key, Value value,
                       Version version, TxnId txn, bool late,
-                      std::shared_ptr<sim::Quorum> q) -> sim::Task<void> {
+                      sim::Quorum *q) -> sim::Task<void> {
             (void)co_await self->backend_.put(key, value, version);
             auto &ks = self->keys_.state(key);
             ks.latestCommitted = std::max(ks.latestCommitted, version);
@@ -328,10 +331,10 @@ MilanaServer::applyCommit(TxnEntry &entry, bool late)
                                  version.timestamp);
             q->arrive();
         }(this, write.key, write.value, entry.commitVersion, entry.txn,
-          late, done));
+          late, &done));
     }
     if (!entry.writeSet.empty())
-        co_await done->wait();
+        co_await done.wait();
     stats_.counter("milana.committed").inc();
 }
 
@@ -403,9 +406,11 @@ MilanaServer::replicateTxnRecord(ReplicateTxnRecord record,
                                  bool wait_quorum)
 {
     // Our own durable log entry first (the primary is a replica too).
-    txnLog_.push_back(record);
-    if (backups_.empty())
+    if (backups_.empty()) {
+        txnLog_.push_back(std::move(record));
         co_return;
+    }
+    txnLog_.push_back(record);
 
     const char *kind = record.kind == TxnRecordKind::Prepared
                            ? "prepared"
@@ -428,7 +433,7 @@ MilanaServer::replicateTxnRecord(ReplicateTxnRecord record,
                       std::shared_ptr<sim::Quorum> q) -> sim::Task<void> {
             auto ok = co_await self->net_.callTyped<bool>(
                 self->id_, backup->nodeId(),
-                backup->handleReplicateTxnRecord(rec));
+                backup->handleReplicateTxnRecord(std::move(rec)));
             if (ok.has_value() && *ok)
                 q->arrive();
         }(this, mb, record, quorum));

@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/small_vector.hh"
 #include "common/types.hh"
 #include "ftl/kv_backend.hh"
 
@@ -111,19 +112,26 @@ enum class TxnDecision : std::uint8_t
     Abort,
 };
 
-/** Client -> participant primary: phase 1 of 2PC. */
+/**
+ * Client -> participant primary: phase 1 of 2PC. Built once per
+ * participant per commit and copied into the handler on every attempt,
+ * so its lists keep a transaction's usual few entries inline.
+ */
 struct PrepareRequest
 {
+    static constexpr std::size_t kInlineEntries = 8;
+    static constexpr std::size_t kInlineShards = 4;
+
     TxnId txn;
     Version commitVersion;
     /** The transaction's begin timestamp (for read validation). */
     Version beginVersion;
     /** Keys of this shard read by the transaction. */
-    std::vector<ReadSetEntry> readSet;
+    common::SmallVector<ReadSetEntry, kInlineEntries> readSet;
     /** Writes of this shard (values pushed at prepare, not before). */
-    std::vector<WriteSetEntry> writeSet;
+    common::SmallVector<WriteSetEntry, kInlineEntries> writeSet;
     /** All other participant shards, for recovery (section 4.5). */
-    std::vector<ShardId> participants;
+    common::SmallVector<ShardId, kInlineShards> participants;
 };
 
 enum class Vote : std::uint8_t

@@ -50,6 +50,7 @@ Simulator::runLoop(Time limit, bool bounded)
 {
     std::uint64_t processed = 0;
     stopped_ = false;
+    detail::FramePoolScope frames(pool_);
     while (!queue_.empty() && !stopped_) {
         if (bounded && queue_.nextTime() > limit)
             break;

@@ -20,7 +20,8 @@
  * it before the callback runs, so no capture wrapper is allocated.
  * Callbacks are sim::Callback (48-byte inline storage, no heap for
  * typical captures). The simulator also owns a BlockPool that recycles
- * future-state objects for the run's lifetime.
+ * future states and, while its run loop executes, coroutine frames for
+ * the run's lifetime.
  */
 
 #ifndef SIM_SIMULATOR_HH
@@ -107,8 +108,8 @@ class Simulator
     std::size_t pendingEvents() const { return queue_.size(); }
 
     /** Free-list allocator for per-simulator bookkeeping (future
-     *  states). Objects allocated here must not outlive the
-     *  simulator. */
+     *  states, coroutine frames). Objects allocated here must not
+     *  outlive the simulator; frames are exempt (see sim/task.hh). */
     detail::BlockPool &pool() { return pool_; }
 
   private:

@@ -22,10 +22,13 @@
 #define SIM_TASK_HH
 
 #include <coroutine>
+#include <cstddef>
+#include <new>
 #include <utility>
 
 #include "common/logging.hh"
 #include "common/trace.hh"
+#include "sim/pool.hh"
 
 namespace sim {
 
@@ -40,6 +43,47 @@ struct PromiseBase
 {
     std::coroutine_handle<> continuation;
     bool detached = false;
+
+    /**
+     * Frames recycle through the pool of the simulator whose run loop
+     * is executing on this thread (t_framePool): a transaction creates
+     * and destroys dozens of short-lived frames, one per RPC leg,
+     * handler, storage and flash call, and after warm-up each is a
+     * free-list pop instead of a malloc.
+     *
+     * A header in front of each frame names the pool it came from. The
+     * frame goes back to that pool only if that pool's run loop frees
+     * it. A frame freed anywhere else goes to the heap: a partitioned
+     * RPC handler is made on the caller's partition and ends on the
+     * destination's, whose pool would otherwise collect a block per
+     * call that it never hands out again. Frames made outside run
+     * loops come from the heap.
+     */
+    struct alignas(__STDCPP_DEFAULT_NEW_ALIGNMENT__) FrameHeader
+    {
+        BlockPool *owner;
+    };
+
+    static void *
+    operator new(std::size_t size)
+    {
+        BlockPool *pool = t_framePool;
+        const std::size_t bytes = size + sizeof(FrameHeader);
+        void *block = pool != nullptr ? pool->allocate(bytes)
+                                      : ::operator new(bytes);
+        return ::new (block) FrameHeader{pool} + 1;
+    }
+
+    static void
+    operator delete(void *frame, std::size_t size) noexcept
+    {
+        FrameHeader *header = static_cast<FrameHeader *>(frame) - 1;
+        BlockPool *owner = header->owner;
+        if (owner != nullptr && owner == t_framePool)
+            owner->deallocate(header, size + sizeof(FrameHeader));
+        else
+            ::operator delete(header);
+    }
 
     std::suspend_always
     initial_suspend() noexcept

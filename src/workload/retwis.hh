@@ -25,6 +25,7 @@
 #include <vector>
 
 #include "common/histogram.hh"
+#include "common/small_vector.hh"
 #include "common/stats.hh"
 #include "common/zipf.hh"
 #include "milana/client.hh"
@@ -68,10 +69,11 @@ class RetwisInstance
     }
 
   private:
+    /** At most ten gets and five puts (Table 2): always inline. */
     struct TxnShape
     {
-        std::vector<common::Key> reads;
-        std::vector<common::Key> writes;
+        common::SmallVector<common::Key, 10> reads;
+        common::SmallVector<common::Key, 5> writes;
     };
 
     TxnShape nextShape();

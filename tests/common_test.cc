@@ -1,16 +1,21 @@
 /**
  * @file
  * Unit tests for common utilities: PRNG determinism, Zipf sampling,
- * histograms, stats, and version ordering.
+ * histograms, stats, inline-capacity containers, and version ordering.
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <map>
 #include <set>
+#include <string>
+#include <string_view>
+#include <vector>
 
 #include "common/histogram.hh"
 #include "common/random.hh"
+#include "common/small_vector.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
 #include "common/zipf.hh"
@@ -333,6 +338,91 @@ TEST(StatSet, MergeAddsCounters)
     a.merge(b);
     EXPECT_EQ(a.counterValue("x"), 5u);
     EXPECT_EQ(a.counterValue("y"), 1u);
+}
+
+TEST(StatSet, ViewLookupsNameTheSameEntry)
+{
+    // A view into a longer buffer: lookups compare only its bytes, and
+    // only the first use stores a copy of the name.
+    const std::string buffer = "milana.votes_commit.tail";
+    const std::string_view name(buffer.data(), 19);
+    StatSet s;
+    Counter &first = s.counter(name);
+    first.inc();
+    EXPECT_EQ(&s.counter("milana.votes_commit"), &first);
+    s.counter(std::string("milana.votes_commit")).inc(2);
+    EXPECT_EQ(s.counterValue("milana.votes_commit"), 3u);
+    EXPECT_EQ(s.counters().size(), 1u);
+    EXPECT_EQ(s.counters().begin()->first, "milana.votes_commit");
+    EXPECT_EQ(s.findCounter("milana.votes"), nullptr);
+}
+
+TEST(SmallVector, StaysInlineUpToCapacityThenSpills)
+{
+    SmallVector<std::string, 2> v;
+    v.push_back("a");
+    v.emplace_back("b");
+    EXPECT_TRUE(v.isInline());
+    v.push_back("c");
+    EXPECT_FALSE(v.isInline());
+    ASSERT_EQ(v.size(), 3u);
+    EXPECT_EQ(v[0], "a");
+    EXPECT_EQ(v[2], "c");
+    v.insert(v.begin() + 1, std::string("x"));
+    EXPECT_EQ(std::vector<std::string>(v.begin(), v.end()),
+              (std::vector<std::string>{"a", "x", "b", "c"}));
+}
+
+TEST(SmallVector, CopyAndMoveKeepElementsInlineOrSpilled)
+{
+    for (const std::size_t n : {2u, 5u}) { // inline, then spilled
+        SmallVector<std::string, 3> src;
+        for (std::size_t i = 0; i < n; ++i)
+            src.push_back("value-long-enough-to-leave-sso-" +
+                          std::to_string(i));
+        SmallVector<std::string, 3> copy(src);
+        EXPECT_EQ(copy.size(), n);
+        EXPECT_EQ(copy[n - 1], src[n - 1]);
+
+        SmallVector<std::string, 3> moved(std::move(copy));
+        EXPECT_EQ(moved.size(), n);
+        EXPECT_EQ(moved[0], src[0]);
+        EXPECT_TRUE(copy.empty()); // NOLINT: moved-from is empty
+        EXPECT_TRUE(copy.isInline());
+
+        SmallVector<std::string, 3> assigned;
+        assigned.push_back("old");
+        assigned = std::move(moved);
+        EXPECT_EQ(assigned.size(), n);
+        assigned = src;
+        EXPECT_EQ(assigned[n - 1], src[n - 1]);
+    }
+}
+
+TEST(SmallMap, IteratesInKeyOrderLikeStdMap)
+{
+    SmallMap<std::uint64_t, std::string, 4> small;
+    std::map<std::uint64_t, std::string> reference;
+    Rng rng(11);
+    for (int i = 0; i < 50; ++i) { // well past the inline capacity
+        const std::uint64_t key = rng.nextBounded(20);
+        const std::string value = std::to_string(i);
+        small[key] = value;
+        reference[key] = value;
+        ASSERT_EQ(small.size(), reference.size());
+    }
+    EXPECT_FALSE(small.isInline());
+    auto it = reference.begin();
+    for (const auto &[key, value] : small) {
+        EXPECT_EQ(key, it->first);
+        EXPECT_EQ(value, it->second);
+        ++it;
+    }
+    EXPECT_EQ(small.find(reference.begin()->first)->second,
+              reference.begin()->second);
+    EXPECT_EQ(small.find(1000), small.end());
+    small.clear();
+    EXPECT_TRUE(small.empty());
 }
 
 TEST(Version, TotalOrder)

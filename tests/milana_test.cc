@@ -226,11 +226,15 @@ TEST(Milana, CrossShardTransactionIsAtomic)
     cluster.populate();
     cluster.start();
     // Write a batch of keys that hash across shards in one
-    // transaction; afterwards either all or none are visible.
+    // transaction; afterwards either all or none are visible. The batch
+    // is larger than the sets a transaction and a prepare hold inline,
+    // so the spill path carries it.
+    constexpr Key kFirst = 100;
+    constexpr Key kLast = 125;
     drive(cluster, [&]() -> sim::Task<void> {
         auto &client = cluster.client(0);
         auto txn = client.beginTransaction();
-        for (Key k = 100; k < 110; ++k)
+        for (Key k = kFirst; k < kLast; ++k)
             client.put(txn, k, "batch");
         auto r = co_await client.commitTransaction(txn);
         EXPECT_EQ(r, CommitResult::Committed);
@@ -238,11 +242,11 @@ TEST(Milana, CrossShardTransactionIsAtomic)
 
         auto check = client.beginTransaction();
         int updated = 0;
-        for (Key k = 100; k < 110; ++k) {
+        for (Key k = kFirst; k < kLast; ++k) {
             auto read = co_await client.get(check, k);
             updated += (read.value == "batch");
         }
-        EXPECT_EQ(updated, 10);
+        EXPECT_EQ(updated, static_cast<int>(kLast - kFirst));
         (void)co_await client.commitTransaction(check);
         cluster.sim().requestStop();
     });

@@ -15,6 +15,7 @@
  * barrier, and per-partition trace logs on real worker threads.
  */
 
+#include <algorithm>
 #include <cstdint>
 #include <optional>
 #include <sstream>
@@ -539,6 +540,56 @@ TEST(PartitionedCluster, WorkloadActuallyCommits)
     fleet.start();
     cluster.runFor(kSecond / 2);
     EXPECT_GT(fleet.totalCommits(), 100u);
+}
+
+TEST(PartitionedCluster, FramePoolsStayBoundedAcrossPartitions)
+{
+    // A server handler's coroutine frame is made on the client's
+    // partition and freed on the storage partition. It must not land
+    // in the storage partition's pool, which never allocates those
+    // frames: that pool would grow by a block per RPC.
+    ClusterConfig cfg;
+    cfg.numShards = 1;
+    cfg.replicasPerShard = 1;
+    cfg.numClients = 4;
+    cfg.backend = BackendKind::Mftl;
+    cfg.clocks = ClockKind::Perfect;
+    cfg.numKeys = 500;
+    cfg.seed = 3;
+    cfg.simThreads = 2;
+
+    Cluster cluster(cfg);
+    cluster.populate();
+    cluster.start();
+    RetwisConfig retwis;
+    retwis.numKeys = cfg.numKeys;
+    RetwisWorkload fleet(cluster, retwis);
+    fleet.start();
+
+    std::vector<sim::Simulator *> sims{&cluster.network().simulator()};
+    for (std::uint32_t c = 0; c < cfg.numClients; ++c) {
+        sim::Simulator *s = &cluster.clientSim(c);
+        if (std::find(sims.begin(), sims.end(), s) == sims.end())
+            sims.push_back(s);
+    }
+    ASSERT_GT(sims.size(), 1u);
+    auto freeBlocks = [&] {
+        std::size_t n = 0;
+        for (sim::Simulator *s : sims)
+            n += s->pool().freeBlocks();
+        return n;
+    };
+
+    cluster.runUntil(cluster.now() + kSecond / 4);
+    const std::uint64_t warm_commits = fleet.totalCommits();
+    const std::size_t warm_blocks = freeBlocks();
+    cluster.runUntil(cluster.now() + kSecond / 2);
+    const std::uint64_t commits = fleet.totalCommits() - warm_commits;
+    const std::size_t blocks = freeBlocks();
+    cluster.runFor(0);
+
+    EXPECT_GT(commits, 100u);
+    EXPECT_LE(blocks, warm_blocks + commits / 10);
 }
 
 } // namespace

@@ -112,6 +112,23 @@ TEST(Task, NestedAwaitPropagatesValues)
     EXPECT_EQ(s.now(), 10 * kMicrosecond);
 }
 
+TEST(Task, FramesRecycleThroughTheSimulatorPool)
+{
+    // Only the first call's frame is created before the run loop; every
+    // later call's frame comes from the simulator's pool, which after
+    // the first return always holds a free block of that size.
+    Simulator s;
+    int sum = 0;
+    spawn([](Simulator &sim, int &out) -> Task<void> {
+        for (int i = 0; i < 100; ++i)
+            out += co_await addLater(sim, i, 0);
+    }(s, sum));
+    s.run();
+    EXPECT_EQ(sum, 4950);
+    EXPECT_LE(s.pool().freshAllocations(), 1u);
+    EXPECT_GE(s.pool().reusedAllocations(), 98u);
+}
+
 TEST(Task, SpawnManyInterleave)
 {
     Simulator s;
