@@ -12,13 +12,6 @@
  *   --jobs=N              run sweep cells on N worker threads (see
  *                         sweep_runner.hh; output is identical for
  *                         any N, including the --json report)
- *   --sim-threads=N       run EACH cell's one scenario on N worker
- *                         threads (conservative time windows, see
- *                         sim/partition.hh). Output is byte-identical
- *                         for every N >= 1 — but differs from the
- *                         default N=0 single-simulator mode, whose
- *                         RNG streams are laid out differently.
- *                         Composes with --jobs (cells x partitions).
  *   --trace=PATH          rerun one cell with tracing on and dump the
  *                         event log (.csv extension = CSV, else JSON)
  *   --perfetto=PATH       same rerun, exported as Chrome/Perfetto
@@ -32,7 +25,7 @@
  *                         metrics plane on and write milana-metrics-v1
  *                         JSON to PATH plus a sibling CSV; the
  *                         deterministic sections are byte-identical
- *                         for every --sim-threads value
+ *                         across runs of one seed
  *   --metrics-interval=D  sampling window (default 100ms; accepts
  *                         ns/us/ms/s suffixes)
  * The traced cell's full client/server StatSets are embedded in the
@@ -75,17 +68,13 @@ struct CellResult
     double populateSeconds = 0.0;
     common::StatSet clientStats;
     common::StatSet serverStats;
-    /** Partitioned-scheduler self-counters; all zero when the cell ran
-     *  in classic mode. Deterministic for every sim-threads >= 1, so
-     *  embedding them in the byte-compared report is safe. */
-    Cluster::SchedStats sched;
 };
 
 CellResult
 runCell(BackendKind backend, std::uint32_t clients, double alpha,
         std::uint64_t keys, common::Duration warmup,
         common::Duration measure, std::uint64_t seed,
-        std::uint32_t sim_threads, common::TraceLog *trace = nullptr,
+        common::TraceLog *trace = nullptr,
         common::MetricsRegistry *metrics = nullptr)
 {
     ClusterConfig cfg;
@@ -98,7 +87,6 @@ runCell(BackendKind backend, std::uint32_t clients, double alpha,
     cfg.seed = seed;
     cfg.trace = trace;
     cfg.metrics = metrics;
-    cfg.simThreads = sim_threads;
     // Same-machine "network": IPC-scale latency.
     cfg.net.oneWayMean = 5 * common::kMicrosecond;
     cfg.net.oneWaySigma = 1 * common::kMicrosecond;
@@ -124,7 +112,6 @@ runCell(BackendKind backend, std::uint32_t clients, double alpha,
     fleet.resetMeasurement();
     cluster.resetStats(); // align counters with the measured window
     cluster.runFor(measure);
-    cluster.finishTrace();
     cluster.finishMetrics();
 
     CellResult result;
@@ -132,7 +119,6 @@ runCell(BackendKind backend, std::uint32_t clients, double alpha,
     result.populateSeconds = populate_secs;
     result.clientStats = cluster.clientStats();
     result.serverStats = cluster.serverStats();
-    result.sched = cluster.schedStats();
     return result;
 }
 
@@ -148,8 +134,6 @@ main(int argc, char **argv)
     const auto measure =
         args.getInt("seconds", args.has("full") ? 60 : 4) * kSecond;
     const std::uint64_t seed = args.getInt("seed", 1);
-    const auto sim_threads =
-        static_cast<std::uint32_t>(args.getInt("sim-threads", 0));
 
     bench::Report report("fig6_abort_vs_clients");
     report.params()
@@ -158,9 +142,8 @@ main(int argc, char **argv)
         .set("seconds", common::toSeconds(measure))
         .set("seed", seed)
         .set("full", args.has("full"));
-    // Like --jobs, --sim-threads is deliberately NOT a report param:
-    // the report must be byte-identical for every thread count (CI
-    // cmp's the --sim-threads=1 and =8 reports).
+    // --jobs is deliberately NOT a report param: the report must be
+    // byte-identical for every job count.
 
     bench::printHeader(
         "Figure 6: Transaction abort rate (%) vs number of clients\n"
@@ -205,15 +188,12 @@ main(int argc, char **argv)
     bench::SweepRunner runner(bench::jobsFromArgs(args));
     std::vector<double> abortPct(cells.size());
     std::vector<double> populateSecs(cells.size());
-    std::vector<Cluster::SchedStats> sched(cells.size());
     runner.run(cells.size(), [&](std::size_t i) {
         const Cell &c = cells[i];
         const CellResult r = runCell(c.backend, c.clients, c.alpha,
-                                     keys, warmup, measure, seed,
-                                     sim_threads);
+                                     keys, warmup, measure, seed);
         abortPct[i] = r.abortPct;
         populateSecs[i] = r.populateSeconds;
-        sched[i] = r.sched;
     });
 
     // Cells come in SFTL/MFTL pairs per (alpha, clients) coordinate.
@@ -229,18 +209,6 @@ main(int argc, char **argv)
             .set("clients", c.clients)
             .set("sftl_abort_pct", sftl)
             .set("mftl_abort_pct", mftl);
-        if (sim_threads > 0) {
-            // The MFTL cell's scheduler self-counters make the
-            // adaptive engine's wins (windows skipped, barriers
-            // avoided) machine-readable per grid coordinate; they are
-            // identical for every --sim-threads >= 1, so the report
-            // still byte-compares across thread counts.
-            const Cluster::SchedStats &s = sched[i + 1];
-            row.set("sched_windows", s.windows)
-                .set("sched_windows_skipped", s.skipped)
-                .set("sched_barriers", s.barriers)
-                .set("sched_events", s.events);
-        }
     }
     double populate_total = 0;
     for (const double s : populateSecs)
@@ -288,7 +256,7 @@ main(int argc, char **argv)
                     trace_alpha, trace_clients);
         const CellResult cell =
             runCell(BackendKind::Mftl, trace_clients, trace_alpha, keys,
-                    warmup, measure, seed, sim_threads,
+                    warmup, measure, seed,
                     (trace_path.empty() && perfetto_path.empty() &&
                      !monitor_on)
                         ? nullptr
@@ -335,12 +303,6 @@ main(int argc, char **argv)
             .set("trace_alpha", trace_alpha)
             .set("trace_clients", trace_clients)
             .set("trace_abort_pct", cell.abortPct);
-        if (sim_threads > 0)
-            report.params()
-                .set("trace_sched_windows", cell.sched.windows)
-                .set("trace_sched_windows_skipped", cell.sched.skipped)
-                .set("trace_sched_barriers", cell.sched.barriers)
-                .set("trace_sched_events", cell.sched.events);
         report.addStats("traced_cell.client", cell.clientStats,
                         "client.");
         report.addStats("traced_cell.server", cell.serverStats,

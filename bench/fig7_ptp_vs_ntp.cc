@@ -18,12 +18,6 @@
  *
  * --jobs=N runs sweep cells on N worker threads (sweep_runner.hh);
  * output is identical for any N.
- *
- * --sim-threads=N asks for partitioned DES inside each cell.
- * Partitioned mode requires Perfect clocks (disciplined clocks couple
- * nodes through shared sync state), and every Figure 7 cell runs PTP
- * or NTP, so the guard in runCell forces classic mode here; the flag
- * exists so all figure benches share one interface.
  */
 
 #include <cstdio>
@@ -54,7 +48,7 @@ Cell
 runCell(BackendKind backend, ClockKind clocks, double alpha,
         std::uint64_t keys, std::uint32_t clients,
         common::Duration warmup, common::Duration measure,
-        std::uint64_t seed, std::uint32_t simThreads)
+        std::uint64_t seed)
 {
     ClusterConfig cfg;
     cfg.numShards = 1;
@@ -64,10 +58,6 @@ runCell(BackendKind backend, ClockKind clocks, double alpha,
     cfg.clocks = clocks;
     cfg.numKeys = keys;
     cfg.seed = seed;
-    // Partitioned DES is only legal under Perfect clocks; disciplined
-    // cells (all of Figure 7) run classic regardless of the flag.
-    cfg.simThreads =
-        cfg.clocks == ClockKind::Perfect ? simThreads : 0;
 
     Cluster cluster(cfg);
     cluster.populate();
@@ -104,11 +94,6 @@ main(int argc, char **argv)
     const auto measure =
         args.getInt("seconds", args.has("full") ? 60 : 4) * kSecond;
     const std::uint64_t seed = args.getInt("seed", 1);
-    // Like --jobs, --sim-threads is not a report param: it must never
-    // change results, so reports from different values must compare
-    // byte-identical.
-    const auto simThreads =
-        static_cast<std::uint32_t>(args.getInt("sim-threads", 0));
 
     bench::Report report("fig7_ptp_vs_ntp");
     report.params()
@@ -150,7 +135,7 @@ main(int argc, char **argv)
         const ClockKind clocks =
             (i % 2 == 0) ? ClockKind::PtpSw : ClockKind::Ntp;
         Cell cell = runCell(c.backend, clocks, c.alpha, keys, clients,
-                            warmup, measure, seed, simThreads);
+                            warmup, measure, seed);
         ((i % 2 == 0) ? ptpCells : ntpCells)[i / 2] = cell;
     });
 

@@ -15,21 +15,6 @@
  *                         iteration — exercises FutureState allocation.
  *  - timeout_race:        Future::withTimeout where the value beats the
  *                         timer — the combinator's bookkeeping cost.
- *  - partitioned_ring:    4 partitions under the PartitionedScheduler
- *                         (one worker thread — this measures the
- *                         window/merge machinery, not parallel
- *                         speed-up): self-rescheduling timers plus one
- *                         cross-partition post per tick around the
- *                         ring. Tracks the mailbox + window-barrier
- *                         overhead per event. The ring's edges are
- *                         declared in a per-edge lookahead matrix, so
- *                         bounds come from the min-plus closure.
- *  - partitioned_idle:    the same ring with one 100us timer per
- *                         partition against a 1us lookahead — long
- *                         empty stretches the adaptive engine must
- *                         jump in one window advance each (the
- *                         idle-gap-skipping bar: allocs/event stays 0
- *                         and skipped windows dominate executed ones).
  *  - metrics_ring:        timer_ring with the metrics plane on: every
  *                         tick bumps counters and a histogram in a
  *                         StatSet a MetricsRegistry samples on a fixed
@@ -61,7 +46,6 @@
 #include "common/trace.hh"
 #include "common/types.hh"
 #include "sim/future.hh"
-#include "sim/partition.hh"
 #include "sim/simulator.hh"
 #include "sim/sync.hh"
 #include "sim/task.hh"
@@ -366,166 +350,6 @@ timeoutRace(std::uint64_t target_events)
 }
 
 /**
- * Conservative-window scheduler overhead: each partition runs
- * self-rescheduling timers whose every tick also posts one event to
- * the next partition around the ring, at exactly that edge's declared
- * lookahead (the worst case for window count — every window carries
- * mail). The ring declares a per-edge lookahead matrix — only the
- * p -> p+1 edges exist — so the scheduler's bounds come from the
- * min-plus closure (a full ring traversal), not from a global
- * all-pairs minimum.
- */
-struct RingTick
-{
-    sim::PartitionedScheduler *sched;
-    std::uint64_t *received; ///< dst partition's remote-event counter
-    std::uint32_t part;
-    Duration period;
-
-    void
-    operator()() const
-    {
-        sim::Simulator &sim = sched->partition(part);
-        const std::uint32_t dst =
-            (part + 1) % sched->numPartitions();
-        std::uint64_t *r = received;
-        sched->post(part, dst,
-                    sim.now() + sched->edgeLookahead(part, dst),
-                    common::TraceContext{}, [r] { ++*r; });
-        sim.schedule(period, RingTick{*this});
-    }
-};
-
-/** Declare the ring's only edges, p -> p+1, each at @p la. */
-void
-declareRingEdges(sim::PartitionedScheduler &sched, Duration la)
-{
-    const std::uint32_t parts = sched.numPartitions();
-    std::vector<std::vector<Duration>> matrix(
-        parts, std::vector<Duration>(
-                   parts, sim::PartitionedScheduler::kNoEdge));
-    for (std::uint32_t p = 0; p < parts; ++p)
-        matrix[p][(p + 1) % parts] = la;
-    sched.setEdgeLookahead(std::move(matrix));
-}
-
-ScenarioResult
-partitionedRing(std::uint64_t target_events)
-{
-    constexpr std::uint32_t kParts = 4;
-    constexpr std::uint32_t kTimersPerPart = 16;
-    // One worker thread: the number is the coordination overhead of
-    // the window/mailbox machinery itself, comparable against
-    // timer_ring, not a parallel-speed-up figure.
-    sim::PartitionedScheduler sched(kParts, 1, kMicrosecond);
-    declareRingEdges(sched, kMicrosecond);
-
-    std::vector<std::uint64_t> received(kParts, 0);
-    for (std::uint32_t p = 0; p < kParts; ++p) {
-        for (std::uint32_t i = 0; i < kTimersPerPart; ++i) {
-            const Duration period = (1 + i % 7) * kMicrosecond;
-            sched.partition(p).schedule(
-                period, RingTick{&sched, &received[(p + 1) % kParts],
-                                 p, period});
-        }
-    }
-    sched.runUntil(200 * kMicrosecond); // warm-up
-
-    // Each timer contributes ~2 events (tick + remote delivery); with
-    // 4x16 timers on periods {1..7}us that is ~2 * 64/3.7 ~ 35
-    // events/us of virtual time.
-    const Duration horizon =
-        static_cast<Duration>(target_events / 35 + 1) * kMicrosecond;
-
-    const AllocSnapshot before = AllocSnapshot::take();
-    const auto start = std::chrono::steady_clock::now();
-    const std::uint64_t processed =
-        sched.runUntil(sched.now() + horizon);
-    const double secs = wallSeconds(start);
-    const AllocSnapshot after = AllocSnapshot::take();
-
-    std::uint64_t delivered = 0;
-    for (const std::uint64_t r : received)
-        delivered += r;
-    if (delivered == 0)
-        PANIC("partitioned_ring delivered no cross-partition events");
-
-    ScenarioResult r;
-    r.name = "partitioned_ring";
-    r.events = processed;
-    r.seconds = secs;
-    r.allocsPerEvent =
-        static_cast<double>(after.calls - before.calls) /
-        static_cast<double>(processed ? processed : 1);
-    r.bytesPerEvent = static_cast<double>(after.bytes - before.bytes) /
-                      static_cast<double>(processed ? processed : 1);
-    return r;
-}
-
-/**
- * Idle-gap skipping: the same 4-partition ring, but each partition
- * runs a single timer with a 100us period against a 1us lookahead, so
- * between consecutive ticks there is a ~99us stretch with no events
- * anywhere. A fixed-width window engine would cross ~100 barriers per
- * tick; the adaptive engine must jump each gap in one window advance.
- * The pass/fail bars: zero allocations per steady-state event, and
- * windowsSkipped() dominating windowsExecuted().
- */
-ScenarioResult
-partitionedIdle(std::uint64_t target_events)
-{
-    constexpr std::uint32_t kParts = 4;
-    constexpr Duration kPeriod = 100 * kMicrosecond;
-    sim::PartitionedScheduler sched(kParts, 1, kMicrosecond);
-    declareRingEdges(sched, kMicrosecond);
-
-    std::vector<std::uint64_t> received(kParts, 0);
-    for (std::uint32_t p = 0; p < kParts; ++p)
-        sched.partition(p).schedule(
-            kPeriod,
-            RingTick{&sched, &received[(p + 1) % kParts], p, kPeriod});
-    sched.runUntil(10 * kPeriod); // warm-up
-
-    // Each period fires one tick + one remote delivery per partition:
-    // 8 events per 100us across the ring.
-    const Duration horizon =
-        static_cast<Duration>(target_events / 8 + 1) * kPeriod;
-
-    const std::uint64_t windows_before = sched.windowsExecuted();
-    const AllocSnapshot before = AllocSnapshot::take();
-    const auto start = std::chrono::steady_clock::now();
-    const std::uint64_t processed =
-        sched.runUntil(sched.now() + horizon);
-    const double secs = wallSeconds(start);
-    const AllocSnapshot after = AllocSnapshot::take();
-    const std::uint64_t windows =
-        sched.windowsExecuted() - windows_before;
-
-    std::uint64_t delivered = 0;
-    for (const std::uint64_t r : received)
-        delivered += r;
-    if (delivered == 0)
-        PANIC("partitioned_idle delivered no cross-partition events");
-    // The whole point of the scenario: the engine may not pay a
-    // window per lookahead of idle simulated time.
-    if (sched.windowsSkipped() < 10 * windows)
-        PANIC("partitioned_idle barely skipped: "
-              << sched.windowsSkipped() << " skipped vs " << windows
-              << " executed windows");
-
-    ScenarioResult r;
-    r.name = "partitioned_idle";
-    r.events = processed;
-    r.seconds = secs;
-    r.allocsPerEvent =
-        static_cast<double>(after.calls - before.calls) /
-        static_cast<double>(processed ? processed : 1);
-    r.bytesPerEvent = static_cast<double>(after.bytes - before.bytes) /
-                      static_cast<double>(processed ? processed : 1);
-    return r;
-}
-
-/**
  * timer_ring with the metrics plane sampling on top: ticks bump two
  * counters and record one histogram sample; a self-rescheduling
  * sampler snapshots the StatSet every simulated 100us. Steady state
@@ -640,8 +464,6 @@ main(int argc, char **argv)
     results.push_back(sameInstantBurst(target));
     results.push_back(futurePingpong(target));
     results.push_back(timeoutRace(target));
-    results.push_back(partitionedRing(target));
-    results.push_back(partitionedIdle(target));
     results.push_back(metricsRing(target));
 
     for (const ScenarioResult &r : results) {

@@ -13,11 +13,10 @@
  *
  * Determinism contract (CONCURRENCY.md):
  *
- *  - applyUntil() is only called from the driver thread while the
- *    simulation is quiescent (between Simulator/PartitionedScheduler
- *    run calls), so fault state obeys the same quiescent-mutation
- *    rule as net::Fabric. During windows every engine access is a
- *    read (anyActive(), activeFaultName(), ...).
+ *  - applyUntil() is only called by the harness while the simulation
+ *    is quiescent (between Simulator run calls). From inside events
+ *    every engine access is a read (anyActive(), activeFaultName(),
+ *    ...).
  *  - All fault randomness comes from Rng streams forked off the
  *    engine's seed in construction order, never from the simulators'
  *    streams, so a run is replayable from (schedule, seed) and
@@ -26,11 +25,9 @@
  *    engine is armed no action fires, which keeps populate/warmup
  *    phases fault-free and lets harnesses schedule in "time since
  *    measurement start".
- *  - nextActionAt() is the clamp the partitioned scheduler's adaptive
- *    windows honor: Cluster's run façade splits every runUntil() at
- *    the next pending action time, so an idle-gap skip can never jump
- *    over a scheduled fault — mutations land at the same simulated
- *    instants for every --sim-threads value.
+ *  - nextActionAt() is where Cluster's run façade splits every
+ *    runUntil(), so mutations land at their exact simulated instants,
+ *    between the events scheduled at or before them and those after.
  */
 
 #ifndef COMMON_CHAOS_HH
@@ -165,8 +162,8 @@ class ChaosEngine
     void rewind();
 
     // ------------------------------------------------------------------
-    // Read-only queries — safe from inside windows (workers read,
-    // driver writes only while quiescent, like net::Fabric).
+    // Read-only queries — safe from inside events (the harness writes
+    // only while quiescent).
     // ------------------------------------------------------------------
 
     std::uint32_t activeCount() const

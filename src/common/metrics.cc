@@ -112,63 +112,6 @@ TimeSeriesLog::sorted() const
 }
 
 void
-TimeSeriesLog::mergeFrom(const TimeSeriesLog &other)
-{
-    for (const Series *s : other.sorted()) {
-        Series &dst = series(s->name, s->node, s->kind,
-                             s->deterministic);
-        for (const MetricPoint &p : s->points())
-            dst.push(p);
-    }
-    noteWindowEnd(other.lastWindowEnd());
-}
-
-void
-mergeTimeSeries(const std::vector<const TimeSeriesLog *> &parts,
-                TimeSeriesLog &out)
-{
-    // Gather every (name, node) across partitions, sorted. A series
-    // normally lives on exactly one partition; when two partitions
-    // emit the same key, points interleave by windowStart with ties
-    // broken by partition index — both are thread-count independent.
-    struct Key
-    {
-        std::string name;
-        NodeId node;
-        SeriesKind kind;
-        bool deterministic;
-        bool operator<(const Key &o) const
-        {
-            if (name != o.name)
-                return name < o.name;
-            return node < o.node;
-        }
-    };
-    std::map<Key, std::vector<MetricPoint>> merged;
-    for (const TimeSeriesLog *part : parts) {
-        for (const TimeSeriesLog::Series *s : part->sorted()) {
-            auto &points = merged[{s->name, s->node, s->kind,
-                                   s->deterministic}];
-            const auto mine = s->points();
-            points.insert(points.end(), mine.begin(), mine.end());
-        }
-        out.noteWindowEnd(part->lastWindowEnd());
-    }
-    for (auto &[key, points] : merged) {
-        std::stable_sort(points.begin(), points.end(),
-                         [](const MetricPoint &a,
-                            const MetricPoint &b) {
-                             return a.windowStart < b.windowStart;
-                         });
-        TimeSeriesLog::Series &dst =
-            out.series(key.name, key.node, key.kind,
-                       key.deterministic);
-        for (const MetricPoint &p : points)
-            dst.push(p);
-    }
-}
-
-void
 TimeSeriesLog::writeSeriesJson(JsonWriter &w, const Series &s) const
 {
     w.beginObject();

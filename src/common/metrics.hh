@@ -14,13 +14,10 @@
  *  - gauge values sampled at the window boundary.
  *
  * Storage is pre-sized ring buffers: once every series name has been
- * seen, sampling allocates nothing. Each partition of a partitioned
- * run owns its own MetricsRegistry (sampled only from its own
- * simulator thread); a deterministic post-run merge keyed by
- * (series name, node, windowStart) makes the exported document
- * byte-identical for any --sim-threads/--jobs value. Wall-clock
- * measurements (the scheduler self-profiler's barrier stalls) are
- * flagged non-deterministic and exported in a separate JSON section
+ * seen, sampling allocates nothing. Sampling runs on simulated time
+ * only, so the exported document is byte-identical across runs of
+ * one seed and any --jobs value. Series flagged non-deterministic
+ * (wall-clock measurements) are exported in a separate JSON section
  * so deterministic byte-compares still pass.
  *
  * Export schema: `milana-metrics-v1` (see OBSERVABILITY.md).
@@ -109,7 +106,6 @@ class TimeSeriesLog
         std::size_t windowCapacity = kDefaultWindowCapacity);
 
     Duration interval() const { return interval_; }
-    std::size_t windowCapacity() const { return windowCapacity_; }
 
     /** End of the last sampled window (0 until the first sample). */
     Time lastWindowEnd() const { return lastWindowEnd_; }
@@ -133,14 +129,6 @@ class TimeSeriesLog
     std::size_t seriesCount() const { return series_.size(); }
 
     /**
-     * Append every series of @p other into this log (find-or-create
-     * by (name, node); points of series present in both are merged in
-     * windowStart order). Input order independence makes the
-     * post-partition merge deterministic.
-     */
-    void mergeFrom(const TimeSeriesLog &other);
-
-    /**
      * Write the `milana-metrics-v1` JSON document. Non-deterministic
      * series go into a separate "nondeterministic" section (omitted
      * entirely when @p includeNonDeterministic is false, which is the
@@ -153,7 +141,7 @@ class TimeSeriesLog
      * CSV export of the deterministic series only:
      * `series,node,kind,window_start_ns,window_end_ns,value,count,
      * p50,p99,p999` (value empty for hist rows, quantiles empty for
-     * counter/gauge rows). Byte-identical across thread counts.
+     * counter/gauge rows).
      */
     void writeCsv(std::ostream &os) const;
 
@@ -169,8 +157,7 @@ class TimeSeriesLog
 
 /**
  * Samples registered StatSets and gauge callbacks into a
- * TimeSeriesLog. Not thread-safe: in partitioned runs each partition
- * owns one registry and samples it from its own simulator only.
+ * TimeSeriesLog. Not thread-safe, like the simulator that samples it.
  */
 class MetricsRegistry
 {
@@ -249,15 +236,6 @@ class MetricsRegistry
     std::uint64_t samples_ = 0;
     std::string scratchName_; ///< reused for series-name building
 };
-
-/**
- * Merge per-partition logs into @p out in deterministic order
- * (series by (name, node), points by windowStart, ties by partition
- * index — partition assignment is topology-fixed, so the result is
- * independent of thread count).
- */
-void mergeTimeSeries(const std::vector<const TimeSeriesLog *> &parts,
-                     TimeSeriesLog &out);
 
 } // namespace common
 

@@ -63,31 +63,6 @@ TraceLog::clear()
     appended_ = 0; // seq restarts; span/trace ids stay unique across clears
 }
 
-void
-mergeTraceLogs(const std::vector<const TraceLog *> &parts, TraceLog &out)
-{
-    struct Tagged
-    {
-        std::size_t part;
-        TraceEvent event;
-    };
-    std::vector<Tagged> all;
-    for (std::size_t p = 0; p < parts.size(); ++p) {
-        for (TraceEvent &e : parts[p]->snapshot())
-            all.push_back({p, std::move(e)});
-    }
-    std::sort(all.begin(), all.end(),
-              [](const Tagged &a, const Tagged &b) {
-                  if (a.event.trueTime != b.event.trueTime)
-                      return a.event.trueTime < b.event.trueTime;
-                  if (a.part != b.part)
-                      return a.part < b.part;
-                  return a.event.seq < b.event.seq;
-              });
-    for (Tagged &t : all)
-        out.append(std::move(t.event)); // re-stamps seq in merge order
-}
-
 std::vector<TraceEvent>
 TraceLog::snapshot() const
 {

@@ -5,135 +5,9 @@
 
 namespace net {
 
-Fabric::Fabric(sim::PartitionedScheduler &sched, const NetConfig &config)
-    : sched_(sched), config_(config),
-      nets_(sched.numPartitions(), nullptr)
-{
-}
-
-void
-Fabric::registerNetwork(std::uint32_t p, Network *net)
-{
-    nets_[p] = net;
-}
-
-void
-Fabric::setPartition(NodeId node, std::uint32_t partition)
-{
-    if (partitionOf_.size() <= node)
-        partitionOf_.resize(node + 1, 0);
-    partitionOf_[node] = partition;
-}
-
-void
-Fabric::declareRoute(NodeId from, NodeId to, Duration minLatency)
-{
-    if (minLatency <= 0)
-        minLatency = config_.minLatency;
-    // Every sampled delay is floored at config_.minLatency (delay
-    // factors are >= 1 and re-floored), so no route may promise a
-    // larger minimum than the sampler actually guarantees.
-    if (minLatency > config_.minLatency)
-        PANIC("declareRoute(" << from << ", " << to << ") minimum "
-              << minLatency << " exceeds the sampling floor "
-              << config_.minLatency);
-    const std::uint32_t parts = sched_.numPartitions();
-    if (edgeMin_.empty())
-        edgeMin_.assign(static_cast<std::size_t>(parts) * parts,
-                        sim::PartitionedScheduler::kNoEdge);
-    const std::uint32_t src = partitionOf(from);
-    const std::uint32_t dst = partitionOf(to);
-    if (src == dst)
-        return; // partition-local traffic never crosses a mailbox
-    Duration &slot = edgeMin_[static_cast<std::size_t>(src) * parts +
-                             dst];
-    slot = std::min(slot, minLatency);
-    anyRoute_ = true;
-}
-
-void
-Fabric::applyLookahead()
-{
-    if (!anyRoute_)
-        return;
-    const std::uint32_t parts = sched_.numPartitions();
-    std::vector<std::vector<Duration>> matrix(
-        parts, std::vector<Duration>(
-                   parts, sim::PartitionedScheduler::kNoEdge));
-    for (std::uint32_t src = 0; src < parts; ++src)
-        for (std::uint32_t dst = 0; dst < parts; ++dst)
-            matrix[src][dst] =
-                edgeMin_[static_cast<std::size_t>(src) * parts + dst];
-    sched_.setEdgeLookahead(std::move(matrix));
-}
-
-void
-Fabric::setNodeDown(NodeId node, bool down)
-{
-    if (down_.size() <= node)
-        down_.resize(node + 1, false);
-    down_[node] = down;
-}
-
-void
-Fabric::setLinkBroken(NodeId a, NodeId b, bool broken)
-{
-    setLinkBrokenOneWay(a, b, broken);
-    setLinkBrokenOneWay(b, a, broken);
-}
-
-void
-Fabric::setLinkBrokenOneWay(NodeId from, NodeId to, bool broken)
-{
-    if (broken)
-        brokenLinks_.insert({from, to});
-    else
-        brokenLinks_.erase({from, to});
-}
-
-bool
-Fabric::deliverable(NodeId from, NodeId to) const
-{
-    if (nodeDown(from) || nodeDown(to))
-        return false;
-    return !brokenLinks_.count({from, to});
-}
-
-void
-Fabric::setDelayFactor(double factor)
-{
-    delayFactorAll_ = factor;
-}
-
-void
-Fabric::setLinkDelayFactor(NodeId a, NodeId b, double factor)
-{
-    if (factor == 1.0) {
-        linkDelayFactor_.erase({a, b});
-        linkDelayFactor_.erase({b, a});
-        return;
-    }
-    linkDelayFactor_[{a, b}] = factor;
-    linkDelayFactor_[{b, a}] = factor;
-}
-
-double
-Fabric::delayFactor(NodeId from, NodeId to) const
-{
-    const auto it = linkDelayFactor_.find({from, to});
-    return it != linkDelayFactor_.end() ? it->second : delayFactorAll_;
-}
-
 Network::Network(sim::Simulator &sim, const NetConfig &config,
                  common::Rng rng)
     : sim_(sim), config_(config), rng_(rng)
-{
-}
-
-Network::Network(sim::Simulator &sim, const NetConfig &config,
-                 common::Rng rng, Fabric &fabric, std::uint32_t partition)
-    : sim_(sim), config_(config), rng_(rng), fabric_(&fabric),
-      partition_(partition)
 {
 }
 
@@ -171,10 +45,6 @@ Network::sampleDelay(NodeId from, NodeId to)
 void
 Network::setNodeDown(NodeId node, bool down)
 {
-    if (fabric_ != nullptr) {
-        fabric_->setNodeDown(node, down);
-        return;
-    }
     if (down_.size() <= node)
         down_.resize(node + 1, false);
     down_[node] = down;
@@ -183,8 +53,6 @@ Network::setNodeDown(NodeId node, bool down)
 bool
 Network::nodeDown(NodeId node) const
 {
-    if (fabric_ != nullptr)
-        return fabric_->nodeDown(node);
     return node < down_.size() && down_[node];
 }
 
@@ -198,10 +66,6 @@ Network::setLinkBroken(NodeId a, NodeId b, bool broken)
 void
 Network::setLinkBrokenOneWay(NodeId from, NodeId to, bool broken)
 {
-    if (fabric_ != nullptr) {
-        fabric_->setLinkBrokenOneWay(from, to, broken);
-        return;
-    }
     if (broken)
         brokenLinks_.insert({from, to});
     else
@@ -211,8 +75,6 @@ Network::setLinkBrokenOneWay(NodeId from, NodeId to, bool broken)
 bool
 Network::deliverable(NodeId from, NodeId to) const
 {
-    if (fabric_ != nullptr)
-        return fabric_->deliverable(from, to);
     if (nodeDown(from) || nodeDown(to))
         return false;
     return !brokenLinks_.count({from, to});
@@ -221,20 +83,12 @@ Network::deliverable(NodeId from, NodeId to) const
 void
 Network::setDelayFactor(double factor)
 {
-    if (fabric_ != nullptr) {
-        fabric_->setDelayFactor(factor);
-        return;
-    }
     delayFactorAll_ = factor;
 }
 
 void
 Network::setLinkDelayFactor(NodeId a, NodeId b, double factor)
 {
-    if (fabric_ != nullptr) {
-        fabric_->setLinkDelayFactor(a, b, factor);
-        return;
-    }
     if (factor == 1.0) {
         linkDelayFactor_.erase({a, b});
         linkDelayFactor_.erase({b, a});
@@ -247,8 +101,6 @@ Network::setLinkDelayFactor(NodeId a, NodeId b, double factor)
 double
 Network::delayFactor(NodeId from, NodeId to) const
 {
-    if (fabric_ != nullptr)
-        return fabric_->delayFactor(from, to);
     const auto it = linkDelayFactor_.find({from, to});
     return it != linkDelayFactor_.end() ? it->second : delayFactorAll_;
 }

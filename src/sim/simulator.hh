@@ -66,19 +66,6 @@ class Simulator
                              Callback fn);
 
     /**
-     * Schedule @p fn at absolute time @p when (>= now) under @p ctx.
-     * Used by the partitioned scheduler's mailbox merge, which replays
-     * cross-partition events with the context captured on the sending
-     * partition (see sim/partition.hh).
-     */
-    void scheduleAtWithContext(Time when, const common::TraceContext &ctx,
-                               Callback fn);
-
-    /** Time of the earliest pending event; queue must be non-empty.
-     *  (The partitioned scheduler's window lower bound.) */
-    Time nextEventTime() const { return queue_.nextTime(); }
-
-    /**
      * Run until the event queue is empty or stop() is called.
      * @return the number of events processed.
      */

@@ -53,11 +53,11 @@ struct PromiseBase
      *
      * A header in front of each frame names the pool it came from. The
      * frame goes back to that pool only if that pool's run loop frees
-     * it. A frame freed anywhere else goes to the heap: a partitioned
-     * RPC handler is made on the caller's partition and ends on the
-     * destination's, whose pool would otherwise collect a block per
-     * call that it never hands out again. Frames made outside run
-     * loops come from the heap.
+     * it. A frame freed anywhere else goes to the heap: outside its
+     * run loop the owning simulator may already be gone (a Task
+     * destroyed by harness code), and another simulator's pool would
+     * collect a block it never hands out again. Frames made outside
+     * run loops come from the heap.
      */
     struct alignas(__STDCPP_DEFAULT_NEW_ALIGNMENT__) FrameHeader
     {

@@ -35,7 +35,6 @@
 #include "milana/server.hh"
 #include "net/network.hh"
 #include "semel/shard_map.hh"
-#include "sim/partition.hh"
 #include "sim/simulator.hh"
 
 namespace workload {
@@ -97,32 +96,14 @@ struct ClusterConfig
      * a set of instantaneous gauges (clock offsets, pairwise skew,
      * SSD queue occupancy) into this registry's TimeSeriesLog on the
      * registry's interval, aligned to interval boundaries of simulated
-     * time. In partitioned mode each partition samples into a private
-     * registry and Cluster::finishMetrics() merges them here
-     * deterministically (plus the scheduler's self-profile). Null =
-     * metrics off, zero cost.
+     * time. Null = metrics off, zero cost.
      */
     common::MetricsRegistry *metrics = nullptr;
     /**
-     * Worker threads for running this ONE scenario in parallel
-     * (conservative time windows, see sim/partition.hh). 0 = classic
-     * single-simulator mode, byte-for-byte the historical behavior.
-     * Any value >= 1 partitions the nodes (storage stack on partition
-     * 0, clients round-robin over up to 7 client partitions — a fixed,
-     * topology-derived layout) and produces output byte-identical for
-     * EVERY thread count; it differs from simThreads=0 only because
-     * message delays come from per-partition RNG streams. Requires
-     * Perfect clocks and no Centiman (those couple nodes through
-     * shared state). Drive the run via Cluster::now()/runUntil()/
-     * runFor(), not sim().
-     */
-    std::uint32_t simThreads = 0;
-    /**
      * When non-null, the cluster acts as the engine's ChaosSink: the
      * run façade (runUntil/runFor) interleaves simulation with
-     * ChaosEngine::applyUntil at quiescent points, so fault mutations
-     * obey the same between-windows rule as net::Fabric and output
-     * stays byte-identical for every simThreads value. The engine is
+     * ChaosEngine::applyUntil between events, so every fault mutation
+     * lands at a deterministic point of the schedule. The engine is
      * also handed to every server and client (abort-reason
      * classification, fault-name trace tags) and its forked RNG
      * streams to every SSD (construction order). Arm it with
@@ -137,73 +118,24 @@ class Cluster : private common::ChaosSink
     explicit Cluster(const ClusterConfig &config);
     ~Cluster();
 
-    /** The scenario's single simulator. Classic mode only — in
-     *  partitioned mode (simThreads > 0) there is no such thing; use
-     *  the now()/runUntil()/runFor() façade below. */
-    sim::Simulator &sim();
+    /** The scenario's simulator. */
+    sim::Simulator &sim() { return sim_; }
     const ClusterConfig &config() const { return config_; }
 
-    bool partitioned() const { return sched_ != nullptr; }
-
-    // Mode-independent run façade (dispatches to the single simulator
-    // or the partitioned scheduler).
-    common::Time now() const;
+    // Run façade: the simulator's, with the chaos schedule (if any)
+    // interleaved.
+    common::Time now() const { return sim_.now(); }
     std::uint64_t runUntil(common::Time t);
     std::uint64_t runFor(common::Duration d,
                          common::Duration grace = common::kSecond);
-    void requestStop();
-
-    /** The simulator that drives client @p i (its partition's, or the
-     *  single simulator in classic mode). */
-    sim::Simulator &clientSim(std::uint32_t i);
+    void requestStop() { sim_.requestStop(); }
 
     /**
-     * Partitioned mode with tracing: merge the per-partition trace
-     * logs into config().trace in the deterministic
-     * (trueTime, partition, seq) order. Call after the run, before
-     * exporting the log; classic mode is a no-op (components write to
-     * config().trace directly). An attached InvariantMonitor observes
-     * the merged stream here.
-     */
-    void finishTrace();
-
-    /**
-     * Events evicted before an attached trace observer could see them:
-     * per-partition ring drops counted at finishTrace() (those events
-     * never reach the merged stream). Classic mode is always 0 — the
-     * observer runs on every append, before eviction. A non-zero value
-     * means an InvariantMonitor verdict may have missed events; size
-     * the TraceLog capacity up until this is 0.
-     */
-    std::uint64_t traceEventsLost() const { return traceLost_; }
-
-    /**
-     * Finish the metrics plane: flush the final partial window, and —
-     * in partitioned mode — merge the per-partition series into
-     * config().metrics in deterministic (name, node, windowStart)
-     * order and append the scheduler self-profile as sched.* series
-     * (wall-clock stall goes into the non-deterministic section).
-     * Call after the run, before exporting; idempotent. No-op when
-     * config().metrics is null.
+     * Finish the metrics plane: flush the final partial window into
+     * config().metrics. Call after the run, before exporting;
+     * idempotent. No-op when config().metrics is null.
      */
     void finishMetrics();
-
-    /**
-     * Partitioned-scheduler self-counters (all zero in classic mode).
-     * Deterministic — pure functions of the event schedule, identical
-     * for every simThreads >= 1 — so benches may embed them in
-     * byte-compared reports to make barrier-count wins machine-
-     * readable.
-     */
-    struct SchedStats
-    {
-        std::uint64_t windows = 0;  ///< barrier windows executed
-        std::uint64_t skipped = 0;  ///< reference windows elided
-        std::uint64_t barriers = 0; ///< multi-partition windows (the
-                                    ///< only ones that wake workers)
-        std::uint64_t events = 0;   ///< events executed, all partitions
-    };
-    SchedStats schedStats() const;
 
     /** Bulk-load the key space into every replica. Run to completion
      *  before starting the workload. */
@@ -221,10 +153,7 @@ class Cluster : private common::ChaosSink
 
     semel::Master &master() { return master_; }
     semel::Directory &directory() { return directory_; }
-    /** The network (classic), or partition 0's slice of it
-     *  (partitioned — fault injection delegates to the shared
-     *  Fabric either way). */
-    net::Network &network();
+    net::Network &network() { return net_; }
 
     /** Aggregate of all client stat sets. */
     common::StatSet clientStats() const;
@@ -262,48 +191,22 @@ class Cluster : private common::ChaosSink
     /** Clock indices (ensemble slots) a selector names; empty without
      *  an ensemble (Perfect clocks — clock faults are no-ops). */
     std::vector<std::size_t> resolveClockSel(const common::NodeSel &sel) const;
-    /** Run without chaos interleaving (the underlying simulator or
-     *  scheduler). */
-    std::uint64_t rawRunUntil(common::Time t);
-
     void buildStorageNode(common::ShardId shard, std::uint32_t replica);
-    /** Arm every component's Tracer on config_.trace (classic) or on
-     *  the per-partition logs (partitioned). */
+    /** Arm every component's Tracer on config_.trace. */
     void attachTracers();
 
-    /** Register every component's StatSet and gauges with the
-     *  registry that samples on its partition. */
+    /** Register every component's StatSet and gauges with
+     *  config_.metrics. */
     void attachMetrics();
     /** Prime delta baselines and schedule the periodic samplers
      *  (start() time, so population is not in the first window). */
     void startMetricsSamplers();
-    /** Registry sampling partition @p p (config_.metrics in classic
-     *  mode). */
-    common::MetricsRegistry &metricsFor(std::uint32_t p);
-
-    /** Partition that runs the storage stack (and populate). */
-    sim::Simulator &rootSim();
-    /** Client @p i's partition index (0 in classic mode). */
-    std::uint32_t clientPartition(std::uint32_t i) const;
-    /** The Network instance of partition @p p (the single network in
-     *  classic mode). */
-    net::Network &netFor(std::uint32_t p);
-    /** Trace log partition @p p's components append to. */
-    common::TraceLog &traceFor(std::uint32_t p);
 
     ClusterConfig config_;
     sim::Simulator sim_;
     common::Rng rng_;
-    /** Partitioned-mode machinery (null in classic mode). */
-    std::unique_ptr<sim::PartitionedScheduler> sched_;
-    std::unique_ptr<net::Fabric> fabric_;
-    std::vector<std::unique_ptr<net::Network>> partNets_;
-    std::vector<std::unique_ptr<common::TraceLog>> partLogs_;
-    std::vector<std::unique_ptr<common::MetricsRegistry>> partMetrics_;
+    net::Network net_;
     bool metricsFinished_ = false;
-    std::uint64_t traceLost_ = 0;
-    std::uint32_t clientPartitions_ = 0;
-    std::unique_ptr<net::Network> net_;
     semel::ShardMap shardMap_;
     semel::Master master_;
     semel::Directory directory_;

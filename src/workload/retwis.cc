@@ -128,21 +128,17 @@ RetwisWorkload::RetwisWorkload(Cluster &cluster,
     : cluster_(cluster)
 {
     common::Rng rng(config.seed);
-    for (std::uint32_t c = 0; c < cluster.numClients(); ++c) {
-        for (std::uint32_t i = 0; i < instances_per_client; ++i) {
+    for (std::uint32_t c = 0; c < cluster.numClients(); ++c)
+        for (std::uint32_t i = 0; i < instances_per_client; ++i)
             instances_.push_back(std::make_unique<RetwisInstance>(
                 cluster.client(c), config, rng.fork()));
-            instanceClient_.push_back(c);
-        }
-    }
 }
 
 void
 RetwisWorkload::start()
 {
-    for (std::size_t k = 0; k < instances_.size(); ++k)
-        sim::spawn(
-            instances_[k]->run(cluster_.clientSim(instanceClient_[k])));
+    for (auto &instance : instances_)
+        sim::spawn(instance->run(cluster_.sim()));
 }
 
 void

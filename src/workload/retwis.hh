@@ -116,10 +116,6 @@ class RetwisWorkload
   private:
     Cluster &cluster_;
     std::vector<std::unique_ptr<RetwisInstance>> instances_;
-    /** Owning client index per instance — start() spawns each
-     *  instance's driver on that client's simulator (its partition's,
-     *  under Cluster simThreads > 0). */
-    std::vector<std::uint32_t> instanceClient_;
 };
 
 } // namespace workload

@@ -4,17 +4,17 @@
  * numbers), deterministic replay against a recording sink, clock
  * faults (skew raised, clock-suspect abort path tripped, commit-ts
  * monotonicity preserved under the invariant monitor), SSD gray
- * failure hooks, and the link-partition heal regression in
- * partitioned net::Fabric mode across worker-thread counts.
+ * failure hooks, and the link-partition heal regression.
  */
 
-#include <sstream>
+#include <cstddef>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "../bench/sweep_runner.hh"
 #include "clocksync/sync.hh"
 #include "common/chaos.hh"
 #include "common/invariant_monitor.hh"
@@ -267,7 +267,6 @@ TEST(ChaosClockFaults, ClusterStepTripsClockSuspectNotMonotonicity)
     cluster.resetStats();
     chaos.arm(cluster.now());
     cluster.runFor(300 * kMillisecond);
-    cluster.finishTrace();
 
     EXPECT_EQ(monitor.violationCount(), 0u);
     EXPECT_EQ(chaos.injections(), 1u);
@@ -363,7 +362,7 @@ TEST(ChaosSsdFaults, GcStormOccupiesChannelsUntilStopped)
     EXPECT_EQ(ssd.stats().counterValue("ssd.gc_storm_ops"), during);
 }
 
-// --------------------------- partition heal (net::Fabric regression)
+// ------------------------------------------ partition heal regression
 
 struct ProbeResult
 {
@@ -405,20 +404,18 @@ probeTxn(Cluster *cluster, std::uint32_t client_index, int attempts,
 struct HealCell
 {
     ProbeResult pre, during, post;
-    std::string report; ///< commit/abort counters, for cross-thread cmp
     std::uint64_t violations = 0;
     std::uint64_t faultAborts = 0; ///< txns that died while fault active
-    std::uint64_t eventsLost = 0;
 };
 
 /**
- * Partitioned-mode cluster (net::Fabric) with a scheduled
- * client-1 <-> servers partition. Probes client 1 before, during, and
- * after the fault window; background Retwis traffic keeps every
- * mailbox busy so stale cross-partition messages would surface.
+ * Cluster with a scheduled client-1 <-> servers partition. Probes
+ * client 1 before, during, and after the fault window; background
+ * Retwis traffic keeps the links busy so messages sent across the
+ * fault would surface.
  */
 HealCell
-runHealCell(std::uint32_t sim_threads, bool oneway)
+runHealCell(bool oneway)
 {
     common::TraceLog trace(1u << 18);
     common::InvariantMonitor monitor({}, nullptr);
@@ -439,7 +436,6 @@ runHealCell(std::uint32_t sim_threads, bool oneway)
     cfg.clocks = ClockKind::Perfect;
     cfg.numKeys = 500;
     cfg.seed = 21;
-    cfg.simThreads = sim_threads;
     cfg.trace = &trace;
     cfg.chaos = &chaos;
 
@@ -475,53 +471,47 @@ runHealCell(std::uint32_t sim_threads, bool oneway)
     cluster.runUntil(origin + 95 * kMillisecond);
     sim::spawn(probeTxn(&cluster, 1, 5, &cell.post));
     cluster.runFor(60 * kMillisecond, 200 * kMillisecond);
-    cluster.finishTrace();
 
-    std::ostringstream os;
-    os << "commits=" << fleet.totalCommits()
-       << " aborts=" << fleet.totalAborts()
-       << " injections=" << chaos.injections()
-       << " heals=" << chaos.heals();
-    cell.report = os.str();
     cell.violations = monitor.violationCount();
     cell.faultAborts =
         cluster.clientStats().counterValue("txn.fault_active_aborts");
-    cell.eventsLost = cluster.traceEventsLost();
     return cell;
 }
 
-class PartitionHeal
-    : public ::testing::TestWithParam<std::uint32_t>
+/**
+ * The heal cell on N independent simulators at once, one per
+ * SweepRunner worker, the way `--jobs=N` runs sweep cells. Every copy
+ * must fail its mid-fault probe and heal on its own, and all copies
+ * must agree exactly: no fault or link state may leak between
+ * concurrent simulators. N = 1 is the plain single-simulator cell; the
+ * TSan gate (tsan_chaos) runs the whole suite.
+ */
+class PartitionHeal : public ::testing::TestWithParam<unsigned>
 {
 };
 
 TEST_P(PartitionHeal, RpcsFailDuringWindowAndSucceedAfterHeal)
 {
-    const HealCell cell = runHealCell(GetParam(), false);
-    EXPECT_TRUE(cell.pre.done);
-    EXPECT_TRUE(cell.pre.ok);
-    EXPECT_TRUE(cell.during.done);
-    EXPECT_FALSE(cell.during.ok);
-    EXPECT_TRUE(cell.post.done);
-    EXPECT_TRUE(cell.post.ok);
-    EXPECT_GT(cell.faultAborts, 0u);
-    EXPECT_EQ(cell.violations, 0u);
-    EXPECT_EQ(cell.eventsLost, 0u);
-}
-
-TEST(PartitionHeal, ByteIdenticalAcrossSimThreads)
-{
-    const HealCell one = runHealCell(1, false);
-    const HealCell two = runHealCell(2, false);
-    const HealCell eight = runHealCell(8, false);
-    EXPECT_EQ(one.report, two.report);
-    EXPECT_EQ(one.report, eight.report);
-    EXPECT_EQ(one.violations, 0u);
+    const unsigned copies = GetParam();
+    std::vector<HealCell> cells(copies);
+    bench::SweepRunner(copies).run(
+        copies, [&](std::size_t i) { cells[i] = runHealCell(false); });
+    for (const HealCell &cell : cells) {
+        EXPECT_TRUE(cell.pre.done);
+        EXPECT_TRUE(cell.pre.ok);
+        EXPECT_TRUE(cell.during.done);
+        EXPECT_FALSE(cell.during.ok);
+        EXPECT_TRUE(cell.post.done);
+        EXPECT_TRUE(cell.post.ok);
+        EXPECT_GT(cell.faultAborts, 0u);
+        EXPECT_EQ(cell.violations, 0u);
+        EXPECT_EQ(cell.faultAborts, cells[0].faultAborts);
+    }
 }
 
 TEST(PartitionHeal, OnewayPartitionAlsoHealsCleanly)
 {
-    const HealCell cell = runHealCell(2, true);
+    const HealCell cell = runHealCell(true);
     EXPECT_TRUE(cell.pre.ok);
     EXPECT_FALSE(cell.during.ok);
     EXPECT_TRUE(cell.post.ok);

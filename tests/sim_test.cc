@@ -129,6 +129,30 @@ TEST(Task, FramesRecycleThroughTheSimulatorPool)
     EXPECT_GE(s.pool().reusedAllocations(), 98u);
 }
 
+TEST(Task, FrameFreedOutsideItsPoolsRunLoopGoesToTheHeap)
+{
+    // A frame goes back to its pool only when that pool's own run loop
+    // frees it. One freed inside another simulator's run loop, or after
+    // its own run loop ended, goes to the heap: no pool collects a
+    // block it did not hand out or may not outlive.
+    Simulator a, b;
+    Task<int> crossed, late;
+    a.schedule(0, [&] {
+        crossed = addLater(a, 1, 2);
+        late = addLater(a, 3, 4);
+    });
+    a.run();
+    ASSERT_EQ(a.pool().freshAllocations(), 2u); // both frames from a's pool
+
+    b.schedule(0, [&] { crossed = Task<int>(); });
+    b.run();
+    late = Task<int>();
+    EXPECT_FALSE(crossed.valid());
+    EXPECT_FALSE(late.valid());
+    EXPECT_EQ(a.pool().freeBlocks(), 0u);
+    EXPECT_EQ(b.pool().freeBlocks(), 0u);
+}
+
 TEST(Task, SpawnManyInterleave)
 {
     Simulator s;

@@ -94,12 +94,6 @@ main(int argc, char **argv)
             "  --no-local-validation           --centiman\n"
             "  --seconds=N --warmup=N          --crash-at=N (crash "
             "shard 0's primary)\n"
-            "  --sim-threads=N (parallel DES inside the one scenario;\n"
-            "                   requires --clocks=perfect, no "
-            "--centiman,\n"
-            "                   no --crash-at; output byte-identical "
-            "for\n"
-            "                   every N>=1)\n"
             "  --chaos=PATH (fault schedule, see docs/CHAOS.md; armed\n"
             "                when measurement starts — times are "
             "relative\n"
@@ -133,8 +127,6 @@ main(int argc, char **argv)
     cfg.clocks = parseClocks(args.getString("clocks", "ptp"));
     cfg.localValidation = !args.has("no-local-validation");
     cfg.centiman = args.has("centiman");
-    cfg.simThreads =
-        static_cast<std::uint32_t>(args.getInt("sim-threads", 0));
 
     const std::string chaos_path = args.getString("chaos", "");
     std::unique_ptr<common::ChaosEngine> chaos;
@@ -190,15 +182,6 @@ main(int argc, char **argv)
     const auto warmup = args.getInt("warmup", 1) * kSecond;
     const auto measure = args.getInt("seconds", 5) * kSecond;
     const auto crash_at = args.getInt("crash-at", -1);
-    if (cfg.simThreads > 0 && crash_at >= 0) {
-        // The crash ticker schedules a raw harness callback on the
-        // single simulator; in partitioned mode there is no such
-        // simulator (and failover's recovery RPCs would need a
-        // partition-aware driver).
-        std::fprintf(stderr, "error: --crash-at is not supported with "
-                             "--sim-threads > 0\n");
-        return 2;
-    }
 
     std::printf("milana_sim: %u shard(s) x %u replica(s), %u clients, "
                 "%s backend, %s clocks, alpha=%.2f%s%s\n",
@@ -252,7 +235,6 @@ main(int argc, char **argv)
                         args.getInt("chaos-seed", 42)));
     }
     cluster.runFor(measure);
-    cluster.finishTrace();
     cluster.finishMetrics();
 
     const double seconds = common::toSeconds(measure);
