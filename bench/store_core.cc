@@ -28,12 +28,19 @@
  *  - put: version inserts over a hot key set with per-put watermark
  *    pruning — the steady-state churn shape; must be 0 allocs/op
  *    (arena freelists recycle overflow chains);
- *  - prune: full-table watermark sweeps (forEach + prune); 0 allocs.
+ *  - prune: full-table watermark sweeps (forEach + prune over every
+ *    slot); 0 allocs;
+ *  - sweep (mftl and vftl only): the backends' watermark sweep, which
+ *    visits only the table's multi-version index
+ *    (VersionStore::pruneMultiVersion). A few thousand chains spread
+ *    over the full table hold versions above the watermark; one "op"
+ *    is one chain visited; 0 allocs.
  *
  * Heap traffic is measured by interposing global operator new/delete
  * (sim_core.cc discipline), so allocs/op is exact. BENCH_store_core.json
- * is the committed baseline; CI fails on any allocs/op rise or a >20%
- * throughput drop on get/put/prune.
+ * is the committed baseline; CI fails on any allocs/op rise, a >20%
+ * throughput drop, or a steady-state phase (get/put/prune/sweep) above
+ * 0 allocs/op.
  *
  * Flags: --ops=N measured ops per phase (default 1,000,000),
  * --full (adds the 6M-key tier and 4x ops), --json=PATH.
@@ -209,14 +216,15 @@ makeLoc<VftlLoc>(std::uint64_t i)
 }
 
 /**
- * Run the four phases against one VersionStore instantiation.
+ * Run the phases against one VersionStore instantiation.
  * single_version = true models the SFTL-style index: each put prunes
- * the chain down to the version it just wrote.
+ * the chain down to the version it just wrote. sweep adds the
+ * index-driven sweep phase (the backends with a watermark sweep).
  */
 template <typename Loc>
 std::vector<PhaseResult>
 runScenario(const std::string &name, std::uint64_t keys,
-            std::uint64_t ops, bool single_version)
+            std::uint64_t ops, bool single_version, bool sweep)
 {
     std::vector<PhaseResult> out;
     ftl::VersionStore<Loc> store(keys);
@@ -334,11 +342,56 @@ runScenario(const std::string &name, std::uint64_t keys,
         }
         const double secs = wallSeconds(start);
         const AllocSnapshot after = AllocSnapshot::take();
+        ts += static_cast<Time>(sweeps);
         const std::uint64_t visited = sweeps * keys;
         PhaseResult r;
         r.scenario = name;
         r.keys = keys;
         r.op = "prune";
+        r.ops = visited;
+        r.seconds = secs;
+        r.allocsPerOp = static_cast<double>(after.calls - before.calls) /
+                        static_cast<double>(visited);
+        r.bytesPerOp = static_cast<double>(after.bytes - before.bytes) /
+                       static_cast<double>(visited);
+        out.push_back(r);
+    }
+
+    // ---- sweep: index-driven watermark sweeps (one "op" per chain
+    // visited). Every chain is down to one version after the prune
+    // phase; give a few thousand keys, spread over the whole table,
+    // two versions above the sweep watermark. Each sweep then visits
+    // exactly those chains and drops nothing — the steady state
+    // between watermark advances — while the 1-version keys cost
+    // nothing at all.
+    if (sweep) {
+        constexpr std::uint64_t kChains = 4096;
+        const std::uint64_t stride = keys / kChains;
+        for (std::uint64_t c = 0; c < kChains; ++c) {
+            auto chain = store.find(c * stride);
+            chain.insert(Version{ts + 1, 2}, makeLoc<Loc>(c));
+            chain.insert(Version{ts + 2, 2}, makeLoc<Loc>(c));
+        }
+        if (store.multiVersionCount() != kChains)
+            PANIC("store_core: sweep setup indexed "
+                  << store.multiVersionCount() << " of " << kChains
+                  << " chains");
+        const std::uint64_t sweeps =
+            std::max<std::uint64_t>(1, ops / kChains);
+        const AllocSnapshot before = AllocSnapshot::take();
+        const auto start = std::chrono::steady_clock::now();
+        for (std::uint64_t s = 0; s < sweeps; ++s)
+            store.pruneMultiVersion(ts, noDrop);
+        const double secs = wallSeconds(start);
+        const AllocSnapshot after = AllocSnapshot::take();
+        if (store.multiVersionCount() != kChains)
+            PANIC("store_core: sweep dropped a chain above the "
+                  "watermark");
+        const std::uint64_t visited = sweeps * kChains;
+        PhaseResult r;
+        r.scenario = name;
+        r.keys = keys;
+        r.op = "sweep";
         r.ops = visited;
         r.seconds = secs;
         r.allocsPerOp = static_cast<double>(after.calls - before.calls) /
@@ -356,13 +409,13 @@ runFlavor(const std::string &flavor, std::uint64_t keys,
           std::uint64_t ops)
 {
     if (flavor == "dram")
-        return runScenario<DramLoc>(flavor, keys, ops, false);
+        return runScenario<DramLoc>(flavor, keys, ops, false, false);
     if (flavor == "mftl")
-        return runScenario<MftlLoc>(flavor, keys, ops, false);
+        return runScenario<MftlLoc>(flavor, keys, ops, false, true);
     if (flavor == "vftl")
-        return runScenario<VftlLoc>(flavor, keys, ops, false);
+        return runScenario<VftlLoc>(flavor, keys, ops, false, true);
     if (flavor == "sftl")
-        return runScenario<MftlLoc>(flavor, keys, ops, true);
+        return runScenario<MftlLoc>(flavor, keys, ops, true, false);
     PANIC("store_core: unknown flavor " << flavor);
 }
 

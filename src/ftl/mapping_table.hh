@@ -25,7 +25,8 @@
  *        u16      capClass  2B   }  kInlineClass <=> entry is inline
  *        union {
  *          Entry  one      (inline newest version)
- *          Entry *many     (arena block, capacity 2 << capClass)
+ *          Block  many     (arena block, capacity 2 << capClass,
+ *                           + this chain's position in the index)
  *        }
  *
  *    A key with one live version (the overwhelming case after
@@ -34,14 +35,25 @@
  *    that doubles per size class; chains that shrink back to <= 1
  *    entry return their block to the arena freelist, so steady-state
  *    put/prune churn allocates nothing.
+ *  - Multi-version index: a chain lives in an arena block exactly
+ *    when it holds >= 2 versions, and only such a chain can lose a
+ *    version to watermark pruning. A dense vector of their slot
+ *    numbers, with each chain's position kept in the block half of
+ *    its slot's union (bytes an inline Entry would use anyway), lets
+ *    the backends' watermark sweeps visit those chains alone instead
+ *    of every slot. Promotion appends, demotion/erase swap-removes,
+ *    and a slot move rewrites its one index cell, all O(1); the
+ *    vector is bounded by the live multi-version chains on every
+ *    backend, including DRAM, which never sweeps.
  *  - All chain operations share ftl::chain_ops binary searches with
  *    the reference VersionChain, so semantics cannot drift
  *    (tests/store_semantics_test.cc replays both).
  *
- * Iteration order is slot order, which differs from unordered_map
- * order — safe here because every map iteration in the backends
- * (watermark sweeps, rebuild scans) is order-independent and runs
- * without suspension points.
+ * Iteration order (slot order for forEach, index order for
+ * forEachMultiVersion) differs from unordered_map order — safe here
+ * because the one map iteration in the backends, the watermark sweep
+ * over the multi-version index, only decrements live counters and
+ * runs without suspension points, so its order is unobservable.
  *
  * Single-threaded by design, like the simulator that owns it.
  */
@@ -55,6 +67,7 @@
 #include <cstring>
 #include <new>
 #include <utility>
+#include <vector>
 
 #include "common/types.hh"
 #include "ftl/arena.hh"
@@ -184,7 +197,10 @@ class VersionStore
         return true;
     }
 
-    /** Drop every chain; capacity and arena slabs are retained. */
+    /**
+     * Drop every chain; capacity, arena slabs and the index's
+     * capacity are retained.
+     */
     void
     clear()
     {
@@ -235,12 +251,50 @@ class VersionStore
         }
     }
 
-    /** Exact bytes held: slot array + arena slabs. */
+    /** Number of chains holding >= 2 versions (the index's size). */
+    std::size_t multiVersionCount() const { return multi_.size(); }
+
+    /**
+     * Visit every (key, chain) whose chain holds >= 2 versions, each
+     * exactly once, in unspecified order. @p fn may mutate the
+     * visited chain (insert, prune, remove, relocate) but must not
+     * erase or insert keys. Visiting runs back to front, so a chain
+     * that drops out of the index under @p fn swaps in an entry that
+     * was already visited.
+     */
+    template <typename Fn>
+    void
+    forEachMultiVersion(Fn &&fn)
+    {
+        for (std::size_t i = multi_.size(); i-- > 0;) {
+            const std::size_t idx = multi_[i];
+            fn(slots_[idx].key, ChainRef{this, idx});
+        }
+    }
+
+    /**
+     * Watermark sweep: the same effect as pruneBelowWatermark on
+     * every chain via forEach, visiting only the multi-version index
+     * (a chain of <= 1 version never drops anything). @p on_drop sees
+     * the same multiset of entries, in unspecified order.
+     */
+    template <typename OnDrop>
+    void
+    pruneMultiVersion(Time watermark, OnDrop &&on_drop)
+    {
+        forEachMultiVersion([&](Key, ChainRef chain) {
+            chain.pruneBelowWatermark(watermark, on_drop);
+        });
+    }
+
+    /** Exact bytes held: slot array + arena slabs + index capacity. */
     std::uint64_t
     memoryBytes() const
     {
         return static_cast<std::uint64_t>(cap_) * sizeof(Slot) +
-               arena_.slabBytes();
+               arena_.slabBytes() +
+               static_cast<std::uint64_t>(multi_.capacity()) *
+                   sizeof(std::size_t);
     }
 
     /**
@@ -397,6 +451,18 @@ class VersionStore
     static constexpr std::uint16_t kInlineClass = 0xffff;
     static constexpr std::size_t kMinTableCap = 16;
 
+    /** An overflow chain: its arena block and its index position. */
+    struct Block
+    {
+        Entry *entries;
+        std::size_t pos; // multi_[pos] is this slot's number
+    };
+
+    // The index position rides in bytes the inline Entry occupies
+    // anyway, so the index costs the slot nothing.
+    static_assert(sizeof(Block) <= sizeof(Entry),
+                  "Block must fit in the inline-entry union");
+
     struct Slot
     {
         Key key;
@@ -407,20 +473,22 @@ class VersionStore
             Rep() {}
             ~Rep() {}
             Entry one;
-            Entry *many;
+            Block many;
         } rep;
     };
 
     static Entry *
     entriesOf(Slot &s)
     {
-        return s.capClass == kInlineClass ? &s.rep.one : s.rep.many;
+        return s.capClass == kInlineClass ? &s.rep.one
+                                          : s.rep.many.entries;
     }
 
     static const Entry *
     entriesOf(const Slot &s)
     {
-        return s.capClass == kInlineClass ? &s.rep.one : s.rep.many;
+        return s.capClass == kInlineClass ? &s.rep.one
+                                          : s.rep.many.entries;
     }
 
     static std::uint32_t
@@ -519,7 +587,11 @@ class VersionStore
         maybeShrink(s);
     }
 
-    void
+    // Out of line: inlined (index append included) into the
+    // getOrCreate/append loops, it slowed bulk load and puts by up to
+    // ~25% under GCC 12 -O3, though it runs only when a chain
+    // outgrows its block.
+    [[gnu::noinline]] void
     growChain(Slot &s)
     {
         const std::uint16_t cls =
@@ -532,9 +604,14 @@ class VersionStore
             new (&blk[i]) Entry(std::move(e[i]));
             e[i].~Entry();
         }
-        if (s.capClass != kInlineClass)
-            arena_.deallocate(s.rep.many, s.capClass);
-        s.rep.many = blk;
+        if (s.capClass == kInlineClass) {
+            // Promotion: the chain is about to hold 2 versions.
+            s.rep.many.pos = multi_.size();
+            multi_.push_back(slotNumber(s));
+        } else {
+            arena_.deallocate(s.rep.many.entries, s.capClass);
+        }
+        s.rep.many.entries = blk;
         s.capClass = cls;
     }
 
@@ -544,16 +621,17 @@ class VersionStore
     {
         if (s.capClass == kInlineClass || s.count > 1)
             return;
-        // rep is a union: save the block pointer before rep.one
-        // overwrites those bytes.
-        Entry *blk = s.rep.many;
+        // rep is a union: save the block before rep.one overwrites
+        // those bytes.
+        const Block blk = s.rep.many;
         const std::uint16_t cls = s.capClass;
         s.capClass = kInlineClass;
+        unindex(blk.pos);
         if (s.count == 1) {
-            new (&s.rep.one) Entry(std::move(blk[0]));
-            blk[0].~Entry();
+            new (&s.rep.one) Entry(std::move(blk.entries[0]));
+            blk.entries[0].~Entry();
         }
-        arena_.deallocate(blk, cls);
+        arena_.deallocate(blk.entries, cls);
     }
 
     void
@@ -562,18 +640,37 @@ class VersionStore
         Entry *e = entriesOf(s);
         for (std::size_t i = 0; i < s.count; ++i)
             e[i].~Entry();
-        if (s.capClass != kInlineClass)
-            arena_.deallocate(s.rep.many, s.capClass);
+        if (s.capClass != kInlineClass) {
+            unindex(s.rep.many.pos);
+            arena_.deallocate(s.rep.many.entries, s.capClass);
+        }
         s.count = 0;
         s.capClass = kInlineClass;
     }
 
+    std::size_t
+    slotNumber(const Slot &s) const
+    {
+        return static_cast<std::size_t>(&s - slots_);
+    }
+
+    /** Swap-remove index cell @p pos, re-pointing the moved chain. */
+    void
+    unindex(std::size_t pos)
+    {
+        const std::size_t last = multi_.back();
+        multi_[pos] = last;
+        slots_[last].rep.many.pos = pos;
+        multi_.pop_back();
+    }
+
     /**
-     * Move src's chain payload into dst (dst's payload must be dead).
-     * Inline entries move by move-construction; overflow chains just
-     * transfer the block pointer. src is left empty.
+     * Move src's chain payload into dst (dst's payload must be dead;
+     * dst must be a slot of the current table). Inline entries move
+     * by move-construction; overflow chains transfer the block and
+     * re-point their index cell at dst. src is left empty.
      */
-    static void
+    void
     movePayload(Slot &dst, Slot &src)
     {
         dst.count = src.count;
@@ -585,6 +682,7 @@ class VersionStore
             }
         } else {
             dst.rep.many = src.rep.many;
+            multi_[dst.rep.many.pos] = slotNumber(dst);
         }
         src.count = 0;
         src.capClass = kInlineClass;
@@ -660,6 +758,8 @@ class VersionStore
     std::uint32_t shift_ = 64; // >> 64 is UB; guarded by cap_ == 0
     std::size_t size_ = 0;
     ChainArena<Entry> arena_;
+    /** Slot numbers of the chains holding >= 2 versions. */
+    std::vector<std::size_t> multi_;
 };
 
 /**

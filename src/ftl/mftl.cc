@@ -294,8 +294,10 @@ Mftl::watermarkSweep()
 {
     while (!sim_.stopRequested()) {
         co_await sim::sleepFor(sim_, config_.watermarkSweepInterval);
-        map_.forEach(
-            [this](Key, ChainRef chain) { pruneChain(chain); });
+        // Only multi-version chains can lose a version; the store
+        // indexes exactly those, so the sweep never walks the table.
+        map_.pruneMultiVersion(
+            watermark_, [this](const Store::Entry &e) { dropEntry(e); });
         kickGc();
     }
 }

@@ -55,7 +55,11 @@ class Mftl : public KvBackend
         double gcTargetFraction = 0.25;
         /** Accounted on-flash tuple size (paper: 512 B). */
         std::uint32_t recordSize = 512;
-        /** Interval of the background watermark pruning sweep. */
+        /** Interval of the background watermark pruning sweep. Each
+         *  sweep visits only the chains holding >= 2 versions (the
+         *  mapping table's multi-version index), so its cost scales
+         *  with those, not with the key count; reads and writes also
+         *  prune the chain they touch. */
         common::Duration watermarkSweepInterval =
             50 * common::kMillisecond;
         /** Pre-size the mapping table for this many keys (0 = grow). */

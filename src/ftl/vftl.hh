@@ -51,6 +51,8 @@ class Vftl : public KvBackend
          *  watermark-driven target. */
         double gcTargetFraction = 0.15;
         std::uint32_t recordSize = 512;
+        /** Interval of the KV layer's watermark pruning sweep; as in
+         *  MFTL, each sweep visits only the multi-version chains. */
         common::Duration watermarkSweepInterval =
             50 * common::kMillisecond;
         /** Pre-size the mapping table for this many keys (0 = grow). */

@@ -476,10 +476,10 @@ sim::Task<bool>
 MilanaServer::handleReplicateTxnRecord(ReplicateTxnRecord record)
 {
     stats_.counter("milana.replica_records").inc();
-    // Log first (models the persistent-memory log write), then apply —
-    // records may arrive in any order (Figure 5).
-    txnLog_.push_back(record);
-
+    // Apply, then log (the persistent-memory log write) — records may
+    // arrive in any order (Figure 5). Nothing in between suspends, so
+    // the two are one atomic step and the record can move into the
+    // log instead of being copied.
     switch (record.kind) {
       case TxnRecordKind::Prepared: {
         if (txns_.statusOf(record.txn) == semel::TxnStatus::Unknown) {
@@ -511,6 +511,7 @@ MilanaServer::handleReplicateTxnRecord(ReplicateTxnRecord record)
         txns_.resolve(record.txn, semel::TxnStatus::Aborted);
         break;
     }
+    txnLog_.push_back(std::move(record));
     co_return true;
 }
 

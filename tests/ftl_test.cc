@@ -10,6 +10,7 @@
 
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "flash/ssd.hh"
 #include "ftl/dram.hh"
@@ -285,6 +286,117 @@ TEST(Mftl, RebuildFromFlashRecoversMappings)
     });
     EXPECT_TRUE(got.found);
     EXPECT_EQ(got.value, "a");
+}
+
+namespace {
+
+/**
+ * Versions the watermark contract keeps out of a chain whose stamps
+ * are @p stamps: every stamp above the watermark, plus the youngest
+ * at or below it.
+ */
+std::size_t
+keptByWatermark(const std::vector<common::Time> &stamps,
+                common::Time watermark)
+{
+    std::size_t above = 0;
+    bool any_at_or_below = false;
+    for (const common::Time ts : stamps) {
+        if (ts > watermark)
+            ++above;
+        else
+            any_at_or_below = true;
+    }
+    return above + (any_at_or_below ? 1 : 0);
+}
+
+/** Let the background watermark sweep run twice, then stop. */
+template <typename Fixture>
+void
+runSweeps(Fixture &f)
+{
+    runSim(f.s, [&]() -> sim::Task<void> {
+        co_await sim::sleepFor(f.s, 120 * kMillisecond);
+        f.s.requestStop();
+    });
+}
+
+} // namespace
+
+TEST(Mftl, SweepAfterRebuildPrunesEveryChainToWatermark)
+{
+    // Rebuild re-inserts every chain (and so re-indexes the
+    // multi-version ones); the background sweep alone — no get or
+    // put touches these keys afterwards — must then prune each chain
+    // to the watermark contract.
+    MftlFixture f;
+    std::vector<std::vector<common::Time>> stamps(40);
+    runSim(f.s, [&]() -> sim::Task<void> {
+        for (Key k = 0; k < stamps.size(); ++k) {
+            for (std::size_t i = 0; i <= k % 6; ++i) {
+                const common::Time ts =
+                    100 * static_cast<common::Time>(i + 1) +
+                    static_cast<common::Time>(k);
+                stamps[k].push_back(ts);
+                co_await f.mftl.put(k, "x", v(ts));
+            }
+        }
+    });
+    f.mftl.rebuildFromFlash();
+    for (Key k = 0; k < stamps.size(); ++k)
+        ASSERT_EQ(f.mftl.versionCount(k), stamps[k].size()) << k;
+
+    const common::Time watermark = 320;
+    f.mftl.start();
+    f.mftl.setWatermark(watermark);
+    runSweeps(f);
+    std::uint64_t dropped = 0;
+    for (Key k = 0; k < stamps.size(); ++k) {
+        const std::size_t kept = keptByWatermark(stamps[k], watermark);
+        EXPECT_EQ(f.mftl.versionCount(k), kept) << "key " << k;
+        dropped += stamps[k].size() - kept;
+    }
+    EXPECT_GT(dropped, 0u);
+    EXPECT_EQ(f.mftl.stats().counterValue("mftl.versions_pruned"),
+              dropped);
+}
+
+TEST(Mftl, SweepAfterTombstoneAndReputPrunesToWatermark)
+{
+    // A tombstone drops a multi-version chain (and its index entry);
+    // re-putting the key builds a fresh chain the sweep must still
+    // find. Key 10 stays multi-version throughout, so the erase
+    // exercises the index's swap-remove.
+    MftlFixture f;
+    runSim(f.s, [&]() -> sim::Task<void> {
+        co_await f.mftl.put(9, "a", v(100));
+        co_await f.mftl.put(10, "p", v(100));
+        co_await f.mftl.put(9, "b", v(200));
+        co_await f.mftl.put(10, "q", v(200));
+        co_await f.mftl.put(10, "r", v(300));
+        co_await f.mftl.erase(9);
+        co_await f.mftl.put(9, "c", v(300));
+        co_await f.mftl.put(9, "d", v(400));
+    });
+    ASSERT_EQ(f.mftl.versionCount(9), 2u);
+    ASSERT_EQ(f.mftl.versionCount(10), 3u);
+    const std::uint64_t erased =
+        f.mftl.stats().counterValue("mftl.versions_pruned");
+
+    f.mftl.start();
+    f.mftl.setWatermark(350);
+    runSweeps(f);
+    // Key 9 keeps v300 (youngest <= 350) and v400; key 10 keeps v300.
+    EXPECT_EQ(f.mftl.versionCount(9), 2u);
+    EXPECT_EQ(f.mftl.versionCount(10), 1u);
+    EXPECT_EQ(f.mftl.stats().counterValue("mftl.versions_pruned"),
+              erased + 2);
+    GetResult got;
+    runSim(f.s, [&]() -> sim::Task<void> {
+        got = co_await f.mftl.get(9, v(350));
+    });
+    EXPECT_TRUE(got.found);
+    EXPECT_EQ(got.value, "c");
 }
 
 // ---------------------------------------------------------------- SFTL
@@ -772,6 +884,29 @@ TEST(Vftl, RebuildFromStoreRecoversMappings)
     });
     EXPECT_TRUE(got.found);
     EXPECT_EQ(got.value, "a");
+}
+
+TEST(Vftl, SweepAfterRebuildPrunesEveryChainToWatermark)
+{
+    VftlFixture f;
+    runSim(f.s, [&]() -> sim::Task<void> {
+        for (Key k = 0; k < 12; ++k)
+            for (common::Time ts = 100;
+                 ts <= 100 * static_cast<common::Time>(1 + k % 4);
+                 ts += 100)
+                co_await f.vftl.put(k, "x", v(ts));
+    });
+    f.vftl.rebuildFromStore();
+    f.vftl.start();
+    f.vftl.setWatermark(250);
+    runSweeps(f);
+    for (Key k = 0; k < 12; ++k) {
+        // Chains of 1..4 versions at 100, 200, ...: keep v200 and
+        // everything above 250.
+        const std::size_t n = 1 + k % 4;
+        EXPECT_EQ(f.vftl.versionCount(k), n <= 2 ? 1u : n - 1)
+            << "key " << k;
+    }
 }
 
 TEST(Vftl, RebuildAfterGcStillConsistent)

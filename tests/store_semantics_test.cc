@@ -11,7 +11,9 @@
  * Also covers what the reference cannot: table capacity independence
  * (same contents whatever the initial pre-size), robin-hood erase
  * stress (backward-shift must leave every surviving key findable),
- * and the KeySet used for MilanaServer::keyStateReady_.
+ * the multi-version index behind the watermark sweep (exact after
+ * every op; an indexed sweep equals a full-table one), and the KeySet
+ * used for MilanaServer::keyStateReady_.
  */
 
 #include <gtest/gtest.h>
@@ -302,6 +304,165 @@ TEST(StoreSemantics, RandomizedOpStreamEquivalence)
             expectEquivalent(ref, store);
     }
     expectEquivalent(ref, store);
+}
+
+// ------------------------------------------- multi-version index
+
+namespace {
+
+using Store = ftl::VersionStore<Loc>;
+
+/**
+ * The index must equal the set of keys whose chain holds >= 2
+ * versions, each listed once. Returns "" when it does, else what
+ * differs.
+ */
+std::string
+indexMismatch(Store &store)
+{
+    std::set<Key> want;
+    store.forEach([&](Key key, Store::ChainRef chain) {
+        if (chain.size() >= 2)
+            want.insert(key);
+    });
+    std::vector<Key> got;
+    store.forEachMultiVersion(
+        [&](Key key, Store::ChainRef) { got.push_back(key); });
+    std::sort(got.begin(), got.end());
+    if (std::adjacent_find(got.begin(), got.end()) != got.end())
+        return "index lists a key twice";
+    if (got.size() != store.multiVersionCount())
+        return "multiVersionCount disagrees with the visit count";
+    if (std::vector<Key>(want.begin(), want.end()) != got)
+        return "index holds " + std::to_string(got.size()) +
+               " keys, forEach finds " + std::to_string(want.size()) +
+               " multi-version chains";
+    return "";
+}
+
+/** Every key's chain as (version, cookie) pairs, keyed by key. */
+std::map<Key, std::vector<std::pair<Version, std::uint64_t>>>
+contents(Store &store)
+{
+    std::map<Key, std::vector<std::pair<Version, std::uint64_t>>> out;
+    store.forEach([&](Key key, Store::ChainRef chain) {
+        out[key] = dump(chain);
+    });
+    return out;
+}
+
+} // namespace
+
+TEST(StoreSemantics, MultiVersionIndexExactUnderRandomOps)
+{
+    // `store` sweeps through its multi-version index; `twin` receives
+    // the same ops but sweeps with forEach over every slot. Both must
+    // drop the same entries and end with the same contents, and the
+    // index must be exact after every single step.
+    std::mt19937_64 rng(20261016);
+    Store store; // default capacity: exercises grow
+    Store twin(512);
+    constexpr Key kKeys = 181;
+    std::uint64_t cookie = 0;
+    Time watermark = 0;
+    for (int step = 0; step < 30000; ++step) {
+        const Key key = rng() % kKeys;
+        const Time ts = watermark + static_cast<Time>(rng() % 64);
+        const auto op = rng() % 1000;
+        if (op < 300) {
+            ++cookie;
+            ASSERT_EQ(store.getOrCreate(key).insert(v(ts), Loc{cookie}),
+                      twin.getOrCreate(key).insert(v(ts), Loc{cookie}))
+                << "step " << step;
+        } else if (op < 450) {
+            ++cookie;
+            ASSERT_EQ(store.getOrCreate(key).append(v(ts), Loc{cookie}),
+                      twin.getOrCreate(key).append(v(ts), Loc{cookie}))
+                << "step " << step;
+        } else if (op < 550) {
+            // Prune-on-access, as a backend get or put does.
+            std::uint64_t a = 0, b = 0;
+            if (auto chain = store.find(key))
+                chain.pruneBelowWatermark(
+                    watermark, [&](const auto &) { ++a; });
+            if (auto chain = twin.find(key))
+                chain.pruneBelowWatermark(
+                    watermark, [&](const auto &) { ++b; });
+            ASSERT_EQ(a, b) << "step " << step;
+        } else if (op < 700) {
+            auto chain = store.find(key);
+            auto other = twin.find(key);
+            ASSERT_EQ(chain ? chain.remove(v(ts)) : false,
+                      other ? other.remove(v(ts)) : false)
+                << "step " << step;
+        } else if (op < 780) {
+            ++cookie;
+            auto chain = store.find(key);
+            auto other = twin.find(key);
+            ASSERT_EQ(chain ? chain.relocate(v(ts), Loc{cookie}) : false,
+                      other ? other.relocate(v(ts), Loc{cookie}) : false)
+                << "step " << step;
+        } else if (op < 880) {
+            ASSERT_EQ(store.erase(key), twin.erase(key))
+                << "step " << step;
+        } else if (op < 990) {
+            // Watermark advance and sweep: indexed vs full table.
+            watermark += static_cast<Time>(rng() % 24);
+            std::multiset<std::pair<Version, std::uint64_t>> a, b;
+            store.pruneMultiVersion(watermark, [&](const auto &e) {
+                a.emplace(e.version, e.loc.cookie);
+            });
+            twin.forEach([&](Key, Store::ChainRef chain) {
+                chain.pruneBelowWatermark(watermark, [&](const auto &e) {
+                    b.emplace(e.version, e.loc.cookie);
+                });
+            });
+            ASSERT_EQ(a, b) << "step " << step;
+            ASSERT_EQ(contents(store), contents(twin))
+                << "step " << step;
+            // Nothing below the watermark is left to drop.
+            std::size_t again = 0;
+            store.pruneMultiVersion(watermark,
+                                    [&](const auto &) { ++again; });
+            ASSERT_EQ(again, 0u) << "step " << step;
+        } else if (op < 995) {
+            // Growth: rehash moves every slot and its index cell.
+            const std::uint64_t keys = rng() % 700;
+            store.reserveKeys(keys);
+            twin.reserveKeys(keys);
+        } else {
+            store.clear();
+            twin.clear();
+        }
+        ASSERT_EQ(indexMismatch(store), "") << "step " << step;
+        ASSERT_EQ(indexMismatch(twin), "") << "step " << step;
+    }
+    EXPECT_EQ(contents(store), contents(twin));
+}
+
+TEST(StoreSemantics, MultiVersionIndexSurvivesEraseChurnAndGrowth)
+{
+    // Robin-hood displacement and backward-shift erase move slots
+    // under the index; every move must carry its index cell along.
+    std::mt19937_64 rng(11);
+    Store store;
+    for (int wave = 0; wave < 30; ++wave) {
+        for (int i = 0; i < 400; ++i) {
+            const Key key = rng() % 1500;
+            auto chain = store.getOrCreate(key);
+            chain.insert(v(wave * 10 + 1), Loc{key});
+            if (rng() % 2)
+                chain.insert(v(wave * 10 + 2), Loc{key});
+        }
+        for (int i = 0; i < 300; ++i)
+            store.erase(rng() % 1500);
+        ASSERT_EQ(indexMismatch(store), "") << "wave " << wave;
+    }
+    EXPECT_GT(store.multiVersionCount(), 0u);
+    // A sweep above every stamp leaves only 1-version chains.
+    store.pruneMultiVersion(1 << 20, [](const auto &) {});
+    EXPECT_EQ(store.multiVersionCount(), 0u);
+    EXPECT_EQ(indexMismatch(store), "");
 }
 
 // --------------------------------------------- capacity independence
