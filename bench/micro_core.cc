@@ -16,6 +16,7 @@
 #include "common/zipf.hh"
 #include "ftl/version_chain.hh"
 #include "milana/txn_table.hh"
+#include "semel/server.hh"
 #include "sim/future.hh"
 #include "sim/simulator.hh"
 #include "sim/task.hh"
@@ -106,9 +107,9 @@ BENCHMARK(BM_VersionChainWatermarkPrune);
 void
 BM_KeyStateLookup(benchmark::State &state)
 {
-    milana::KeyStateTable table;
+    semel::KeyTable table;
     for (common::Key k = 0; k < 100'000; ++k)
-        table.state(k).latestCommitted = common::Version{100, 1};
+        table.getOrCreate(k).latestCommitted = common::Version{100, 1};
     common::Rng rng(2);
     for (auto _ : state) {
         const common::Key k = rng.nextBounded(100'000);

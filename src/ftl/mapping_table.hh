@@ -55,6 +55,10 @@
  * over the multi-version index, only decrements live counters and
  * runs without suspension points, so its order is unobservable.
  *
+ * KeyTable, at the bottom, is the same probe/shift/erase discipline
+ * (table_detail) over fixed-size, trivially copyable slots: the
+ * servers' per-key protocol state.
+ *
  * Single-threaded by design, like the simulator that owns it.
  */
 
@@ -66,6 +70,7 @@
 #include <cstdint>
 #include <cstring>
 #include <new>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -94,6 +99,93 @@ pow2AtLeast(std::size_t n)
     return std::bit_ceil(n < 2 ? std::size_t{2} : n);
 }
 
+inline constexpr std::size_t kNpos = static_cast<std::size_t>(-1);
+inline constexpr std::size_t kMinTableCap = 16;
+
+/** Power-of-two capacity keeping the load under 7/8 after @p keys
+ *  inserts. */
+inline std::size_t
+capacityFor(std::uint64_t keys)
+{
+    const std::size_t want = static_cast<std::size_t>(keys + keys / 7 + 1);
+    return pow2AtLeast(want < kMinTableCap ? kMinTableCap : want);
+}
+
+/*
+ * The robin-hood discipline both tables below share. A slot type has
+ * `Key key` and `std::uint32_t dist` (probe distance + 1; 0 = empty);
+ * the table is a power-of-two array probed from the top bits of the
+ * Fibonacci hash. Payload moves are the caller's: @p move(dst, src)
+ * carries src's payload into dst (dst's payload is dead) and leaves
+ * src's dead.
+ */
+
+/** Index of @p key's slot, or kNpos. The table must be allocated. */
+template <typename Slot>
+inline std::size_t
+probe(const Slot *slots, std::size_t mask, std::uint32_t shift, Key key)
+{
+    std::size_t i = mixKey(key) >> shift;
+    std::uint32_t dist = 1;
+    for (;;) {
+        const Slot &s = slots[i];
+        if (s.dist < dist) // includes empty (dist == 0)
+            return kNpos;
+        if (s.key == key)
+            return i;
+        i = (i + 1) & mask;
+        ++dist;
+    }
+}
+
+/**
+ * Make slot @p pos a hole by moving the contiguous run starting there
+ * one step right (into the first empty slot), bumping each displaced
+ * resident's probe distance. The hole's dist is 0.
+ */
+template <typename Slot, typename Move>
+inline void
+shiftForward(Slot *slots, std::size_t mask, std::size_t pos, Move &&move)
+{
+    std::size_t e = pos;
+    while (slots[e].dist != 0)
+        e = (e + 1) & mask;
+    while (e != pos) {
+        const std::size_t p = (e - 1) & mask;
+        Slot &dst = slots[e];
+        Slot &src = slots[p];
+        dst.key = src.key;
+        dst.dist = src.dist + 1;
+        move(dst, src);
+        e = p;
+    }
+    slots[pos].dist = 0;
+}
+
+/**
+ * Tombstone-free erase of the (already destroyed) slot @p idx: the
+ * following run members move one slot toward home, and the slot at
+ * the end of the run is left empty.
+ */
+template <typename Slot, typename Move>
+inline void
+backwardShift(Slot *slots, std::size_t mask, std::size_t idx, Move &&move)
+{
+    std::size_t hole = idx;
+    for (;;) {
+        const std::size_t next = (hole + 1) & mask;
+        Slot &n = slots[next];
+        if (n.dist <= 1)
+            break;
+        Slot &h = slots[hole];
+        h.key = n.key;
+        h.dist = n.dist - 1;
+        move(h, n);
+        hole = next;
+    }
+    slots[hole].dist = 0;
+}
+
 } // namespace table_detail
 
 /**
@@ -109,7 +201,7 @@ class VersionStore
   public:
     using Entry = VersionEntry<Loc>;
 
-    static constexpr std::size_t npos = static_cast<std::size_t>(-1);
+    static constexpr std::size_t npos = table_detail::kNpos;
 
     /**
      * @param expected_keys pre-sizes the table so that many distinct
@@ -119,7 +211,7 @@ class VersionStore
     explicit VersionStore(std::uint64_t expected_keys = 0)
     {
         if (expected_keys > 0)
-            rehash(capacityFor(expected_keys));
+            rehash(table_detail::capacityFor(expected_keys));
     }
 
     VersionStore(const VersionStore &) = delete;
@@ -160,7 +252,7 @@ class VersionStore
             if (s.dist < dist) {
                 // Robin hood: this resident is closer to home than we
                 // are; shift the run right and take its slot.
-                shiftForward(i);
+                table_detail::shiftForward(slots_, mask_, i, mover());
                 fillEmpty(slots_[i], key, dist);
                 return ChainRef{this, i};
             }
@@ -180,19 +272,7 @@ class VersionStore
         if (idx == npos)
             return false;
         destroyChain(slots_[idx]);
-        std::size_t hole = idx;
-        for (;;) {
-            const std::size_t next = (hole + 1) & mask_;
-            Slot &n = slots_[next];
-            if (n.dist <= 1)
-                break;
-            Slot &h = slots_[hole];
-            h.key = n.key;
-            h.dist = n.dist - 1;
-            movePayload(h, n);
-            hole = next;
-        }
-        slots_[hole].dist = 0;
+        table_detail::backwardShift(slots_, mask_, idx, mover());
         --size_;
         return true;
     }
@@ -220,7 +300,7 @@ class VersionStore
     void
     reserveKeys(std::uint64_t keys)
     {
-        const std::size_t want = capacityFor(keys);
+        const std::size_t want = table_detail::capacityFor(keys);
         if (want > cap_)
             rehash(want);
     }
@@ -449,7 +529,6 @@ class VersionStore
 
     /** capClass value marking "entry lives inline in the slot". */
     static constexpr std::uint16_t kInlineClass = 0xffff;
-    static constexpr std::size_t kMinTableCap = 16;
 
     /** An overflow chain: its arena block and its index position. */
     struct Block
@@ -515,32 +594,11 @@ class VersionStore
         return table_detail::mixKey(key) >> shift_;
     }
 
-    static std::size_t
-    capacityFor(std::uint64_t keys)
-    {
-        // Keep the live load under 7/8 after `keys` inserts.
-        const std::size_t want = static_cast<std::size_t>(
-            keys + keys / 7 + 1);
-        return table_detail::pow2AtLeast(
-            want < kMinTableCap ? kMinTableCap : want);
-    }
-
     std::size_t
     findIndex(Key key) const
     {
-        if (cap_ == 0)
-            return npos;
-        std::size_t i = bucketOf(key);
-        std::uint32_t dist = 1;
-        for (;;) {
-            const Slot &s = slots_[i];
-            if (s.dist < dist) // includes empty (dist == 0)
-                return npos;
-            if (s.key == key)
-                return i;
-            i = (i + 1) & mask_;
-            ++dist;
-        }
+        return cap_ == 0 ? npos
+                         : table_detail::probe(slots_, mask_, shift_, key);
     }
 
     // --- chain storage management ------------------------------------
@@ -688,35 +746,19 @@ class VersionStore
         src.capClass = kInlineClass;
     }
 
-    // --- table growth / displacement ---------------------------------
-
-    /**
-     * Make slot @p pos a hole by moving the contiguous run starting
-     * there one step right (into the first empty slot), bumping each
-     * displaced resident's probe distance.
-     */
-    void
-    shiftForward(std::size_t pos)
+    /** movePayload as the shared robin-hood helpers' move hook. */
+    auto
+    mover()
     {
-        std::size_t e = pos;
-        while (slots_[e].dist != 0)
-            e = (e + 1) & mask_;
-        while (e != pos) {
-            const std::size_t p = (e + cap_ - 1) & mask_;
-            Slot &dst = slots_[e];
-            Slot &src = slots_[p];
-            dst.key = src.key;
-            dst.dist = src.dist + 1;
-            movePayload(dst, src);
-            e = p;
-        }
-        slots_[pos].dist = 0;
+        return [this](Slot &dst, Slot &src) { movePayload(dst, src); };
     }
+
+    // --- table growth ------------------------------------------------
 
     void
     grow()
     {
-        rehash(cap_ == 0 ? kMinTableCap : cap_ * 2);
+        rehash(cap_ == 0 ? table_detail::kMinTableCap : cap_ * 2);
     }
 
     void
@@ -763,72 +805,91 @@ class VersionStore
 };
 
 /**
- * Robin-hood set of Keys: the same table discipline without a
- * payload. Replaces `std::unordered_map<Key, bool>` membership maps
- * (e.g. MilanaServer's per-key ensure-loaded latch) with 16-byte
- * slots and zero steady-state allocations.
+ * Robin-hood table of fixed-size per-key slots: the same probe,
+ * forward-shift insert, backward-shift erase and hash as VersionStore,
+ * with the whole payload inline. It backs per-key state that is a few
+ * words per key (e.g. the servers' per-key OCC state), so a lookup is
+ * one probe run in one array and steady state allocates nothing.
+ *
+ * @p Slot is trivially copyable and carries `Key key` and
+ * `std::uint32_t dist` (table bookkeeping; callers never write them);
+ * every other member is payload, zero on creation. References into
+ * the table are invalidated by any insert of a new key (robin-hood
+ * shifts, growth), erase, reserve or clear.
  */
-class KeySet
+template <typename Slot>
+class KeyTable
 {
+    static_assert(std::is_trivially_copyable_v<Slot>,
+                  "KeyTable slots move by copy");
+
   public:
-    explicit KeySet(std::uint64_t expected = 0)
+    explicit KeyTable(std::uint64_t expected_keys = 0)
     {
-        if (expected > 0)
-            rehash(capacityFor(expected));
+        if (expected_keys > 0)
+            rehash(table_detail::capacityFor(expected_keys));
     }
 
-    KeySet(const KeySet &) = delete;
-    KeySet &operator=(const KeySet &) = delete;
+    KeyTable(const KeyTable &) = delete;
+    KeyTable &operator=(const KeyTable &) = delete;
 
-    ~KeySet() { ::operator delete(slots_); }
+    ~KeyTable() { ::operator delete(slots_); }
 
-    bool
-    contains(Key key) const
+    Slot *
+    find(Key key)
     {
-        if (cap_ == 0)
-            return false;
-        std::size_t i = bucketOf(key);
-        std::uint32_t dist = 1;
-        for (;;) {
-            const Slot &s = slots_[i];
-            if (s.dist < dist)
-                return false;
-            if (s.key == key)
-                return true;
-            i = (i + 1) & mask_;
-            ++dist;
-        }
+        const std::size_t i = findIndex(key);
+        return i == table_detail::kNpos ? nullptr : &slots_[i];
     }
 
-    /** Add a key; returns false when it was already present. */
-    bool
-    insert(Key key)
+    const Slot *
+    find(Key key) const
+    {
+        const std::size_t i = findIndex(key);
+        return i == table_detail::kNpos ? nullptr : &slots_[i];
+    }
+
+    /** Slot for @p key, created with a zero payload when absent. */
+    Slot &
+    getOrCreate(Key key)
     {
         if ((size_ + 1) * 8 > cap_ * 7)
             grow();
-        std::size_t i = bucketOf(key);
+        std::size_t i = table_detail::mixKey(key) >> shift_;
         std::uint32_t dist = 1;
         for (;;) {
             Slot &s = slots_[i];
-            if (s.dist == 0) {
+            if (s.dist != 0 && s.key == key)
+                return s;
+            if (s.dist < dist) {
+                // Empty, or a resident closer to home than we are:
+                // shift its run right and take the slot.
+                if (s.dist != 0)
+                    table_detail::shiftForward(slots_, mask_, i, copier());
+                s = Slot{};
                 s.key = key;
                 s.dist = dist;
                 ++size_;
-                return true;
-            }
-            if (s.key == key)
-                return false;
-            if (s.dist < dist) {
-                // Displace the richer resident and keep probing on
-                // its behalf.
-                std::swap(s.key, key);
-                std::swap(s.dist, dist);
+                return s;
             }
             i = (i + 1) & mask_;
             ++dist;
         }
     }
 
+    /** Remove @p key; returns false when it was absent. */
+    bool
+    erase(Key key)
+    {
+        const std::size_t i = findIndex(key);
+        if (i == table_detail::kNpos)
+            return false;
+        table_detail::backwardShift(slots_, mask_, i, copier());
+        --size_;
+        return true;
+    }
+
+    /** Drop every slot; capacity is retained. */
     void
     clear()
     {
@@ -838,17 +899,19 @@ class KeySet
         size_ = 0;
     }
 
-    /** Pre-size for @p keys inserts with no rehash. Never shrinks. */
+    /** Pre-size for @p keys keys with no rehash. Never shrinks. */
     void
     reserve(std::uint64_t keys)
     {
-        const std::size_t want = capacityFor(keys);
+        const std::size_t want = table_detail::capacityFor(keys);
         if (want > cap_)
             rehash(want);
     }
 
     std::size_t size() const { return size_; }
+    std::size_t capacity() const { return cap_; }
 
+    /** Exact bytes held: the slot array. */
     std::uint64_t
     memoryBytes() const
     {
@@ -856,34 +919,29 @@ class KeySet
     }
 
   private:
-    static constexpr std::size_t kMinTableCap = 16;
-
-    struct Slot
+    static auto
+    copier()
     {
-        Key key;
-        std::uint32_t dist; // probe distance + 1; 0 = empty
-        std::uint32_t pad_ = 0;
-    };
-
-    std::size_t
-    bucketOf(Key key) const
-    {
-        return table_detail::mixKey(key) >> shift_;
+        return [](Slot &dst, const Slot &src) {
+            const Key key = dst.key;
+            const std::uint32_t dist = dst.dist;
+            dst = src;
+            dst.key = key;
+            dst.dist = dist;
+        };
     }
 
-    static std::size_t
-    capacityFor(std::uint64_t keys)
+    std::size_t
+    findIndex(Key key) const
     {
-        const std::size_t want =
-            static_cast<std::size_t>(keys + keys / 7 + 1);
-        return table_detail::pow2AtLeast(
-            want < kMinTableCap ? kMinTableCap : want);
+        return cap_ == 0 ? table_detail::kNpos
+                         : table_detail::probe(slots_, mask_, shift_, key);
     }
 
     void
     grow()
     {
-        rehash(cap_ == 0 ? kMinTableCap : cap_ * 2);
+        rehash(cap_ == 0 ? table_detail::kMinTableCap : cap_ * 2);
     }
 
     void
@@ -891,18 +949,15 @@ class KeySet
     {
         Slot *old = slots_;
         const std::size_t old_cap = cap_;
-        slots_ = static_cast<Slot *>(
-            ::operator new(new_cap * sizeof(Slot)));
-        std::memset(static_cast<void *>(slots_), 0,
-                    new_cap * sizeof(Slot));
+        slots_ = static_cast<Slot *>(::operator new(new_cap * sizeof(Slot)));
+        std::memset(static_cast<void *>(slots_), 0, new_cap * sizeof(Slot));
         cap_ = new_cap;
         mask_ = new_cap - 1;
-        shift_ = static_cast<std::uint32_t>(
-            64 - std::countr_zero(new_cap));
+        shift_ = static_cast<std::uint32_t>(64 - std::countr_zero(new_cap));
         size_ = 0;
         for (std::size_t i = 0; i < old_cap; ++i) {
             if (old[i].dist != 0)
-                insert(old[i].key);
+                copier()(getOrCreate(old[i].key), old[i]);
         }
         ::operator delete(old);
     }
@@ -910,7 +965,7 @@ class KeySet
     Slot *slots_ = nullptr;
     std::size_t cap_ = 0;
     std::size_t mask_ = 0;
-    std::uint32_t shift_ = 64;
+    std::uint32_t shift_ = 64; // >> 64 is UB; guarded by cap_ == 0
     std::size_t size_ = 0;
 };
 

@@ -27,6 +27,7 @@ Mftl::Mftl(sim::Simulator &sim, flash::SsdDevice &device,
       liveTuples_(device.geometry().numBlocks, 0),
       pendingPrograms_(device.geometry().numBlocks, 0),
       victimized_(device.geometry().numBlocks, false),
+      freeBlocks_(device.geometry().numBlocks),
       packLog_(sim, device.geometry().pageSize, config.packTimeout,
                [this](std::vector<Pending> batch) {
                    flushBatch(std::move(batch));
@@ -35,7 +36,7 @@ Mftl::Mftl(sim::Simulator &sim, flash::SsdDevice &device,
 {
     const auto blocks = device.geometry().numBlocks;
     for (std::uint32_t b = 0; b < blocks; ++b)
-        freeBlocks_.push_back(b);
+        freeBlocks_.push(b, device.eraseCount(b));
     gcLowWater_ = std::max<std::uint32_t>(
         3, static_cast<std::uint32_t>(config_.reserveFraction *
                                       static_cast<double>(blocks)));
@@ -111,15 +112,8 @@ Mftl::allocatePage(bool has_relocation)
         // backpressure, as real FTLs apply).
         const std::size_t min_free = has_relocation ? 1 : 3;
         if (freeBlocks_.size() >= min_free) {
-            // Wear-leveling: open the least-worn free block.
-            auto best = freeBlocks_.begin();
-            for (auto it = freeBlocks_.begin(); it != freeBlocks_.end();
-                 ++it) {
-                if (device_.eraseCount(*it) < device_.eraseCount(*best))
-                    best = it;
-            }
-            openBlock_ = *best;
-            freeBlocks_.erase(best);
+            // Wear-levelling: open the least-worn free block.
+            openBlock_ = freeBlocks_.pop();
             nextPage_ = 0;
             continue;
         }
@@ -307,11 +301,8 @@ Mftl::pickVictim() const
 {
     std::int32_t victim = -1;
     std::uint64_t best_cost = std::numeric_limits<std::uint64_t>::max();
-    std::vector<bool> is_free(liveTuples_.size(), false);
-    for (auto b : freeBlocks_)
-        is_free[b] = true;
     for (std::uint32_t b = 0; b < liveTuples_.size(); ++b) {
-        if (is_free[b] || victimized_[b] ||
+        if (freeBlocks_.contains(b) || victimized_[b] ||
             static_cast<std::int64_t>(b) == openBlock_ ||
             pendingPrograms_[b] != 0)
             continue;
@@ -446,7 +437,7 @@ Mftl::gcOnce()
                       << " live tuples after remap");
             co_await device_.eraseBlock(vb);
             victimized_[vb] = false;
-            freeBlocks_.push_back(vb);
+            freeBlocks_.push(vb, device_.eraseCount(vb));
             stats_.counter("mftl.gc_erases").inc();
 
             auto freed = spaceFreed_;
@@ -501,7 +492,7 @@ Mftl::rebuildFromFlash()
             }
         }
         if (!any_programmed)
-            freeBlocks_.push_back(b);
+            freeBlocks_.push(b, device_.eraseCount(b));
     }
     return recovered;
 }

@@ -28,10 +28,10 @@
 #define FTL_MFTL_HH
 
 #include <cstdint>
-#include <deque>
 #include <vector>
 
 #include "flash/ssd.hh"
+#include "ftl/free_blocks.hh"
 #include "ftl/kv_backend.hh"
 #include "ftl/mapping_table.hh"
 #include "ftl/pack_log.hh"
@@ -142,7 +142,7 @@ class Mftl : public KvBackend
     /** Blocks in the current GC pass's victim set. */
     std::vector<bool> victimized_;
 
-    std::deque<std::uint32_t> freeBlocks_;
+    FreeBlockPool freeBlocks_;
     std::int64_t openBlock_ = -1;
     std::uint32_t nextPage_ = 0;
 

@@ -21,6 +21,7 @@ Sftl::Sftl(sim::Simulator &sim, flash::SsdDevice &device,
     : sim_(sim),
       device_(device),
       config_(config),
+      freeBlocks_(device.geometry().numBlocks),
       spaceFreed_(sim)
 {
     const auto &geo = device.geometry();
@@ -33,7 +34,7 @@ Sftl::Sftl(sim::Simulator &sim, flash::SsdDevice &device,
     pendingPrograms_.assign(geo.numBlocks, 0);
     victimized_.assign(geo.numBlocks, false);
     for (std::uint32_t b = 0; b < geo.numBlocks; ++b)
-        freeBlocks_.push_back(b);
+        freeBlocks_.push(b, device.eraseCount(b));
     gcLowWater_ = std::max<std::uint32_t>(
         3, static_cast<std::uint32_t>(0.05 *
                                       static_cast<double>(geo.numBlocks)));
@@ -101,14 +102,8 @@ Sftl::allocatePage(bool for_gc)
         }
         const std::size_t min_free = for_gc ? 1 : 2;
         if (freeBlocks_.size() >= min_free) {
-            auto best = freeBlocks_.begin();
-            for (auto it = freeBlocks_.begin(); it != freeBlocks_.end();
-                 ++it) {
-                if (device_.eraseCount(*it) < device_.eraseCount(*best))
-                    best = it;
-            }
-            open = *best;
-            freeBlocks_.erase(best);
+            // Wear-levelling: open the least-worn free block.
+            open = freeBlocks_.pop();
             next = 0;
             continue;
         }
@@ -169,13 +164,10 @@ Sftl::trim(Lba lba)
 std::int32_t
 Sftl::pickVictim() const
 {
-    std::vector<bool> is_free(validPages_.size(), false);
-    for (auto b : freeBlocks_)
-        is_free[b] = true;
     std::int32_t victim = -1;
     std::uint64_t best_cost = std::numeric_limits<std::uint64_t>::max();
     for (std::uint32_t b = 0; b < validPages_.size(); ++b) {
-        if (is_free[b] || victimized_[b] ||
+        if (freeBlocks_.contains(b) || victimized_[b] ||
             static_cast<std::int64_t>(b) == openBlock_ ||
             static_cast<std::int64_t>(b) == gcOpenBlock_ ||
             pendingPrograms_[b] != 0)
@@ -275,7 +267,7 @@ Sftl::gcOnce()
                                                 << " valid pages");
             co_await device_.eraseBlock(vb);
             victimized_[vb] = false;
-            freeBlocks_.push_back(vb);
+            freeBlocks_.push(vb, device_.eraseCount(vb));
             stats_.counter("sftl.gc_erases").inc();
 
             auto freed = spaceFreed_;

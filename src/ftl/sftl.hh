@@ -23,11 +23,11 @@
 #define FTL_SFTL_HH
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <vector>
 
 #include "flash/ssd.hh"
+#include "ftl/free_blocks.hh"
 #include "ftl/kv_backend.hh"
 #include "sim/future.hh"
 #include "sim/sync.hh"
@@ -103,7 +103,7 @@ class Sftl
     std::vector<std::uint32_t> pendingPrograms_;
     std::vector<bool> victimized_;
 
-    std::deque<std::uint32_t> freeBlocks_;
+    FreeBlockPool freeBlocks_;
     std::int64_t openBlock_ = -1;
     std::uint32_t nextPage_ = 0;
     std::int64_t gcOpenBlock_ = -1;

@@ -29,14 +29,6 @@ MilanaServer::MilanaServer(sim::Simulator &sim, net::Network &net,
 }
 
 void
-MilanaServer::reserveKeys(std::uint64_t keys)
-{
-    semel::Server::reserveKeys(keys);
-    keyStateReady_.reserve(keys);
-    keys_.reserve(keys);
-}
-
-void
 MilanaServer::start()
 {
     started_ = true;
@@ -49,25 +41,58 @@ sim::Task<void>
 MilanaServer::loadKey(Key key, Value value, Version version)
 {
     (void)co_await backend_.put(key, value, version);
-    noteCommitted(key, version);
-    auto &ks = keys_.state(key);
-    ks.latestCommitted = std::max(ks.latestCommitted, version);
-    keyStateReady_.insert(key);
+    noteCommitted(key, version).flags |= semel::KeySlot::kReady;
 }
 
 sim::Task<void>
 MilanaServer::ensureKeyState(Key key)
 {
-    if (keyStateReady_.contains(key))
+    const semel::KeySlot *slot = keys_.find(key);
+    if (slot != nullptr && (slot->flags & semel::KeySlot::kReady) != 0)
         co_return;
     // Rebuild ts_latestCommitted from the version stamps in storage
     // (section 4.5); ts_latestRead is unrecoverable — the lease wait
-    // already covered it.
+    // already covered it. Look the slot up again after the read: it
+    // may have moved or appeared while this frame was suspended.
     const ftl::GetResult latest = co_await backend_.getLatest(key);
-    auto &ks = keys_.state(key);
-    if (latest.found)
-        ks.latestCommitted = std::max(ks.latestCommitted, latest.version);
-    keyStateReady_.insert(key);
+    semel::KeySlot &ks = latest.found ? noteCommitted(key, latest.version)
+                                      : keys_.getOrCreate(key);
+    ks.flags |= semel::KeySlot::kReady;
+}
+
+void
+MilanaServer::markPrepared(Key key, Version version, const TxnId &owner)
+{
+    keys_.getOrCreate(key).flags |= semel::KeySlot::kPrepared;
+    PreparedSlot &mark = prepared_.getOrCreate(key);
+    mark.version = version;
+    mark.owner = owner;
+}
+
+void
+MilanaServer::clearPrepared(semel::KeySlot &slot, const TxnId &owner)
+{
+    if ((slot.flags & semel::KeySlot::kPrepared) == 0 ||
+        prepared_.find(slot.key)->owner != owner)
+        return;
+    slot.flags &= ~semel::KeySlot::kPrepared;
+    prepared_.erase(slot.key);
+}
+
+bool
+MilanaServer::preparedAtOrBefore(const semel::KeySlot &slot,
+                                 Version at) const
+{
+    return (slot.flags & semel::KeySlot::kPrepared) != 0 &&
+           prepared_.find(slot.key)->version <= at;
+}
+
+std::optional<Version>
+MilanaServer::preparedVersion(Key key) const
+{
+    if (const PreparedSlot *mark = prepared_.find(key))
+        return mark->version;
+    return std::nullopt;
 }
 
 // ------------------------------------------------------------- reads
@@ -105,10 +130,9 @@ MilanaServer::handleGet(GetRequest request)
     // lookup: record the read and capture the prepared flag BEFORE the
     // storage access, so no prepare with stamp <= at can slip between
     // the snapshot and the flag (see section 4.3's argument).
-    auto &ks = keys_.state(request.key);
+    semel::KeySlot &ks = keys_.getOrCreate(request.key);
     ks.latestRead = std::max(ks.latestRead, request.at);
-    const bool prepared_leq =
-        ks.prepared.has_value() && *ks.prepared <= request.at;
+    const bool prepared_leq = preparedAtOrBefore(ks, request.at);
 
     const ftl::GetResult r =
         co_await backend_.get(request.key, request.at);
@@ -127,8 +151,8 @@ MilanaServer::validate(const PrepareRequest &request)
     using semel::AbortReason;
     // Algorithm 1, verbatim.
     for (const auto &read : request.readSet) {
-        const auto &ks = keys_.state(read.key);
-        if (ks.prepared.has_value()) {
+        const semel::KeySlot &ks = keys_.getOrCreate(read.key);
+        if ((ks.flags & semel::KeySlot::kPrepared) != 0) {
             stats_.counter("milana.abort_read_prepared").inc();
             return AbortReason::ReadPrepared;
         }
@@ -139,8 +163,8 @@ MilanaServer::validate(const PrepareRequest &request)
     }
     const Version new_version = request.commitVersion;
     for (const auto &write : request.writeSet) {
-        const auto &ks = keys_.state(write.key);
-        if (ks.prepared.has_value()) {
+        const semel::KeySlot &ks = keys_.getOrCreate(write.key);
+        if ((ks.flags & semel::KeySlot::kPrepared) != 0) {
             stats_.counter("milana.abort_write_prepared").inc();
             return AbortReason::WritePrepared;
         }
@@ -220,9 +244,8 @@ MilanaServer::handlePrepare(PrepareRequest request)
         // replicates — validate and vote.
         resp.vote = Vote::Commit;
         for (const auto &read : request.readSet) {
-            const auto &ks = keys_.state(read.key);
-            if (ks.prepared.has_value() &&
-                *ks.prepared <= request.beginVersion) {
+            const semel::KeySlot &ks = keys_.getOrCreate(read.key);
+            if (preparedAtOrBefore(ks, request.beginVersion)) {
                 resp.vote = Vote::Abort;
                 resp.reason = semel::AbortReason::ReadPrepared;
                 break;
@@ -268,11 +291,8 @@ MilanaServer::handlePrepare(PrepareRequest request)
 
     // Mark the write set prepared — synchronously with validation, so
     // no concurrent prepare can interleave.
-    for (const auto &write : request.writeSet) {
-        auto &ks = keys_.state(write.key);
-        ks.prepared = request.commitVersion;
-        ks.preparedBy = request.txn;
-    }
+    for (const auto &write : request.writeSet)
+        markPrepared(write.key, request.commitVersion, request.txn);
 
     TxnEntry entry;
     entry.txn = request.txn;
@@ -316,11 +336,7 @@ MilanaServer::applyCommit(TxnEntry &entry, bool late)
                       Version version, TxnId txn, bool late,
                       sim::Quorum *q) -> sim::Task<void> {
             (void)co_await self->backend_.put(key, value, version);
-            auto &ks = self->keys_.state(key);
-            ks.latestCommitted = std::max(ks.latestCommitted, version);
-            if (ks.prepared.has_value() && ks.preparedBy == txn)
-                ks.prepared.reset();
-            self->noteCommitted(key, version);
+            self->clearPrepared(self->noteCommitted(key, version), txn);
             // Per-key commit record: feeds the invariant monitor's
             // commit-timestamp monotonicity check. Tag "late" when the
             // decision was a CTP / recovery re-application, which can
@@ -342,9 +358,8 @@ void
 MilanaServer::applyAbort(TxnEntry &entry)
 {
     for (const auto &write : entry.writeSet) {
-        auto &ks = keys_.state(write.key);
-        if (ks.prepared.has_value() && ks.preparedBy == entry.txn)
-            ks.prepared.reset();
+        if (semel::KeySlot *ks = keys_.find(write.key))
+            clearPrepared(*ks, entry.txn);
     }
     stats_.counter("milana.aborted").inc();
 }
@@ -715,8 +730,10 @@ MilanaServer::recoverAsPrimary()
             outcomes.emplace(rec.txn, rec);
     }
 
+    // Forget all per-key state: ensureKeyState rebuilds each key's
+    // latestCommitted from storage on first touch.
     keys_.clear();
-    keyStateReady_.clear();
+    prepared_.clear();
 
     for (const auto &[txn, rec] : outcomes) {
         if (rec.kind == TxnRecordKind::Committed) {
@@ -758,11 +775,8 @@ MilanaServer::recoverAsPrimary()
             // other participants once service resumes. Re-instate the
             // prepared marks so conflicting transactions abort until
             // then.
-            for (const auto &write : rec.writeSet) {
-                auto &ks = keys_.state(write.key);
-                ks.prepared = rec.commitVersion;
-                ks.preparedBy = txn;
-            }
+            for (const auto &write : rec.writeSet)
+                markPrepared(write.key, rec.commitVersion, txn);
         }
     }
 

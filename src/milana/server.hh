@@ -28,6 +28,7 @@
 #ifndef MILANA_SERVER_HH
 #define MILANA_SERVER_HH
 
+#include <optional>
 #include <vector>
 
 #include "clocksync/clock.hh"
@@ -81,8 +82,6 @@ class MilanaServer : public semel::Server
 
     /** Start background processes (lease renewal, CTP scanner). */
     void start();
-
-    void reserveKeys(std::uint64_t keys) override;
 
     // -------------------------------------------------- RPC handlers
 
@@ -138,7 +137,8 @@ class MilanaServer : public semel::Server
     // ---------------------------------------------------- inspection
 
     const TxnTable &txnTable() const { return txns_; }
-    KeyStateTable &keyStates() { return keys_; }
+    /** The key's prepared-but-undecided version, if it is marked. */
+    std::optional<Version> preparedVersion(Key key) const;
     bool recovering() const { return recovering_; }
     Time leaseUntil() const { return leaseUntil_; }
 
@@ -160,6 +160,14 @@ class MilanaServer : public semel::Server
      *  after failover, when ts_latestCommitted must be rebuilt from
      *  the version stamps). */
     sim::Task<void> ensureKeyState(Key key);
+
+    /** Prepared-mark bookkeeping: the slot's kPrepared bit and the
+     *  prepared_ entry change together. */
+    void markPrepared(Key key, Version version, const TxnId &owner);
+    /** Drop the key's prepared mark if @p owner holds it. */
+    void clearPrepared(semel::KeySlot &slot, const TxnId &owner);
+    /** True when the slot carries a prepared write stamped <= @p at. */
+    bool preparedAtOrBefore(const semel::KeySlot &slot, Version at) const;
 
     sim::Task<void> applyCommit(TxnEntry &entry, bool late);
     void applyAbort(TxnEntry &entry);
@@ -186,9 +194,8 @@ class MilanaServer : public semel::Server
     semel::Directory &directory_;
 
     TxnTable txns_;
-    KeyStateTable keys_;
-    /** Keys whose DRAM state is initialized. */
-    ftl::KeySet keyStateReady_;
+    /** ts_prepared and owner of each key whose slot has kPrepared. */
+    ftl::KeyTable<PreparedSlot> prepared_;
 
     /** Backup-side log of replicated transaction records. */
     std::vector<ReplicateTxnRecord> txnLog_;

@@ -14,14 +14,18 @@
  *   - ts_latestCommitted: newest committed write stamp.
  * ts_latestRead is not recoverable after failover; leases make that
  * safe (section 4.5).
+ *
+ * ts_latestRead, ts_latestCommitted and a prepared bit live in the
+ * server's one per-key table (semel::KeySlot, 48 B). ts_prepared and
+ * its owner live in PreparedSlot below, a side table holding only the
+ * keys with a live prepare: it is read only when the bit is set, so
+ * it stays a few slots however large the key space.
  */
 
 #ifndef MILANA_TXN_TABLE_HH
 #define MILANA_TXN_TABLE_HH
 
 #include <map>
-#include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "common/types.hh"
@@ -78,38 +82,26 @@ class TxnTable
     std::map<TxnId, TxnStatus> outcomes_;
 };
 
-/** Per-key OCC state (DRAM only). */
-struct KeyState
+/**
+ * A key's prepared-but-undecided write and the transaction that owns
+ * it (48 B): one ftl::KeyTable slot, present exactly while the key's
+ * semel::KeySlot has kPrepared set.
+ *
+ *     Key      key      8B  } table bookkeeping
+ *     u32      dist     4B  }
+ *     Version  version 16B  ts_prepared
+ *     TxnId    owner   16B
+ */
+struct PreparedSlot
 {
-    Version latestRead;
-    Version latestCommitted;
-    /** The prepared-but-undecided write, if any. */
-    std::optional<Version> prepared;
-    /** Owner of the prepared mark. */
-    TxnId preparedBy;
+    Key key;
+    std::uint32_t dist;
+    Version version;
+    TxnId owner;
 };
 
-class KeyStateTable
-{
-  public:
-    /** State for a key, creating a default entry on first touch. */
-    KeyState &state(Key key) { return states_[key]; }
-
-    const KeyState *
-    find(Key key) const
-    {
-        auto it = states_.find(key);
-        return it == states_.end() ? nullptr : &it->second;
-    }
-
-    void clear() { states_.clear(); }
-
-    /** Pre-size for a bulk load of @p keys keys (zero rehashes). */
-    void reserve(std::size_t keys) { states_.reserve(keys); }
-
-  private:
-    std::unordered_map<Key, KeyState> states_;
-};
+static_assert(sizeof(PreparedSlot) <= 48,
+              "PreparedSlot must stay within 48 B");
 
 } // namespace milana
 

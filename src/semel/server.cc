@@ -43,21 +43,22 @@ void
 Server::reserveKeys(std::uint64_t keys)
 {
     backend_.reserveKeys(keys);
-    latestWritten_.reserve(keys);
+    keys_.reserve(keys);
 }
 
 Version
 Server::latestCommitted(Key key) const
 {
-    auto it = latestWritten_.find(key);
-    return it == latestWritten_.end() ? Version::zero() : it->second;
+    const KeySlot *slot = keys_.find(key);
+    return slot == nullptr ? Version::zero() : slot->latestCommitted;
 }
 
-void
+KeySlot &
 Server::noteCommitted(Key key, Version version)
 {
-    auto &latest = latestWritten_[key];
-    latest = std::max(latest, version);
+    KeySlot &slot = keys_.getOrCreate(key);
+    slot.latestCommitted = std::max(slot.latestCommitted, version);
+    return slot;
 }
 
 sim::Task<GetResponse>
@@ -179,7 +180,7 @@ Server::handleDelete(Key key, Version version)
         (void)self;
     }
     co_await backend_.erase(key);
-    latestWritten_.erase(key);
+    keys_.erase(key);
     resp.result = PutResult::Ok;
     co_return resp;
 }

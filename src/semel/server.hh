@@ -27,12 +27,12 @@
 
 #include <map>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "common/stats.hh"
 #include "common/trace.hh"
 #include "ftl/kv_backend.hh"
+#include "ftl/mapping_table.hh"
 #include "net/network.hh"
 #include "semel/messages.hh"
 #include "sim/sync.hh"
@@ -41,6 +41,39 @@
 namespace semel {
 
 using common::NodeId;
+
+/**
+ * One key's DRAM state on a server, one ftl::KeyTable slot (48 B):
+ *
+ *     Key      key              8B  } table bookkeeping
+ *     u32      dist             4B  }
+ *     u32      flags            4B  kReady | kPrepared
+ *     Version  latestCommitted 16B  newest committed stamp
+ *     Version  latestRead      16B  newest ts_begin that read the key
+ *
+ * SEMEL's at-most-once checks read latestCommitted alone. A MILANA
+ * primary (paper section 4.1) trusts latestCommitted for validation
+ * only once kReady is set — by the bulk load or by a rebuild from the
+ * stamps in storage — and keeps the prepared version and its owner in
+ * a side table, consulted only while kPrepared is set. Like the
+ * TicToc TID word, the flag and the timestamps share one slot, so one
+ * cache line answers Algorithm 1's checks for a key.
+ */
+struct KeySlot
+{
+    static constexpr std::uint32_t kReady = 1u << 0;
+    static constexpr std::uint32_t kPrepared = 1u << 1;
+
+    Key key;
+    std::uint32_t dist;
+    std::uint32_t flags;
+    Version latestCommitted;
+    Version latestRead;
+};
+
+static_assert(sizeof(KeySlot) <= 48, "KeySlot must stay within 48 B");
+
+using KeyTable = ftl::KeyTable<KeySlot>;
 
 class Server
 {
@@ -102,6 +135,9 @@ class Server
     /** Latest committed version stamp of a key (zero if none). */
     Version latestCommitted(Key key) const;
 
+    /** The per-key DRAM state (inspection). */
+    const KeyTable &keyTable() const { return keys_; }
+
     Time watermark() const { return watermark_; }
 
     common::StatSet &stats() { return stats_; }
@@ -119,8 +155,9 @@ class Server
      */
     sim::Task<bool> replicateToBackups(ReplicateWrite msg);
 
-    /** Record a key's newest committed stamp. */
-    void noteCommitted(Key key, Version version);
+    /** Raise a key's newest committed stamp to @p version; returns
+     *  its slot (valid until the next insert into keys_). */
+    KeySlot &noteCommitted(Key key, Version version);
 
     sim::Simulator &sim_;
     net::Network &net_;
@@ -130,8 +167,8 @@ class Server
     Config config_;
     std::vector<Server *> backups_;
 
-    /** DRAM: newest committed stamp per key (at-most-once checks). */
-    std::unordered_map<Key, Version> latestWritten_;
+    /** DRAM: per-key state (see KeySlot). */
+    KeyTable keys_;
 
     /** Core pool for the request-processing cost model. */
     std::unique_ptr<sim::Semaphore> cpu_;

@@ -8,12 +8,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <deque>
 #include <memory>
+#include <random>
 #include <string>
 #include <vector>
 
 #include "flash/ssd.hh"
 #include "ftl/dram.hh"
+#include "ftl/free_blocks.hh"
 #include "ftl/mftl.hh"
 #include "ftl/sftl.hh"
 #include "ftl/vftl.hh"
@@ -932,4 +936,53 @@ TEST(Vftl, RebuildAfterGcStillConsistent)
         }
     });
     EXPECT_TRUE(all_ok);
+}
+
+TEST(FreeBlockPool, PopMatchesLinearScanReference)
+{
+    // The reference is the FTLs' former open-block pick: a FIFO of
+    // freed blocks, scanned for the least erase count, first wins.
+    constexpr std::uint32_t kBlocks = 64;
+    std::mt19937_64 rng(4);
+    std::vector<std::uint32_t> erases(kBlocks, 0);
+    FreeBlockPool pool(kBlocks);
+    std::deque<std::uint32_t> ref;
+    std::vector<std::uint32_t> in_use;
+    for (std::uint32_t b = 0; b < kBlocks; ++b) {
+        pool.push(b, erases[b]);
+        ref.push_back(b);
+    }
+    for (int step = 0; step < 20000; ++step) {
+        if (!ref.empty() && (in_use.empty() || rng() % 2 == 0)) {
+            auto best = ref.begin();
+            for (auto it = ref.begin(); it != ref.end(); ++it) {
+                if (erases[*it] < erases[*best])
+                    best = it;
+            }
+            const std::uint32_t want = *best;
+            ref.erase(best);
+            ASSERT_EQ(pool.pop(), want) << "step " << step;
+            in_use.push_back(want);
+        } else {
+            // Erase a random in-use block (a few erase counts only, so
+            // ties are common) and free it.
+            const std::size_t i = rng() % in_use.size();
+            const std::uint32_t b = in_use[i];
+            in_use[i] = in_use.back();
+            in_use.pop_back();
+            erases[b] += static_cast<std::uint32_t>(rng() % 2);
+            pool.push(b, erases[b]);
+            ref.push_back(b);
+        }
+        ASSERT_EQ(pool.size(), ref.size());
+        for (std::uint32_t b = 0; b < kBlocks; ++b) {
+            ASSERT_EQ(pool.contains(b),
+                      std::find(ref.begin(), ref.end(), b) != ref.end())
+                << "step " << step << " block " << b;
+        }
+    }
+    pool.clear();
+    EXPECT_EQ(pool.size(), 0u);
+    for (std::uint32_t b = 0; b < kBlocks; ++b)
+        EXPECT_FALSE(pool.contains(b));
 }

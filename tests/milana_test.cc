@@ -725,3 +725,203 @@ TEST(Milana, CtpRacingClientDecisionConverges)
         cluster.sim().requestStop();
     });
 }
+
+// ------------------------------------------------ per-key server state
+
+namespace {
+
+/** A prepare of one write on @p shard's primary, no reads. */
+semel::PrepareRequest
+writePrepare(semel::TxnId txn, common::Version version, Key key)
+{
+    semel::PrepareRequest req;
+    req.txn = txn;
+    req.commitVersion = version;
+    req.beginVersion = version;
+    req.writeSet.push_back(semel::WriteSetEntry{key, "probe"});
+    return req;
+}
+
+} // namespace
+
+TEST(Milana, PromotedBackupRebuildsLatestCommittedFromStorage)
+{
+    Cluster cluster(smallConfig(1, 3, 1));
+    cluster.populate();
+    cluster.start();
+
+    drive(cluster, [&]() -> sim::Task<void> {
+        auto &client = cluster.client(0);
+        auto txn = client.beginTransaction();
+        client.put(txn, 42, "v2");
+        EXPECT_EQ(co_await client.commitTransaction(txn),
+                  CommitResult::Committed);
+        co_await sim::sleepFor(cluster.sim(), 100 * kMillisecond);
+        const common::Version committed =
+            cluster.primary(0).latestCommitted(42);
+        const common::Version loaded{1, 0};
+        EXPECT_GT(committed, loaded);
+
+        cluster.crashServer(cluster.master().primaryOf(0));
+        co_await cluster.failover(0, cluster.master().backupsOf(0)[0]);
+        auto &promoted = cluster.primary(0);
+        // Recovery forgot every key's state; key 7 was only ever
+        // bulk-loaded, so only storage knows its stamp.
+        EXPECT_EQ(promoted.keyTable().find(7), nullptr);
+
+        const common::Version now{cluster.sim().now(), 99};
+        auto stale = writePrepare({99, 1}, now, 9);
+        stale.readSet.push_back(semel::ReadSetEntry{42, loaded});
+        const auto r1 = co_await promoted.handlePrepare(stale);
+        EXPECT_EQ(r1.vote, semel::Vote::Abort);
+        EXPECT_EQ(r1.reason, semel::AbortReason::ReadStale);
+
+        auto fresh = writePrepare({99, 2}, now, 9);
+        fresh.readSet.push_back(semel::ReadSetEntry{42, committed});
+        fresh.readSet.push_back(semel::ReadSetEntry{7, loaded});
+        const auto r2 = co_await promoted.handlePrepare(fresh);
+        EXPECT_EQ(r2.vote, semel::Vote::Commit);
+        EXPECT_EQ(promoted.latestCommitted(42), committed);
+        EXPECT_EQ(promoted.latestCommitted(7), loaded);
+        (void)co_await promoted.handleDecision(
+            semel::DecisionRequest{{99, 2}, semel::TxnDecision::Abort});
+        EXPECT_FALSE(promoted.preparedVersion(9).has_value());
+        cluster.sim().requestStop();
+    });
+}
+
+TEST(Milana, ReinstatedPreparedMarksBlockWritersUntilCtpResolves)
+{
+    // A two-shard transaction whose prepare record reached only one
+    // of shard 0's backups before the primary crashed; shard 1 never
+    // saw it. The other backup is promoted and learns the prepare from
+    // its peer's log (Algorithm 2), so it re-instates the prepared
+    // mark: a conflicting prepare aborts WritePrepared until the CTP
+    // (shard 1 answers Unknown) aborts the orphan and clears the mark.
+    Cluster cluster(smallConfig(2, 3, 1));
+    cluster.populate();
+    cluster.start();
+    Key key = 0;
+    while (cluster.master().shardMap().shardOf(key) != 0)
+        ++key;
+
+    drive(cluster, [&]() -> sim::Task<void> {
+        const semel::TxnId orphan{77, 1};
+        semel::ReplicateTxnRecord rec;
+        rec.kind = semel::TxnRecordKind::Prepared;
+        rec.txn = orphan;
+        rec.commitVersion = common::Version{cluster.sim().now(), 77};
+        rec.writeSet.push_back(semel::WriteSetEntry{key, "orphan"});
+        rec.participants = {0, 1};
+        const auto backups = cluster.master().backupsOf(0);
+        auto *logged = dynamic_cast<milana::MilanaServer *>(
+            cluster.directory().at(backups[1]));
+        EXPECT_TRUE(co_await logged->handleReplicateTxnRecord(rec));
+
+        cluster.crashServer(cluster.master().primaryOf(0));
+        co_await cluster.failover(0, backups[0]);
+        auto &promoted = cluster.primary(0);
+        EXPECT_EQ(promoted.preparedVersion(key), rec.commitVersion);
+        EXPECT_EQ(promoted.txnTable().size(), 1u);
+
+        const common::Version later{cluster.sim().now(), 78};
+        const auto blocked =
+            co_await promoted.handlePrepare(writePrepare({78, 1}, later, key));
+        EXPECT_EQ(blocked.vote, semel::Vote::Abort);
+        EXPECT_EQ(blocked.reason, semel::AbortReason::WritePrepared);
+
+        co_await sim::sleepFor(cluster.sim(), 200 * kMillisecond);
+        EXPECT_FALSE(promoted.preparedVersion(key).has_value());
+        EXPECT_EQ(promoted.txnTable().size(), 0u);
+        EXPECT_EQ(promoted.txnTable().statusOf(orphan),
+                  semel::TxnStatus::Aborted);
+        const common::Version retry{cluster.sim().now(), 78};
+        const auto free =
+            co_await promoted.handlePrepare(writePrepare({78, 2}, retry, key));
+        EXPECT_EQ(free.vote, semel::Vote::Commit);
+        (void)co_await promoted.handleDecision(
+            semel::DecisionRequest{{78, 2}, semel::TxnDecision::Abort});
+        cluster.sim().requestStop();
+    });
+    EXPECT_GT(cluster.serverStats().counterValue("milana.ctp_aborts"), 0u);
+}
+
+TEST(Milana, UnreservedKeyTableGrowsWithoutChangingOutcomes)
+{
+    // The same seeded workload over mostly-unloaded keys on two
+    // clusters: one with the per-key tables pre-sized for every key,
+    // one left at its populate size, which must grow several times
+    // while other transactions are suspended mid-prepare or
+    // mid-commit. Slot moves must change nothing observable.
+    constexpr Key kKeys = 6000;
+    struct Run
+    {
+        std::vector<CommitResult> outcomes;
+        std::vector<common::Version> latest;
+        std::uint64_t votesCommit = 0;
+        std::uint64_t votesAbort = 0;
+        std::vector<std::size_t> capacityBefore, capacityAfter;
+    };
+    auto run = [&](bool reserve) {
+        auto cfg = smallConfig(2, 1, 4);
+        cfg.numKeys = 100;
+        Cluster cluster(cfg);
+        cluster.populate();
+        cluster.start();
+        Run out;
+        for (common::ShardId s = 0; s < 2; ++s) {
+            if (reserve)
+                cluster.primary(s).reserveKeys(kKeys);
+            out.capacityBefore.push_back(
+                cluster.primary(s).keyTable().capacity());
+        }
+        drive(cluster, [&]() -> sim::Task<void> {
+            auto worker = [&](std::uint32_t c) -> sim::Task<void> {
+                auto &client = cluster.client(c);
+                common::Rng rng(c + 11);
+                for (int i = 0; i < 120; ++i) {
+                    // One hot key (conflicts) and three cold ones
+                    // (mostly first touches, so the tables grow).
+                    auto txn = client.beginTransaction();
+                    const Key hot = rng.nextBounded(8);
+                    (void)co_await client.get(txn, hot);
+                    client.put(txn, hot, "w");
+                    for (int k = 0; k < 3; ++k)
+                        client.put(txn, rng.nextBounded(kKeys), "w");
+                    out.outcomes.push_back(
+                        co_await client.commitTransaction(txn));
+                }
+            };
+            for (std::uint32_t c = 0; c < 4; ++c)
+                sim::spawn(worker(c));
+            co_await sim::sleepFor(cluster.sim(), 5 * kSecond);
+            cluster.sim().requestStop();
+        });
+        for (Key k = 0; k < kKeys; ++k) {
+            out.latest.push_back(
+                cluster.primary(cluster.master().shardMap().shardOf(k))
+                    .latestCommitted(k));
+        }
+        for (common::ShardId s = 0; s < 2; ++s)
+            out.capacityAfter.push_back(
+                cluster.primary(s).keyTable().capacity());
+        const common::StatSet stats = cluster.serverStats();
+        out.votesCommit = stats.counterValue("milana.votes_commit");
+        out.votesAbort = stats.counterValue("milana.votes_abort");
+        return out;
+    };
+    const Run reserved = run(true);
+    const Run grown = run(false);
+
+    EXPECT_EQ(reserved.capacityAfter, reserved.capacityBefore);
+    for (std::size_t s = 0; s < 2; ++s)
+        EXPECT_GE(grown.capacityAfter[s], 4 * grown.capacityBefore[s])
+            << "shard " << s << " never grew";
+    ASSERT_EQ(grown.outcomes.size(), 480u);
+    EXPECT_EQ(grown.outcomes, reserved.outcomes);
+    EXPECT_EQ(grown.latest, reserved.latest);
+    EXPECT_EQ(grown.votesCommit, reserved.votesCommit);
+    EXPECT_EQ(grown.votesAbort, reserved.votesAbort);
+    EXPECT_GT(grown.votesCommit, 0u);
+    EXPECT_GT(grown.votesAbort, 0u);
+}

@@ -307,3 +307,39 @@ TEST(Semel, RetriesThroughTransientPartition)
     rig.sim.run();
     EXPECT_EQ(result, PutResult::Ok);
 }
+
+TEST(Semel, AtMostOnceStateForgottenWithDeletedKey)
+{
+    // A delete drops the key's newest-committed stamp with its
+    // versions: latestCommitted reads zero, and the at-most-once check
+    // starts over for the next write.
+    SemelRig rig;
+    std::vector<PutResult> results;
+    sim::spawn([](SemelRig *rig,
+                  std::vector<PutResult> *out) -> sim::Task<void> {
+        Server &primary = *rig->servers[0];
+        const auto put = [&](Version v) {
+            return primary.handlePut(PutRequest{5, "x", v});
+        };
+        out->push_back((co_await put(Version{100, 1})).result);
+        out->push_back(
+            (co_await primary.handleDelete(5, Version{50, 1})).result);
+        EXPECT_EQ(primary.latestCommitted(5), (Version{100, 1}));
+        out->push_back(
+            (co_await primary.handleDelete(5, Version{200, 1})).result);
+        EXPECT_EQ(primary.latestCommitted(5), Version::zero());
+        EXPECT_EQ(primary.keyTable().find(5), nullptr);
+        // Older than the delete, but nothing remembers it any more.
+        out->push_back((co_await put(Version{150, 1})).result);
+        out->push_back((co_await put(Version{150, 1})).result); // dup
+        out->push_back((co_await put(Version{120, 1})).result);
+        EXPECT_EQ(primary.latestCommitted(5), (Version{150, 1}));
+    }(&rig, &results));
+    rig.sim.run();
+    const std::vector<PutResult> want = {
+        PutResult::Ok, PutResult::StaleRejected, PutResult::Ok,
+        PutResult::Ok, PutResult::Ok,            PutResult::StaleRejected};
+    EXPECT_EQ(results, want);
+    EXPECT_EQ(rig.servers[0]->stats().counterValue("semel.duplicate_puts"),
+              1u);
+}

@@ -12,8 +12,9 @@
  * (same contents whatever the initial pre-size), robin-hood erase
  * stress (backward-shift must leave every surviving key findable),
  * the multi-version index behind the watermark sweep (exact after
- * every op; an indexed sweep equals a full-table one), and the KeySet
- * used for MilanaServer::keyStateReady_.
+ * every op; an indexed sweep equals a full-table one), and the
+ * KeyTable behind the servers' per-key state (against an
+ * unordered_map reference).
  */
 
 #include <gtest/gtest.h>
@@ -25,7 +26,6 @@
 #include <set>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "ftl/mapping_table.hh"
@@ -560,40 +560,139 @@ TEST(StoreSemantics, ClearRetainsCapacityDropsContents)
     EXPECT_EQ(store.versionCount(3), 1u);
 }
 
-// --------------------------------------------------------- KeySet
+// -------------------------------------------------------- KeyTable
 
-TEST(KeySet, InsertContainsChurnMatchesReference)
+namespace {
+
+/** A KeyTable slot with a two-word payload. */
+struct TestSlot
 {
-    std::mt19937_64 rng(99);
-    ftl::KeySet set;
-    std::unordered_set<Key> ref;
-    for (int i = 0; i < 50000; ++i) {
-        const Key key = rng() % 10000;
-        if (rng() % 3 == 0) {
-            ASSERT_EQ(set.contains(key), ref.count(key) > 0)
-                << "step " << i;
-        } else {
-            set.insert(key);
-            ref.insert(key);
-        }
+    Key key;
+    std::uint32_t dist;
+    std::uint32_t small;
+    std::uint64_t big;
+};
+
+struct TestPayload
+{
+    std::uint32_t small;
+    std::uint64_t big;
+};
+
+using TestTable = ftl::KeyTable<TestSlot>;
+
+/** Every key of @p universe is present in @p table iff it is in
+ *  @p ref, with the same payload. */
+void
+expectSameContents(const TestTable &table,
+                   const std::unordered_map<Key, TestPayload> &ref,
+                   const std::vector<Key> &universe)
+{
+    ASSERT_EQ(table.size(), ref.size());
+    for (const Key key : universe) {
+        const TestSlot *slot = table.find(key);
+        const auto it = ref.find(key);
+        ASSERT_EQ(slot != nullptr, it != ref.end()) << "key " << key;
+        if (slot == nullptr)
+            continue;
+        ASSERT_EQ(slot->key, key);
+        ASSERT_EQ(slot->small, it->second.small) << "key " << key;
+        ASSERT_EQ(slot->big, it->second.big) << "key " << key;
     }
-    ASSERT_EQ(set.size(), ref.size());
-    for (Key key = 0; key < 10000; ++key)
-        ASSERT_EQ(set.contains(key), ref.count(key) > 0)
-            << "key " << key;
-    set.clear();
-    EXPECT_EQ(set.size(), 0u);
-    for (Key key = 0; key < 10000; ++key)
-        ASSERT_FALSE(set.contains(key));
 }
 
-TEST(KeySet, ReservePreservesMembership)
+} // namespace
+
+TEST(KeyTable, RandomOpsMatchUnorderedMapReference)
 {
-    ftl::KeySet set;
-    for (Key k = 0; k < 5000; ++k)
-        set.insert(k * 2654435761ull);
-    set.reserve(1u << 18);
-    for (Key k = 0; k < 5000; ++k)
-        ASSERT_TRUE(set.contains(k * 2654435761ull)) << "key " << k;
-    EXPECT_EQ(set.size(), 5000u);
+    // Half the universe is dense small keys, half sparse keys with
+    // equal low bits: both shapes must probe, shift and erase right.
+    std::vector<Key> universe;
+    for (Key k = 0; k < 1500; ++k)
+        universe.push_back(k);
+    for (Key k = 1; k <= 1500; ++k)
+        universe.push_back(k << 32);
+
+    std::mt19937_64 rng(15);
+    TestTable table; // unreserved: starts empty and grows
+    std::unordered_map<Key, TestPayload> ref;
+    std::size_t grows = 0;
+    for (int step = 0; step < 60000; ++step) {
+        const Key key = universe[rng() % universe.size()];
+        const unsigned op = static_cast<unsigned>(rng() % 100);
+        const std::size_t cap_before = table.capacity();
+        if (op < 55) {
+            TestSlot &slot = table.getOrCreate(key);
+            const auto it = ref.find(key);
+            if (it == ref.end()) {
+                ASSERT_EQ(slot.small, 0u) << "step " << step;
+                ASSERT_EQ(slot.big, 0u) << "step " << step;
+            } else {
+                ASSERT_EQ(slot.small, it->second.small) << "step " << step;
+                ASSERT_EQ(slot.big, it->second.big) << "step " << step;
+            }
+            slot.small = static_cast<std::uint32_t>(rng());
+            slot.big = rng();
+            ref[key] = TestPayload{slot.small, slot.big};
+        } else if (op < 90) {
+            ASSERT_EQ(table.erase(key), ref.erase(key) > 0)
+                << "step " << step;
+        } else if (op < 98) {
+            const TestSlot *slot = table.find(key);
+            ASSERT_EQ(slot != nullptr, ref.count(key) > 0)
+                << "step " << step;
+        } else if (op < 99) {
+            table.reserve(rng() % 8000);
+        } else if (rng() % 20 == 0) {
+            table.clear();
+            ref.clear();
+            ASSERT_EQ(table.capacity(), cap_before); // clear keeps it
+        }
+        if (table.capacity() > cap_before)
+            ++grows;
+        // Load stays at or under 7/8, capacity a power of two >= 16.
+        ASSERT_LE(table.size() * 8, table.capacity() * 7);
+        ASSERT_EQ(table.capacity() & (table.capacity() - 1), 0u);
+        ASSERT_EQ(table.memoryBytes(),
+                  table.capacity() * sizeof(TestSlot));
+        if (step % 5000 == 0)
+            expectSameContents(table, ref, universe);
+    }
+    expectSameContents(table, ref, universe);
+    EXPECT_GE(grows, 3u);
+}
+
+TEST(KeyTable, MemoryBytesIsTheSlotArray)
+{
+    TestTable table;
+    EXPECT_EQ(table.memoryBytes(), 0u);
+    EXPECT_EQ(table.find(7), nullptr);
+    EXPECT_FALSE(table.erase(7));
+
+    // First insert allocates the 16-slot minimum; the 15th key pushes
+    // the load past 7/8 and doubles it.
+    for (Key k = 0; k < 14; ++k)
+        table.getOrCreate(k);
+    EXPECT_EQ(table.capacity(), 16u);
+    EXPECT_EQ(table.memoryBytes(), 16 * sizeof(TestSlot));
+    table.getOrCreate(14);
+    EXPECT_EQ(table.capacity(), 32u);
+    EXPECT_EQ(table.memoryBytes(), 32 * sizeof(TestSlot));
+
+    // reserve(n) sizes for n keys under 7/8 load and never shrinks.
+    table.reserve(1000); // 1000 + 1000/7 + 1 = 1143 -> 2048
+    EXPECT_EQ(table.capacity(), 2048u);
+    EXPECT_EQ(table.memoryBytes(), 2048 * sizeof(TestSlot));
+    table.reserve(10);
+    EXPECT_EQ(table.capacity(), 2048u);
+    for (Key k = 0; k < 15; ++k)
+        ASSERT_NE(table.find(k), nullptr) << "key " << k;
+
+    // Reserved keys insert with no growth; clear keeps the array.
+    for (Key k = 0; k < 1000; ++k)
+        table.getOrCreate(k * 0x9E3779B9ull);
+    EXPECT_EQ(table.capacity(), 2048u);
+    table.clear();
+    EXPECT_EQ(table.size(), 0u);
+    EXPECT_EQ(table.memoryBytes(), 2048 * sizeof(TestSlot));
 }
