@@ -124,9 +124,9 @@ BM_TxnTableInsertResolve(benchmark::State &state)
     for (auto _ : state) {
         milana::TxnTable table;
         for (std::uint64_t i = 0; i < 64; ++i) {
-            milana::TxnEntry entry;
-            entry.txn = semel::TxnId{1, i};
-            table.insert(entry);
+            semel::ReplicateTxnRecord record;
+            record.txn = semel::TxnId{1, i};
+            (void)table.merge(std::move(record));
         }
         for (std::uint64_t i = 0; i < 64; ++i)
             table.resolve(semel::TxnId{1, i},

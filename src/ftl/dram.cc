@@ -48,11 +48,11 @@ DramBackend::put(Key key, Value value, Version version)
 }
 
 sim::Task<void>
-DramBackend::erase(Key key)
+DramBackend::erase(Key key, Version version)
 {
     stats_.counter("dram.deletes").inc();
     co_await sim::sleepFor(sim_, config_.writeLatency);
-    map_.erase(key);
+    map_.dropAtOrBelow(key, version, [](const auto &) {});
 }
 
 void

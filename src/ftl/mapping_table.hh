@@ -278,6 +278,29 @@ class VersionStore
     }
 
     /**
+     * Apply a delete stamped @p v: drop the key's versions <= @p v,
+     * and the key once none is left. Returns how many were dropped.
+     */
+    template <typename OnDrop>
+    std::size_t
+    dropAtOrBelow(Key key, Version v, OnDrop &&on_drop)
+    {
+        const std::size_t idx = findIndex(key);
+        if (idx == npos)
+            return 0;
+        Slot &s = slots_[idx];
+        Entry *e = entriesOf(s);
+        const std::size_t from = chain_ops::firstLeq(e, s.count, v);
+        const std::size_t dropped = s.count - from;
+        for (std::size_t i = from; i < s.count; ++i)
+            on_drop(e[i]);
+        truncate(s, from);
+        if (s.count == 0)
+            erase(key);
+        return dropped;
+    }
+
+    /**
      * Drop every chain; capacity, arena slabs and the index's
      * capacity are retained.
      */

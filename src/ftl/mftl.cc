@@ -154,12 +154,9 @@ Mftl::flushTask(std::vector<Pending> batch)
         auto &p = batch[i];
         const Loc loc{addr, static_cast<std::uint16_t>(i)};
         if (p.record.tombstone) {
-            // A durable delete: drop the whole chain.
-            if (auto chain = map_.find(p.record.key)) {
-                for (const auto &e : chain)
-                    dropEntry(e);
-                map_.erase(p.record.key);
-            }
+            // A durable delete: drop the versions it covers.
+            map_.dropAtOrBelow(p.record.key, p.record.version,
+                               [this](const auto &e) { dropEntry(e); });
         } else if (p.relocation) {
             auto chain = map_.find(p.record.key);
             auto *entry =
@@ -239,12 +236,13 @@ Mftl::put(Key key, Value value, Version version)
 }
 
 sim::Task<void>
-Mftl::erase(Key key)
+Mftl::erase(Key key, Version version)
 {
     stats_.counter("mftl.deletes").inc();
     co_await admitUserWrite();
     flash::Record record;
     record.key = key;
+    record.version = version;
     record.sizeBytes = config_.recordSize;
     record.tombstone = true;
     auto ack = packLog_.append(std::move(record), false);
@@ -466,6 +464,9 @@ Mftl::rebuildFromFlash()
     nextPage_ = 0;
 
     std::size_t recovered = 0;
+    // Pages are scanned in block order, not write order, so a
+    // tombstone is applied only once every version it covers is back.
+    std::vector<std::pair<Key, Version>> tombstones;
     const auto &geo = device_.geometry();
     for (std::uint32_t b = 0; b < geo.numBlocks; ++b) {
         bool any_programmed = false;
@@ -479,9 +480,7 @@ Mftl::rebuildFromFlash()
                  ++slot) {
                 const auto &rec = page.records[slot];
                 if (rec.tombstone) {
-                    // Tombstones erase everything older; chains are
-                    // rebuilt in arbitrary order, so apply by removing
-                    // versions <= the tombstone stamp.
+                    tombstones.emplace_back(rec.key, rec.version);
                     continue;
                 }
                 auto chain = map_.getOrCreate(rec.key);
@@ -494,6 +493,9 @@ Mftl::rebuildFromFlash()
         if (!any_programmed)
             freeBlocks_.push(b, device_.eraseCount(b));
     }
+    for (const auto &[key, version] : tombstones)
+        recovered -= map_.dropAtOrBelow(
+            key, version, [this](const auto &e) { dropEntry(e); });
     return recovered;
 }
 

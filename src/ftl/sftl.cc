@@ -373,7 +373,7 @@ SingleVersionKv::put(Key key, Value value, Version version)
 }
 
 sim::Task<void>
-SingleVersionKv::erase(Key key)
+SingleVersionKv::erase(Key key, Version version)
 {
     if (key >= config_.capacityKeys)
         co_return;
@@ -384,6 +384,8 @@ SingleVersionKv::erase(Key key)
     if (!page.has_value())
         co_return;
     auto &rec = page->records[slotOf(key)];
+    if (rec.tombstone || rec.version > version)
+        co_return;
     rec.tombstone = true;
     rec.value.clear();
     co_await sftl_.write(lba, std::move(*page));

@@ -139,7 +139,7 @@ class SingleVersionKv : public KvBackend
 
     sim::Task<GetResult> get(Key key, Version at) override;
     sim::Task<PutStatus> put(Key key, Value value, Version version) override;
-    sim::Task<void> erase(Key key) override;
+    sim::Task<void> erase(Key key, Version version) override;
     void setWatermark(Time watermark) override;
     bool multiVersion() const override { return false; }
     common::StatSet &stats() override { return stats_; }

@@ -139,11 +139,8 @@ Vftl::flushTask(std::vector<Pending> batch)
         auto &p = batch[i];
         const Loc loc{lba, static_cast<std::uint16_t>(i)};
         if (p.record.tombstone) {
-            if (auto chain = map_.find(p.record.key)) {
-                for (const auto &e : chain)
-                    dropEntry(e);
-                map_.erase(p.record.key);
-            }
+            map_.dropAtOrBelow(p.record.key, p.record.version,
+                               [this](const auto &e) { dropEntry(e); });
         } else if (p.relocation) {
             auto chain = map_.find(p.record.key);
             auto *entry =
@@ -219,12 +216,13 @@ Vftl::put(Key key, Value value, Version version)
 }
 
 sim::Task<void>
-Vftl::erase(Key key)
+Vftl::erase(Key key, Version version)
 {
     stats_.counter("vftl.deletes").inc();
     co_await admitUserWrite();
     flash::Record record;
     record.key = key;
+    record.version = version;
     record.sizeBytes = config_.recordSize;
     record.tombstone = true;
     auto ack = packLog_.append(std::move(record), false);
@@ -420,6 +418,9 @@ Vftl::rebuildFromStore()
     freeLbas_.clear();
 
     std::size_t recovered = 0;
+    // LBAs are scanned in address order, not write order, so a
+    // tombstone is applied only once every version it covers is back.
+    std::vector<std::pair<Key, Version>> tombstones;
     for (Lba lba = 0; lba < static_cast<Lba>(sftl_.logicalBlocks());
          ++lba) {
         const flash::PageData *page = sftl_.peek(lba);
@@ -430,8 +431,10 @@ Vftl::rebuildFromStore()
         for (std::uint16_t slot = 0; slot < page->records.size();
              ++slot) {
             const auto &rec = page->records[slot];
-            if (rec.tombstone)
+            if (rec.tombstone) {
+                tombstones.emplace_back(rec.key, rec.version);
                 continue;
+            }
             auto chain = map_.getOrCreate(rec.key);
             if (chain.append(rec.version, Loc{lba, slot})) {
                 ++liveRecords_[static_cast<std::size_t>(lba)];
@@ -439,6 +442,9 @@ Vftl::rebuildFromStore()
             }
         }
     }
+    for (const auto &[key, version] : tombstones)
+        recovered -= map_.dropAtOrBelow(
+            key, version, [this](const auto &e) { dropEntry(e); });
     return recovered;
 }
 

@@ -63,7 +63,7 @@ class Vftl : public KvBackend
 
     sim::Task<GetResult> get(Key key, Version at) override;
     sim::Task<PutStatus> put(Key key, Value value, Version version) override;
-    sim::Task<void> erase(Key key) override;
+    sim::Task<void> erase(Key key, Version version) override;
     void setWatermark(Time watermark) override;
     std::optional<Version> versionAt(Key key, Version at) override;
     bool multiVersion() const override { return true; }

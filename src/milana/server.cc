@@ -1,6 +1,7 @@
 #include "milana/server.hh"
 
 #include <algorithm>
+#include <limits>
 #include <memory>
 
 #include "common/chaos.hh"
@@ -215,7 +216,13 @@ MilanaServer::handlePrepare(PrepareRequest request)
         co_return resp;
     }
 
-    // Idempotent retransmissions.
+    for (const auto &read : request.readSet)
+        co_await ensureKeyState(read.key);
+    for (const auto &write : request.writeSet)
+        co_await ensureKeyState(write.key);
+
+    // Idempotent retransmissions. Nothing below suspends until the
+    // prepare is in the table, so it is checked once, here.
     switch (txns_.statusOf(request.txn)) {
       case semel::TxnStatus::Prepared:
       case semel::TxnStatus::Committed:
@@ -229,11 +236,6 @@ MilanaServer::handlePrepare(PrepareRequest request)
       case semel::TxnStatus::Unknown:
         break;
     }
-
-    for (const auto &read : request.readSet)
-        co_await ensureKeyState(read.key);
-    for (const auto &write : request.writeSet)
-        co_await ensureKeyState(write.key);
 
     if (request.writeSet.empty()) {
         // Remote validation of a read-only transaction (used when
@@ -289,30 +291,23 @@ MilanaServer::handlePrepare(PrepareRequest request)
     }
     resp.vote = Vote::Commit;
 
+    const ReplicateTxnRecord &record = *txns_.merge({
+        .txn = request.txn,
+        .commitVersion = request.commitVersion,
+        .writeSet = {request.writeSet.begin(), request.writeSet.end()},
+        .participants = {request.participants.begin(),
+                         request.participants.end()},
+        .preparedAt = sim_.now(),
+    });
+
     // Mark the write set prepared — synchronously with validation, so
     // no concurrent prepare can interleave.
     for (const auto &write : request.writeSet)
         markPrepared(write.key, request.commitVersion, request.txn);
 
-    TxnEntry entry;
-    entry.txn = request.txn;
-    entry.commitVersion = request.commitVersion;
-    entry.writeSet.assign(request.writeSet.begin(), request.writeSet.end());
-    entry.participants.assign(request.participants.begin(),
-                              request.participants.end());
-    entry.status = semel::TxnStatus::Prepared;
-    entry.preparedAt = sim_.now();
-
     // Persist the prepare on a majority before voting: replicate the
     // record (with the write set and shard list) and wait for f acks.
-    ReplicateTxnRecord record;
-    record.kind = TxnRecordKind::Prepared;
-    record.txn = request.txn;
-    record.commitVersion = request.commitVersion;
-    record.writeSet = entry.writeSet;
-    record.participants = entry.participants;
-    txns_.insert(std::move(entry));
-    co_await replicateTxnRecord(std::move(record), true);
+    co_await replicateTxnRecord(record, true);
 
     stats_.counter("milana.votes_commit").inc();
     span.setTag("commit");
@@ -322,7 +317,7 @@ MilanaServer::handlePrepare(PrepareRequest request)
 // ---------------------------------------------------------- decision
 
 sim::Task<void>
-MilanaServer::applyCommit(TxnEntry &entry, bool late)
+MilanaServer::applyCommit(const ReplicateTxnRecord &record, bool late)
 {
     // Apply buffered writes in parallel; each key's prepared mark is
     // cleared only after its write is durable, so read-only snapshots
@@ -330,8 +325,8 @@ MilanaServer::applyCommit(TxnEntry &entry, bool late)
     // The quorum lives in this frame: every writer arrives before it
     // wakes us, and arriving is a writer's last act.
     sim::Quorum done(sim_,
-                     static_cast<std::uint32_t>(entry.writeSet.size()));
-    for (const auto &write : entry.writeSet) {
+                     static_cast<std::uint32_t>(record.writeSet.size()));
+    for (const auto &write : record.writeSet) {
         sim::spawn([](MilanaServer *self, Key key, Value value,
                       Version version, TxnId txn, bool late,
                       sim::Quorum *q) -> sim::Task<void> {
@@ -346,20 +341,20 @@ MilanaServer::applyCommit(TxnEntry &entry, bool late)
                                  static_cast<std::int64_t>(key),
                                  version.timestamp);
             q->arrive();
-        }(this, write.key, write.value, entry.commitVersion, entry.txn,
+        }(this, write.key, write.value, record.commitVersion, record.txn,
           late, &done));
     }
-    if (!entry.writeSet.empty())
+    if (!record.writeSet.empty())
         co_await done.wait();
     stats_.counter("milana.committed").inc();
 }
 
 void
-MilanaServer::applyAbort(TxnEntry &entry)
+MilanaServer::applyAbort(const ReplicateTxnRecord &record)
 {
-    for (const auto &write : entry.writeSet) {
+    for (const auto &write : record.writeSet) {
         if (semel::KeySlot *ks = keys_.find(write.key))
-            clearPrepared(*ks, entry.txn);
+            clearPrepared(*ks, record.txn);
     }
     stats_.counter("milana.aborted").inc();
 }
@@ -375,34 +370,23 @@ MilanaServer::handleDecision(DecisionRequest request)
     DecisionResponse resp;
     resp.ok = true;
 
-    TxnEntry *entry = txns_.find(request.txn);
+    ReplicateTxnRecord *entry = txns_.findLive(request.txn);
     if (entry == nullptr || entry->status != semel::TxnStatus::Prepared)
         co_return resp; // duplicate or already resolved: idempotent
 
     // Claim the entry synchronously BEFORE the apply suspends: the
     // client's decision and the CTP backup coordinator can race here,
     // and the loser must take the idempotent path above rather than
-    // resolve (erase) the entry out from under the winner.
-    entry->status = request.decision == TxnDecision::Commit
-                        ? semel::TxnStatus::Committed
-                        : semel::TxnStatus::Aborted;
-
-    ReplicateTxnRecord record;
-    record.txn = request.txn;
-    record.commitVersion = entry->commitVersion;
-    record.participants = entry->participants;
-
-    if (request.decision == TxnDecision::Commit) {
-        record.kind = TxnRecordKind::Committed;
-        record.writeSet = entry->writeSet;
+    // resolve the entry out from under the winner.
+    const semel::TxnStatus outcome = request.decision == TxnDecision::Commit
+                                         ? semel::TxnStatus::Committed
+                                         : semel::TxnStatus::Aborted;
+    entry->status = outcome;
+    if (outcome == semel::TxnStatus::Committed)
         co_await applyCommit(*entry, request.late);
-        txns_.resolve(request.txn, semel::TxnStatus::Committed);
-    } else {
-        record.kind = TxnRecordKind::Aborted;
+    else
         applyAbort(*entry);
-        txns_.resolve(request.txn, semel::TxnStatus::Aborted);
-    }
-    co_await replicateTxnRecord(std::move(record), true);
+    co_await replicateTxnRecord(txns_.resolve(request.txn, outcome), true);
     co_return resp;
 }
 
@@ -417,19 +401,16 @@ MilanaServer::handleTxnStatus(TxnStatusRequest request)
 // --------------------------------------------------------- backups
 
 sim::Task<void>
-MilanaServer::replicateTxnRecord(ReplicateTxnRecord record,
+MilanaServer::replicateTxnRecord(const ReplicateTxnRecord &record,
                                  bool wait_quorum)
 {
-    // Our own durable log entry first (the primary is a replica too).
-    if (backups_.empty()) {
-        txnLog_.push_back(std::move(record));
+    // The transaction table is this replica's own durable copy.
+    if (backups_.empty())
         co_return;
-    }
-    txnLog_.push_back(record);
 
-    const char *kind = record.kind == TxnRecordKind::Prepared
+    const char *kind = record.status == semel::TxnStatus::Prepared
                            ? "prepared"
-                           : record.kind == TxnRecordKind::Committed
+                           : record.status == semel::TxnStatus::Committed
                                  ? "committed"
                                  : "aborted";
     common::ScopedSpan span(trace_, "milana.repl.txn_record", kind);
@@ -491,42 +472,21 @@ sim::Task<bool>
 MilanaServer::handleReplicateTxnRecord(ReplicateTxnRecord record)
 {
     stats_.counter("milana.replica_records").inc();
-    // Apply, then log (the persistent-memory log write) — records may
-    // arrive in any order (Figure 5). Nothing in between suspends, so
-    // the two are one atomic step and the record can move into the
-    // log instead of being copied.
-    switch (record.kind) {
-      case TxnRecordKind::Prepared: {
-        if (txns_.statusOf(record.txn) == semel::TxnStatus::Unknown) {
-            TxnEntry entry;
-            entry.txn = record.txn;
-            entry.commitVersion = record.commitVersion;
-            entry.writeSet = record.writeSet;
-            entry.participants = record.participants;
-            entry.status = semel::TxnStatus::Prepared;
-            entry.preparedAt = sim_.now();
-            txns_.insert(std::move(entry));
-        }
-        break;
-      }
-      case TxnRecordKind::Committed: {
-        txns_.resolve(record.txn, semel::TxnStatus::Committed);
+    // Fold the record into the table (the persistent-memory log
+    // write); records may arrive in any order (Figure 5).
+    record.preparedAt = sim_.now();
+    const ReplicateTxnRecord *stored = txns_.merge(std::move(record));
+    if (stored != nullptr && stored->status == semel::TxnStatus::Committed) {
         // Apply the committed writes to local storage, asynchronously:
         // the ack only promises the log entry.
-        for (const auto &write : record.writeSet) {
+        for (const auto &write : stored->writeSet) {
             sim::spawn([](MilanaServer *self, Key key, Value value,
                           Version version) -> sim::Task<void> {
                 (void)co_await self->backend_.put(key, value, version);
                 self->noteCommitted(key, version);
-            }(this, write.key, write.value, record.commitVersion));
+            }(this, write.key, write.value, stored->commitVersion));
         }
-        break;
-      }
-      case TxnRecordKind::Aborted:
-        txns_.resolve(record.txn, semel::TxnStatus::Aborted);
-        break;
     }
-    txnLog_.push_back(std::move(record));
     co_return true;
 }
 
@@ -595,11 +555,11 @@ MilanaServer::leaseLoop()
 sim::Task<void>
 MilanaServer::resolveOrphan(TxnId txn)
 {
-    TxnEntry *entry = txns_.find(txn);
+    const ReplicateTxnRecord *entry = txns_.findLive(txn);
     if (entry == nullptr || entry->status != semel::TxnStatus::Prepared)
         co_return;
     stats_.counter("milana.ctp_invocations").inc();
-    // Copy before deciding: handleDecision resolves (erases) the entry.
+    // Copy: the entry is not read across the suspensions below.
     const std::vector<common::ShardId> participants = entry->participants;
 
     bool saw_commit = false;
@@ -689,7 +649,10 @@ sim::Task<MilanaServer::RecoveryPull>
 MilanaServer::handleRecoveryPull()
 {
     RecoveryPull pull;
-    pull.txnLog = txnLog_;
+    for (const auto &[txn, record] : txns_.decided())
+        pull.records.push_back(record);
+    for (const auto &[txn, record] : txns_.live())
+        pull.records.push_back(record);
     pull.maxLeaseGranted = maxLeaseGranted_;
     co_return pull;
 }
@@ -700,8 +663,10 @@ MilanaServer::recoverAsPrimary()
     recovering_ = true;
     stats_.counter("milana.recoveries").inc();
 
-    // Collect logs from every reachable replica of the shard.
-    std::vector<ReplicateTxnRecord> merged = txnLog_;
+    // Algorithm 2: merge every reachable replica's transaction table
+    // into our own. Outcomes dominate prepares; any single record of
+    // an outcome is authoritative (it could only exist if the
+    // coordinator decided).
     Time max_lease = maxLeaseGranted_;
     for (const NodeId node : master_.replicasOf(shard_)) {
         if (node == id_)
@@ -713,21 +678,11 @@ MilanaServer::recoverAsPrimary()
             id_, node, peer->handleRecoveryPull());
         if (!pull.has_value())
             continue; // crashed replica
-        merged.insert(merged.end(), pull->txnLog.begin(),
-                      pull->txnLog.end());
+        for (ReplicateTxnRecord &record : pull->records) {
+            record.preparedAt = sim_.now();
+            (void)txns_.merge(std::move(record));
+        }
         max_lease = std::max(max_lease, pull->maxLeaseGranted);
-    }
-
-    // Algorithm 2: fold the records into a fresh transaction table.
-    // Outcomes dominate prepares; any single record of an outcome is
-    // authoritative (it could only exist if the coordinator decided).
-    std::map<TxnId, ReplicateTxnRecord> prepares;
-    std::map<TxnId, ReplicateTxnRecord> outcomes;
-    for (const auto &rec : merged) {
-        if (rec.kind == TxnRecordKind::Prepared)
-            prepares.emplace(rec.txn, rec);
-        else
-            outcomes.emplace(rec.txn, rec);
     }
 
     // Forget all per-key state: ensureKeyState rebuilds each key's
@@ -735,54 +690,47 @@ MilanaServer::recoverAsPrimary()
     keys_.clear();
     prepared_.clear();
 
-    for (const auto &[txn, rec] : outcomes) {
-        if (rec.kind == TxnRecordKind::Committed) {
-            // Re-apply: backend puts are idempotent per version.
-            for (const auto &write : rec.writeSet) {
-                (void)co_await backend_.put(write.key, write.value,
-                                            rec.commitVersion);
-                noteCommitted(write.key, rec.commitVersion);
-            }
-            txns_.resolve(txn, semel::TxnStatus::Committed);
-        } else {
-            txns_.resolve(txn, semel::TxnStatus::Aborted);
+    // Re-apply committed writes: backend puts are idempotent per
+    // version. Records are never erased, so the reference survives
+    // the puts' suspensions.
+    for (const auto &[txn, record] : txns_.decided()) {
+        if (record.status != semel::TxnStatus::Committed)
+            continue;
+        for (const auto &write : record.writeSet) {
+            (void)co_await backend_.put(write.key, write.value,
+                                        record.commitVersion);
+            noteCommitted(write.key, record.commitVersion);
         }
     }
 
-    for (const auto &[txn, rec] : prepares) {
-        if (outcomes.count(txn))
-            continue; // already decided above
-        if (txns_.statusOf(txn) != semel::TxnStatus::Unknown)
-            continue;
-        TxnEntry entry;
-        entry.txn = txn;
-        entry.commitVersion = rec.commitVersion;
-        entry.writeSet = rec.writeSet;
-        entry.participants = rec.participants;
-        entry.status = semel::TxnStatus::Prepared;
-        entry.preparedAt = sim_.now();
-        txns_.insert(entry);
-
-        if (rec.participants.size() <= 1) {
+    // Every prepared transaction is in doubt, whichever replica logged
+    // it.
+    for (const TxnId &txn :
+         txns_.preparedBefore(std::numeric_limits<Time>::max())) {
+        const ReplicateTxnRecord *record = txns_.findLive(txn);
+        if (record == nullptr ||
+            record->status != semel::TxnStatus::Prepared)
+            continue; // decided by a peer's CTP meanwhile
+        if (record->participants.size() <= 1) {
             // Single-shard prepared == committed (Algorithm 2).
-            DecisionRequest req;
-            req.txn = txn;
-            req.decision = TxnDecision::Commit;
-            req.late = true;
-            (void)co_await handleDecision(req);
+            (void)co_await handleDecision(
+                DecisionRequest{txn, TxnDecision::Commit, true});
         } else {
             // Multi-shard: the CTP scanner will resolve it against the
             // other participants once service resumes. Re-instate the
             // prepared marks so conflicting transactions abort until
             // then.
-            for (const auto &write : rec.writeSet)
-                markPrepared(write.key, rec.commitVersion, txn);
+            for (const auto &write : record->writeSet)
+                markPrepared(write.key, record->commitVersion, txn);
         }
     }
 
-    // Propagate the merged table to the backups (bring them level).
-    for (const auto &rec : merged)
-        co_await replicateTxnRecord(rec, false);
+    // Bring the backups level: one record per transaction. Nothing
+    // suspends without the quorum wait, so the tables stay put.
+    for (const auto &[txn, record] : txns_.decided())
+        co_await replicateTxnRecord(record, false);
+    for (const auto &[txn, record] : txns_.live())
+        co_await replicateTxnRecord(record, false);
 
     // Wait out the old primary's lease so no read it served can be
     // contradicted (its ts_latestRead values are lost with it).

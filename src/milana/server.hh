@@ -19,9 +19,9 @@
  *  - maintain read leases so ts_latestRead (which is never persisted)
  *    cannot be violated across a failover.
  *
- * At a backup the server logs replicated transaction records and
- * applies committed write sets; a promoted backup rebuilds the
- * transaction table by merging the logs of a majority of replicas
+ * At a backup the server folds replicated transaction records into
+ * its transaction table and applies committed write sets; a promoted
+ * backup merges the tables of the reachable replicas into its own
  * (Algorithm 2) and waits out the old primary's lease before serving.
  */
 
@@ -53,7 +53,6 @@ using semel::PrepareRequest;
 using semel::PrepareResponse;
 using semel::ReplicateTxnRecord;
 using semel::TxnDecision;
-using semel::TxnRecordKind;
 using semel::TxnStatusRequest;
 using semel::TxnStatusResponse;
 using semel::Vote;
@@ -102,18 +101,18 @@ class MilanaServer : public semel::Server
     /** CTP status query from a peer participant. */
     sim::Task<TxnStatusResponse> handleTxnStatus(TxnStatusRequest request);
 
-    /** Backup side: log a replicated transaction record; apply
-     *  committed write sets. Order-insensitive. */
+    /** Backup side: fold a replicated record into the transaction
+     *  table; apply committed write sets. Order-insensitive. */
     sim::Task<bool> handleReplicateTxnRecord(ReplicateTxnRecord record);
 
     /** Backup side: grant a read lease to the primary. */
     sim::Task<Time> handleLeaseGrant(Time until);
 
-    /** Recovery pull: a promoted backup collects logs and the maximum
-     *  granted lease from its peers. */
+    /** Recovery pull: a promoted backup collects the transaction
+     *  records and the maximum granted lease from its peers. */
     struct RecoveryPull
     {
-        std::vector<ReplicateTxnRecord> txnLog;
+        std::vector<ReplicateTxnRecord> records;
         Time maxLeaseGranted = 0;
     };
     sim::Task<RecoveryPull> handleRecoveryPull();
@@ -121,11 +120,11 @@ class MilanaServer : public semel::Server
     // ------------------------------------------------------ failover
 
     /**
-     * Promote this (backup) server to primary: merge transaction logs
-     * from all reachable replicas (Algorithm 2), resolve in-doubt
-     * transactions via the CTP, rebuild per-key state, wait out the
-     * old primary's lease, then begin service. The master must already
-     * have repointed the shard at this node.
+     * Promote this (backup) server to primary: merge the reachable
+     * replicas' transaction tables into its own (Algorithm 2), re-apply
+     * commits, commit single-shard prepares, re-mark multi-shard ones
+     * for the CTP, wait out the old primary's lease, then serve. The
+     * master must already have repointed the shard at this node.
      */
     sim::Task<void> recoverAsPrimary();
 
@@ -169,10 +168,13 @@ class MilanaServer : public semel::Server
     /** True when the slot carries a prepared write stamped <= @p at. */
     bool preparedAtOrBefore(const semel::KeySlot &slot, Version at) const;
 
-    sim::Task<void> applyCommit(TxnEntry &entry, bool late);
-    void applyAbort(TxnEntry &entry);
+    sim::Task<void> applyCommit(const ReplicateTxnRecord &record,
+                                bool late);
+    void applyAbort(const ReplicateTxnRecord &record);
 
-    sim::Task<void> replicateTxnRecord(ReplicateTxnRecord record,
+    /** Send a copy of @p record to every backup (copied before the
+     *  first suspension); optionally wait for the ack quorum. */
+    sim::Task<void> replicateTxnRecord(const ReplicateTxnRecord &record,
                                        bool wait_quorum);
 
     /** Round-trip sync with f backups (remote read-only validation
@@ -193,12 +195,10 @@ class MilanaServer : public semel::Server
     semel::Master &master_;
     semel::Directory &directory_;
 
+    /** Transaction table; also this replica's log. */
     TxnTable txns_;
     /** ts_prepared and owner of each key whose slot has kPrepared. */
     ftl::KeyTable<PreparedSlot> prepared_;
-
-    /** Backup-side log of replicated transaction records. */
-    std::vector<ReplicateTxnRecord> txnLog_;
 
     Time leaseUntil_ = 0;       ///< primary: lease expiry (local clock)
     Time maxLeaseGranted_ = 0;  ///< backup: newest lease it granted

@@ -4,49 +4,72 @@
 
 namespace milana {
 
-void
-TxnTable::insert(TxnEntry entry)
+const TxnTable::Record *
+TxnTable::merge(Record record)
 {
-    entries_[entry.txn] = std::move(entry);
+    if (decided_.contains(record.txn))
+        return nullptr;
+    const TxnId txn = record.txn;
+    const TxnStatus status = record.status;
+    // try_emplace leaves `record` untouched when the key exists.
+    auto [it, inserted] = live_.try_emplace(txn, std::move(record));
+    if (status == TxnStatus::Prepared)
+        return inserted ? &it->second : nullptr;
+    if (!inserted) {
+        // An outcome beats a prepare. A claimed record (its decision
+        // is being applied) is left for its decider to resolve.
+        if (it->second.status != TxnStatus::Prepared)
+            return nullptr;
+        it->second = std::move(record);
+    }
+    return &resolve(txn, status);
 }
 
-TxnEntry *
-TxnTable::find(const TxnId &txn)
+TxnTable::Record *
+TxnTable::findLive(const TxnId &txn)
 {
-    auto it = entries_.find(txn);
-    return it == entries_.end() ? nullptr : &it->second;
+    auto it = live_.find(txn);
+    return it == live_.end() ? nullptr : &it->second;
 }
 
-const TxnEntry *
+const TxnTable::Record *
 TxnTable::find(const TxnId &txn) const
 {
-    auto it = entries_.find(txn);
-    return it == entries_.end() ? nullptr : &it->second;
+    auto it = live_.find(txn);
+    if (it != live_.end())
+        return &it->second;
+    it = decided_.find(txn);
+    return it == decided_.end() ? nullptr : &it->second;
 }
 
-void
+const TxnTable::Record &
 TxnTable::resolve(const TxnId &txn, TxnStatus outcome)
 {
-    entries_.erase(txn);
-    outcomes_[txn] = outcome;
+    auto node = live_.extract(txn);
+    if (node.empty())
+        PANIC("resolving a transaction that is not live");
+    Record &record = node.mapped();
+    record.status = outcome;
+    // Recovery re-applies committed writes and nothing else.
+    if (outcome == TxnStatus::Aborted)
+        record.writeSet = std::vector<semel::WriteSetEntry>();
+    return decided_.insert(std::move(node)).position->second;
 }
 
 TxnStatus
 TxnTable::statusOf(const TxnId &txn) const
 {
-    if (const auto *entry = find(txn))
-        return entry->status;
-    auto it = outcomes_.find(txn);
-    return it == outcomes_.end() ? TxnStatus::Unknown : it->second;
+    const Record *record = find(txn);
+    return record == nullptr ? TxnStatus::Unknown : record->status;
 }
 
 std::vector<TxnId>
 TxnTable::preparedBefore(Time deadline) const
 {
     std::vector<TxnId> stale;
-    for (const auto &[id, entry] : entries_) {
-        if (entry.status == TxnStatus::Prepared &&
-            entry.preparedAt < deadline)
+    for (const auto &[id, record] : live_) {
+        if (record.status == TxnStatus::Prepared &&
+            record.preparedAt < deadline)
             stale.push_back(id);
     }
     return stale;

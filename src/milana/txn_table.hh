@@ -1,12 +1,12 @@
 /**
  * @file
- * The MILANA primary's transaction table and per-key concurrency-
+ * A MILANA server's transaction table and per-key concurrency-
  * control state (paper section 4.1).
  *
- * The transaction table records transactions that have prepared but
- * whose outcome has not yet been applied; it is replicated to the
- * backups as it changes and rebuilt by a new primary on failover
- * (Algorithm 2).
+ * The transaction table is a server's only per-transaction record and
+ * its replica log. `live_` holds undecided transactions (all the CTP
+ * scan walks); `decided_` holds outcomes, keeping write sets only for
+ * commits, which a promoted backup re-applies (Algorithm 2).
  *
  * Per active key the primary keeps, in DRAM only:
  *   - ts_latestRead:      newest begin-timestamp that read the key;
@@ -34,52 +34,52 @@
 namespace milana {
 
 using common::Key;
-using common::ShardId;
 using common::Time;
 using common::Version;
 using semel::TxnId;
 using semel::TxnStatus;
-using semel::WriteSetEntry;
-
-/** One transaction known to a primary. */
-struct TxnEntry
-{
-    TxnId txn;
-    Version commitVersion;
-    std::vector<WriteSetEntry> writeSet;
-    std::vector<ShardId> participants;
-    TxnStatus status = TxnStatus::Prepared;
-    /** TrueTime when this primary prepared it (for CTP timeouts). */
-    Time preparedAt = 0;
-};
 
 class TxnTable
 {
   public:
-    void insert(TxnEntry entry);
+    using Record = semel::ReplicateTxnRecord;
+    using Records = std::map<TxnId, Record>;
 
-    TxnEntry *find(const TxnId &txn);
-    const TxnEntry *find(const TxnId &txn) const;
+    /**
+     * Fold in a record, in any order and any number of times: a
+     * prepare of an unknown transaction goes live, an outcome beats a
+     * prepare, and a decided transaction is left alone, as is a live
+     * one a decider has claimed (set its status) and will resolve.
+     * Returns the stored record when @p record changed the table,
+     * else nullptr.
+     */
+    const Record *merge(Record record);
 
-    /** Remove a decided transaction, remembering its outcome. */
-    void resolve(const TxnId &txn, TxnStatus outcome);
+    /** The live (undecided) record of a transaction, or nullptr. */
+    Record *findLive(const TxnId &txn);
+    /** The record of a transaction, live or decided, or nullptr. */
+    const Record *find(const TxnId &txn) const;
 
-    /** Status of a transaction: live entry, remembered outcome, or
-     *  Unknown. Feeds the CTP status queries. */
+    /** Decide a live transaction: its node moves to the decided
+     *  records (an abort drops the write set). */
+    const Record &resolve(const TxnId &txn, TxnStatus outcome);
+
+    /** Status of a transaction, Unknown if it has no record. Feeds
+     *  the CTP status queries. */
     TxnStatus statusOf(const TxnId &txn) const;
 
     /** Prepared transactions older than the given deadline. */
     std::vector<TxnId> preparedBefore(Time deadline) const;
 
-    std::size_t size() const { return entries_.size(); }
+    /** Live transactions. */
+    std::size_t size() const { return live_.size(); }
 
-    const std::map<TxnId, TxnEntry> &entries() const { return entries_; }
+    const Records &live() const { return live_; }
+    const Records &decided() const { return decided_; }
 
   private:
-    std::map<TxnId, TxnEntry> entries_;
-    /** Outcomes of resolved transactions (for idempotent decisions
-     *  and CTP queries). */
-    std::map<TxnId, TxnStatus> outcomes_;
+    Records live_;
+    Records decided_;
 };
 
 /**

@@ -214,28 +214,6 @@ struct DecisionResponse
     bool ok = false;
 };
 
-/**
- * Primary -> backup: replicate a transaction-table update. Carries
- * the full prepare record (status PREPARED) or the final outcome
- * (COMMITTED/ABORTED). Backups apply these in any order (Figure 5);
- * a new primary reconstructs order during recovery.
- */
-enum class TxnRecordKind : std::uint8_t
-{
-    Prepared,
-    Committed,
-    Aborted,
-};
-
-struct ReplicateTxnRecord
-{
-    TxnRecordKind kind = TxnRecordKind::Prepared;
-    TxnId txn;
-    Version commitVersion;
-    std::vector<WriteSetEntry> writeSet;
-    std::vector<ShardId> participants;
-};
-
 /** Participant -> participant: CTP status query (section 4.5). */
 struct TxnStatusRequest
 {
@@ -248,6 +226,23 @@ enum class TxnStatus : std::uint8_t
     Prepared,
     Committed,
     Aborted,
+};
+
+/**
+ * A MILANA server's transaction-table entry, and the message a primary
+ * sends its backups each time the entry changes (Prepared, then
+ * Committed or Aborted; an aborted record carries no write set).
+ */
+struct ReplicateTxnRecord
+{
+    TxnId txn;
+    TxnStatus status = TxnStatus::Prepared;
+    Version commitVersion;
+    std::vector<WriteSetEntry> writeSet;
+    std::vector<ShardId> participants;
+    /** Local, not replicated state: when the holding server learned of
+     *  the prepare (its CTP timeout runs from here). */
+    Time preparedAt = 0;
 };
 
 struct TxnStatusResponse

@@ -171,15 +171,13 @@ Server::handleDelete(Key key, Version version)
     }
     // Propagate the delete to backups as a tombstone write.
     for (Server *backup : backups_) {
-        Server *self = this;
         net_.send(id_, backup->nodeId(), [backup, key, version] {
-            sim::spawn([](Server *b, Key k) -> sim::Task<void> {
-                co_await b->backend().erase(k);
-            }(backup, key));
+            sim::spawn([](Server *b, Key k, Version v) -> sim::Task<void> {
+                co_await b->backend().erase(k, v);
+            }(backup, key, version));
         });
-        (void)self;
     }
-    co_await backend_.erase(key);
+    co_await backend_.erase(key, version);
     keys_.erase(key);
     resp.result = PutResult::Ok;
     co_return resp;

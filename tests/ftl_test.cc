@@ -190,7 +190,7 @@ TEST(Mftl, EraseRemovesAllVersions)
     runSim(f.s, [&]() -> sim::Task<void> {
         co_await f.mftl.put(9, "a", v(100));
         co_await f.mftl.put(9, "b", v(200));
-        co_await f.mftl.erase(9);
+        co_await f.mftl.erase(9, v(200));
         got = co_await f.mftl.get(9, v(1000));
     });
     EXPECT_FALSE(got.found);
@@ -292,6 +292,26 @@ TEST(Mftl, RebuildFromFlashRecoversMappings)
     EXPECT_EQ(got.value, "a");
 }
 
+TEST(Mftl, RebuildHonoursTombstones)
+{
+    MftlFixture f;
+    runSim(f.s, [&]() -> sim::Task<void> {
+        co_await f.mftl.put(9, "a", v(100));
+        co_await f.mftl.erase(9, v(200));
+        co_await f.mftl.put(10, "b", v(300));
+    });
+    EXPECT_EQ(f.mftl.rebuildFromFlash(), 1u);
+    GetResult erased, kept;
+    runSim(f.s, [&]() -> sim::Task<void> {
+        erased = co_await f.mftl.get(9, v(1000));
+        kept = co_await f.mftl.get(10, v(1000));
+    });
+    EXPECT_FALSE(erased.found);
+    EXPECT_EQ(f.mftl.versionCount(9), 0u);
+    EXPECT_TRUE(kept.found);
+    EXPECT_EQ(kept.value, "b");
+}
+
 namespace {
 
 /**
@@ -378,7 +398,7 @@ TEST(Mftl, SweepAfterTombstoneAndReputPrunesToWatermark)
         co_await f.mftl.put(9, "b", v(200));
         co_await f.mftl.put(10, "q", v(200));
         co_await f.mftl.put(10, "r", v(300));
-        co_await f.mftl.erase(9);
+        co_await f.mftl.erase(9, v(250));
         co_await f.mftl.put(9, "c", v(300));
         co_await f.mftl.put(9, "d", v(400));
     });
@@ -620,7 +640,7 @@ TEST(SingleVersionKv, EraseLeavesMiss)
     GetResult got;
     runSim(f.s, [&]() -> sim::Task<void> {
         co_await f.kv.put(5, "x", v(10));
-        co_await f.kv.erase(5);
+        co_await f.kv.erase(5, v(10));
         got = co_await f.kv.getLatest(5);
     });
     EXPECT_FALSE(got.found);
@@ -776,7 +796,7 @@ TEST(Dram, EraseRemoves)
     GetResult got;
     runSim(s, [&]() -> sim::Task<void> {
         co_await dram.put(1, "a", v(100));
-        co_await dram.erase(1);
+        co_await dram.erase(1, v(100));
         got = co_await dram.getLatest(1);
     });
     EXPECT_FALSE(got.found);
@@ -888,6 +908,26 @@ TEST(Vftl, RebuildFromStoreRecoversMappings)
     });
     EXPECT_TRUE(got.found);
     EXPECT_EQ(got.value, "a");
+}
+
+TEST(Vftl, RebuildHonoursTombstones)
+{
+    VftlFixture f;
+    runSim(f.s, [&]() -> sim::Task<void> {
+        co_await f.vftl.put(9, "a", v(100));
+        co_await f.vftl.erase(9, v(200));
+        co_await f.vftl.put(10, "b", v(300));
+    });
+    EXPECT_EQ(f.vftl.rebuildFromStore(), 1u);
+    GetResult erased, kept;
+    runSim(f.s, [&]() -> sim::Task<void> {
+        erased = co_await f.vftl.get(9, v(1000));
+        kept = co_await f.vftl.get(10, v(1000));
+    });
+    EXPECT_FALSE(erased.found);
+    EXPECT_EQ(f.vftl.versionCount(9), 0u);
+    EXPECT_TRUE(kept.found);
+    EXPECT_EQ(kept.value, "b");
 }
 
 TEST(Vftl, SweepAfterRebuildPrunesEveryChainToWatermark)

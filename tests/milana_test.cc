@@ -8,16 +8,20 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <numeric>
 #include <string>
+#include <string_view>
 
 #include "milana/client.hh"
+#include "milana/txn_table.hh"
 #include "workload/cluster.hh"
 
 using namespace workload;
 using common::kMillisecond;
 using common::kSecond;
 using common::Key;
+using common::Time;
 using milana::CommitResult;
 using milana::MilanaClient;
 using milana::Transaction;
@@ -790,14 +794,26 @@ TEST(Milana, PromotedBackupRebuildsLatestCommittedFromStorage)
     });
 }
 
-TEST(Milana, ReinstatedPreparedMarksBlockWritersUntilCtpResolves)
+/** Where the orphan's prepare record was logged before the crash. */
+class MilanaRecovery : public ::testing::TestWithParam<const char *>
 {
-    // A two-shard transaction whose prepare record reached only one
-    // of shard 0's backups before the primary crashed; shard 1 never
-    // saw it. The other backup is promoted and learns the prepare from
-    // its peer's log (Algorithm 2), so it re-instates the prepared
-    // mark: a conflicting prepare aborts WritePrepared until the CTP
-    // (shard 1 answers Unknown) aborts the orphan and clears the mark.
+  protected:
+    bool
+    onBothBackups() const
+    {
+        return std::string_view(GetParam()) == "both_backups";
+    }
+};
+
+TEST_P(MilanaRecovery, ReinstatedPreparedMarksBlockWritersUntilCtpResolves)
+{
+    // A two-shard transaction whose prepare record reached one or
+    // both of shard 0's backups before the primary crashed; shard 1
+    // never saw it. backups[0] is promoted and, whether it logged the
+    // record itself or learns it from its peer's table (Algorithm 2),
+    // re-instates the prepared mark: a conflicting prepare aborts
+    // WritePrepared until the CTP (shard 1 answers Unknown) aborts the
+    // orphan and clears the mark.
     Cluster cluster(smallConfig(2, 3, 1));
     cluster.populate();
     cluster.start();
@@ -808,15 +824,16 @@ TEST(Milana, ReinstatedPreparedMarksBlockWritersUntilCtpResolves)
     drive(cluster, [&]() -> sim::Task<void> {
         const semel::TxnId orphan{77, 1};
         semel::ReplicateTxnRecord rec;
-        rec.kind = semel::TxnRecordKind::Prepared;
         rec.txn = orphan;
         rec.commitVersion = common::Version{cluster.sim().now(), 77};
         rec.writeSet.push_back(semel::WriteSetEntry{key, "orphan"});
         rec.participants = {0, 1};
         const auto backups = cluster.master().backupsOf(0);
-        auto *logged = dynamic_cast<milana::MilanaServer *>(
-            cluster.directory().at(backups[1]));
-        EXPECT_TRUE(co_await logged->handleReplicateTxnRecord(rec));
+        for (std::size_t b = onBothBackups() ? 0 : 1; b < 2; ++b) {
+            auto *logged = dynamic_cast<milana::MilanaServer *>(
+                cluster.directory().at(backups[b]));
+            EXPECT_TRUE(co_await logged->handleReplicateTxnRecord(rec));
+        }
 
         cluster.crashServer(cluster.master().primaryOf(0));
         co_await cluster.failover(0, backups[0]);
@@ -844,6 +861,45 @@ TEST(Milana, ReinstatedPreparedMarksBlockWritersUntilCtpResolves)
         cluster.sim().requestStop();
     });
     EXPECT_GT(cluster.serverStats().counterValue("milana.ctp_aborts"), 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(RecordOn, MilanaRecovery,
+                         ::testing::Values("one_backup", "both_backups"));
+
+TEST(Milana, RecoveryCommitsLocallyLoggedSingleShardPrepare)
+{
+    // A single-shard prepare that reached only the backup about to be
+    // promoted before the primary crashed. Algorithm 2 treats a
+    // prepared single-shard transaction as committed, so recovery
+    // commits it before service resumes, not when the CTP times out.
+    Cluster cluster(smallConfig(1, 3, 1));
+    cluster.populate();
+    cluster.start();
+
+    drive(cluster, [&]() -> sim::Task<void> {
+        const semel::TxnId txn{77, 1};
+        semel::ReplicateTxnRecord rec;
+        rec.txn = txn;
+        rec.commitVersion = common::Version{cluster.sim().now(), 77};
+        rec.writeSet.push_back(semel::WriteSetEntry{5, "logged"});
+        rec.participants = {0};
+        const auto backups = cluster.master().backupsOf(0);
+        auto *promoted = dynamic_cast<milana::MilanaServer *>(
+            cluster.directory().at(backups[0]));
+        EXPECT_TRUE(co_await promoted->handleReplicateTxnRecord(rec));
+
+        cluster.crashServer(cluster.master().primaryOf(0));
+        co_await cluster.failover(0, backups[0]);
+        EXPECT_FALSE(promoted->recovering());
+        EXPECT_EQ(promoted->txnTable().statusOf(txn),
+                  semel::TxnStatus::Committed);
+        EXPECT_EQ(promoted->txnTable().size(), 0u);
+        EXPECT_EQ(promoted->latestCommitted(5), rec.commitVersion);
+        const ftl::GetResult got = co_await promoted->backend().getLatest(5);
+        EXPECT_EQ(got.version, rec.commitVersion);
+        EXPECT_EQ(got.value, "logged");
+        cluster.sim().requestStop();
+    });
 }
 
 TEST(Milana, UnreservedKeyTableGrowsWithoutChangingOutcomes)
@@ -924,4 +980,163 @@ TEST(Milana, UnreservedKeyTableGrowsWithoutChangingOutcomes)
     EXPECT_EQ(grown.votesAbort, reserved.votesAbort);
     EXPECT_GT(grown.votesCommit, 0u);
     EXPECT_GT(grown.votesAbort, 0u);
+}
+
+// ------------------------------------------------- transaction table
+
+TEST(TxnTable, RandomRecordsMatchReferenceModel)
+{
+    // Prepared, Committed and Aborted records of a sliding set of
+    // transactions, fed in any order and with duplicates (Figure 5),
+    // mixed with the primary's claim-then-resolve decisions. A plain
+    // map of what each transaction should look like is the reference.
+    using semel::TxnStatus;
+    struct Model
+    {
+        TxnStatus status;
+        bool live;
+        common::Version commitVersion;
+        std::vector<semel::WriteSetEntry> writeSet;
+        Time preparedAt;
+    };
+    // What every record of one transaction carries: its write set
+    // and stamp never change between records.
+    auto record_of = [](std::uint64_t serial, TxnStatus status,
+                        Time prepared_at) {
+        semel::ReplicateTxnRecord rec;
+        rec.txn = semel::TxnId{
+            static_cast<common::ClientId>(1 + serial % 3), serial};
+        rec.status = status;
+        rec.commitVersion =
+            common::Version{static_cast<Time>(1000 + serial), 1};
+        for (std::uint64_t w = 0; w <= serial % 4; ++w)
+            rec.writeSet.push_back(semel::WriteSetEntry{
+                serial * 10 + w, "v" + std::to_string(serial)});
+        rec.participants = {0, static_cast<common::ShardId>(serial % 2)};
+        rec.preparedAt = prepared_at;
+        return rec;
+    };
+    auto decide = [](Model &m, TxnStatus outcome) {
+        m.status = outcome;
+        m.live = false;
+        if (outcome == TxnStatus::Aborted)
+            m.writeSet.clear();
+    };
+
+    auto prepared_before = [](const std::map<semel::TxnId, Model> &m,
+                              Time deadline) {
+        std::vector<semel::TxnId> ids;
+        for (const auto &[txn, e] : m) {
+            if (e.live && e.status == TxnStatus::Prepared &&
+                e.preparedAt < deadline)
+                ids.push_back(txn);
+        }
+        return ids;
+    };
+
+    milana::TxnTable table;
+    std::map<semel::TxnId, Model> model;
+    std::size_t max_claimed = 0;
+    common::Rng rng(16);
+    // A window of 24 transactions sliding over the run: each gets a
+    // few records and decisions, and the last ones are still live.
+    constexpr std::uint64_t kSteps = 4000, kWindow = 24;
+    constexpr std::uint64_t kTxns = kSteps / 16 + kWindow;
+    for (std::uint64_t step = 0; step < kSteps; ++step) {
+        const std::uint64_t serial = step / 16 + rng.nextBounded(kWindow);
+        const Time at = static_cast<Time>(rng.nextBounded(1000));
+        const auto op = rng.nextBounded(12);
+        auto rec = record_of(serial, TxnStatus::Prepared, at);
+        const semel::TxnId id = rec.txn;
+        auto it = model.find(id);
+        if (op < 3) {
+            // The primary claims a prepared transaction (its status
+            // changes while it stays live), then later resolves it.
+            if (it == model.end() || !it->second.live)
+                continue;
+            Model &m = it->second;
+            if (m.status == TxnStatus::Prepared) {
+                m.status = op == 0 ? TxnStatus::Aborted
+                                   : TxnStatus::Committed;
+                table.findLive(id)->status = m.status;
+            } else {
+                EXPECT_EQ(table.resolve(id, m.status).status, m.status);
+                decide(m, m.status);
+            }
+        } else {
+            // A replicated record; aborted ones still carry a write
+            // set here, which the table must drop.
+            rec.status = op < 7   ? TxnStatus::Prepared
+                         : op < 9 ? TxnStatus::Committed
+                                  : TxnStatus::Aborted;
+            bool changes = false;
+            if (it == model.end()) {
+                changes = true;
+                Model m{rec.status, true, rec.commitVersion, rec.writeSet,
+                        at};
+                if (rec.status != TxnStatus::Prepared)
+                    decide(m, rec.status);
+                model.emplace(id, std::move(m));
+            } else if (it->second.live &&
+                       it->second.status == TxnStatus::Prepared &&
+                       rec.status != TxnStatus::Prepared) {
+                changes = true;
+                decide(it->second, rec.status);
+            }
+            const auto *stored = table.merge(std::move(rec));
+            ASSERT_EQ(stored != nullptr, changes) << "step " << step;
+        }
+        std::size_t live = 0, claimed = 0;
+        for (const auto &[txn, m] : model) {
+            live += m.live;
+            claimed += m.live && m.status != TxnStatus::Prepared;
+        }
+        max_claimed = std::max(max_claimed, claimed);
+        ASSERT_EQ(table.size(), live) << "step " << step;
+        ASSERT_EQ(table.preparedBefore(at), prepared_before(model, at))
+            << "step " << step;
+    }
+    EXPECT_GT(max_claimed, 0u);
+
+    std::size_t live = 0, decided = 0;
+    for (std::uint64_t serial = 0; serial < kTxns + 4; ++serial) {
+        const semel::TxnId id =
+            record_of(serial, TxnStatus::Prepared, 0).txn;
+        auto it = model.find(id);
+        if (it == model.end()) {
+            EXPECT_EQ(table.statusOf(id), TxnStatus::Unknown);
+            EXPECT_EQ(table.find(id), nullptr);
+            continue;
+        }
+        const Model &m = it->second;
+        EXPECT_EQ(table.statusOf(id), m.status) << serial;
+        EXPECT_EQ(table.findLive(id) != nullptr, m.live) << serial;
+        const auto *rec = table.find(id);
+        ASSERT_NE(rec, nullptr);
+        EXPECT_EQ(rec->commitVersion, m.commitVersion);
+        ASSERT_EQ(rec->writeSet.size(), m.writeSet.size()) << serial;
+        for (std::size_t w = 0; w < m.writeSet.size(); ++w) {
+            EXPECT_EQ(rec->writeSet[w].key, m.writeSet[w].key);
+            EXPECT_EQ(rec->writeSet[w].value, m.writeSet[w].value);
+        }
+        live += m.live;
+        decided += !m.live;
+    }
+    EXPECT_EQ(table.size(), live);
+    EXPECT_EQ(table.live().size(), live);
+    EXPECT_EQ(table.decided().size(), decided);
+    EXPECT_GT(table.preparedBefore(1000).size(), 0u);
+    EXPECT_GT(decided, 0u);
+
+    // A late duplicate prepare never brings a decided transaction back.
+    for (const auto &[txn, m] : model) {
+        if (m.live)
+            continue;
+        EXPECT_EQ(table.merge(record_of(txn.serial, TxnStatus::Prepared,
+                                        0)),
+                  nullptr);
+        EXPECT_EQ(table.statusOf(txn), m.status);
+    }
+    EXPECT_EQ(table.size(), live);
+    EXPECT_EQ(table.decided().size(), decided);
 }
