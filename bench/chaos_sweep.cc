@@ -7,7 +7,9 @@
  * Two oracles gate every cell:
  *  - correctness: zero InvariantMonitor violations (commit-timestamp
  *    monotonicity, snapshot reads, replication-before-ack, SSD queue
- *    bound) no matter what the fault does;
+ *    bound) no matter what the fault does, and no prepare or CTP
+ *    status query below a server's transaction-table truncation
+ *    horizon (DESIGN.md argues there is none);
  *  - availability: the abort rate may not degrade beyond a
  *    per-scenario bound over the fault-free baseline with the same
  *    workload and clock preset (crash-induced *failures* are reported
@@ -132,6 +134,10 @@ struct CellResult
     std::uint64_t clockSuspectAborts = 0;
     std::uint64_t faultActiveAborts = 0;
     std::uint64_t violations = 0;
+    /** Prepares and CTP status queries below a truncation horizon. */
+    std::uint64_t belowHorizon = 0;
+    /** Late replicated records the truncated table dropped. */
+    std::uint64_t lateMerges = 0;
 };
 
 CellResult
@@ -205,6 +211,11 @@ runCell(const CellSpec &spec, std::size_t cellIndex, std::uint64_t keys,
     r.faultActiveAborts =
         clients.counterValue("txn.fault_active_aborts");
     r.violations = monitor.violationCount();
+    r.belowHorizon =
+        servers.counterValue("milana.txn_table.below_horizon_prepare") +
+        servers.counterValue("milana.txn_table.below_horizon_status");
+    r.lateMerges =
+        servers.counterValue("milana.txn_table.below_horizon_merge");
     return r;
 }
 
@@ -285,6 +296,8 @@ main(int argc, char **argv)
     std::vector<bench::KvList> rows;
     std::uint64_t violations = 0;
     std::uint64_t breaches = 0;
+    std::uint64_t below_horizon = 0;
+    std::uint64_t late_merges = 0;
     for (std::size_t i = 0; i < cells.size(); ++i) {
         const CellSpec &spec = cells[i];
         const CellResult &r = results[i];
@@ -293,8 +306,11 @@ main(int argc, char **argv)
         const double bound = baseline ? 0.0 : spec.scenario->boundPp;
         const double degradation = r.abortPct - base;
         const bool boundOk = baseline || degradation <= bound;
-        const bool ok = boundOk && r.violations == 0;
+        const bool ok =
+            boundOk && r.violations == 0 && r.belowHorizon == 0;
         violations += r.violations;
+        below_horizon += r.belowHorizon;
+        late_merges += r.lateMerges;
         if (!boundOk)
             ++breaches;
 
@@ -333,12 +349,16 @@ main(int argc, char **argv)
             .set("pass", ok);
     }
 
-    const bool pass = violations == 0 && breaches == 0;
+    const bool pass =
+        violations == 0 && breaches == 0 && below_horizon == 0;
     std::printf("\n%zu cells; %llu invariant violations, %llu abort-"
-                "bound breaches -> %s\n",
+                "bound breaches, %llu below-horizon prepares/queries "
+                "(%llu late records dropped) -> %s\n",
                 cells.size(),
                 static_cast<unsigned long long>(violations),
                 static_cast<unsigned long long>(breaches),
+                static_cast<unsigned long long>(below_horizon),
+                static_cast<unsigned long long>(late_merges),
                 pass ? "PASS" : "FAIL");
 
     const std::string path = args.getString("json", "");

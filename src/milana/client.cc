@@ -242,6 +242,10 @@ MilanaClient::twoPhaseCommit(Transaction &txn, bool read_only)
         requestFor(key).readSet.push_back(ReadSetEntry{key, cached.observed});
     for (const auto &[key, value] : txn.writeSet_)
         requestFor(key).writeSet.push_back(semel::WriteSetEntry{key, value});
+    // Held below doneBelow() until the last decision returns; a
+    // read-only transaction has no decision phase.
+    inFlight_.push_back(InFlight{txn.id_.serial, commit_version.timestamp,
+                                 read_only ? 0 : participants.size()});
 
     // Lives in this frame: every voter arrives before the quorum wakes
     // us, and a voter's last act is its arrive().
@@ -322,15 +326,45 @@ MilanaClient::twoPhaseCommit(Transaction &txn, bool read_only)
             sim::spawn([](MilanaClient *self, MilanaServer *primary,
                           semel::DecisionRequest request)
                            -> sim::Task<void> {
-                (void)co_await
+                const auto resp = co_await
                     self->net_.callTyped<semel::DecisionResponse>(
                         self->nodeId(), primary->nodeId(),
                         primary->handleDecision(request));
+                self->decisionReturned(request.txn.serial,
+                                       resp.has_value());
             }(this, primary,
               semel::DecisionRequest{txn.id_, decision}));
         }
     }
+    if (read_only || participants.empty())
+        decisionReturned(txn.id_.serial, true); // no decision to wait for
     co_return result;
+}
+
+void
+MilanaClient::decisionReturned(std::uint64_t serial, bool delivered)
+{
+    auto it = std::find_if(inFlight_.begin(), inFlight_.end(),
+                           [serial](const InFlight &f) {
+                               return f.serial == serial;
+                           });
+    if (it == inFlight_.end())
+        PANIC("decision for a transaction that is not in flight");
+    if (!delivered)
+        lostDecisionBelow_ = std::min(lostDecisionBelow_, it->commit);
+    if (it->pending > 0 && --it->pending > 0)
+        return;
+    *it = inFlight_.back();
+    inFlight_.pop_back();
+}
+
+Time
+MilanaClient::doneBelow() const
+{
+    Time below = std::min(lastAcked(), lostDecisionBelow_);
+    for (const InFlight &f : inFlight_)
+        below = std::min(below, f.commit);
+    return below;
 }
 
 sim::Task<CommitResult>

@@ -22,8 +22,10 @@
 #ifndef MILANA_CLIENT_HH
 #define MILANA_CLIENT_HH
 
+#include <limits>
 #include <map>
 #include <optional>
+#include <vector>
 
 #include "common/small_vector.hh"
 #include "milana/server.hh"
@@ -163,6 +165,11 @@ class MilanaClient : public semel::Client
      *  section 4.4). */
     Time lastDecided() const { return lastAcked(); }
 
+    /** Truncation input: lastDecided(), or the commit stamp of a
+     *  transaction whose prepares or decisions are still in flight, or
+     *  of one whose decision RPC was lost, whichever is oldest. */
+    Time doneBelow() const override;
+
     /** Chaos awareness (may be null): prepare failures that happen
      *  while a fault window is active are reported as Timeout rather
      *  than PrepareFailed, and non-committed outcomes tag the txn
@@ -181,8 +188,23 @@ class MilanaClient : public semel::Client
     sim::Task<CommitResult> twoPhaseCommit(Transaction &txn,
                                            bool read_only);
 
+    /** One decision RPC of transaction @p serial came back (or was
+     *  lost, which pins doneBelow() at its stamp for good). */
+    void decisionReturned(std::uint64_t serial, bool delivered);
+
     TxnConfig tcfg_;
     const common::ChaosEngine *chaos_ = nullptr;
+    /** A transaction from its commit stamp until its last decision RPC
+     *  returns: its prepares, then `pending` decisions, are in flight. */
+    struct InFlight
+    {
+        std::uint64_t serial;
+        Time commit;
+        std::size_t pending;
+    };
+    std::vector<InFlight> inFlight_;
+    /** Oldest commit stamp whose decision RPC was lost. */
+    Time lostDecisionBelow_ = std::numeric_limits<Time>::max();
     std::uint64_t nextSerial_ = 1;
     /** Inter-transaction read cache (insertion-order bounded). */
     std::map<Key, Transaction::CachedRead> interTxnCache_;

@@ -221,6 +221,17 @@ MilanaServer::handlePrepare(PrepareRequest request)
     for (const auto &write : request.writeSet)
         co_await ensureKeyState(write.key);
 
+    // A prepare below the truncation horizon could be a duplicate of a
+    // transaction whose record is gone: vote it down. DESIGN.md argues
+    // that no client sends one.
+    if (request.commitVersion.timestamp < txns_.horizon()) {
+        stats_.counter("milana.txn_table.below_horizon_prepare").inc();
+        resp.vote = Vote::Abort;
+        resp.reason = semel::AbortReason::PrepareFailed;
+        span.setTag("below_horizon");
+        co_return resp;
+    }
+
     // Idempotent retransmissions. Nothing below suspends until the
     // prepare is in the table, so it is checked once, here.
     switch (txns_.statusOf(request.txn)) {
@@ -393,6 +404,10 @@ MilanaServer::handleDecision(DecisionRequest request)
 sim::Task<TxnStatusResponse>
 MilanaServer::handleTxnStatus(TxnStatusRequest request)
 {
+    // Below the horizon the answer may come from a truncated record;
+    // DESIGN.md argues that no CTP asks there.
+    if (request.commitVersion.timestamp < txns_.horizon())
+        stats_.counter("milana.txn_table.below_horizon_status").inc();
     TxnStatusResponse resp;
     resp.status = txns_.statusOf(request.txn);
     co_return resp;
@@ -419,20 +434,31 @@ MilanaServer::replicateTxnRecord(const ReplicateTxnRecord &record,
     const auto needed = std::min<std::uint32_t>(
         config_.backupAcksNeeded,
         static_cast<std::uint32_t>(backups_.size()));
+    // The quorum answers the caller. An outcome may be truncated only
+    // once every backup has acked it (DESIGN.md section 7).
+    const auto all_backups =
+        record.status == semel::TxnStatus::Prepared
+            ? 0
+            : static_cast<std::uint32_t>(backups_.size());
     auto quorum = std::make_shared<sim::Quorum>(sim_, needed);
     for (semel::Server *backup : backups_) {
         auto *mb = dynamic_cast<MilanaServer *>(backup);
         if (mb == nullptr)
             PANIC("milana primary wired to a non-milana backup");
         sim::spawn([](MilanaServer *self, MilanaServer *backup,
-                      ReplicateTxnRecord rec,
+                      ReplicateTxnRecord rec, std::uint32_t all_backups,
                       std::shared_ptr<sim::Quorum> q) -> sim::Task<void> {
+            const TxnId txn = rec.txn;
             auto ok = co_await self->net_.callTyped<bool>(
                 self->id_, backup->nodeId(),
-                backup->handleReplicateTxnRecord(std::move(rec)));
-            if (ok.has_value() && *ok)
+                backup->handleReplicateTxnRecord(std::move(rec),
+                                                 self->txns_.horizon()));
+            if (ok.has_value() && *ok) {
                 q->arrive();
-        }(this, mb, record, quorum));
+                if (q->arrived() == all_backups)
+                    self->txns_.noteReplicated(txn);
+            }
+        }(this, mb, record, all_backups, quorum));
     }
     if (wait_quorum) {
         co_await quorum->wait();
@@ -469,12 +495,20 @@ MilanaServer::barrierBackups()
 }
 
 sim::Task<bool>
-MilanaServer::handleReplicateTxnRecord(ReplicateTxnRecord record)
+MilanaServer::handleReplicateTxnRecord(ReplicateTxnRecord record,
+                                       Time horizon)
 {
     stats_.counter("milana.replica_records").inc();
+    // The primary's horizon rides on every record; the next CTP scan
+    // truncates at it.
+    primaryHorizon_ = std::max(primaryHorizon_, horizon);
     // Fold the record into the table (the persistent-memory log
-    // write); records may arrive in any order (Figure 5).
+    // write); records may arrive in any order (Figure 5), and one
+    // below the horizon is a late duplicate the table drops.
+    if (record.commitVersion.timestamp < txns_.horizon())
+        stats_.counter("milana.txn_table.below_horizon_merge").inc();
     record.preparedAt = sim_.now();
+    record.replicated = false;
     const ReplicateTxnRecord *stored = txns_.merge(std::move(record));
     if (stored != nullptr && stored->status == semel::TxnStatus::Committed) {
         // Apply the committed writes to local storage, asynchronously:
@@ -561,6 +595,7 @@ MilanaServer::resolveOrphan(TxnId txn)
     stats_.counter("milana.ctp_invocations").inc();
     // Copy: the entry is not read across the suspensions below.
     const std::vector<common::ShardId> participants = entry->participants;
+    const TxnStatusRequest query{txn, entry->commitVersion};
 
     bool saw_commit = false;
     bool saw_abort_or_unknown = false;
@@ -573,9 +608,8 @@ MilanaServer::resolveOrphan(TxnId txn)
             directory_.at(master_.primaryOf(participant)));
         if (peer == nullptr)
             PANIC("participant shard " << participant << " has no server");
-        TxnStatusRequest req{txn};
         auto resp = co_await net_.callTyped<TxnStatusResponse>(
-            id_, peer->nodeId(), peer->handleTxnStatus(req));
+            id_, peer->nodeId(), peer->handleTxnStatus(query));
         if (!resp.has_value()) {
             undeterminable = true; // peer unreachable; stay blocked
             continue;
@@ -635,8 +669,22 @@ MilanaServer::ctpScanLoop()
 {
     while (!sim_.stopRequested()) {
         co_await sim::sleepFor(sim_, mcfg_.ctpScanPeriod);
+        // Never while recovering: recoverAsPrimary holds references
+        // into the table across suspensions.
         if (recovering_)
             continue;
+        // A backup truncates at its primary's horizon and leaves its
+        // live records to the primary: one may lie below other shards'
+        // horizons (its outcome was lost on the way), so it must not
+        // run the CTP.
+        if (master_.primaryOf(shard_) != id_) {
+            pruned_ += txns_.truncate(primaryHorizon_, false);
+            continue;
+        }
+        // H = min(H_txn, H_repl): below H_txn every client has had all
+        // its decisions delivered; below H_repl there is no live record
+        // and every backup holds every outcome (DESIGN.md section 7).
+        pruned_ += txns_.truncate(decidedBelow(), !backups_.empty());
         const Time deadline = sim_.now() - mcfg_.ctpTimeout;
         for (const TxnId &txn : txns_.preparedBefore(deadline))
             co_await resolveOrphan(txn);
@@ -680,6 +728,7 @@ MilanaServer::recoverAsPrimary()
             continue; // crashed replica
         for (ReplicateTxnRecord &record : pull->records) {
             record.preparedAt = sim_.now();
+            record.replicated = false;
             (void)txns_.merge(std::move(record));
         }
         max_lease = std::max(max_lease, pull->maxLeaseGranted);
@@ -691,8 +740,10 @@ MilanaServer::recoverAsPrimary()
     prepared_.clear();
 
     // Re-apply committed writes: backend puts are idempotent per
-    // version. Records are never erased, so the reference survives
-    // the puts' suspensions.
+    // version. Truncated transactions need none: every replica holds
+    // and has applied their outcomes. No record is erased while
+    // recovering_ is set, so the reference survives the puts'
+    // suspensions.
     for (const auto &[txn, record] : txns_.decided()) {
         if (record.status != semel::TxnStatus::Committed)
             continue;

@@ -23,6 +23,8 @@
  * its transaction table and applies committed write sets; a promoted
  * backup merges the tables of the reachable replicas into its own
  * (Algorithm 2) and waits out the old primary's lease before serving.
+ * Every replica truncates its table below the horizon its shard's
+ * primary computes (DESIGN.md section 7).
  */
 
 #ifndef MILANA_SERVER_HH
@@ -102,8 +104,11 @@ class MilanaServer : public semel::Server
     sim::Task<TxnStatusResponse> handleTxnStatus(TxnStatusRequest request);
 
     /** Backup side: fold a replicated record into the transaction
-     *  table; apply committed write sets. Order-insensitive. */
-    sim::Task<bool> handleReplicateTxnRecord(ReplicateTxnRecord record);
+     *  table; apply committed write sets. Order-insensitive. @p horizon
+     *  is the primary's truncation horizon, which this replica adopts
+     *  at its next CTP scan. */
+    sim::Task<bool> handleReplicateTxnRecord(ReplicateTxnRecord record,
+                                             Time horizon);
 
     /** Backup side: grant a read lease to the primary. */
     sim::Task<Time> handleLeaseGrant(Time until);
@@ -136,6 +141,8 @@ class MilanaServer : public semel::Server
     // ---------------------------------------------------- inspection
 
     const TxnTable &txnTable() const { return txns_; }
+    /** Records truncated from the transaction table so far. */
+    std::uint64_t txnRecordsPruned() const { return pruned_; }
     /** The key's prepared-but-undecided version, if it is marked. */
     std::optional<Version> preparedVersion(Key key) const;
     bool recovering() const { return recovering_; }
@@ -197,6 +204,9 @@ class MilanaServer : public semel::Server
 
     /** Transaction table; also this replica's log. */
     TxnTable txns_;
+    /** Backup: newest truncation horizon its primary sent. */
+    Time primaryHorizon_ = 0;
+    std::uint64_t pruned_ = 0;
     /** ts_prepared and owner of each key whose slot has kPrepared. */
     ftl::KeyTable<PreparedSlot> prepared_;
 

@@ -1,5 +1,7 @@
 #include "milana/txn_table.hh"
 
+#include <algorithm>
+
 #include "common/logging.hh"
 
 namespace milana {
@@ -7,7 +9,8 @@ namespace milana {
 const TxnTable::Record *
 TxnTable::merge(Record record)
 {
-    if (decided_.contains(record.txn))
+    if (record.commitVersion.timestamp < horizon_ ||
+        decided_.contains(record.txn))
         return nullptr;
     const TxnId txn = record.txn;
     const TxnStatus status = record.status;
@@ -53,7 +56,11 @@ TxnTable::resolve(const TxnId &txn, TxnStatus outcome)
     // Recovery re-applies committed writes and nothing else.
     if (outcome == TxnStatus::Aborted)
         record.writeSet = std::vector<semel::WriteSetEntry>();
-    return decided_.insert(std::move(node)).position->second;
+    const Time commit = record.commitVersion.timestamp;
+    const Records::iterator it = decided_.insert(std::move(node)).position;
+    expiry_.push_back(Expiry{commit, it});
+    std::push_heap(expiry_.begin(), expiry_.end(), Expiry::later);
+    return it->second;
 }
 
 TxnStatus
@@ -73,6 +80,35 @@ TxnTable::preparedBefore(Time deadline) const
             stale.push_back(id);
     }
     return stale;
+}
+
+void
+TxnTable::noteReplicated(const TxnId &txn)
+{
+    auto it = decided_.find(txn);
+    if (it != decided_.end())
+        it->second.replicated = true;
+}
+
+std::size_t
+TxnTable::truncate(Time limit, bool need_replicated)
+{
+    for (const auto &[id, record] : live_)
+        limit = std::min(limit, record.commitVersion.timestamp);
+    std::size_t dropped = 0;
+    while (!expiry_.empty() && expiry_.front().commit < limit) {
+        const Records::iterator it = expiry_.front().record;
+        if (need_replicated && !it->second.replicated) {
+            limit = expiry_.front().commit;
+            break;
+        }
+        std::pop_heap(expiry_.begin(), expiry_.end(), Expiry::later);
+        expiry_.pop_back();
+        decided_.erase(it);
+        ++dropped;
+    }
+    horizon_ = std::max(horizon_, limit);
+    return dropped;
 }
 
 } // namespace milana

@@ -8,6 +8,13 @@
  * scan walks); `decided_` holds outcomes, keeping write sets only for
  * commits, which a promoted backup re-applies (Algorithm 2).
  *
+ * `decided_` is truncated at a horizon H (DESIGN.md section 7): below
+ * H every participant primary has decided the transaction and every
+ * replica of this shard holds the outcome, so no CTP query, late
+ * duplicate or recovery can refer to it. The table keeps only the
+ * transactions of the last few hundred milliseconds, and a record
+ * stamped below H never comes back.
+ *
  * Per active key the primary keeps, in DRAM only:
  *   - ts_latestRead:      newest begin-timestamp that read the key;
  *   - ts_prepared:        the (single) prepared-but-undecided write;
@@ -49,7 +56,9 @@ class TxnTable
      * Fold in a record, in any order and any number of times: a
      * prepare of an unknown transaction goes live, an outcome beats a
      * prepare, and a decided transaction is left alone, as is a live
-     * one a decider has claimed (set its status) and will resolve.
+     * one a decider has claimed (set its status) and will resolve. A
+     * record stamped below the horizon is dropped: its transaction was
+     * decided everywhere and may already be truncated (at-most-once).
      * Returns the stored record when @p record changed the table,
      * else nullptr.
      */
@@ -77,9 +86,43 @@ class TxnTable
     const Records &live() const { return live_; }
     const Records &decided() const { return decided_; }
 
+    /** Every backup acknowledged a decided transaction's outcome (a
+     *  truncated one is ignored). */
+    void noteReplicated(const TxnId &txn);
+
+    /** Commit timestamps below this are truncated. */
+    Time horizon() const { return horizon_; }
+
+    /**
+     * Raise the horizon towards @p limit and drop the decided records
+     * below it, oldest first. The horizon never passes a live record,
+     * nor, when @p need_replicated (a primary with backups), a decided
+     * one not yet noteReplicated(), and it never falls. Returns how
+     * many records went.
+     */
+    std::size_t truncate(Time limit, bool need_replicated);
+
   private:
+    /** A decided record, ordered by commit timestamp for truncate(). */
+    struct Expiry
+    {
+        Time commit;
+        Records::iterator record;
+
+        /** Heap order: the oldest commit on top. */
+        static bool
+        later(const Expiry &a, const Expiry &b)
+        {
+            return a.commit > b.commit;
+        }
+    };
+
     Records live_;
     Records decided_;
+    /** Min-heap on commit timestamp over every record in decided_: the
+     *  truncation walks only the records it drops. */
+    std::vector<Expiry> expiry_;
+    Time horizon_ = 0;
 };
 
 /**

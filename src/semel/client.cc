@@ -122,11 +122,12 @@ Client::watermarkLoop()
         const Time report = lastAcked_;
         if (report == 0)
             continue;
+        const Time done = doneBelow();
         for (const auto &[node, server] : directory_.all()) {
             Server *srv = server;
             const ClientId cid = clientId_;
-            net_.send(node_, node, [srv, cid, report] {
-                srv->handleWatermarkReport(cid, report);
+            net_.send(node_, node, [srv, cid, report, done] {
+                srv->handleWatermarkReport(cid, report, done);
             });
         }
     }

@@ -62,6 +62,11 @@ class Client
     /** Timestamp of the last acknowledged operation. */
     Time lastAcked() const { return lastAcked_; }
 
+    /** Reported with lastAcked(): no operation of this client stamped
+     *  below it still awaits a reply. Plain SEMEL operations complete
+     *  when acknowledged, so it is lastAcked(). */
+    virtual Time doneBelow() const { return lastAcked_; }
+
     common::StatSet &stats() { return stats_; }
 
     /** Trace emission handle; disabled until the cluster attaches it. */

@@ -218,6 +218,9 @@ struct DecisionResponse
 struct TxnStatusRequest
 {
     TxnId txn;
+    /** The asker's stamp of the transaction: lets the answering
+     *  server tell a query below its truncation horizon. */
+    Version commitVersion;
 };
 
 enum class TxnStatus : std::uint8_t
@@ -237,6 +240,9 @@ struct ReplicateTxnRecord
 {
     TxnId txn;
     TxnStatus status = TxnStatus::Prepared;
+    /** Local, not replicated state (it fills padding here): on a
+     *  primary, every backup acknowledged this outcome record. */
+    bool replicated = false;
     Version commitVersion;
     std::vector<WriteSetEntry> writeSet;
     std::vector<ShardId> participants;

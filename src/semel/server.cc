@@ -197,16 +197,22 @@ Server::handleReplicateWrite(ReplicateWrite msg)
 }
 
 void
-Server::handleWatermarkReport(ClientId client, Time timestamp)
+Server::handleWatermarkReport(ClientId client, Time timestamp,
+                              Time done_below)
 {
-    auto &latest = clientReports_[client];
-    latest = std::max(latest, timestamp);
+    ClientReport &latest = clientReports_[client];
+    latest.acked = std::max(latest.acked, timestamp);
+    latest.doneBelow = std::max(latest.doneBelow, done_below);
     if (config_.expectedClients == 0 ||
         clientReports_.size() < config_.expectedClients)
         return;
     Time min_ts = std::numeric_limits<Time>::max();
-    for (const auto &[c, t] : clientReports_)
-        min_ts = std::min(min_ts, t);
+    Time min_done = std::numeric_limits<Time>::max();
+    for (const auto &[c, report] : clientReports_) {
+        min_ts = std::min(min_ts, report.acked);
+        min_done = std::min(min_done, report.doneBelow);
+    }
+    decidedBelow_ = std::max(decidedBelow_, min_done);
     if (min_ts > watermark_) {
         watermark_ = min_ts;
         backend_.setWatermark(watermark_);

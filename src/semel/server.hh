@@ -19,7 +19,9 @@
  * Watermarks (section 3.1): clients periodically report the timestamp
  * of their last acknowledged operation; once every expected client has
  * reported, the minimum becomes the GC watermark handed to the
- * backend.
+ * backend. The same report carries a second stamp, below which the
+ * client has no transaction whose decisions are still in flight; its
+ * minimum bounds a MILANA server's transaction-table truncation.
  */
 
 #ifndef SEMEL_SERVER_HH
@@ -127,8 +129,10 @@ class Server
     /** Backup side: apply one replicated write, in any order. */
     sim::Task<bool> handleReplicateWrite(ReplicateWrite msg);
 
-    /** Client watermark report (one-way). */
-    void handleWatermarkReport(ClientId client, Time timestamp);
+    /** Client watermark report (one-way): the client's last
+     *  acknowledged stamp and its Client::doneBelow(). */
+    void handleWatermarkReport(ClientId client, Time timestamp,
+                               Time done_below);
 
     // ---------------------------------------------------- inspection
 
@@ -139,6 +143,11 @@ class Server
     const KeyTable &keyTable() const { return keys_; }
 
     Time watermark() const { return watermark_; }
+
+    /** Minimum of the expected clients' doneBelow reports (0 until all
+     *  have reported): every transaction stamped below it has had its
+     *  decision delivered to every participant primary. */
+    Time decidedBelow() const { return decidedBelow_; }
 
     common::StatSet &stats() { return stats_; }
 
@@ -173,9 +182,15 @@ class Server
     /** Core pool for the request-processing cost model. */
     std::unique_ptr<sim::Semaphore> cpu_;
 
+    struct ClientReport
+    {
+        Time acked = 0;
+        Time doneBelow = 0;
+    };
     /** Latest report per client; min over all = watermark. */
-    std::map<ClientId, Time> clientReports_;
+    std::map<ClientId, ClientReport> clientReports_;
     Time watermark_ = 0;
+    Time decidedBelow_ = 0;
 
     common::StatSet stats_;
     common::Tracer trace_;

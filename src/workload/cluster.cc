@@ -252,6 +252,17 @@ Cluster::attachMetrics()
     for (std::size_t i = 0; i < servers_.size(); ++i) {
         const common::NodeId node = servers_[i]->nodeId();
         m.addStatSet("server.", node, servers_[i]->stats());
+        // Held and truncated transaction-table records: the soak check
+        // reads these to see server state plateau.
+        const milana::MilanaServer *server = servers_[i].get();
+        m.addGauge("milana.txn_table.records", node, [server] {
+            return static_cast<double>(
+                server->txnTable().live().size() +
+                server->txnTable().decided().size());
+        });
+        m.addGauge("milana.txn_table.pruned", node, [server] {
+            return static_cast<double>(server->txnRecordsPruned());
+        });
         if (devices_[i] != nullptr) {
             flash::SsdDevice *dev = devices_[i].get();
             m.addStatSet("flash.", node, dev->stats());

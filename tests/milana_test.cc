@@ -832,7 +832,7 @@ TEST_P(MilanaRecovery, ReinstatedPreparedMarksBlockWritersUntilCtpResolves)
         for (std::size_t b = onBothBackups() ? 0 : 1; b < 2; ++b) {
             auto *logged = dynamic_cast<milana::MilanaServer *>(
                 cluster.directory().at(backups[b]));
-            EXPECT_TRUE(co_await logged->handleReplicateTxnRecord(rec));
+            EXPECT_TRUE(co_await logged->handleReplicateTxnRecord(rec, 0));
         }
 
         cluster.crashServer(cluster.master().primaryOf(0));
@@ -886,7 +886,7 @@ TEST(Milana, RecoveryCommitsLocallyLoggedSingleShardPrepare)
         const auto backups = cluster.master().backupsOf(0);
         auto *promoted = dynamic_cast<milana::MilanaServer *>(
             cluster.directory().at(backups[0]));
-        EXPECT_TRUE(co_await promoted->handleReplicateTxnRecord(rec));
+        EXPECT_TRUE(co_await promoted->handleReplicateTxnRecord(rec, 0));
 
         cluster.crashServer(cluster.master().primaryOf(0));
         co_await cluster.failover(0, backups[0]);
@@ -900,6 +900,155 @@ TEST(Milana, RecoveryCommitsLocallyLoggedSingleShardPrepare)
         EXPECT_EQ(got.value, "logged");
         cluster.sim().requestStop();
     });
+}
+
+namespace {
+
+/** One key of each of a two-shard cluster's shards. */
+std::pair<Key, Key>
+keyPerShard(Cluster &cluster)
+{
+    Key key_a = 0, key_b = 0;
+    for (Key k = 0; k < 100; ++k) {
+        if (cluster.master().shardMap().shardOf(k) == 0)
+            key_a = k;
+        else
+            key_b = k;
+    }
+    return {key_a, key_b};
+}
+
+milana::MilanaServer *
+serverAt(Cluster &cluster, common::NodeId node)
+{
+    return dynamic_cast<milana::MilanaServer *>(
+        cluster.directory().at(node));
+}
+
+} // namespace
+
+TEST(Milana, OutcomeKeptUntilEveryBackupAcks)
+{
+    // A two-shard commit whose outcome record never reaches one of
+    // shard 0's backups: its link to the primary is cut as the commit
+    // returns, after its prepare copy left. Shard 1 truncates the
+    // transaction once the client's decisions are in and its backups
+    // hold the outcome. Shard 0 must keep it on the primary and the
+    // other backup: the lagging backup holds only the prepare, and
+    // once promoted it would ask shard 1 (Unknown) and abort a
+    // committed transaction if no peer still held the outcome.
+    Cluster cluster(smallConfig(2, 3, 1));
+    cluster.populate();
+    cluster.start();
+    const auto [key_a, key_b] = keyPerShard(cluster);
+
+    bool finished = false;
+    drive(cluster, [&]() -> sim::Task<void> {
+        auto &client = cluster.client(0);
+        const common::NodeId primary = cluster.master().primaryOf(0);
+        const auto backups = cluster.master().backupsOf(0);
+        const common::NodeId lagging = backups[1];
+        auto txn = client.beginTransaction();
+        client.put(txn, key_a, "kept");
+        client.put(txn, key_b, "kept");
+        const semel::TxnId id = txn.id();
+        EXPECT_EQ(co_await client.commitTransaction(txn),
+                  CommitResult::Committed);
+        cluster.network().setLinkBroken(primary, lagging, true);
+
+        // Fifty CTP scans and ten watermark reports later.
+        co_await sim::sleepFor(cluster.sim(), kSecond);
+        EXPECT_GT(cluster.primary(1).txnRecordsPruned(), 0u);
+        EXPECT_EQ(cluster.primary(1).txnTable().statusOf(id),
+                  semel::TxnStatus::Unknown);
+        EXPECT_EQ(cluster.primary(0).txnTable().statusOf(id),
+                  semel::TxnStatus::Committed);
+        EXPECT_EQ(serverAt(cluster, backups[0])->txnTable().statusOf(id),
+                  semel::TxnStatus::Committed);
+        EXPECT_EQ(serverAt(cluster, lagging)->txnTable().statusOf(id),
+                  semel::TxnStatus::Prepared);
+
+        cluster.crashServer(primary);
+        co_await cluster.failover(0, lagging);
+        EXPECT_EQ(serverAt(cluster, lagging)->txnTable().statusOf(id),
+                  semel::TxnStatus::Committed);
+        auto check = client.beginTransaction();
+        const auto read = co_await client.get(check, key_a);
+        EXPECT_TRUE(read.ok);
+        EXPECT_EQ(read.value, "kept");
+        (void)co_await client.commitTransaction(check);
+        finished = true;
+        cluster.sim().requestStop();
+    });
+    EXPECT_TRUE(finished);
+    const common::StatSet servers = cluster.serverStats();
+    EXPECT_EQ(servers.counterValue("milana.txn_table.below_horizon_status"),
+              0u);
+    EXPECT_EQ(servers.counterValue("milana.ctp_aborts"), 0u);
+}
+
+TEST(Milana, LateDecisionPinsHorizon)
+{
+    // The client's decision to shard 1 is lost: its link to shard 1's
+    // primary is cut while the prepares are out. Shard 0 hears the
+    // decision and truncates an earlier transaction, but keeps this
+    // one, which the client's reports now pin: shard 1's CTP asks
+    // for it once its prepare times out, and must hear Committed.
+    Cluster cluster(smallConfig(2, 1, 1));
+    cluster.populate();
+    cluster.start();
+    const auto [key_a, key_b] = keyPerShard(cluster);
+
+    bool finished = false;
+    drive(cluster, [&]() -> sim::Task<void> {
+        auto &client = cluster.client(0);
+        auto first = client.beginTransaction();
+        client.put(first, key_a, "first");
+        const semel::TxnId first_id = first.id();
+        EXPECT_EQ(co_await client.commitTransaction(first),
+                  CommitResult::Committed);
+
+        auto txn = client.beginTransaction();
+        client.put(txn, key_a, "late");
+        client.put(txn, key_b, "late");
+        const semel::TxnId id = txn.id();
+        sim::spawn([](MilanaClient *client,
+                      Transaction *txn) -> sim::Task<void> {
+            EXPECT_EQ(co_await client->commitTransaction(*txn),
+                      CommitResult::Committed);
+        }(&client, &txn));
+        // 60 us: both prepares left (one way ~50 us), no vote is back.
+        co_await sim::sleepFor(cluster.sim(), 60 * common::kMicrosecond);
+        const common::NodeId shard1 = cluster.master().primaryOf(1);
+        cluster.network().setLinkBrokenOneWay(client.nodeId(), shard1,
+                                              true);
+
+        co_await sim::sleepFor(cluster.sim(), 500 * kMillisecond);
+        const auto *kept = cluster.primary(0).txnTable().find(id);
+        EXPECT_NE(kept, nullptr);
+        if (kept != nullptr) {
+            EXPECT_EQ(kept->status, semel::TxnStatus::Committed);
+            EXPECT_LE(client.doneBelow(), kept->commitVersion.timestamp);
+        }
+        EXPECT_EQ(cluster.primary(0).txnTable().statusOf(first_id),
+                  semel::TxnStatus::Unknown);
+        EXPECT_EQ(cluster.primary(1).txnTable().statusOf(id),
+                  semel::TxnStatus::Committed);
+
+        cluster.network().setLinkBrokenOneWay(client.nodeId(), shard1,
+                                              false);
+        auto check = client.beginTransaction();
+        const auto read = co_await client.get(check, key_b);
+        EXPECT_EQ(read.value, "late");
+        (void)co_await client.commitTransaction(check);
+        finished = true;
+        cluster.sim().requestStop();
+    });
+    EXPECT_TRUE(finished);
+    const common::StatSet servers = cluster.serverStats();
+    EXPECT_GT(servers.counterValue("milana.ctp_commits"), 0u);
+    EXPECT_EQ(servers.counterValue("milana.txn_table.below_horizon_status"),
+              0u);
 }
 
 TEST(Milana, UnreservedKeyTableGrowsWithoutChangingOutcomes)
@@ -988,8 +1137,12 @@ TEST(TxnTable, RandomRecordsMatchReferenceModel)
 {
     // Prepared, Committed and Aborted records of a sliding set of
     // transactions, fed in any order and with duplicates (Figure 5),
-    // mixed with the primary's claim-then-resolve decisions. A plain
-    // map of what each transaction should look like is the reference.
+    // mixed with the primary's claim-then-resolve decisions and a
+    // truncation horizon rising just behind the window (never past a
+    // live transaction). A plain map of what each transaction should
+    // look like is the reference: decided transactions below the
+    // horizon vanish from it, and a record below the horizon never
+    // changes it.
     using semel::TxnStatus;
     struct Model
     {
@@ -1036,7 +1189,8 @@ TEST(TxnTable, RandomRecordsMatchReferenceModel)
 
     milana::TxnTable table;
     std::map<semel::TxnId, Model> model;
-    std::size_t max_claimed = 0;
+    std::size_t max_claimed = 0, pruned = 0, dropped_late = 0;
+    Time horizon = 0;
     common::Rng rng(16);
     // A window of 24 transactions sliding over the run: each gets a
     // few records and decisions, and the last ones are still live.
@@ -1045,11 +1199,30 @@ TEST(TxnTable, RandomRecordsMatchReferenceModel)
     for (std::uint64_t step = 0; step < kSteps; ++step) {
         const std::uint64_t serial = step / 16 + rng.nextBounded(kWindow);
         const Time at = static_cast<Time>(rng.nextBounded(1000));
-        const auto op = rng.nextBounded(12);
+        const auto op = rng.nextBounded(13);
         auto rec = record_of(serial, TxnStatus::Prepared, at);
         const semel::TxnId id = rec.txn;
         auto it = model.find(id);
-        if (op < 3) {
+        if (op == 12) {
+            // The horizon heads for just past the window's oldest few
+            // serials but stops at a live transaction, so later records
+            // of the oldest ones arrive below it.
+            const Time limit = static_cast<Time>(1000 + step / 16 + 4);
+            Time h = limit;
+            for (const auto &[txn, m] : model) {
+                if (m.live)
+                    h = std::min(h, m.commitVersion.timestamp);
+            }
+            horizon = std::max(horizon, h);
+            const std::size_t gone =
+                std::erase_if(model, [horizon](const auto &entry) {
+                    return !entry.second.live &&
+                           entry.second.commitVersion.timestamp < horizon;
+                });
+            ASSERT_EQ(table.truncate(limit, false), gone) << "step " << step;
+            ASSERT_EQ(table.horizon(), horizon);
+            pruned += gone;
+        } else if (op < 3) {
             // The primary claims a prepared transaction (its status
             // changes while it stays live), then later resolves it.
             if (it == model.end() || !it->second.live)
@@ -1070,7 +1243,14 @@ TEST(TxnTable, RandomRecordsMatchReferenceModel)
                          : op < 9 ? TxnStatus::Committed
                                   : TxnStatus::Aborted;
             bool changes = false;
-            if (it == model.end()) {
+            // A record below the horizon is late: the table drops it,
+            // live or decided, and never brings a truncated
+            // transaction back.
+            const bool late = rec.commitVersion.timestamp < horizon;
+            dropped_late += late;
+            if (late) {
+                // No change.
+            } else if (it == model.end()) {
                 changes = true;
                 Model m{rec.status, true, rec.commitVersion, rec.writeSet,
                         at};
@@ -1085,6 +1265,9 @@ TEST(TxnTable, RandomRecordsMatchReferenceModel)
             }
             const auto *stored = table.merge(std::move(rec));
             ASSERT_EQ(stored != nullptr, changes) << "step " << step;
+            if (late && it == model.end()) {
+                ASSERT_EQ(table.find(id), nullptr) << "step " << step;
+            }
         }
         std::size_t live = 0, claimed = 0;
         for (const auto &[txn, m] : model) {
@@ -1097,6 +1280,8 @@ TEST(TxnTable, RandomRecordsMatchReferenceModel)
             << "step " << step;
     }
     EXPECT_GT(max_claimed, 0u);
+    EXPECT_GT(pruned, 0u);
+    EXPECT_GT(dropped_late, 0u);
 
     std::size_t live = 0, decided = 0;
     for (std::uint64_t serial = 0; serial < kTxns + 4; ++serial) {
@@ -1127,6 +1312,7 @@ TEST(TxnTable, RandomRecordsMatchReferenceModel)
     EXPECT_EQ(table.decided().size(), decided);
     EXPECT_GT(table.preparedBefore(1000).size(), 0u);
     EXPECT_GT(decided, 0u);
+    EXPECT_LT(decided + live + pruned, kTxns);
 
     // A late duplicate prepare never brings a decided transaction back.
     for (const auto &[txn, m] : model) {
@@ -1139,4 +1325,49 @@ TEST(TxnTable, RandomRecordsMatchReferenceModel)
     }
     EXPECT_EQ(table.size(), live);
     EXPECT_EQ(table.decided().size(), decided);
+}
+
+TEST(TxnTable, HorizonWaitsForLiveAndUnreplicatedRecords)
+{
+    // On a primary the horizon stops at a live record and at a decided
+    // one that not every backup has acked (H_repl). Truncation drops
+    // the decided records below it, and the horizon never falls.
+    using semel::TxnStatus;
+    auto prepare = [](std::uint64_t serial, Time stamp) {
+        semel::ReplicateTxnRecord rec;
+        rec.txn = semel::TxnId{1, serial};
+        rec.commitVersion = common::Version{stamp, 1};
+        rec.writeSet.push_back(semel::WriteSetEntry{serial, "v"});
+        rec.participants = {0};
+        return rec;
+    };
+    milana::TxnTable table;
+    const semel::TxnId a{1, 1}, b{1, 2}, c{1, 3};
+    ASSERT_NE(table.merge(prepare(1, 100)), nullptr);
+    ASSERT_NE(table.merge(prepare(2, 200)), nullptr);
+    ASSERT_NE(table.merge(prepare(3, 300)), nullptr);
+    EXPECT_EQ(table.truncate(1000, true), 0u);
+    EXPECT_EQ(table.horizon(), 100);
+
+    (void)table.resolve(a, TxnStatus::Committed);
+    (void)table.resolve(c, TxnStatus::Aborted);
+    EXPECT_EQ(table.truncate(1000, true), 0u);
+    EXPECT_EQ(table.horizon(), 100);
+    table.noteReplicated(a);
+    EXPECT_EQ(table.truncate(1000, true), 1u);
+    EXPECT_EQ(table.horizon(), 200);
+    EXPECT_EQ(table.statusOf(a), TxnStatus::Unknown);
+    auto late = prepare(1, 100);
+    late.status = TxnStatus::Committed;
+    EXPECT_EQ(table.merge(late), nullptr);
+    EXPECT_EQ(table.statusOf(a), TxnStatus::Unknown);
+    EXPECT_EQ(table.truncate(150, true), 0u);
+    EXPECT_EQ(table.horizon(), 200);
+
+    // A backup truncates at its primary's horizon without the check.
+    (void)table.resolve(b, TxnStatus::Committed);
+    EXPECT_EQ(table.truncate(1000, false), 2u);
+    EXPECT_EQ(table.horizon(), 1000);
+    EXPECT_EQ(table.decided().size(), 0u);
+    EXPECT_EQ(table.statusOf(c), TxnStatus::Unknown);
 }

@@ -171,6 +171,43 @@ TEST(Cluster, StatsAggregationAndReset)
     EXPECT_EQ(cluster.clientStats().counterValue("txn.begun"), 0u);
 }
 
+TEST(Cluster, TxnTableStaysBoundedOverLongRun)
+{
+    // Figure 8's shape (3x3 DRAM, PTP-SW, read-heavy Retwis) with few
+    // clients, for 30 simulated seconds. Truncation keeps only the last
+    // few hundred milliseconds of transactions, so the records held
+    // over all servers stay under a fixed bound. Kept forever, they
+    // grow by about 6,000 per simulated second here.
+    constexpr std::size_t kBound = 2'000;
+    ClusterConfig cfg;
+    cfg.numShards = 3;
+    cfg.replicasPerShard = 3;
+    cfg.numClients = 4;
+    cfg.backend = BackendKind::Dram;
+    cfg.clocks = ClockKind::PtpSw;
+    cfg.numKeys = 3000;
+    Cluster cluster(cfg);
+    cluster.populate();
+    cluster.start();
+    RetwisConfig rcfg;
+    rcfg.alpha = 0.6;
+    rcfg.numKeys = cfg.numKeys;
+    rcfg.readHeavy = true;
+    RetwisWorkload fleet(cluster, rcfg);
+    fleet.start();
+    for (int checkpoint = 1; checkpoint <= 3; ++checkpoint) {
+        cluster.sim().runUntil(cluster.sim().now() + 10 * kSecond);
+        std::size_t held = 0;
+        for (const auto &[node, server] : cluster.directory().all()) {
+            const auto &table =
+                dynamic_cast<milana::MilanaServer &>(*server).txnTable();
+            held += table.live().size() + table.decided().size();
+        }
+        EXPECT_LT(held, kBound) << "at " << 10 * checkpoint << " s";
+    }
+    EXPECT_GT(fleet.totalCommits(), 100'000u);
+}
+
 TEST(Micro, DriverSustainsThroughputOnDram)
 {
     sim::Simulator sim;
