@@ -126,7 +126,7 @@ BM_TxnTableInsertResolve(benchmark::State &state)
         for (std::uint64_t i = 0; i < 64; ++i) {
             semel::ReplicateTxnRecord record;
             record.txn = semel::TxnId{1, i};
-            (void)table.merge(std::move(record));
+            (void)table.merge(record, 0);
         }
         for (std::uint64_t i = 0; i < 64; ++i)
             table.resolve(semel::TxnId{1, i},
@@ -136,6 +136,46 @@ BM_TxnTableInsertResolve(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() * 64);
 }
 BENCHMARK(BM_TxnTableInsertResolve);
+
+/**
+ * A backup's steady state: a window of transactions sliding through
+ * one long-lived table. Each iteration merges a prepare carrying a
+ * Retwis-sized write set, merges the outcome of the one the window
+ * leaves behind, and truncates at the horizon trailing it.
+ */
+void
+BM_TxnTableSlidingWindow(benchmark::State &state)
+{
+    constexpr std::uint64_t kWindow = 64;
+    milana::TxnTable table;
+    semel::ReplicateTxnRecord record;
+    for (std::uint64_t w = 0; w < 3; ++w)
+        record.writeSet.push_back(semel::WriteSetEntry{w, "w1000:12345"});
+    record.participants.push_back(0);
+    record.participants.push_back(1);
+    std::uint64_t serial = 0;
+    for (auto _ : state) {
+        record.txn = semel::TxnId{1000, serial};
+        record.status = semel::TxnStatus::Prepared;
+        record.commitVersion = common::Version{
+            static_cast<common::Time>(serial), 1};
+        (void)table.merge(record, 0);
+        if (serial >= kWindow) {
+            const std::uint64_t old = serial - kWindow;
+            record.txn = semel::TxnId{1000, old};
+            record.status = serial % 4 == 0 ? semel::TxnStatus::Aborted
+                                            : semel::TxnStatus::Committed;
+            record.commitVersion = common::Version{
+                static_cast<common::Time>(old), 1};
+            (void)table.merge(record, 0);
+            (void)table.truncate(static_cast<common::Time>(old), false);
+        }
+        ++serial;
+    }
+    benchmark::DoNotOptimize(table.memoryBytes());
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_TxnTableSlidingWindow);
 
 } // namespace
 

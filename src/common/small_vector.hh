@@ -21,6 +21,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <iterator>
 #include <memory>
 #include <new>
 #include <utility>
@@ -47,6 +48,14 @@ class SmallVector
     }
 
     SmallVector(SmallVector &&other) noexcept { takeFrom(other); }
+
+    template <std::forward_iterator It>
+    SmallVector(It first, It last)
+    {
+        reserve(static_cast<std::size_t>(std::distance(first, last)));
+        for (; first != last; ++first)
+            push_back(*first);
+    }
 
     SmallVector &
     operator=(const SmallVector &other)

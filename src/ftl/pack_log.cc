@@ -60,6 +60,9 @@ PackLog::doFlush()
     bytes_ = 0;
     std::vector<Pending> batch;
     batch.swap(buffer_);
+    // The next page most likely packs as many tuples as this one:
+    // one allocation instead of regrowing from empty.
+    buffer_.reserve(batch.size());
     flush_(std::move(batch));
 }
 

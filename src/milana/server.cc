@@ -302,14 +302,14 @@ MilanaServer::handlePrepare(PrepareRequest request)
     }
     resp.vote = Vote::Commit;
 
-    const ReplicateTxnRecord &record = *txns_.merge({
-        .txn = request.txn,
-        .commitVersion = request.commitVersion,
-        .writeSet = {request.writeSet.begin(), request.writeSet.end()},
-        .participants = {request.participants.begin(),
-                         request.participants.end()},
-        .preparedAt = sim_.now(),
-    });
+    const TxnSlot &record = *txns_.merge(
+        {
+            .txn = request.txn,
+            .commitVersion = request.commitVersion,
+            .writeSet = request.writeSet,
+            .participants = request.participants,
+        },
+        sim_.now());
 
     // Mark the write set prepared — synchronously with validation, so
     // no concurrent prepare can interleave.
@@ -328,16 +328,15 @@ MilanaServer::handlePrepare(PrepareRequest request)
 // ---------------------------------------------------------- decision
 
 sim::Task<void>
-MilanaServer::applyCommit(const ReplicateTxnRecord &record, bool late)
+MilanaServer::applyCommit(const TxnSlot &record, bool late)
 {
     // Apply buffered writes in parallel; each key's prepared mark is
     // cleared only after its write is durable, so read-only snapshots
     // taken in the window still see the prepared flag (section 4.3).
     // The quorum lives in this frame: every writer arrives before it
     // wakes us, and arriving is a writer's last act.
-    sim::Quorum done(sim_,
-                     static_cast<std::uint32_t>(record.writeSet.size()));
-    for (const auto &write : record.writeSet) {
+    sim::Quorum done(sim_, record.writes);
+    for (const auto &write : record.writeSet()) {
         sim::spawn([](MilanaServer *self, Key key, Value value,
                       Version version, TxnId txn, bool late,
                       sim::Quorum *q) -> sim::Task<void> {
@@ -352,20 +351,21 @@ MilanaServer::applyCommit(const ReplicateTxnRecord &record, bool late)
                                  static_cast<std::int64_t>(key),
                                  version.timestamp);
             q->arrive();
-        }(this, write.key, write.value, record.commitVersion, record.txn,
+        }(this, write.key, write.value, record.commitVersion, record.txn(),
           late, &done));
     }
-    if (!record.writeSet.empty())
+    if (record.writes != 0)
         co_await done.wait();
     stats_.counter("milana.committed").inc();
 }
 
 void
-MilanaServer::applyAbort(const ReplicateTxnRecord &record)
+MilanaServer::applyAbort(const TxnSlot &record)
 {
-    for (const auto &write : record.writeSet) {
+    const TxnId txn = record.txn();
+    for (const auto &write : record.writeSet()) {
         if (semel::KeySlot *ks = keys_.find(write.key))
-            clearPrepared(*ks, record.txn);
+            clearPrepared(*ks, txn);
     }
     stats_.counter("milana.aborted").inc();
 }
@@ -381,7 +381,7 @@ MilanaServer::handleDecision(DecisionRequest request)
     DecisionResponse resp;
     resp.ok = true;
 
-    ReplicateTxnRecord *entry = txns_.findLive(request.txn);
+    TxnSlot *entry = txns_.findLive(request.txn);
     if (entry == nullptr || entry->status != semel::TxnStatus::Prepared)
         co_return resp; // duplicate or already resolved: idempotent
 
@@ -416,8 +416,7 @@ MilanaServer::handleTxnStatus(TxnStatusRequest request)
 // --------------------------------------------------------- backups
 
 sim::Task<void>
-MilanaServer::replicateTxnRecord(const ReplicateTxnRecord &record,
-                                 bool wait_quorum)
+MilanaServer::replicateTxnRecord(const TxnSlot &record, bool wait_quorum)
 {
     // The transaction table is this replica's own durable copy.
     if (backups_.empty())
@@ -440,6 +439,7 @@ MilanaServer::replicateTxnRecord(const ReplicateTxnRecord &record,
         record.status == semel::TxnStatus::Prepared
             ? 0
             : static_cast<std::uint32_t>(backups_.size());
+    const ReplicateTxnRecord wire = record.toRecord();
     auto quorum = std::make_shared<sim::Quorum>(sim_, needed);
     for (semel::Server *backup : backups_) {
         auto *mb = dynamic_cast<MilanaServer *>(backup);
@@ -458,7 +458,7 @@ MilanaServer::replicateTxnRecord(const ReplicateTxnRecord &record,
                 if (q->arrived() == all_backups)
                     self->txns_.noteReplicated(txn);
             }
-        }(this, mb, record, all_backups, quorum));
+        }(this, mb, wire, all_backups, quorum));
     }
     if (wait_quorum) {
         co_await quorum->wait();
@@ -507,13 +507,11 @@ MilanaServer::handleReplicateTxnRecord(ReplicateTxnRecord record,
     // below the horizon is a late duplicate the table drops.
     if (record.commitVersion.timestamp < txns_.horizon())
         stats_.counter("milana.txn_table.below_horizon_merge").inc();
-    record.preparedAt = sim_.now();
-    record.replicated = false;
-    const ReplicateTxnRecord *stored = txns_.merge(std::move(record));
+    const TxnSlot *stored = txns_.merge(record, sim_.now());
     if (stored != nullptr && stored->status == semel::TxnStatus::Committed) {
         // Apply the committed writes to local storage, asynchronously:
         // the ack only promises the log entry.
-        for (const auto &write : stored->writeSet) {
+        for (const auto &write : stored->writeSet()) {
             sim::spawn([](MilanaServer *self, Key key, Value value,
                           Version version) -> sim::Task<void> {
                 (void)co_await self->backend_.put(key, value, version);
@@ -589,12 +587,14 @@ MilanaServer::leaseLoop()
 sim::Task<void>
 MilanaServer::resolveOrphan(TxnId txn)
 {
-    const ReplicateTxnRecord *entry = txns_.findLive(txn);
+    const TxnSlot *entry = txns_.findLive(txn);
     if (entry == nullptr || entry->status != semel::TxnStatus::Prepared)
         co_return;
     stats_.counter("milana.ctp_invocations").inc();
     // Copy: the entry is not read across the suspensions below.
-    const std::vector<common::ShardId> participants = entry->participants;
+    const auto shards = entry->participants();
+    const decltype(ReplicateTxnRecord::participants) participants(
+        shards.begin(), shards.end());
     const TxnStatusRequest query{txn, entry->commitVersion};
 
     bool saw_commit = false;
@@ -697,10 +697,10 @@ sim::Task<MilanaServer::RecoveryPull>
 MilanaServer::handleRecoveryPull()
 {
     RecoveryPull pull;
-    for (const auto &[txn, record] : txns_.decided())
-        pull.records.push_back(record);
-    for (const auto &[txn, record] : txns_.live())
-        pull.records.push_back(record);
+    for (const TxnId &txn : txns_.decidedIds())
+        pull.records.push_back(txns_.find(txn)->toRecord());
+    for (const TxnId &txn : txns_.liveIds())
+        pull.records.push_back(txns_.find(txn)->toRecord());
     pull.maxLeaseGranted = maxLeaseGranted_;
     co_return pull;
 }
@@ -726,11 +726,8 @@ MilanaServer::recoverAsPrimary()
             id_, node, peer->handleRecoveryPull());
         if (!pull.has_value())
             continue; // crashed replica
-        for (ReplicateTxnRecord &record : pull->records) {
-            record.preparedAt = sim_.now();
-            record.replicated = false;
-            (void)txns_.merge(std::move(record));
-        }
+        for (const ReplicateTxnRecord &record : pull->records)
+            (void)txns_.merge(record, sim_.now());
         max_lease = std::max(max_lease, pull->maxLeaseGranted);
     }
 
@@ -741,16 +738,32 @@ MilanaServer::recoverAsPrimary()
 
     // Re-apply committed writes: backend puts are idempotent per
     // version. Truncated transactions need none: every replica holds
-    // and has applied their outcomes. No record is erased while
-    // recovering_ is set, so the reference survives the puts'
-    // suspensions.
-    for (const auto &[txn, record] : txns_.decided()) {
+    // and has applied their outcomes. The walk is in TxnId order and,
+    // like a walk of an ordered map, also visits a transaction a late
+    // decision resolves during a put if it sorts after the current
+    // one. No record is truncated while recovering_ is set and a
+    // committed one keeps its block, so the write set survives the
+    // puts' suspensions.
+    std::vector<TxnId> decided = txns_.decidedIds();
+    for (std::size_t i = 0; i < decided.size(); ++i) {
+        const TxnId txn = decided[i];
+        const std::size_t before = txns_.decidedCount();
+        const TxnSlot &record = *txns_.find(txn);
         if (record.status != semel::TxnStatus::Committed)
             continue;
-        for (const auto &write : record.writeSet) {
-            (void)co_await backend_.put(write.key, write.value,
-                                        record.commitVersion);
-            noteCommitted(write.key, record.commitVersion);
+        const Version version = record.commitVersion;
+        const std::span<const semel::WriteSetEntry> writes =
+            record.writeSet();
+        for (const auto &write : writes) {
+            (void)co_await backend_.put(write.key, write.value, version);
+            noteCommitted(write.key, version);
+        }
+        if (txns_.decidedCount() != before) {
+            decided = txns_.decidedIds();
+            i = static_cast<std::size_t>(
+                    std::upper_bound(decided.begin(), decided.end(), txn) -
+                    decided.begin()) -
+                1;
         }
     }
 
@@ -758,11 +771,11 @@ MilanaServer::recoverAsPrimary()
     // it.
     for (const TxnId &txn :
          txns_.preparedBefore(std::numeric_limits<Time>::max())) {
-        const ReplicateTxnRecord *record = txns_.findLive(txn);
+        const TxnSlot *record = txns_.findLive(txn);
         if (record == nullptr ||
             record->status != semel::TxnStatus::Prepared)
             continue; // decided by a peer's CTP meanwhile
-        if (record->participants.size() <= 1) {
+        if (record->shards <= 1) {
             // Single-shard prepared == committed (Algorithm 2).
             (void)co_await handleDecision(
                 DecisionRequest{txn, TxnDecision::Commit, true});
@@ -771,17 +784,17 @@ MilanaServer::recoverAsPrimary()
             // other participants once service resumes. Re-instate the
             // prepared marks so conflicting transactions abort until
             // then.
-            for (const auto &write : record->writeSet)
+            for (const auto &write : record->writeSet())
                 markPrepared(write.key, record->commitVersion, txn);
         }
     }
 
     // Bring the backups level: one record per transaction. Nothing
     // suspends without the quorum wait, so the tables stay put.
-    for (const auto &[txn, record] : txns_.decided())
-        co_await replicateTxnRecord(record, false);
-    for (const auto &[txn, record] : txns_.live())
-        co_await replicateTxnRecord(record, false);
+    for (const TxnId &txn : txns_.decidedIds())
+        co_await replicateTxnRecord(*txns_.find(txn), false);
+    for (const TxnId &txn : txns_.liveIds())
+        co_await replicateTxnRecord(*txns_.find(txn), false);
 
     // Wait out the old primary's lease so no read it served can be
     // contradicted (its ts_latestRead values are lost with it).

@@ -175,13 +175,14 @@ class MilanaServer : public semel::Server
     /** True when the slot carries a prepared write stamped <= @p at. */
     bool preparedAtOrBefore(const semel::KeySlot &slot, Version at) const;
 
-    sim::Task<void> applyCommit(const ReplicateTxnRecord &record,
-                                bool late);
-    void applyAbort(const ReplicateTxnRecord &record);
+    /** Reads @p record only before its first suspension: a table
+     *  entry moves when another is inserted. */
+    sim::Task<void> applyCommit(const TxnSlot &record, bool late);
+    void applyAbort(const TxnSlot &record);
 
     /** Send a copy of @p record to every backup (copied before the
      *  first suspension); optionally wait for the ack quorum. */
-    sim::Task<void> replicateTxnRecord(const ReplicateTxnRecord &record,
+    sim::Task<void> replicateTxnRecord(const TxnSlot &record,
                                        bool wait_quorum);
 
     /** Round-trip sync with f backups (remote read-only validation

@@ -11,7 +11,6 @@
 #define SEMEL_MESSAGES_HH
 
 #include <cstdint>
-#include <vector>
 
 #include "common/small_vector.hh"
 #include "common/types.hh"
@@ -232,23 +231,21 @@ enum class TxnStatus : std::uint8_t
 };
 
 /**
- * A MILANA server's transaction-table entry, and the message a primary
- * sends its backups each time the entry changes (Prepared, then
- * Committed or Aborted; an aborted record carries no write set).
+ * The message a primary sends its backups each time a transaction-
+ * table entry changes (Prepared, then Committed or Aborted; an aborted
+ * record carries no write set), and a replica's answer to a recovery
+ * pull. Its lists keep PrepareRequest's inline sizes, so copying one
+ * to each backup allocates nothing.
  */
 struct ReplicateTxnRecord
 {
     TxnId txn;
     TxnStatus status = TxnStatus::Prepared;
-    /** Local, not replicated state (it fills padding here): on a
-     *  primary, every backup acknowledged this outcome record. */
-    bool replicated = false;
     Version commitVersion;
-    std::vector<WriteSetEntry> writeSet;
-    std::vector<ShardId> participants;
-    /** Local, not replicated state: when the holding server learned of
-     *  the prepare (its CTP timeout runs from here). */
-    Time preparedAt = 0;
+    common::SmallVector<WriteSetEntry, PrepareRequest::kInlineEntries>
+        writeSet;
+    common::SmallVector<ShardId, PrepareRequest::kInlineShards>
+        participants;
 };
 
 struct TxnStatusResponse

@@ -252,16 +252,18 @@ Cluster::attachMetrics()
     for (std::size_t i = 0; i < servers_.size(); ++i) {
         const common::NodeId node = servers_[i]->nodeId();
         m.addStatSet("server.", node, servers_[i]->stats());
-        // Held and truncated transaction-table records: the soak check
-        // reads these to see server state plateau.
+        // Held and truncated transaction-table records and the table's
+        // bytes: the soak check reads these to see server state plateau.
         const milana::MilanaServer *server = servers_[i].get();
         m.addGauge("milana.txn_table.records", node, [server] {
-            return static_cast<double>(
-                server->txnTable().live().size() +
-                server->txnTable().decided().size());
+            return static_cast<double>(server->txnTable().size() +
+                                       server->txnTable().decidedCount());
         });
         m.addGauge("milana.txn_table.pruned", node, [server] {
             return static_cast<double>(server->txnRecordsPruned());
+        });
+        m.addGauge("milana.txn_table.bytes", node, [server] {
+            return static_cast<double>(server->txnTable().memoryBytes());
         });
         if (devices_[i] != nullptr) {
             flash::SsdDevice *dev = devices_[i].get();

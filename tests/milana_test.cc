@@ -827,7 +827,8 @@ TEST_P(MilanaRecovery, ReinstatedPreparedMarksBlockWritersUntilCtpResolves)
         rec.txn = orphan;
         rec.commitVersion = common::Version{cluster.sim().now(), 77};
         rec.writeSet.push_back(semel::WriteSetEntry{key, "orphan"});
-        rec.participants = {0, 1};
+        rec.participants.push_back(0);
+        rec.participants.push_back(1);
         const auto backups = cluster.master().backupsOf(0);
         for (std::size_t b = onBothBackups() ? 0 : 1; b < 2; ++b) {
             auto *logged = dynamic_cast<milana::MilanaServer *>(
@@ -882,7 +883,7 @@ TEST(Milana, RecoveryCommitsLocallyLoggedSingleShardPrepare)
         rec.txn = txn;
         rec.commitVersion = common::Version{cluster.sim().now(), 77};
         rec.writeSet.push_back(semel::WriteSetEntry{5, "logged"});
-        rec.participants = {0};
+        rec.participants.push_back(0);
         const auto backups = cluster.master().backupsOf(0);
         auto *promoted = dynamic_cast<milana::MilanaServer *>(
             cluster.directory().at(backups[0]));
@@ -1142,7 +1143,9 @@ TEST(TxnTable, RandomRecordsMatchReferenceModel)
     // live transaction). A plain map of what each transaction should
     // look like is the reference: decided transactions below the
     // horizon vanish from it, and a record below the horizon never
-    // changes it.
+    // changes it. The window slides over ~150 times the table's
+    // initial capacity, so the table grows, shifts robin-hood runs
+    // and reuses the blocks that truncation frees.
     using semel::TxnStatus;
     struct Model
     {
@@ -1154,8 +1157,7 @@ TEST(TxnTable, RandomRecordsMatchReferenceModel)
     };
     // What every record of one transaction carries: its write set
     // and stamp never change between records.
-    auto record_of = [](std::uint64_t serial, TxnStatus status,
-                        Time prepared_at) {
+    auto record_of = [](std::uint64_t serial, TxnStatus status) {
         semel::ReplicateTxnRecord rec;
         rec.txn = semel::TxnId{
             static_cast<common::ClientId>(1 + serial % 3), serial};
@@ -1165,8 +1167,8 @@ TEST(TxnTable, RandomRecordsMatchReferenceModel)
         for (std::uint64_t w = 0; w <= serial % 4; ++w)
             rec.writeSet.push_back(semel::WriteSetEntry{
                 serial * 10 + w, "v" + std::to_string(serial)});
-        rec.participants = {0, static_cast<common::ShardId>(serial % 2)};
-        rec.preparedAt = prepared_at;
+        rec.participants.push_back(0);
+        rec.participants.push_back(static_cast<common::ShardId>(serial % 2));
         return rec;
     };
     auto decide = [](Model &m, TxnStatus outcome) {
@@ -1186,21 +1188,56 @@ TEST(TxnTable, RandomRecordsMatchReferenceModel)
         }
         return ids;
     };
+    // Every held transaction's entry matches its model.
+    auto matches = [](const milana::TxnTable &table,
+                      const std::map<semel::TxnId, Model> &model) {
+        for (const auto &[txn, m] : model) {
+            const milana::TxnSlot *rec = table.find(txn);
+            if (rec == nullptr || rec->status != m.status ||
+                rec->live() != m.live ||
+                rec->commitVersion != m.commitVersion ||
+                rec->writeSet().size() != m.writeSet.size())
+                return false;
+            for (std::size_t w = 0; w < m.writeSet.size(); ++w) {
+                if (rec->writeSet()[w].key != m.writeSet[w].key ||
+                    rec->writeSet()[w].value != m.writeSet[w].value)
+                    return false;
+            }
+        }
+        return true;
+    };
 
     milana::TxnTable table;
+    const std::size_t initial_capacity = 16;
     std::map<semel::TxnId, Model> model;
     std::size_t max_claimed = 0, pruned = 0, dropped_late = 0;
     Time horizon = 0;
     common::Rng rng(16);
     // A window of 24 transactions sliding over the run: each gets a
     // few records and decisions, and the last ones are still live.
-    constexpr std::uint64_t kSteps = 4000, kWindow = 24;
+    // One leaving the window undecided is resolved by the primary,
+    // as the CTP would, so the horizon keeps rising.
+    constexpr std::uint64_t kSteps = 40000, kWindow = 24;
     constexpr std::uint64_t kTxns = kSteps / 16 + kWindow;
     for (std::uint64_t step = 0; step < kSteps; ++step) {
+        if (step % 16 == 0 && step > 0) {
+            const semel::TxnId gone = record_of(step / 16 - 1,
+                                                TxnStatus::Prepared).txn;
+            auto it = model.find(gone);
+            if (it != model.end() && it->second.live) {
+                const TxnStatus outcome =
+                    it->second.status == TxnStatus::Prepared
+                        ? TxnStatus::Aborted
+                        : it->second.status;
+                table.findLive(gone)->status = outcome;
+                EXPECT_EQ(table.resolve(gone, outcome).status, outcome);
+                decide(it->second, outcome);
+            }
+        }
         const std::uint64_t serial = step / 16 + rng.nextBounded(kWindow);
         const Time at = static_cast<Time>(rng.nextBounded(1000));
         const auto op = rng.nextBounded(13);
-        auto rec = record_of(serial, TxnStatus::Prepared, at);
+        auto rec = record_of(serial, TxnStatus::Prepared);
         const semel::TxnId id = rec.txn;
         auto it = model.find(id);
         if (op == 12) {
@@ -1252,8 +1289,8 @@ TEST(TxnTable, RandomRecordsMatchReferenceModel)
                 // No change.
             } else if (it == model.end()) {
                 changes = true;
-                Model m{rec.status, true, rec.commitVersion, rec.writeSet,
-                        at};
+                Model m{rec.status, true, rec.commitVersion,
+                        {rec.writeSet.begin(), rec.writeSet.end()}, at};
                 if (rec.status != TxnStatus::Prepared)
                     decide(m, rec.status);
                 model.emplace(id, std::move(m));
@@ -1263,7 +1300,7 @@ TEST(TxnTable, RandomRecordsMatchReferenceModel)
                 changes = true;
                 decide(it->second, rec.status);
             }
-            const auto *stored = table.merge(std::move(rec));
+            const auto *stored = table.merge(rec, at);
             ASSERT_EQ(stored != nullptr, changes) << "step " << step;
             if (late && it == model.end()) {
                 ASSERT_EQ(table.find(id), nullptr) << "step " << step;
@@ -1276,17 +1313,22 @@ TEST(TxnTable, RandomRecordsMatchReferenceModel)
         }
         max_claimed = std::max(max_claimed, claimed);
         ASSERT_EQ(table.size(), live) << "step " << step;
+        ASSERT_EQ(table.decidedCount(), model.size() - live)
+            << "step " << step;
+        // In TxnId order, which the insertion order of the live
+        // records is not.
         ASSERT_EQ(table.preparedBefore(at), prepared_before(model, at))
             << "step " << step;
+        ASSERT_TRUE(matches(table, model)) << "step " << step;
     }
     EXPECT_GT(max_claimed, 0u);
-    EXPECT_GT(pruned, 0u);
+    EXPECT_GT(pruned, 100 * initial_capacity);
     EXPECT_GT(dropped_late, 0u);
+    EXPECT_GT(table.slotCapacity(), initial_capacity);
 
     std::size_t live = 0, decided = 0;
     for (std::uint64_t serial = 0; serial < kTxns + 4; ++serial) {
-        const semel::TxnId id =
-            record_of(serial, TxnStatus::Prepared, 0).txn;
+        const semel::TxnId id = record_of(serial, TxnStatus::Prepared).txn;
         auto it = model.find(id);
         if (it == model.end()) {
             EXPECT_EQ(table.statusOf(id), TxnStatus::Unknown);
@@ -1296,35 +1338,100 @@ TEST(TxnTable, RandomRecordsMatchReferenceModel)
         const Model &m = it->second;
         EXPECT_EQ(table.statusOf(id), m.status) << serial;
         EXPECT_EQ(table.findLive(id) != nullptr, m.live) << serial;
-        const auto *rec = table.find(id);
-        ASSERT_NE(rec, nullptr);
-        EXPECT_EQ(rec->commitVersion, m.commitVersion);
-        ASSERT_EQ(rec->writeSet.size(), m.writeSet.size()) << serial;
-        for (std::size_t w = 0; w < m.writeSet.size(); ++w) {
-            EXPECT_EQ(rec->writeSet[w].key, m.writeSet[w].key);
-            EXPECT_EQ(rec->writeSet[w].value, m.writeSet[w].value);
-        }
         live += m.live;
         decided += !m.live;
     }
+    EXPECT_TRUE(matches(table, model));
     EXPECT_EQ(table.size(), live);
-    EXPECT_EQ(table.live().size(), live);
-    EXPECT_EQ(table.decided().size(), decided);
+    EXPECT_EQ(table.decidedCount(), decided);
     EXPECT_GT(table.preparedBefore(1000).size(), 0u);
     EXPECT_GT(decided, 0u);
     EXPECT_LT(decided + live + pruned, kTxns);
+
+    // The id lists walk TxnId order.
+    const std::vector<semel::TxnId> live_ids = table.liveIds();
+    const std::vector<semel::TxnId> decided_ids = table.decidedIds();
+    EXPECT_EQ(live_ids.size(), live);
+    EXPECT_EQ(decided_ids.size(), decided);
+    EXPECT_TRUE(std::is_sorted(live_ids.begin(), live_ids.end()));
+    EXPECT_TRUE(std::is_sorted(decided_ids.begin(), decided_ids.end()));
 
     // A late duplicate prepare never brings a decided transaction back.
     for (const auto &[txn, m] : model) {
         if (m.live)
             continue;
-        EXPECT_EQ(table.merge(record_of(txn.serial, TxnStatus::Prepared,
-                                        0)),
+        EXPECT_EQ(table.merge(record_of(txn.serial, TxnStatus::Prepared),
+                              0),
                   nullptr);
         EXPECT_EQ(table.statusOf(txn), m.status);
     }
     EXPECT_EQ(table.size(), live);
-    EXPECT_EQ(table.decided().size(), decided);
+    EXPECT_EQ(table.decidedCount(), decided);
+}
+
+TEST(TxnTable, SteadyStateStopsGrowing)
+{
+    // A primary's pattern: each transaction prepares, is decided a
+    // few transactions later (one in four aborts), every backup acks
+    // its outcome, and the horizon trails the decisions. Once the
+    // horizon advances, the slot array, the arena and the indexes are
+    // at their working size: another 100k transactions allocate no
+    // slot, slab or index capacity.
+    using semel::TxnStatus;
+    constexpr std::uint64_t kLag = 40, kWarm = 10'000, kMore = 100'000;
+    milana::TxnTable table;
+    std::size_t pruned = 0;
+    auto step = [&](std::uint64_t serial) {
+        semel::ReplicateTxnRecord rec;
+        rec.txn = semel::TxnId{static_cast<common::ClientId>(1000 +
+                                                             serial % 32),
+                               serial};
+        rec.commitVersion = common::Version{static_cast<Time>(serial), 1};
+        for (std::uint64_t w = 0; w <= serial % 5; ++w)
+            rec.writeSet.push_back(
+                semel::WriteSetEntry{serial + w, "w1000:" +
+                                                     std::to_string(serial)});
+        for (std::uint64_t p = 0; p <= serial % 3; ++p)
+            rec.participants.push_back(static_cast<common::ShardId>(p));
+        ASSERT_NE(table.merge(rec, 0), nullptr);
+        if (serial < kLag)
+            return;
+        const std::uint64_t old = serial - kLag;
+        const semel::TxnId done{static_cast<common::ClientId>(1000 +
+                                                              old % 32),
+                                old};
+        (void)table.resolve(done, old % 4 == 0 ? TxnStatus::Aborted
+                                               : TxnStatus::Committed);
+        table.noteReplicated(done);
+        pruned += table.truncate(static_cast<Time>(old), true);
+    };
+    for (std::uint64_t serial = 0; serial < kWarm; ++serial)
+        step(serial);
+    ASSERT_GT(pruned, kWarm / 2);
+    // memoryBytes() sums the slot array, the arena's slabs and both
+    // indexes, none of which ever shrinks.
+    const std::size_t slots = table.slotCapacity();
+    const std::uint64_t bytes = table.memoryBytes();
+    for (std::uint64_t serial = kWarm; serial < kWarm + kMore; ++serial)
+        step(serial);
+    EXPECT_EQ(table.slotCapacity(), slots);
+    EXPECT_EQ(table.memoryBytes(), bytes);
+    EXPECT_GT(pruned, kMore);
+    EXPECT_EQ(table.size(), kLag);
+}
+
+TEST(TxnTableDeathTest, UnpackableTxnIdPanics)
+{
+    // The table key packs a 24-bit client and a 40-bit serial.
+    milana::TxnTable table;
+    semel::ReplicateTxnRecord rec;
+    rec.txn = semel::TxnId{1u << 24, 1};
+    EXPECT_DEATH((void)table.merge(rec, 0), "does not fit");
+    rec.txn = semel::TxnId{1, std::uint64_t{1} << 40};
+    EXPECT_DEATH((void)table.statusOf(rec.txn), "does not fit");
+    rec.txn = semel::TxnId{(1u << 24) - 1, (std::uint64_t{1} << 40) - 1};
+    EXPECT_NE(table.merge(rec, 0), nullptr);
+    EXPECT_EQ(table.liveIds(), std::vector<semel::TxnId>{rec.txn});
 }
 
 TEST(TxnTable, HorizonWaitsForLiveAndUnreplicatedRecords)
@@ -1338,14 +1445,14 @@ TEST(TxnTable, HorizonWaitsForLiveAndUnreplicatedRecords)
         rec.txn = semel::TxnId{1, serial};
         rec.commitVersion = common::Version{stamp, 1};
         rec.writeSet.push_back(semel::WriteSetEntry{serial, "v"});
-        rec.participants = {0};
+        rec.participants.push_back(0);
         return rec;
     };
     milana::TxnTable table;
     const semel::TxnId a{1, 1}, b{1, 2}, c{1, 3};
-    ASSERT_NE(table.merge(prepare(1, 100)), nullptr);
-    ASSERT_NE(table.merge(prepare(2, 200)), nullptr);
-    ASSERT_NE(table.merge(prepare(3, 300)), nullptr);
+    ASSERT_NE(table.merge(prepare(1, 100), 0), nullptr);
+    ASSERT_NE(table.merge(prepare(2, 200), 0), nullptr);
+    ASSERT_NE(table.merge(prepare(3, 300), 0), nullptr);
     EXPECT_EQ(table.truncate(1000, true), 0u);
     EXPECT_EQ(table.horizon(), 100);
 
@@ -1359,7 +1466,7 @@ TEST(TxnTable, HorizonWaitsForLiveAndUnreplicatedRecords)
     EXPECT_EQ(table.statusOf(a), TxnStatus::Unknown);
     auto late = prepare(1, 100);
     late.status = TxnStatus::Committed;
-    EXPECT_EQ(table.merge(late), nullptr);
+    EXPECT_EQ(table.merge(late, 0), nullptr);
     EXPECT_EQ(table.statusOf(a), TxnStatus::Unknown);
     EXPECT_EQ(table.truncate(150, true), 0u);
     EXPECT_EQ(table.horizon(), 200);
@@ -1368,6 +1475,6 @@ TEST(TxnTable, HorizonWaitsForLiveAndUnreplicatedRecords)
     (void)table.resolve(b, TxnStatus::Committed);
     EXPECT_EQ(table.truncate(1000, false), 2u);
     EXPECT_EQ(table.horizon(), 1000);
-    EXPECT_EQ(table.decided().size(), 0u);
+    EXPECT_EQ(table.decidedCount(), 0u);
     EXPECT_EQ(table.statusOf(c), TxnStatus::Unknown);
 }
