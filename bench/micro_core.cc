@@ -2,21 +2,26 @@
  * @file
  * google-benchmark micro-benchmarks for the hot paths of the
  * simulation and the FTL mapping structures: event queue throughput,
- * coroutine round trips, Zipf sampling, version-chain operations, and
- * validation-table lookups. These bound the wall-clock cost of the
+ * coroutine round trips, Zipf sampling, version-chain operations,
+ * validation-table lookups, and the per-message lookups (shard ring,
+ * link delay, stat counters). These bound the wall-clock cost of the
  * experiment harnesses.
  */
 
 #include <benchmark/benchmark.h>
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/random.hh"
+#include "common/stats.hh"
 #include "common/zipf.hh"
 #include "ftl/version_chain.hh"
 #include "milana/txn_table.hh"
+#include "net/network.hh"
 #include "semel/server.hh"
+#include "semel/shard_map.hh"
 #include "sim/future.hh"
 #include "sim/simulator.hh"
 #include "sim/task.hh"
@@ -176,6 +181,65 @@ BM_TxnTableSlidingWindow(benchmark::State &state)
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_TxnTableSlidingWindow);
+
+/** Key -> shard on the consistent-hash ring (every operation). */
+void
+BM_ShardOf(benchmark::State &state)
+{
+    const semel::ShardMap map(static_cast<std::uint32_t>(state.range(0)));
+    common::Rng rng(3);
+    for (auto _ : state)
+        benchmark::DoNotOptimize(map.shardOf(rng.next()));
+}
+BENCHMARK(BM_ShardOf)->Arg(1)->Arg(3);
+
+/**
+ * One message leg's delay: a Gaussian draw, the link's factor and its
+ * `net.link.*` histogram, over a fixed set of directed links (32 is
+ * a 1x1 fig6 cell's, ~400 a 3x3 fig8 cell's).
+ */
+void
+BM_NetworkSampleDelay(benchmark::State &state)
+{
+    const auto links = static_cast<std::size_t>(state.range(0));
+    sim::Simulator sim;
+    net::Network net(sim, net::NetConfig{}, common::Rng(4));
+    std::vector<std::pair<common::NodeId, common::NodeId>> legs;
+    for (common::NodeId client = 1000; legs.size() < links; ++client) {
+        for (common::NodeId server = 0; server < 9 && legs.size() < links;
+             ++server)
+            legs.emplace_back(client, server);
+    }
+    std::size_t next = 0;
+    for (auto _ : state) {
+        const auto &[from, to] = legs[next];
+        benchmark::DoNotOptimize(net.sampleDelay(from, to));
+        next = next + 1 == legs.size() ? 0 : next + 1;
+    }
+}
+BENCHMARK(BM_NetworkSampleDelay)->Arg(32)->Arg(400);
+
+/**
+ * One counter bump in a server-sized StatSet: Arg 0 through a bound
+ * handle, Arg 1 through a name lookup.
+ */
+void
+BM_CounterInc(benchmark::State &state)
+{
+    common::StatSet stats;
+    for (int i = 0; i < 40; ++i)
+        stats.counter("milana.filler_" + std::to_string(i)).inc();
+    common::CounterHandle prepares(stats, "milana.prepares");
+    if (state.range(0) == 0) {
+        for (auto _ : state)
+            prepares.inc();
+    } else {
+        for (auto _ : state)
+            stats.counter("milana.prepares").inc();
+    }
+    benchmark::DoNotOptimize(stats.counterValue("milana.prepares"));
+}
+BENCHMARK(BM_CounterInc)->ArgName("by_name")->Arg(0)->Arg(1);
 
 } // namespace
 

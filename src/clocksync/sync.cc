@@ -108,7 +108,7 @@ SyncAgent::performExchange()
         // here (rather than pausing run()) keeps the exchange *phase*
         // unchanged across the outage, like a real slave's timer.
         if (stats_ != nullptr)
-            stats_->counter("clocksync.holdover_skips").inc();
+            stats_->holdoverSkips.inc();
         trace_.instant("clocksync.sync.holdover", cfg_.name);
         return;
     }
@@ -154,9 +154,8 @@ SyncAgent::performExchange()
     const auto measured_ns =
         static_cast<std::int64_t>(std::llround(measured));
     if (stats_ != nullptr) {
-        stats_->counter("clocksync.exchanges").inc();
-        stats_->histogram("clocksync.offset_abs")
-            .record(std::abs(measured_ns));
+        stats_->exchanges.inc();
+        stats_->offsetAbs.record(std::abs(measured_ns));
     }
     trace_.instant("clocksync.sync.exchange", cfg_.name, measured_ns);
 }
@@ -188,7 +187,7 @@ ClockEnsemble::ClockEnsemble(sim::Simulator &sim, std::size_t n,
         auto clock = std::make_unique<DriftClock>(sim_, params, rng);
         agents_.push_back(std::make_unique<SyncAgent>(
             sim_, *clock, cfg_, rng.fork()));
-        agents_.back()->setStats(&stats_);
+        agents_.back()->setStats(&exchangeStats_);
         clocks_.push_back(std::move(clock));
     }
 }
@@ -201,9 +200,7 @@ ClockEnsemble::setMasterDown(bool down)
     masterDown_ = down;
     for (auto &agent : agents_)
         agent->setHoldover(down);
-    stats_.counter(down ? "clocksync.master_down"
-                        : "clocksync.master_up")
-        .inc();
+    (down ? masterDowns_ : masterUps_).inc();
 }
 
 void

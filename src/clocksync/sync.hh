@@ -72,6 +72,21 @@ struct SyncConfig
     static SyncConfig perfect();
 };
 
+/** Per-exchange stats, shared by the agents of one ensemble. */
+struct ExchangeStats
+{
+    explicit ExchangeStats(common::StatSet &stats)
+        : exchanges(stats, "clocksync.exchanges"),
+          holdoverSkips(stats, "clocksync.holdover_skips"),
+          offsetAbs(stats, "clocksync.offset_abs")
+    {
+    }
+
+    common::CounterHandle exchanges;
+    common::CounterHandle holdoverSkips;
+    common::HistogramHandle offsetAbs;
+};
+
 /**
  * Disciplines one DriftClock against true time with periodic simulated
  * exchanges. Spawn run() as a background process.
@@ -90,7 +105,7 @@ class SyncAgent
 
     /** Record per-exchange metrics into @p stats (shared across an
      *  ensemble; the sim is single-threaded). */
-    void setStats(common::StatSet *stats) { stats_ = stats; }
+    void setStats(ExchangeStats *stats) { stats_ = stats; }
 
     /**
      * Holdover mode (PTP master outage, chaos hook): while set,
@@ -113,7 +128,7 @@ class SyncAgent
     common::Rng rng_;
     bool havePrevious_ = false;
     bool holdover_ = false;
-    common::StatSet *stats_ = nullptr;
+    ExchangeStats *stats_ = nullptr;
     common::Tracer trace_;
 };
 
@@ -181,6 +196,9 @@ class ClockEnsemble
     Duration maxSkew_ = 0;
     bool masterDown_ = false;
     common::StatSet stats_;
+    ExchangeStats exchangeStats_{stats_};
+    common::CounterHandle masterDowns_{stats_, "clocksync.master_down"};
+    common::CounterHandle masterUps_{stats_, "clocksync.master_up"};
 };
 
 } // namespace clocksync

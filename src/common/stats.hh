@@ -17,6 +17,7 @@
 #include <string>
 #include <string_view>
 #include <tuple>
+#include <type_traits>
 #include <utility>
 
 #include "common/histogram.hh"
@@ -122,6 +123,60 @@ class StatSet
     Map<Counter> counters_;
     Map<Histogram> histograms_;
 };
+
+/**
+ * A counter or histogram of a StatSet, looked up by name once.
+ *
+ * Hot paths hold one as a member beside their set and bump it instead
+ * of calling counter("literal"), which walks the set's map:
+ * @code
+ *   common::CounterHandle gets_{stats_, "milana.gets"};
+ *   gets_.inc();
+ * @endcode
+ * The first inc()/record() creates the entry exactly as
+ * counter(name)/histogram(name) would, so an unused handle leaves the
+ * set unchanged and names appear at their first use as before. Later
+ * calls go straight to the bound entry, which stays valid for the
+ * set's lifetime (entries are never erased, not even by reset()).
+ * @p name is not copied: pass a literal or static storage. A handle
+ * cannot be copied, so an object holding one cannot be copied away
+ * from the set it is bound to.
+ */
+template <typename T>
+class StatHandle
+{
+  public:
+    StatHandle(StatSet &set, std::string_view name)
+        : set_(set), name_(name)
+    {
+    }
+    StatHandle(const StatHandle &) = delete;
+    StatHandle &operator=(const StatHandle &) = delete;
+
+    /** The entry, created in the set on the first call. */
+    T &
+    get()
+    {
+        if (entry_ == nullptr) [[unlikely]] {
+            if constexpr (std::is_same_v<T, Counter>)
+                entry_ = &set_.counter(name_);
+            else
+                entry_ = &set_.histogram(name_);
+        }
+        return *entry_;
+    }
+
+    void inc(std::uint64_t by = 1) { get().inc(by); }
+    void record(std::int64_t value) { get().record(value); }
+
+  private:
+    StatSet &set_;
+    std::string_view name_;
+    T *entry_ = nullptr;
+};
+
+using CounterHandle = StatHandle<Counter>;
+using HistogramHandle = StatHandle<Histogram>;
 
 } // namespace common
 

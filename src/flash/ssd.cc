@@ -49,7 +49,7 @@ SsdDevice::service(std::uint32_t block, common::Duration latency,
     co_await channel.lock();
     // Time from arrival to channel grant: the queueing delay Table 1's
     // GC-interference numbers come from.
-    stats_.histogram("ssd.queue_wait").record(sim_.now() - entered);
+    queueWait_.record(sim_.now() - entered);
     channelOps_[chan]->inc();
     co_await sim::sleepFor(sim_, latency);
     channel.unlock();
@@ -74,10 +74,10 @@ SsdDevice::readPage(PageAddr addr)
          retryProb_ > 0.0 && extra < retryMax_ &&
          faultRng_.nextBool(retryProb_);
          ++extra) {
-        stats_.counter("ssd.read_retries").inc();
+        readRetries_.inc();
         co_await service(addr.block, geometry_.readLatency, "read_retry");
     }
-    stats_.counter("ssd.reads").inc();
+    reads_.inc();
     co_return &block.pages[addr.page];
 }
 
@@ -106,7 +106,7 @@ SsdDevice::programPage(PageAddr addr, PageData data)
     block.pages[addr.page] = std::move(data);
 
     co_await service(addr.block, geometry_.writeLatency, "program");
-    stats_.counter("ssd.programs").inc();
+    programs_.inc();
 }
 
 sim::Task<void>
@@ -126,7 +126,7 @@ SsdDevice::eraseBlock(std::uint32_t block_index)
     std::fill(block.states.begin(), block.states.end(), PageState::Erased);
     block.nextProgramPage = 0;
     ++block.eraseCount;
-    stats_.counter("ssd.erases").inc();
+    erases_.inc();
 }
 
 PageState
@@ -182,7 +182,7 @@ SsdDevice::setChannelLatencyFactor(std::uint32_t channel, double factor)
     if (channel >= channelFactor_.size())
         PANIC("setChannelLatencyFactor: no channel " << channel);
     channelFactor_[channel] = factor;
-    stats_.counter("ssd.gray_channel_changes").inc();
+    grayChannelChanges_.inc();
 }
 
 void
@@ -200,7 +200,7 @@ SsdDevice::gcStormLoop(std::uint32_t channel)
     // channel mutex as user ops, so admission stays bounded by the
     // hardware queue depth.
     while (gcStorm_ && !sim_.stopRequested()) {
-        stats_.counter("ssd.gc_storm_ops").inc();
+        gcStormOps_.inc();
         co_await service(channel, geometry_.eraseLatency, "gc_storm");
     }
 }
@@ -211,7 +211,7 @@ SsdDevice::startGcStorm()
     if (gcStorm_)
         return;
     gcStorm_ = true;
-    stats_.counter("ssd.gc_storms").inc();
+    gcStorms_.inc();
     for (std::uint32_t c = 0; c < geometry_.numChannels; ++c)
         sim::spawn(gcStormLoop(c));
 }

@@ -190,6 +190,16 @@ class SsdDevice
     sim::Semaphore queue_;
     std::vector<std::unique_ptr<sim::Mutex>> channels_;
     common::StatSet stats_;
+    // Stat handles, each bound at its first use.
+    common::CounterHandle erases_{stats_, "ssd.erases"};
+    common::CounterHandle gcStormOps_{stats_, "ssd.gc_storm_ops"};
+    common::CounterHandle gcStorms_{stats_, "ssd.gc_storms"};
+    common::CounterHandle grayChannelChanges_{
+        stats_, "ssd.gray_channel_changes"};
+    common::CounterHandle programs_{stats_, "ssd.programs"};
+    common::CounterHandle readRetries_{stats_, "ssd.read_retries"};
+    common::CounterHandle reads_{stats_, "ssd.reads"};
+    common::HistogramHandle queueWait_{stats_, "ssd.queue_wait"};
     common::Tracer trace_;
     /** Per-channel op counters, pre-resolved (stable map nodes). */
     std::vector<common::Counter *> channelOps_;

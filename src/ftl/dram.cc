@@ -20,7 +20,7 @@ DramBackend::get(Key key, Version at)
     // Look up at coroutine entry (atomic w.r.t. other coroutines), then
     // model the access latency: callers rely on the snapshot being
     // taken when the request is issued.
-    stats_.counter("dram.gets").inc();
+    gets_.inc();
     GetResult result;
     if (auto chain = map_.find(key)) {
         chain.pruneBelowWatermark(watermark_, [](const auto &) {});
@@ -39,7 +39,7 @@ DramBackend::put(Key key, Value value, Version version)
 {
     // Mutate at entry, then charge the write latency: the new version
     // is visible to lookups issued after this call starts.
-    stats_.counter("dram.puts").inc();
+    puts_.inc();
     auto chain = map_.getOrCreate(key);
     chain.append(version, Stored{std::move(value)});
     chain.pruneBelowWatermark(watermark_, [](const auto &) {});
@@ -50,7 +50,7 @@ DramBackend::put(Key key, Value value, Version version)
 sim::Task<void>
 DramBackend::erase(Key key, Version version)
 {
-    stats_.counter("dram.deletes").inc();
+    deletes_.inc();
     co_await sim::sleepFor(sim_, config_.writeLatency);
     map_.dropAtOrBelow(key, version, [](const auto &) {});
 }

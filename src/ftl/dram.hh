@@ -60,6 +60,10 @@ class DramBackend : public KvBackend
     Store map_;
     Time watermark_ = 0;
     common::StatSet stats_;
+    // Stat handles, each bound at its first use.
+    common::CounterHandle deletes_{stats_, "dram.deletes"};
+    common::CounterHandle gets_{stats_, "dram.gets"};
+    common::CounterHandle puts_{stats_, "dram.puts"};
 };
 
 } // namespace ftl

@@ -147,7 +147,7 @@ Mftl::flushTask(std::vector<Pending> batch)
 
     co_await device_.programPage(addr, std::move(page));
     --pendingPrograms_[addr.block];
-    stats_.counter("mftl.pages_written").inc();
+    pagesWritten_.inc();
 
     // Publish the new locations in the mapping table.
     for (std::size_t i = 0; i < batch.size(); ++i) {
@@ -165,7 +165,7 @@ Mftl::flushTask(std::vector<Pending> batch)
                 --liveTuples_[entry->loc.page.block];
                 entry->loc = loc;
                 ++liveTuples_[addr.block];
-                stats_.counter("mftl.gc_remapped").inc();
+                gcRemapped_.inc();
             }
             // else: the version was pruned while in flight — the new
             // copy is dead on arrival, which is fine.
@@ -186,7 +186,7 @@ sim::Task<GetResult>
 Mftl::get(Key key, Version at)
 {
     const Time start = sim_.now();
-    stats_.counter("mftl.gets").inc();
+    gets_.inc();
 
     auto chain = map_.find(key);
     if (!chain)
@@ -214,7 +214,7 @@ Mftl::get(Key key, Version at)
         PANIC("mftl: mapping points at wrong tuple");
     }
     device_.unpinBlock(loc.page.block);
-    stats_.histogram("mftl.get_latency").record(sim_.now() - start);
+    getLatency_.record(sim_.now() - start);
     co_return result;
 }
 
@@ -222,7 +222,7 @@ sim::Task<PutStatus>
 Mftl::put(Key key, Value value, Version version)
 {
     const Time start = sim_.now();
-    stats_.counter("mftl.puts").inc();
+    puts_.inc();
     co_await admitUserWrite();
     flash::Record record;
     record.key = key;
@@ -231,14 +231,14 @@ Mftl::put(Key key, Value value, Version version)
     record.sizeBytes = config_.recordSize;
     auto ack = packLog_.append(std::move(record), false);
     const PutStatus status = co_await ack;
-    stats_.histogram("mftl.put_latency").record(sim_.now() - start);
+    putLatency_.record(sim_.now() - start);
     co_return status;
 }
 
 sim::Task<void>
 Mftl::erase(Key key, Version version)
 {
-    stats_.counter("mftl.deletes").inc();
+    deletes_.inc();
     co_await admitUserWrite();
     flash::Record record;
     record.key = key;
@@ -278,7 +278,7 @@ void
 Mftl::dropEntry(const Store::Entry &entry)
 {
     --liveTuples_[entry.loc.page.block];
-    stats_.counter("mftl.versions_pruned").inc();
+    versionsPruned_.inc();
 }
 
 sim::Task<void>
@@ -373,7 +373,7 @@ Mftl::gcOnce()
         std::vector<std::uint32_t> pinned;
         const auto pages = device_.geometry().pagesPerBlock;
         for (const std::uint32_t vb : victims) {
-            stats_.counter("mftl.gc_victims").inc();
+            gcVictims_.inc();
             if (liveTuples_[vb] == 0)
                 continue;
             device_.pinBlock(vb);
@@ -396,7 +396,7 @@ Mftl::gcOnce()
                                -> sim::Task<void> {
                     (*scans)[index].page = co_await
                         self->device_.readPage((*scans)[index].addr);
-                    self->stats_.counter("mftl.gc_page_reads").inc();
+                    self->gcPageReads_.inc();
                     done->arrive();
                 }(this, scans, i, done));
             }
@@ -436,7 +436,7 @@ Mftl::gcOnce()
             co_await device_.eraseBlock(vb);
             victimized_[vb] = false;
             freeBlocks_.push(vb, device_.eraseCount(vb));
-            stats_.counter("mftl.gc_erases").inc();
+            gcErases_.inc();
 
             auto freed = spaceFreed_;
             spaceFreed_ = sim::Promise<bool>(sim_);

@@ -156,6 +156,18 @@ class Mftl : public KvBackend
     sim::Promise<bool> spaceFreed_;
 
     common::StatSet stats_;
+    // Stat handles, each bound at its first use.
+    common::CounterHandle deletes_{stats_, "mftl.deletes"};
+    common::CounterHandle gcErases_{stats_, "mftl.gc_erases"};
+    common::CounterHandle gcPageReads_{stats_, "mftl.gc_page_reads"};
+    common::CounterHandle gcRemapped_{stats_, "mftl.gc_remapped"};
+    common::CounterHandle gcVictims_{stats_, "mftl.gc_victims"};
+    common::CounterHandle gets_{stats_, "mftl.gets"};
+    common::CounterHandle pagesWritten_{stats_, "mftl.pages_written"};
+    common::CounterHandle puts_{stats_, "mftl.puts"};
+    common::CounterHandle versionsPruned_{stats_, "mftl.versions_pruned"};
+    common::HistogramHandle getLatency_{stats_, "mftl.get_latency"};
+    common::HistogramHandle putLatency_{stats_, "mftl.put_latency"};
 };
 
 } // namespace ftl

@@ -117,7 +117,7 @@ Sftl::allocatePage(bool for_gc)
 sim::Task<std::optional<flash::PageData>>
 Sftl::read(Lba lba)
 {
-    stats_.counter("sftl.reads").inc();
+    reads_.inc();
     const flash::PageAddr addr = lbaMap_[static_cast<std::size_t>(lba)];
     if (addr == flash::kNoPage)
         co_return std::nullopt;
@@ -131,7 +131,7 @@ Sftl::read(Lba lba)
 sim::Task<PutStatus>
 Sftl::write(Lba lba, flash::PageData data)
 {
-    stats_.counter("sftl.writes").inc();
+    writes_.inc();
     const flash::PageAddr addr = co_await allocatePage(false);
     co_await device_.programPage(addr, std::move(data));
     --pendingPrograms_[addr.block];
@@ -151,7 +151,7 @@ Sftl::write(Lba lba, flash::PageData data)
 sim::Task<void>
 Sftl::trim(Lba lba)
 {
-    stats_.counter("sftl.trims").inc();
+    trims_.inc();
     const flash::PageAddr old = lbaMap_[static_cast<std::size_t>(lba)];
     if (old != flash::kNoPage) {
         owner(old) = -1;
@@ -196,12 +196,12 @@ Sftl::moveValidPage(std::uint32_t vb, std::uint32_t pg,
         device_.pageState(addr) == flash::PageState::Programmed) {
         const flash::PageData *page = co_await device_.readPage(addr);
         flash::PageData copy = *page;
-        stats_.counter("sftl.gc_page_reads").inc();
+        gcPageReads_.inc();
 
         const flash::PageAddr dst = co_await allocatePage(true);
         co_await device_.programPage(dst, std::move(copy));
         --pendingPrograms_[dst.block];
-        stats_.counter("sftl.gc_page_writes").inc();
+        gcPageWrites_.inc();
 
         // The LBA may have been overwritten or trimmed while the copy
         // was in flight; only remap if we still own it.
@@ -249,7 +249,7 @@ Sftl::gcOnce()
 
         std::uint32_t move_count = 0;
         for (const std::uint32_t vb : victims) {
-            stats_.counter("sftl.gc_victims").inc();
+            gcVictims_.inc();
             device_.pinBlock(vb);
             move_count += pages;
         }
@@ -268,7 +268,7 @@ Sftl::gcOnce()
             co_await device_.eraseBlock(vb);
             victimized_[vb] = false;
             freeBlocks_.push(vb, device_.eraseCount(vb));
-            stats_.counter("sftl.gc_erases").inc();
+            gcErases_.inc();
 
             auto freed = spaceFreed_;
             spaceFreed_ = sim::Promise<bool>(sim_);
@@ -314,7 +314,7 @@ sim::Task<GetResult>
 SingleVersionKv::get(Key key, Version /* at: single version only */)
 {
     const Time start = sim_.now();
-    stats_.counter("svkv.gets").inc();
+    gets_.inc();
     if (key >= config_.capacityKeys)
         co_return GetResult::miss();
     auto page = co_await sftl_.read(lbaOf(key));
@@ -328,7 +328,7 @@ SingleVersionKv::get(Key key, Version /* at: single version only */)
     result.found = true;
     result.version = rec.version;
     result.value = rec.value;
-    stats_.histogram("svkv.get_latency").record(sim_.now() - start);
+    getLatency_.record(sim_.now() - start);
     co_return result;
 }
 
@@ -336,7 +336,7 @@ sim::Task<PutStatus>
 SingleVersionKv::put(Key key, Value value, Version version)
 {
     const Time start = sim_.now();
-    stats_.counter("svkv.puts").inc();
+    puts_.inc();
     if (key >= config_.capacityKeys)
         co_return PutStatus::DeviceFull;
     const Lba lba = lbaOf(key);
@@ -359,7 +359,7 @@ SingleVersionKv::put(Key key, Value value, Version version)
     if (!rec.tombstone && rec.version >= version) {
         // At-most-once / stale rejection (section 3.3): a
         // single-version store must not overwrite newer data.
-        stats_.counter("svkv.stale_rejects").inc();
+        staleRejects_.inc();
         co_return PutStatus::StaleVersion;
     }
     rec.key = key;
@@ -368,7 +368,7 @@ SingleVersionKv::put(Key key, Value value, Version version)
     rec.tombstone = false;
     rec.sizeBytes = config_.recordSize;
     co_await sftl_.write(lba, std::move(data));
-    stats_.histogram("svkv.put_latency").record(sim_.now() - start);
+    putLatency_.record(sim_.now() - start);
     co_return PutStatus::Ok;
 }
 

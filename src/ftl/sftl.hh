@@ -115,6 +115,14 @@ class Sftl
     sim::Promise<bool> spaceFreed_;
 
     common::StatSet stats_;
+    // Stat handles, each bound at its first use.
+    common::CounterHandle gcErases_{stats_, "sftl.gc_erases"};
+    common::CounterHandle gcPageReads_{stats_, "sftl.gc_page_reads"};
+    common::CounterHandle gcPageWrites_{stats_, "sftl.gc_page_writes"};
+    common::CounterHandle gcVictims_{stats_, "sftl.gc_victims"};
+    common::CounterHandle reads_{stats_, "sftl.reads"};
+    common::CounterHandle trims_{stats_, "sftl.trims"};
+    common::CounterHandle writes_{stats_, "sftl.writes"};
 };
 
 /**
@@ -156,6 +164,12 @@ class SingleVersionKv : public KvBackend
     /** Per-LBA write serialization (read-modify-write atomicity). */
     std::vector<std::unique_ptr<sim::Mutex>> stripes_;
     common::StatSet stats_;
+    // Stat handles, each bound at its first use.
+    common::CounterHandle gets_{stats_, "svkv.gets"};
+    common::CounterHandle puts_{stats_, "svkv.puts"};
+    common::CounterHandle staleRejects_{stats_, "svkv.stale_rejects"};
+    common::HistogramHandle getLatency_{stats_, "svkv.get_latency"};
+    common::HistogramHandle putLatency_{stats_, "svkv.put_latency"};
 };
 
 } // namespace ftl

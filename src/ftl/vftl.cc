@@ -133,7 +133,7 @@ Vftl::flushTask(std::vector<Pending> batch)
 
     co_await sftl_.write(lba, std::move(page));
     pendingWrite_[static_cast<std::size_t>(lba)] = false;
-    stats_.counter("vftl.lbas_written").inc();
+    lbasWritten_.inc();
 
     for (std::size_t i = 0; i < batch.size(); ++i) {
         auto &p = batch[i];
@@ -149,7 +149,7 @@ Vftl::flushTask(std::vector<Pending> batch)
                 --liveRecords_[static_cast<std::size_t>(entry->loc.lba)];
                 entry->loc = loc;
                 ++liveRecords_[static_cast<std::size_t>(lba)];
-                stats_.counter("vftl.gc_remapped").inc();
+                gcRemapped_.inc();
             }
         } else {
             auto chain = map_.getOrCreate(p.record.key);
@@ -167,7 +167,7 @@ sim::Task<GetResult>
 Vftl::get(Key key, Version at)
 {
     const Time start = sim_.now();
-    stats_.counter("vftl.gets").inc();
+    gets_.inc();
 
     auto chain = map_.find(key);
     if (!chain)
@@ -194,7 +194,7 @@ Vftl::get(Key key, Version at)
     } else {
         PANIC("vftl: mapping points at wrong tuple");
     }
-    stats_.histogram("vftl.get_latency").record(sim_.now() - start);
+    getLatency_.record(sim_.now() - start);
     co_return result;
 }
 
@@ -202,7 +202,7 @@ sim::Task<PutStatus>
 Vftl::put(Key key, Value value, Version version)
 {
     const Time start = sim_.now();
-    stats_.counter("vftl.puts").inc();
+    puts_.inc();
     co_await admitUserWrite();
     flash::Record record;
     record.key = key;
@@ -211,14 +211,14 @@ Vftl::put(Key key, Value value, Version version)
     record.sizeBytes = config_.recordSize;
     auto ack = packLog_.append(std::move(record), false);
     const PutStatus status = co_await ack;
-    stats_.histogram("vftl.put_latency").record(sim_.now() - start);
+    putLatency_.record(sim_.now() - start);
     co_return status;
 }
 
 sim::Task<void>
 Vftl::erase(Key key, Version version)
 {
-    stats_.counter("vftl.deletes").inc();
+    deletes_.inc();
     co_await admitUserWrite();
     flash::Record record;
     record.key = key;
@@ -258,7 +258,7 @@ void
 Vftl::dropEntry(const Store::Entry &entry)
 {
     --liveRecords_[static_cast<std::size_t>(entry.loc.lba)];
-    stats_.counter("vftl.versions_pruned").inc();
+    versionsPruned_.inc();
 }
 
 sim::Task<void>
@@ -345,7 +345,7 @@ Vftl::gcOnce()
         };
         auto scans = std::make_shared<std::vector<Scan>>();
         for (const Lba victim : victims) {
-            stats_.counter("vftl.gc_victims").inc();
+            gcVictims_.inc();
             if (liveRecords_[static_cast<std::size_t>(victim)] == 0)
                 continue;
             scans->push_back(Scan{victim, std::nullopt});
@@ -361,7 +361,7 @@ Vftl::gcOnce()
                                -> sim::Task<void> {
                     (*scans)[index].page =
                         co_await self->sftl_.read((*scans)[index].lba);
-                    self->stats_.counter("vftl.gc_lba_reads").inc();
+                    self->gcLbaReads_.inc();
                     done->arrive();
                 }(this, scans, i, done));
             }
@@ -398,7 +398,7 @@ Vftl::gcOnce()
             co_await sftl_.trim(victim);
             victimized_[static_cast<std::size_t>(victim)] = false;
             freeLbas_.push_back(victim);
-            stats_.counter("vftl.gc_trims").inc();
+            gcTrims_.inc();
 
             auto freed = spaceFreed_;
             spaceFreed_ = sim::Promise<bool>(sim_);

@@ -131,6 +131,18 @@ class Vftl : public KvBackend
     sim::Promise<bool> spaceFreed_;
 
     common::StatSet stats_;
+    // Stat handles, each bound at its first use.
+    common::CounterHandle deletes_{stats_, "vftl.deletes"};
+    common::CounterHandle gcLbaReads_{stats_, "vftl.gc_lba_reads"};
+    common::CounterHandle gcRemapped_{stats_, "vftl.gc_remapped"};
+    common::CounterHandle gcTrims_{stats_, "vftl.gc_trims"};
+    common::CounterHandle gcVictims_{stats_, "vftl.gc_victims"};
+    common::CounterHandle gets_{stats_, "vftl.gets"};
+    common::CounterHandle lbasWritten_{stats_, "vftl.lbas_written"};
+    common::CounterHandle puts_{stats_, "vftl.puts"};
+    common::CounterHandle versionsPruned_{stats_, "vftl.versions_pruned"};
+    common::HistogramHandle getLatency_{stats_, "vftl.get_latency"};
+    common::HistogramHandle putLatency_{stats_, "vftl.put_latency"};
 };
 
 } // namespace ftl

@@ -59,7 +59,7 @@ CentimanClient::decideCommit(Transaction &txn)
         txn.abortReason_ = semel::AbortReason::SnapshotViolated;
         result = CommitResult::Aborted;
     } else {
-        stats().counter("centiman.ro_txns").inc();
+        roTxns_.inc();
         // Local check: the whole snapshot must lie below the
         // (lazily disseminated) watermark.
         const common::Time watermark = system_.watermark();
@@ -72,11 +72,11 @@ CentimanClient::decideCommit(Transaction &txn)
             }
         }
         if (below) {
-            stats().counter("centiman.local_validated").inc();
+            localValidated_.inc();
             result = CommitResult::Committed;
         } else {
             // Remote validation at the shard validators.
-            stats().counter("centiman.remote_validated").inc();
+            remoteValidated_.inc();
             result = co_await twoPhaseCommit(txn, true);
         }
     }

@@ -78,6 +78,11 @@ class CentimanClient : public MilanaClient
 
   private:
     CentimanSystem &system_;
+    // Stat handles, each bound at its first use.
+    common::CounterHandle localValidated_{stats_, "centiman.local_validated"};
+    common::CounterHandle remoteValidated_{
+        stats_, "centiman.remote_validated"};
+    common::CounterHandle roTxns_{stats_, "centiman.ro_txns"};
 };
 
 } // namespace milana

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <string>
+#include <utility>
 
 #include "common/chaos.hh"
 #include "common/logging.hh"
@@ -13,21 +14,26 @@ namespace milana {
 
 namespace {
 
-/** "txn.abort.<reason>", built once per reason rather than per abort. */
+/** "txn.abort.<reason>", built once per reason; handles keep views. */
 const std::string &
-abortCounterName(semel::AbortReason reason)
+abortCounterName(std::size_t reason)
 {
     static const auto names = [] {
-        std::array<std::string,
-                   static_cast<std::size_t>(semel::AbortReason::Timeout) + 1>
-            out;
+        std::array<std::string, MilanaClient::kAbortReasons> out;
         for (std::size_t r = 0; r < out.size(); ++r)
             out[r] = std::string("txn.abort.") +
                      semel::abortReasonName(
                          static_cast<semel::AbortReason>(r));
         return out;
     }();
-    return names[static_cast<std::size_t>(reason)];
+    return names[reason];
+}
+
+template <std::size_t... R>
+std::array<common::CounterHandle, sizeof...(R)>
+abortCounters(common::StatSet &stats, std::index_sequence<R...>)
+{
+    return {{common::CounterHandle(stats, abortCounterName(R))...}};
 }
 
 } // namespace
@@ -41,7 +47,9 @@ MilanaClient::MilanaClient(sim::Simulator &sim, net::Network &net,
                            const TxnConfig &txn_config)
     : semel::Client(sim, net, node, client_id, clock, master, directory,
                     config),
-      tcfg_(txn_config)
+      tcfg_(txn_config),
+      abortCounters_(abortCounters(
+          stats_, std::make_index_sequence<kAbortReasons>{}))
 {
 }
 
@@ -64,7 +72,7 @@ MilanaClient::beginTransaction(TxnHint hint)
     txn.active_ = true;
     txn.hint_ = hint;
     txn.traceId_ = trace_.newTraceId();
-    stats_.counter("txn.begun").inc();
+    begun_.inc();
     common::TraceContextScope ctx(common::TraceContext{txn.traceId_, 0});
     trace_.instant("milana.txn.begin",
                    hint == TxnHint::ReadWrite ? "rw_hint" : "default",
@@ -118,7 +126,7 @@ MilanaClient::get(Transaction &txn, Key key)
     if (hinted_rw && tcfg_.interTxnCacheCapacity > 0) {
         if (auto cit = interTxnCache_.find(key);
             cit != interTxnCache_.end()) {
-            stats_.counter("txn.cache_hits").inc();
+            cacheHits_.inc();
             trace_.instant("milana.txn.read", "cache",
                            static_cast<std::int64_t>(key),
                            cit->second.observed.timestamp);
@@ -135,7 +143,7 @@ MilanaClient::get(Transaction &txn, Key key)
         // Section 4.6 relaxation: read from any replica; the primary
         // re-validates the observed version at prepare time.
         MilanaServer *replica = anyReplicaFor(key, replicaRng_);
-        stats_.counter("txn.replica_reads").inc();
+        replicaReads_.inc();
         GetRequest req{key, txn.begin_};
         resp = co_await net_.callTyped<GetResponse>(
             node_, replica->nodeId(), replica->handleGet(req));
@@ -143,7 +151,7 @@ MilanaClient::get(Transaction &txn, Key key)
         resp = co_await getAt(key, txn.begin_);
     }
     if (!resp.has_value() || resp->unavailable) {
-        stats_.counter("txn.read_failures").inc();
+        readFailures_.inc();
         if (chaos_ != nullptr && chaos_->anyActive()) {
             txn.abortReason_ = semel::AbortReason::Timeout;
             trace_.instant("milana.txn.fault_active",
@@ -193,7 +201,7 @@ MilanaClient::abortTransaction(Transaction &txn)
     txn.active_ = false;
     txn.readSet_.clear();
     txn.writeSet_.clear();
-    stats_.counter("txn.client_aborts").inc();
+    clientAborts_.inc();
     common::TraceContextScope ctx(common::TraceContext{txn.traceId_, 0});
     trace_.instant("milana.txn.client_abort");
     noteAcked(clock_.localNow());
@@ -205,9 +213,9 @@ MilanaClient::commitReadOnlyLocal(Transaction &txn)
     // Local validation (section 4.3): zero messages. The transaction
     // commits iff every value in its read set came from a consistent
     // snapshot at ts_begin.
-    stats_.counter("txn.local_validations").inc();
+    localValidations_.inc();
     if (txn.snapshotViolated_) {
-        stats_.counter("txn.local_validation_fail").inc();
+        localValidationFail_.inc();
         txn.abortReason_ = semel::AbortReason::SnapshotViolated;
         co_return CommitResult::Aborted;
     }
@@ -402,7 +410,7 @@ MilanaClient::commitTransaction(Transaction &txn)
 
     switch (result) {
       case CommitResult::Committed:
-        stats_.counter("txn.committed").inc();
+        committed_.inc();
         span.setTag("committed");
         span.setArg2(txn.commitVersion_.timestamp != 0
                          ? txn.commitVersion_.timestamp
@@ -419,8 +427,8 @@ MilanaClient::commitTransaction(Transaction &txn)
         }
         break;
       case CommitResult::Aborted:
-        stats_.counter("txn.aborted").inc();
-        stats_.counter(abortCounterName(txn.abortReason_)).inc();
+        aborted_.inc();
+        abortCounters_[static_cast<std::size_t>(txn.abortReason_)].inc();
         span.setTag(semel::abortReasonName(txn.abortReason_));
         // Cached reads may have caused the conflict: drop them so the
         // retry reads fresh data.
@@ -428,7 +436,7 @@ MilanaClient::commitTransaction(Transaction &txn)
             interTxnCache_.erase(key);
         break;
       case CommitResult::Failed:
-        stats_.counter("txn.failed").inc();
+        failed_.inc();
         span.setTag("failed");
         break;
     }
@@ -437,7 +445,7 @@ MilanaClient::commitTransaction(Transaction &txn)
     // trace-report --txn=<id> answers "why did this txn die?".
     if (result != CommitResult::Committed && chaos_ != nullptr &&
         chaos_->anyActive()) {
-        stats_.counter("txn.fault_active_aborts").inc();
+        faultActiveAborts_.inc();
         trace_.instant("milana.txn.fault_active",
                        chaos_->activeFaultName());
     }

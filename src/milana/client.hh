@@ -22,6 +22,7 @@
 #ifndef MILANA_CLIENT_HH
 #define MILANA_CLIENT_HH
 
+#include <array>
 #include <limits>
 #include <map>
 #include <optional>
@@ -122,6 +123,10 @@ class Transaction
 class MilanaClient : public semel::Client
 {
   public:
+    /** AbortReason values, each counted as `txn.abort.<reason>`. */
+    static constexpr std::size_t kAbortReasons =
+        static_cast<std::size_t>(semel::AbortReason::Timeout) + 1;
+
     struct TxnConfig
     {
         /** Client-local validation of read-only transactions
@@ -209,6 +214,22 @@ class MilanaClient : public semel::Client
     /** Inter-transaction read cache (insertion-order bounded). */
     std::map<Key, Transaction::CachedRead> interTxnCache_;
     common::Rng replicaRng_{0xC0FFEE};
+    // Stat handles, each bound at its first use.
+    /** `txn.abort.<reason>`, indexed by AbortReason. */
+    std::array<common::CounterHandle, kAbortReasons> abortCounters_;
+    common::CounterHandle aborted_{stats_, "txn.aborted"};
+    common::CounterHandle begun_{stats_, "txn.begun"};
+    common::CounterHandle cacheHits_{stats_, "txn.cache_hits"};
+    common::CounterHandle clientAborts_{stats_, "txn.client_aborts"};
+    common::CounterHandle committed_{stats_, "txn.committed"};
+    common::CounterHandle failed_{stats_, "txn.failed"};
+    common::CounterHandle faultActiveAborts_{
+        stats_, "txn.fault_active_aborts"};
+    common::CounterHandle localValidationFail_{
+        stats_, "txn.local_validation_fail"};
+    common::CounterHandle localValidations_{stats_, "txn.local_validations"};
+    common::CounterHandle readFailures_{stats_, "txn.read_failures"};
+    common::CounterHandle replicaReads_{stats_, "txn.replica_reads"};
 };
 
 } // namespace milana

@@ -101,7 +101,7 @@ MilanaServer::preparedVersion(Key key) const
 sim::Task<GetResponse>
 MilanaServer::handleGet(GetRequest request)
 {
-    stats_.counter("milana.gets").inc();
+    milanaGets_.inc();
     common::ScopedSpan span(trace_, "milana.server.get");
     co_await chargeCpu();
     GetResponse resp;
@@ -115,7 +115,7 @@ MilanaServer::handleGet(GetRequest request)
             request.at.timestamp > leaseUntil_)) {
         if (sim_.now() > deadline || sim_.stopRequested()) {
             resp.unavailable = true;
-            stats_.counter("milana.get_unavailable").inc();
+            getUnavailable_.inc();
             span.setTag("unavailable");
             co_return resp;
         }
@@ -154,11 +154,11 @@ MilanaServer::validate(const PrepareRequest &request)
     for (const auto &read : request.readSet) {
         const semel::KeySlot &ks = keys_.getOrCreate(read.key);
         if ((ks.flags & semel::KeySlot::kPrepared) != 0) {
-            stats_.counter("milana.abort_read_prepared").inc();
+            abortReadPrepared_.inc();
             return AbortReason::ReadPrepared;
         }
         if (ks.latestCommitted != read.observed) {
-            stats_.counter("milana.abort_read_stale").inc();
+            abortReadStale_.inc();
             return AbortReason::ReadStale;
         }
     }
@@ -166,15 +166,15 @@ MilanaServer::validate(const PrepareRequest &request)
     for (const auto &write : request.writeSet) {
         const semel::KeySlot &ks = keys_.getOrCreate(write.key);
         if ((ks.flags & semel::KeySlot::kPrepared) != 0) {
-            stats_.counter("milana.abort_write_prepared").inc();
+            abortWritePrepared_.inc();
             return AbortReason::WritePrepared;
         }
         if (ks.latestRead >= new_version) {
-            stats_.counter("milana.abort_write_read_conflict").inc();
+            abortWriteReadConflict_.inc();
             return AbortReason::WriteReadConflict;
         }
         if (ks.latestCommitted >= new_version) {
-            stats_.counter("milana.abort_write_stale").inc();
+            abortWriteStale_.inc();
             return AbortReason::WriteStale;
         }
     }
@@ -193,7 +193,7 @@ MilanaServer::classifyAbort(semel::AbortReason reason)
       case semel::AbortReason::ReadStale:
       case semel::AbortReason::WriteStale:
       case semel::AbortReason::WriteReadConflict:
-        stats_.counter("milana.abort_clock_suspect").inc();
+        abortClockSuspect_.inc();
         return semel::AbortReason::ClockSuspect;
       default:
         return reason;
@@ -203,7 +203,7 @@ MilanaServer::classifyAbort(semel::AbortReason reason)
 sim::Task<PrepareResponse>
 MilanaServer::handlePrepare(PrepareRequest request)
 {
-    stats_.counter("milana.prepares").inc();
+    prepares_.inc();
     common::ScopedSpan span(trace_, "milana.server.prepare");
     span.setArg(static_cast<std::int64_t>(request.writeSet.size()));
     co_await chargeCpu();
@@ -225,7 +225,7 @@ MilanaServer::handlePrepare(PrepareRequest request)
     // transaction whose record is gone: vote it down. DESIGN.md argues
     // that no client sends one.
     if (request.commitVersion.timestamp < txns_.horizon()) {
-        stats_.counter("milana.txn_table.below_horizon_prepare").inc();
+        txnTableBelowHorizonPrepare_.inc();
         resp.vote = Vote::Abort;
         resp.reason = semel::AbortReason::PrepareFailed;
         span.setTag("below_horizon");
@@ -282,10 +282,7 @@ MilanaServer::handlePrepare(PrepareRequest request)
             // local validation eliminates).
             co_await barrierBackups();
         }
-        stats_.counter(resp.vote == Vote::Commit
-                           ? "milana.votes_commit"
-                           : "milana.votes_abort")
-            .inc();
+        (resp.vote == Vote::Commit ? votesCommit_ : votesAbort_).inc();
         span.setTag(resp.vote == Vote::Commit
                         ? "commit"
                         : semel::abortReasonName(resp.reason));
@@ -296,7 +293,7 @@ MilanaServer::handlePrepare(PrepareRequest request)
     if (reason != semel::AbortReason::None) {
         resp.vote = Vote::Abort;
         resp.reason = reason;
-        stats_.counter("milana.votes_abort").inc();
+        votesAbort_.inc();
         span.setTag(semel::abortReasonName(reason));
         co_return resp;
     }
@@ -320,7 +317,7 @@ MilanaServer::handlePrepare(PrepareRequest request)
     // record (with the write set and shard list) and wait for f acks.
     co_await replicateTxnRecord(record, true);
 
-    stats_.counter("milana.votes_commit").inc();
+    votesCommit_.inc();
     span.setTag("commit");
     co_return resp;
 }
@@ -356,7 +353,7 @@ MilanaServer::applyCommit(const TxnSlot &record, bool late)
     }
     if (record.writes != 0)
         co_await done.wait();
-    stats_.counter("milana.committed").inc();
+    committed_.inc();
 }
 
 void
@@ -367,13 +364,13 @@ MilanaServer::applyAbort(const TxnSlot &record)
         if (semel::KeySlot *ks = keys_.find(write.key))
             clearPrepared(*ks, txn);
     }
-    stats_.counter("milana.aborted").inc();
+    aborted_.inc();
 }
 
 sim::Task<DecisionResponse>
 MilanaServer::handleDecision(DecisionRequest request)
 {
-    stats_.counter("milana.decisions").inc();
+    decisions_.inc();
     common::ScopedSpan span(trace_, "milana.server.decision",
                             request.decision == TxnDecision::Commit
                                 ? "commit"
@@ -407,7 +404,7 @@ MilanaServer::handleTxnStatus(TxnStatusRequest request)
     // Below the horizon the answer may come from a truncated record;
     // DESIGN.md argues that no CTP asks there.
     if (request.commitVersion.timestamp < txns_.horizon())
-        stats_.counter("milana.txn_table.below_horizon_status").inc();
+        txnTableBelowHorizonStatus_.inc();
     TxnStatusResponse resp;
     resp.status = txns_.statusOf(request.txn);
     co_return resp;
@@ -462,7 +459,7 @@ MilanaServer::replicateTxnRecord(const TxnSlot &record, bool wait_quorum)
     }
     if (wait_quorum) {
         co_await quorum->wait();
-        stats_.histogram("milana.repl_wait").record(sim_.now() - started);
+        milanaReplWait_.record(sim_.now() - started);
     }
 }
 
@@ -498,7 +495,7 @@ sim::Task<bool>
 MilanaServer::handleReplicateTxnRecord(ReplicateTxnRecord record,
                                        Time horizon)
 {
-    stats_.counter("milana.replica_records").inc();
+    replicaRecords_.inc();
     // The primary's horizon rides on every record; the next CTP scan
     // truncates at it.
     primaryHorizon_ = std::max(primaryHorizon_, horizon);
@@ -506,7 +503,7 @@ MilanaServer::handleReplicateTxnRecord(ReplicateTxnRecord record,
     // write); records may arrive in any order (Figure 5), and one
     // below the horizon is a late duplicate the table drops.
     if (record.commitVersion.timestamp < txns_.horizon())
-        stats_.counter("milana.txn_table.below_horizon_merge").inc();
+        txnTableBelowHorizonMerge_.inc();
     const TxnSlot *stored = txns_.merge(record, sim_.now());
     if (stored != nullptr && stored->status == semel::TxnStatus::Committed) {
         // Apply the committed writes to local storage, asynchronously:
@@ -566,7 +563,7 @@ MilanaServer::renewLease()
     auto granted = co_await fut.withTimeout(20 * kMillisecond);
     if (granted.has_value()) {
         leaseUntil_ = std::max(leaseUntil_, until);
-        stats_.counter("milana.lease_renewals").inc();
+        leaseRenewals_.inc();
         co_return true;
     }
     co_return false;
@@ -590,7 +587,7 @@ MilanaServer::resolveOrphan(TxnId txn)
     const TxnSlot *entry = txns_.findLive(txn);
     if (entry == nullptr || entry->status != semel::TxnStatus::Prepared)
         co_return;
-    stats_.counter("milana.ctp_invocations").inc();
+    ctpInvocations_.inc();
     // Copy: the entry is not read across the suspensions below.
     const auto shards = entry->participants();
     const decltype(ReplicateTxnRecord::participants) participants(
@@ -640,10 +637,7 @@ MilanaServer::resolveOrphan(TxnId txn)
         co_return; // cannot determine yet; retry at the next scan
     }
 
-    stats_.counter(decision == TxnDecision::Commit
-                       ? "milana.ctp_commits"
-                       : "milana.ctp_aborts")
-        .inc();
+    (decision == TxnDecision::Commit ? ctpCommits_ : ctpAborts_).inc();
     DecisionRequest req;
     req.txn = txn;
     req.decision = decision;
@@ -709,7 +703,7 @@ sim::Task<void>
 MilanaServer::recoverAsPrimary()
 {
     recovering_ = true;
-    stats_.counter("milana.recoveries").inc();
+    recoveries_.inc();
 
     // Algorithm 2: merge every reachable replica's transaction table
     // into our own. Outcomes dominate prepares; any single record of

@@ -34,7 +34,7 @@
 #include <vector>
 
 #include "clocksync/clock.hh"
-#include "ftl/mapping_table.hh"
+#include "common/key_table.hh"
 #include "milana/txn_table.hh"
 #include "semel/client.hh"
 #include "semel/server.hh"
@@ -209,12 +209,44 @@ class MilanaServer : public semel::Server
     Time primaryHorizon_ = 0;
     std::uint64_t pruned_ = 0;
     /** ts_prepared and owner of each key whose slot has kPrepared. */
-    ftl::KeyTable<PreparedSlot> prepared_;
+    common::KeyTable<PreparedSlot> prepared_;
 
     Time leaseUntil_ = 0;       ///< primary: lease expiry (local clock)
     Time maxLeaseGranted_ = 0;  ///< backup: newest lease it granted
     bool recovering_ = false;
     bool started_ = false;
+    // Stat handles, each bound at its first use.
+    common::CounterHandle abortClockSuspect_{
+        stats_, "milana.abort_clock_suspect"};
+    common::CounterHandle abortReadPrepared_{
+        stats_, "milana.abort_read_prepared"};
+    common::CounterHandle abortReadStale_{stats_, "milana.abort_read_stale"};
+    common::CounterHandle abortWritePrepared_{
+        stats_, "milana.abort_write_prepared"};
+    common::CounterHandle abortWriteReadConflict_{
+        stats_, "milana.abort_write_read_conflict"};
+    common::CounterHandle abortWriteStale_{stats_, "milana.abort_write_stale"};
+    common::CounterHandle aborted_{stats_, "milana.aborted"};
+    common::CounterHandle committed_{stats_, "milana.committed"};
+    common::CounterHandle ctpAborts_{stats_, "milana.ctp_aborts"};
+    common::CounterHandle ctpCommits_{stats_, "milana.ctp_commits"};
+    common::CounterHandle ctpInvocations_{stats_, "milana.ctp_invocations"};
+    common::CounterHandle decisions_{stats_, "milana.decisions"};
+    common::CounterHandle getUnavailable_{stats_, "milana.get_unavailable"};
+    common::CounterHandle milanaGets_{stats_, "milana.gets"};
+    common::CounterHandle leaseRenewals_{stats_, "milana.lease_renewals"};
+    common::CounterHandle prepares_{stats_, "milana.prepares"};
+    common::CounterHandle recoveries_{stats_, "milana.recoveries"};
+    common::CounterHandle replicaRecords_{stats_, "milana.replica_records"};
+    common::CounterHandle txnTableBelowHorizonMerge_{
+        stats_, "milana.txn_table.below_horizon_merge"};
+    common::CounterHandle txnTableBelowHorizonPrepare_{
+        stats_, "milana.txn_table.below_horizon_prepare"};
+    common::CounterHandle txnTableBelowHorizonStatus_{
+        stats_, "milana.txn_table.below_horizon_status"};
+    common::CounterHandle votesAbort_{stats_, "milana.votes_abort"};
+    common::CounterHandle votesCommit_{stats_, "milana.votes_commit"};
+    common::HistogramHandle milanaReplWait_{stats_, "milana.repl_wait"};
 };
 
 } // namespace milana

@@ -6,7 +6,7 @@
  * The transaction table is a server's only per-transaction record and
  * its replica log. It answers CTP status queries, and a promoted
  * backup re-applies its committed write sets (Algorithm 2). It is one
- * flat ftl::KeyTable of TxnSlot, keyed by the packed TxnId. A slot
+ * flat common::KeyTable of TxnSlot, keyed by the packed TxnId. A slot
  * packs status and flag bits beside the commit version, the way a
  * TicToc TID word packs lock and status bits beside its timestamp.
  * A record's write set and participants share one size-class block
@@ -73,7 +73,7 @@ Key packTxnId(const TxnId &txn);
 TxnId unpackTxnId(Key key);
 
 /**
- * One transaction-table entry (56 B): an ftl::KeyTable slot whose
+ * One transaction-table entry (56 B): an common::KeyTable slot whose
  * write set and participants live in one arena block.
  *
  *     Key      key            8B  packed TxnId } table bookkeeping
@@ -229,7 +229,7 @@ class TxnTable
     /** Sorted keys, unpacked. */
     static std::vector<TxnId> idsOf(std::vector<Key> keys);
 
-    ftl::KeyTable<TxnSlot> slots_;
+    common::KeyTable<TxnSlot> slots_;
     Arena arena_;
     /** Keys of the live records, unordered. */
     std::vector<Key> live_;
@@ -240,7 +240,7 @@ class TxnTable
 
 /**
  * A key's prepared-but-undecided write and the transaction that owns
- * it (48 B): one ftl::KeyTable slot, present exactly while the key's
+ * it (48 B): one common::KeyTable slot, present exactly while the key's
  * semel::KeySlot has kPrepared set.
  *
  *     Key      key      8B  } table bookkeeping

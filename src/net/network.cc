@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 
 namespace net {
 
@@ -21,25 +22,45 @@ Network::sampleDelay()
                     static_cast<Duration>(std::llround(d)));
 }
 
+namespace {
+
+common::Key
+linkKey(NodeId from, NodeId to)
+{
+    return (static_cast<common::Key>(from) << 32) | to;
+}
+
+} // namespace
+
 Duration
 Network::sampleDelay(NodeId from, NodeId to)
 {
+    return sampleDelay(links_.getOrCreate(linkKey(from, to)), from, to);
+}
+
+Duration
+Network::sampleDelay(Link &l, NodeId from, NodeId to)
+{
     Duration delay = sampleDelay();
-    const double factor = delayFactor(from, to);
+    const double factor = delayFactor(&l);
     if (factor != 1.0)
         delay = std::max(config_.minLatency,
                          static_cast<Duration>(std::llround(
                              static_cast<double>(delay) * factor)));
-    auto it = linkDelay_.find({from, to});
-    if (it == linkDelay_.end()) {
-        const std::string name = "net.link." + std::to_string(from) +
-                                 "-" + std::to_string(to) + ".delay";
-        it = linkDelay_.emplace(std::make_pair(from, to),
-                                &stats_.histogram(name))
-                 .first;
-    }
-    it->second->record(delay);
+    if (l.delay == nullptr)
+        l.delay = &stats_.histogram("net.link." + std::to_string(from) +
+                                    "-" + std::to_string(to) + ".delay");
+    l.delay->record(delay);
     return delay;
+}
+
+std::optional<Duration>
+Network::legDelay(NodeId from, NodeId to)
+{
+    Link &l = links_.getOrCreate(linkKey(from, to));
+    if (!deliverable(from, to, &l))
+        return std::nullopt;
+    return sampleDelay(l, from, to);
 }
 
 void
@@ -67,17 +88,22 @@ void
 Network::setLinkBrokenOneWay(NodeId from, NodeId to, bool broken)
 {
     if (broken)
-        brokenLinks_.insert({from, to});
-    else
-        brokenLinks_.erase({from, to});
+        links_.getOrCreate(linkKey(from, to)).broken = true;
+    else if (Link *l = links_.find(linkKey(from, to)))
+        l->broken = false;
 }
 
 bool
 Network::deliverable(NodeId from, NodeId to) const
 {
-    if (nodeDown(from) || nodeDown(to))
-        return false;
-    return !brokenLinks_.count({from, to});
+    return deliverable(from, to, links_.find(linkKey(from, to)));
+}
+
+bool
+Network::deliverable(NodeId from, NodeId to, const Link *l) const
+{
+    return !nodeDown(from) && !nodeDown(to) &&
+           (l == nullptr || !l->broken);
 }
 
 void
@@ -89,20 +115,27 @@ Network::setDelayFactor(double factor)
 void
 Network::setLinkDelayFactor(NodeId a, NodeId b, double factor)
 {
-    if (factor == 1.0) {
-        linkDelayFactor_.erase({a, b});
-        linkDelayFactor_.erase({b, a});
-        return;
+    for (const auto &[from, to] : {std::pair{a, b}, std::pair{b, a}}) {
+        if (factor != 1.0) {
+            Link &l = links_.getOrCreate(linkKey(from, to));
+            l.hasFactor = true;
+            l.factor = factor;
+        } else if (Link *l = links_.find(linkKey(from, to))) {
+            l->hasFactor = false;
+        }
     }
-    linkDelayFactor_[{a, b}] = factor;
-    linkDelayFactor_[{b, a}] = factor;
 }
 
 double
 Network::delayFactor(NodeId from, NodeId to) const
 {
-    const auto it = linkDelayFactor_.find({from, to});
-    return it != linkDelayFactor_.end() ? it->second : delayFactorAll_;
+    return delayFactor(links_.find(linkKey(from, to)));
+}
+
+double
+Network::delayFactor(const Link *l) const
+{
+    return l != nullptr && l->hasFactor ? l->factor : delayFactorAll_;
 }
 
 } // namespace net

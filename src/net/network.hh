@@ -26,12 +26,11 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <optional>
-#include <set>
 #include <utility>
 #include <vector>
 
+#include "common/key_table.hh"
 #include "common/random.hh"
 #include "common/stats.hh"
 #include "common/trace.hh"
@@ -133,7 +132,7 @@ class Network
     sim::Task<std::optional<Resp>>
     callTyped(NodeId from, NodeId to, sim::Task<Resp> handler)
     {
-        stats_.counter("net.calls").inc();
+        calls_.inc();
         // The RPC span inherits the caller's ambient context (the task
         // starts inline in the caller); the message header then
         // carries the context *including this span*, so handler-side
@@ -142,19 +141,20 @@ class Network
         rpc.setArg(from);
         rpc.setArg2(to);
         const MessageHeader header{common::currentTraceContext()};
-        if (!deliverable(from, to)) {
+        const std::optional<Duration> request = legDelay(from, to);
+        if (!request) {
             co_await sim::sleepFor(sim_, config_.rpcTimeout);
-            stats_.counter("net.request_lost").inc();
+            requestLost_.inc();
             rpc.setTag("request_lost");
             co_return std::nullopt;
         }
-        co_await sim::sleepFor(sim_, sampleDelay(from, to));
+        co_await sim::sleepFor(sim_, *request);
         // Re-check on arrival: the destination may have crashed while
         // the request was in flight (the unexecuted handler is
         // discarded, as a dropped packet would be).
         if (nodeDown(to)) {
             co_await sim::sleepFor(sim_, config_.rpcTimeout);
-            stats_.counter("net.request_lost").inc();
+            requestLost_.inc();
             rpc.setTag("request_lost");
             co_return std::nullopt;
         }
@@ -162,13 +162,14 @@ class Network
         // handler, as a real server's RPC layer would.
         common::TraceContextScope deliverScope(header.trace);
         Resp resp = co_await std::move(handler);
-        if (!deliverable(to, from)) {
+        const std::optional<Duration> response = legDelay(to, from);
+        if (!response) {
             co_await sim::sleepFor(sim_, config_.rpcTimeout);
-            stats_.counter("net.response_lost").inc();
+            responseLost_.inc();
             rpc.setTag("response_lost");
             co_return std::nullopt;
         }
-        co_await sim::sleepFor(sim_, sampleDelay(to, from));
+        co_await sim::sleepFor(sim_, *response);
         co_return resp;
     }
 
@@ -177,12 +178,12 @@ class Network
     void
     send(NodeId from, NodeId to, Deliver deliver)
     {
-        stats_.counter("net.sends").inc();
-        if (!deliverable(from, to))
+        sends_.inc();
+        const std::optional<Duration> delay = legDelay(from, to);
+        if (!delay)
             return;
         const MessageHeader header{common::currentTraceContext()};
-        const Duration delay = sampleDelay(from, to);
-        sim_.schedule(delay,
+        sim_.schedule(*delay,
                       [this, to, header, deliver = std::move(deliver)] {
                           if (nodeDown(to))
                               return;
@@ -192,18 +193,48 @@ class Network
     }
 
   private:
+    /** State of one directed link: a KeyTable slot keyed by
+     *  from << 32 | to, created (all zero) at the link's first use. */
+    struct Link
+    {
+        common::Key key;
+        std::uint32_t dist;
+        /** This direction drops messages. */
+        bool broken;
+        /** `factor` overrides the global delay factor. */
+        bool hasFactor;
+        double factor;
+        /** `net.link.<from>-<to>.delay`, bound at the first sampled
+         *  delay so a leg that carried nothing has no histogram. */
+        common::Histogram *delay;
+    };
+
+    /** deliverable() for a leg whose record is @p l (nullptr: the
+     *  link was never used). */
+    bool deliverable(NodeId from, NodeId to, const Link *l) const;
+    /** delayFactor() for the record @p l (nullptr: never used). */
+    double delayFactor(const Link *l) const;
+
+    /** Sample a delay for @p l, the @p from -> @p to leg. */
+    Duration sampleDelay(Link &l, NodeId from, NodeId to);
+
+    /** One message leg, with one link lookup: its sampled delay, or
+     *  nullopt if deliverable(from, to) is false (nothing is sampled
+     *  then). */
+    std::optional<Duration> legDelay(NodeId from, NodeId to);
+
     sim::Simulator &sim_;
     NetConfig config_;
     common::Rng rng_;
     std::vector<bool> down_;
-    /** Directed: (from, to) present = that leg drops messages. */
-    std::set<std::pair<NodeId, NodeId>> brokenLinks_;
     double delayFactorAll_ = 1.0;
-    std::map<std::pair<NodeId, NodeId>, double> linkDelayFactor_;
+    common::KeyTable<Link> links_;
     common::StatSet stats_;
+    common::CounterHandle calls_{stats_, "net.calls"};
+    common::CounterHandle sends_{stats_, "net.sends"};
+    common::CounterHandle requestLost_{stats_, "net.request_lost"};
+    common::CounterHandle responseLost_{stats_, "net.response_lost"};
     common::Tracer tracer_;
-    /** Cached per-link histograms; StatSet map nodes are stable. */
-    std::map<std::pair<NodeId, NodeId>, common::Histogram *> linkDelay_;
 };
 
 } // namespace net

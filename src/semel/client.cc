@@ -47,7 +47,7 @@ Client::get(Key key)
 sim::Task<std::optional<GetResponse>>
 Client::getAt(Key key, Version at)
 {
-    stats_.counter("client.gets").inc();
+    gets_.inc();
     GetRequest req{key, at};
     for (std::uint32_t attempt = 0; attempt <= config_.maxRetries;
          ++attempt) {
@@ -58,7 +58,7 @@ Client::getAt(Key key, Version at)
             noteAcked(at.timestamp);
             co_return resp;
         }
-        stats_.counter("client.get_retries").inc();
+        getRetries_.inc();
     }
     co_return std::nullopt;
 }
@@ -66,7 +66,7 @@ Client::getAt(Key key, Version at)
 sim::Task<PutResult>
 Client::put(Key key, Value value)
 {
-    stats_.counter("client.puts").inc();
+    puts_.inc();
     // A raw KV put outside any transaction starts its own trace so the
     // server/replication spans it triggers still group together.
     common::TraceContext ctx = common::currentTraceContext();
@@ -89,7 +89,7 @@ Client::put(Key key, Value value)
             span.setTag(resp->result == PutResult::Ok ? "ok" : "rejected");
             co_return resp->result;
         }
-        stats_.counter("client.put_retries").inc();
+        putRetries_.inc();
     }
     span.setTag("failed");
     co_return PutResult::Failed;
@@ -98,7 +98,7 @@ Client::put(Key key, Value value)
 sim::Task<PutResult>
 Client::del(Key key)
 {
-    stats_.counter("client.deletes").inc();
+    deletes_.inc();
     const Version version{clock_.localNow(), clientId_};
     for (std::uint32_t attempt = 0; attempt <= config_.maxRetries;
          ++attempt) {
@@ -123,10 +123,11 @@ Client::watermarkLoop()
         if (report == 0)
             continue;
         const Time done = doneBelow();
-        for (const auto &[node, server] : directory_.all()) {
-            Server *srv = server;
+        for (Server *srv : directory_.all()) {
+            if (srv == nullptr)
+                continue;
             const ClientId cid = clientId_;
-            net_.send(node_, node, [srv, cid, report, done] {
+            net_.send(node_, srv->nodeId(), [srv, cid, report, done] {
                 srv->handleWatermarkReport(cid, report, done);
             });
         }

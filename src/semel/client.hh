@@ -88,6 +88,12 @@ class Client
     Time lastAcked_ = 0;
     common::StatSet stats_;
     common::Tracer trace_;
+    // Stat handles, each bound at its first use.
+    common::CounterHandle deletes_{stats_, "client.deletes"};
+    common::CounterHandle getRetries_{stats_, "client.get_retries"};
+    common::CounterHandle gets_{stats_, "client.gets"};
+    common::CounterHandle putRetries_{stats_, "client.put_retries"};
+    common::CounterHandle puts_{stats_, "client.puts"};
 };
 
 } // namespace semel

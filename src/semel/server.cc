@@ -64,7 +64,7 @@ Server::noteCommitted(Key key, Version version)
 sim::Task<GetResponse>
 Server::handleGet(GetRequest request)
 {
-    stats_.counter("semel.gets").inc();
+    gets_.inc();
     co_await chargeCpu();
     const ftl::GetResult r = co_await backend_.get(request.key, request.at);
     GetResponse resp;
@@ -100,14 +100,14 @@ Server::replicateToBackups(ReplicateWrite msg)
     }
     // Inconsistent replication: no ordering, just a quorum of acks.
     co_await quorum->wait();
-    stats_.histogram("semel.repl_wait").record(sim_.now() - started);
+    replWait_.record(sim_.now() - started);
     co_return true;
 }
 
 sim::Task<PutResponse>
 Server::handlePut(PutRequest request)
 {
-    stats_.counter("semel.puts").inc();
+    puts_.inc();
     common::ScopedSpan span(trace_, "semel.server.put");
     span.setArg(static_cast<std::int64_t>(backups_.size()));
     co_await chargeCpu();
@@ -117,14 +117,14 @@ Server::handlePut(PutRequest request)
     if (request.version == latest && !latest.isZero()) {
         // Retransmitted request we already executed: repeat the reply
         // (idempotence, section 3.3).
-        stats_.counter("semel.duplicate_puts").inc();
+        duplicatePuts_.inc();
         resp.result = PutResult::Ok;
         span.setTag("duplicate");
         co_return resp;
     }
     if (request.version < latest) {
         // Stale write: at-most-once semantics reject it.
-        stats_.counter("semel.stale_rejects").inc();
+        staleRejects_.inc();
         resp.result = PutResult::StaleRejected;
         span.setTag("stale");
         co_return resp;
@@ -162,7 +162,7 @@ Server::handlePut(PutRequest request)
 sim::Task<PutResponse>
 Server::handleDelete(Key key, Version version)
 {
-    stats_.counter("semel.deletes").inc();
+    deletes_.inc();
     PutResponse resp;
     const Version latest = latestCommitted(key);
     if (version < latest) {
@@ -186,7 +186,7 @@ Server::handleDelete(Key key, Version version)
 sim::Task<bool>
 Server::handleReplicateWrite(ReplicateWrite msg)
 {
-    stats_.counter("semel.replica_writes").inc();
+    replicaWrites_.inc();
     // Unordered apply: multi-version backends insert the stamp at its
     // sorted position; single-version backends keep whichever stamp is
     // newest. Either way the acknowledgement is safe — ordering is
@@ -216,8 +216,17 @@ Server::handleWatermarkReport(ClientId client, Time timestamp,
     if (min_ts > watermark_) {
         watermark_ = min_ts;
         backend_.setWatermark(watermark_);
-        stats_.counter("semel.watermark_advances").inc();
+        watermarkAdvances_.inc();
     }
+}
+
+void
+Directory::add(Server *server)
+{
+    const NodeId id = server->nodeId();
+    if (byId_.size() <= id)
+        byId_.resize(id + 1, nullptr);
+    byId_[id] = server;
 }
 
 } // namespace semel

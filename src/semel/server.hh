@@ -31,10 +31,10 @@
 #include <memory>
 #include <vector>
 
+#include "common/key_table.hh"
 #include "common/stats.hh"
 #include "common/trace.hh"
 #include "ftl/kv_backend.hh"
-#include "ftl/mapping_table.hh"
 #include "net/network.hh"
 #include "semel/messages.hh"
 #include "sim/sync.hh"
@@ -45,7 +45,7 @@ namespace semel {
 using common::NodeId;
 
 /**
- * One key's DRAM state on a server, one ftl::KeyTable slot (48 B):
+ * One key's DRAM state on a server, one common::KeyTable slot (48 B):
  *
  *     Key      key              8B  } table bookkeeping
  *     u32      dist             4B  }
@@ -75,7 +75,7 @@ struct KeySlot
 
 static_assert(sizeof(KeySlot) <= 48, "KeySlot must stay within 48 B");
 
-using KeyTable = ftl::KeyTable<KeySlot>;
+using KeyTable = common::KeyTable<KeySlot>;
 
 class Server
 {
@@ -194,29 +194,36 @@ class Server
 
     common::StatSet stats_;
     common::Tracer trace_;
+    // Stat handles, each bound at its first use.
+    common::CounterHandle deletes_{stats_, "semel.deletes"};
+    common::CounterHandle duplicatePuts_{stats_, "semel.duplicate_puts"};
+    common::CounterHandle gets_{stats_, "semel.gets"};
+    common::CounterHandle puts_{stats_, "semel.puts"};
+    common::CounterHandle replicaWrites_{stats_, "semel.replica_writes"};
+    common::CounterHandle staleRejects_{stats_, "semel.stale_rejects"};
+    common::CounterHandle watermarkAdvances_{
+        stats_, "semel.watermark_advances"};
+    common::HistogramHandle replWait_{stats_, "semel.repl_wait"};
 };
 
 /** NodeId -> Server lookup used by clients and the cluster builder. */
 class Directory
 {
   public:
-    void
-    add(Server *server)
-    {
-        servers_[server->nodeId()] = server;
-    }
+    void add(Server *server);
 
     Server *
     at(NodeId id) const
     {
-        auto it = servers_.find(id);
-        return it == servers_.end() ? nullptr : it->second;
+        return id < byId_.size() ? byId_[id] : nullptr;
     }
 
-    const std::map<NodeId, Server *> &all() const { return servers_; }
+    /** Indexed by NodeId, so in NodeId order; nullptr where no server
+     *  is registered. */
+    const std::vector<Server *> &all() const { return byId_; }
 
   private:
-    std::map<NodeId, Server *> servers_;
+    std::vector<Server *> byId_;
 };
 
 } // namespace semel

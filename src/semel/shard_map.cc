@@ -6,10 +6,8 @@
 
 namespace semel {
 
-namespace {
-
 std::uint64_t
-hash64(std::uint64_t x)
+ShardMap::hash(std::uint64_t x)
 {
     x ^= x >> 33;
     x *= 0xff51afd7ed558ccdULL;
@@ -19,30 +17,54 @@ hash64(std::uint64_t x)
     return x;
 }
 
-} // namespace
-
 ShardMap::ShardMap(std::uint32_t num_shards, std::uint32_t virtual_nodes)
     : numShards_(num_shards)
 {
     if (num_shards == 0)
         FATAL("ShardMap needs at least one shard");
+    std::vector<std::pair<std::uint64_t, ShardId>> ring;
     for (ShardId s = 0; s < num_shards; ++s) {
-        for (std::uint32_t v = 0; v < virtual_nodes; ++v) {
-            const std::uint64_t point =
-                hash64((static_cast<std::uint64_t>(s) << 32) | v);
-            ring_[point] = s;
-        }
+        for (std::uint32_t v = 0; v < virtual_nodes; ++v)
+            ring.emplace_back(
+                hash((static_cast<std::uint64_t>(s) << 32) | v), s);
+    }
+    // Equal points keep insertion order, and the last insert owns the
+    // point.
+    std::stable_sort(ring.begin(), ring.end(),
+                     [](const auto &a, const auto &b) {
+                         return a.first < b.first;
+                     });
+    for (std::size_t i = 0; i < ring.size(); ++i) {
+        if (i + 1 < ring.size() && ring[i + 1].first == ring[i].first)
+            continue;
+        points_.push_back(ring[i].first);
+        owners_.push_back(ring[i].second);
+    }
+    // About four buckets per point: most buckets hold no point, so a
+    // lookup compares against one or two.
+    unsigned bits = 1;
+    while (bits < 24 && (std::size_t{1} << bits) < 4 * points_.size())
+        ++bits;
+    shift_ = 64 - bits;
+    bucketStart_.resize(std::size_t{1} << bits);
+    std::uint32_t next = 0;
+    for (std::size_t b = 0; b < bucketStart_.size(); ++b) {
+        const std::uint64_t low = static_cast<std::uint64_t>(b) << shift_;
+        while (next < points_.size() && points_[next] < low)
+            ++next;
+        bucketStart_[b] = next;
     }
 }
 
 ShardId
 ShardMap::shardOf(Key key) const
 {
-    const std::uint64_t point = hash64(key);
-    auto it = ring_.lower_bound(point);
-    if (it == ring_.end())
-        it = ring_.begin(); // wrap around the ring
-    return it->second;
+    const std::uint64_t point = hash(key);
+    std::size_t i = bucketStart_[point >> shift_];
+    while (i < points_.size() && points_[i] < point)
+        ++i;
+    // Past the last point, wrap around the ring.
+    return i == points_.size() ? owners_.front() : owners_[i];
 }
 
 void
@@ -50,22 +72,15 @@ Master::setReplicas(ShardId shard, std::vector<NodeId> replicas)
 {
     if (replicas.empty())
         FATAL("shard " << shard << " needs at least one replica");
+    if (replicas_.size() <= shard)
+        replicas_.resize(shard + 1);
     replicas_[shard] = std::move(replicas);
 }
 
-NodeId
-Master::primaryOf(ShardId shard) const
+void
+Master::unknownShard(ShardId shard)
 {
-    return replicasOf(shard).front();
-}
-
-const std::vector<NodeId> &
-Master::replicasOf(ShardId shard) const
-{
-    auto it = replicas_.find(shard);
-    if (it == replicas_.end())
-        PANIC("no replicas registered for shard " << shard);
-    return it->second;
+    PANIC("no replicas registered for shard " << shard);
 }
 
 std::vector<NodeId>
@@ -78,10 +93,9 @@ Master::backupsOf(ShardId shard) const
 void
 Master::failover(ShardId shard, NodeId new_primary)
 {
-    auto it = replicas_.find(shard);
-    if (it == replicas_.end())
+    if (shard >= replicas_.size() || replicas_[shard].empty())
         PANIC("failover of unknown shard " << shard);
-    auto &reps = it->second;
+    auto &reps = replicas_[shard];
     auto pos = std::find(reps.begin(), reps.end(), new_primary);
     if (pos == reps.end())
         PANIC("failover target " << new_primary

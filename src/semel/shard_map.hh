@@ -16,7 +16,6 @@
 #define SEMEL_SHARD_MAP_HH
 
 #include <cstdint>
-#include <map>
 #include <vector>
 
 #include "common/types.hh"
@@ -34,13 +33,23 @@ class ShardMap
     explicit ShardMap(std::uint32_t num_shards,
                       std::uint32_t virtual_nodes = 64);
 
+    /** The shard of the first ring point >= hash(key), wrapping to
+     *  the first point. */
     ShardId shardOf(Key key) const;
     std::uint32_t numShards() const { return numShards_; }
 
+    /** The ring's hash, of keys and of (shard << 32 | vnode) points. */
+    static std::uint64_t hash(std::uint64_t x);
+
   private:
     std::uint32_t numShards_;
-    /** ring position -> shard */
-    std::map<std::uint64_t, ShardId> ring_;
+    /** Ring positions, ascending, and the shard owning each. */
+    std::vector<std::uint64_t> points_;
+    std::vector<ShardId> owners_;
+    /** Entry b: index of the first point >= b << shift_, so a lookup
+     *  starts at its hash's bucket and scans that bucket's points. */
+    std::vector<std::uint32_t> bucketStart_;
+    unsigned shift_ = 0;
 };
 
 /** The global master: shard -> replica set (element 0 is primary). */
@@ -53,8 +62,19 @@ class Master
 
     void setReplicas(ShardId shard, std::vector<NodeId> replicas);
 
-    NodeId primaryOf(ShardId shard) const;
-    const std::vector<NodeId> &replicasOf(ShardId shard) const;
+    NodeId
+    primaryOf(ShardId shard) const
+    {
+        return replicasOf(shard).front();
+    }
+
+    const std::vector<NodeId> &
+    replicasOf(ShardId shard) const
+    {
+        if (shard >= replicas_.size() || replicas_[shard].empty())
+            [[unlikely]] unknownShard(shard);
+        return replicas_[shard];
+    }
 
     /** Backups of a shard (replicas minus the primary). */
     std::vector<NodeId> backupsOf(ShardId shard) const;
@@ -66,8 +86,11 @@ class Master
     void failover(ShardId shard, NodeId new_primary);
 
   private:
+    [[noreturn]] static void unknownShard(ShardId shard);
+
     const ShardMap &map_;
-    std::map<ShardId, std::vector<NodeId>> replicas_;
+    /** Indexed by ShardId; empty for an unregistered shard. */
+    std::vector<std::vector<NodeId>> replicas_;
 };
 
 } // namespace semel

@@ -9,6 +9,7 @@
 #include <cmath>
 #include <map>
 #include <set>
+#include <sstream>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -355,6 +356,55 @@ TEST(StatSet, ViewLookupsNameTheSameEntry)
     EXPECT_EQ(s.counters().size(), 1u);
     EXPECT_EQ(s.counters().begin()->first, "milana.votes_commit");
     EXPECT_EQ(s.findCounter("milana.votes"), nullptr);
+}
+
+TEST(StatSet, HandleCreatesEntryOnFirstUseOnly)
+{
+    const auto json = [](const StatSet &set) {
+        std::ostringstream os;
+        set.writeJson(os);
+        return os.str();
+    };
+    StatSet empty;
+    StatSet s;
+    CounterHandle gets(s, "semel.gets");
+    HistogramHandle wait(s, "semel.repl_wait");
+    // Unused handles leave the set exactly as an empty one.
+    EXPECT_EQ(s.dump(), "");
+    EXPECT_EQ(json(s), json(empty));
+
+    // The first use creates what counter(name)/histogram(name) would.
+    gets.inc();
+    gets.inc(2);
+    StatSet byName;
+    byName.counter("semel.gets").inc(3);
+    EXPECT_EQ(s.dump(), byName.dump());
+    EXPECT_EQ(json(s), json(byName));
+    EXPECT_EQ(&gets.get(), &s.counter("semel.gets"));
+    wait.record(40);
+    byName.histogram("semel.repl_wait").record(40);
+    EXPECT_EQ(json(s), json(byName));
+
+    // reset() and many later inserts keep the bound entry.
+    Counter *bound = &gets.get();
+    s.reset();
+    for (int i = 0; i < 10000; ++i) {
+        s.counter("filler." + std::to_string(i)).inc();
+        s.histogram("filler." + std::to_string(i)).record(i);
+    }
+    gets.inc(5);
+    wait.record(7);
+    EXPECT_EQ(&gets.get(), bound);
+    EXPECT_EQ(s.counterValue("semel.gets"), 5u);
+    EXPECT_EQ(s.findHistogram("semel.repl_wait")->count(), 1u);
+
+    // merge() sees what the handles recorded.
+    StatSet total;
+    total.counter("semel.gets").inc(1);
+    total.merge(s);
+    EXPECT_EQ(total.counterValue("semel.gets"), 6u);
+    EXPECT_EQ(total.findHistogram("semel.repl_wait")->count(), 1u);
+    EXPECT_EQ(total.counters().size(), 10001u);
 }
 
 TEST(SmallVector, StaysInlineUpToCapacityThenSpills)

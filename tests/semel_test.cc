@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <map>
 #include <memory>
 #include <set>
 #include <vector>
@@ -52,6 +54,72 @@ TEST(ShardMap, RoughlyBalanced)
     for (int c : counts) {
         EXPECT_GT(c, 4000);  // no shard starved
         EXPECT_LT(c, 25000); // no shard dominates
+    }
+}
+
+namespace {
+
+/** Inverse of ShardMap::hash (an xor-shift/multiply bijection), so a
+ *  test can pick keys that hash to chosen ring positions. */
+std::uint64_t
+unhash(std::uint64_t x)
+{
+    const auto inverse = [](std::uint64_t c) {
+        std::uint64_t inv = c; // Newton: correct bits double each step
+        for (int i = 0; i < 6; ++i)
+            inv *= 2 - c * inv;
+        return inv;
+    };
+    x ^= x >> 33;
+    x *= inverse(0xc4ceb9fe1a85ec53ULL);
+    x ^= x >> 33;
+    x *= inverse(0xff51afd7ed558ccdULL);
+    x ^= x >> 33;
+    return x;
+}
+
+} // namespace
+
+TEST(ShardMap, FlatRingMatchesReferenceRing)
+{
+    constexpr std::uint32_t kVirtualNodes = 64;
+    for (std::uint32_t shards = 1; shards <= 16; ++shards) {
+        // The reference: the ring as a std::map, each point owned by
+        // its last insert, looked up with lower_bound and wrapped.
+        std::map<std::uint64_t, ShardId> ring;
+        for (ShardId s = 0; s < shards; ++s)
+            for (std::uint32_t v = 0; v < kVirtualNodes; ++v)
+                ring[ShardMap::hash((std::uint64_t{s} << 32) | v)] = s;
+        const auto reference = [&ring](Key key) {
+            auto it = ring.lower_bound(ShardMap::hash(key));
+            return it == ring.end() ? ring.begin()->second : it->second;
+        };
+        const ShardMap map(shards, kVirtualNodes);
+
+        std::vector<Key> keys;
+        // Keys hashing onto, just below and just past every point, and
+        // at both ends of the hash range.
+        for (const auto &[point, owner] : ring) {
+            ASSERT_EQ(ShardMap::hash(unhash(point)), point);
+            keys.push_back(unhash(point));
+            keys.push_back(unhash(point - 1));
+            keys.push_back(unhash(point + 1));
+        }
+        keys.push_back(unhash(0));
+        keys.push_back(unhash(~std::uint64_t{0}));
+        Rng rng(shards);
+        for (std::size_t i = 0; i < 1'000'000; ++i)
+            keys.push_back(i % 2 == 0 ? i : rng.next());
+
+        const std::uint64_t last = ring.rbegin()->first;
+        std::size_t wrapped = 0;
+        std::size_t mismatches = 0;
+        for (Key key : keys) {
+            wrapped += ShardMap::hash(key) > last;
+            mismatches += map.shardOf(key) != reference(key);
+        }
+        EXPECT_EQ(mismatches, 0u) << shards << " shards";
+        EXPECT_GT(wrapped, 1u) << shards << " shards";
     }
 }
 

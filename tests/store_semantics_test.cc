@@ -28,6 +28,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/key_table.hh"
 #include "ftl/mapping_table.hh"
 #include "ftl/version_chain.hh"
 
@@ -579,7 +580,7 @@ struct TestPayload
     std::uint64_t big;
 };
 
-using TestTable = ftl::KeyTable<TestSlot>;
+using TestTable = common::KeyTable<TestSlot>;
 
 /** Every key of @p universe is present in @p table iff it is in
  *  @p ref, with the same payload. */
