@@ -96,9 +96,10 @@ class Args
     }
 
     /**
-     * A duration flag with unit suffix: "100ms", "250us", "2s",
-     * "500ns". A bare number means milliseconds (the natural unit for
-     * sampling intervals). Returns @p def when absent or malformed.
+     * A positive duration flag: "100ms", "250us", "2s", "500ns"; a bare
+     * number means milliseconds (common::parseDuration). Returns @p def
+     * when absent; exits 2, naming the flag, on a malformed or
+     * non-positive value.
      */
     common::Duration
     getDuration(const std::string &name, common::Duration def) const
@@ -106,23 +107,15 @@ class Args
         const std::string text = getString(name, "");
         if (text.empty())
             return def;
-        char *end = nullptr;
-        const double n = std::strtod(text.c_str(), &end);
-        if (end == text.c_str())
-            return def;
-        const std::string unit(end);
-        double scale = static_cast<double>(common::kMillisecond);
-        if (unit == "ns")
-            scale = static_cast<double>(common::kNanosecond);
-        else if (unit == "us")
-            scale = static_cast<double>(common::kMicrosecond);
-        else if (unit == "ms" || unit.empty())
-            scale = static_cast<double>(common::kMillisecond);
-        else if (unit == "s")
-            scale = static_cast<double>(common::kSecond);
-        else
-            return def;
-        return static_cast<common::Duration>(n * scale);
+        common::Duration d = 0;
+        if (!common::parseDuration(text, &d) || d <= 0) {
+            std::fprintf(stderr,
+                         "bad --%s '%s' (a positive duration: "
+                         "ns/us/ms/s suffix, bare number = ms)\n",
+                         name.c_str(), text.c_str());
+            std::exit(2);
+        }
+        return d;
     }
 
   private:

@@ -191,8 +191,7 @@ runCell(const CellSpec &spec, std::size_t cellIndex, std::uint64_t keys,
     cluster.runUntil(cluster.now() + warmup);
     fleet.resetMeasurement();
     cluster.resetStats();
-    if (spec.scenario != nullptr)
-        chaos.arm(cluster.now());
+    cluster.armChaos();
     cluster.runFor(measure);
 
     const common::StatSet clients = cluster.clientStats();

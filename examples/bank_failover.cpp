@@ -109,7 +109,7 @@ scenario(Cluster &cluster)
     std::printf("\n!!! crashing shard-0 primary (node %u), promoting "
                 "node %u\n",
                 old_primary, promoted);
-    cluster.crashServer(old_primary);
+    cluster.network().setNodeDown(old_primary, true);
     const auto t0 = cluster.sim().now();
     co_await cluster.failover(0, promoted);
     std::printf("recovery complete after %.1f ms simulated (includes "

@@ -110,7 +110,7 @@ class DriftClock : public Clock
     double effectiveDriftPpm() const { return driftPpm_ + servoPpm_; }
 
     // ------------------------------------------------------------------
-    // Chaos mutation hooks (quiescent points only; see common/chaos.hh).
+    // Chaos mutation hooks (see common/chaos.hh).
     // ------------------------------------------------------------------
 
     /**

@@ -1,6 +1,6 @@
 /**
  * @file
- * ChaosEngine implementation: schedule DSL parser + action replay.
+ * ChaosEngine implementation: schedule DSL parser + action bookkeeping.
  */
 
 #include "common/chaos.hh"
@@ -31,62 +31,7 @@ faultKindName(FaultKind kind)
     return "?";
 }
 
-FaultLayer
-faultLayer(FaultKind kind)
-{
-    switch (kind) {
-    case FaultKind::NodeCrash:
-    case FaultKind::LinkPartition:
-    case FaultKind::LinkDelay:
-        return FaultLayer::Net;
-    case FaultKind::ClockStep:
-    case FaultKind::ClockStuck:
-    case FaultKind::ClockDrift:
-    case FaultKind::ClockMasterDown:
-        return FaultLayer::Clock;
-    case FaultKind::SsdSlowChannel:
-    case FaultKind::SsdReadRetry:
-    case FaultKind::SsdGcStorm:
-        return FaultLayer::Flash;
-    }
-    return FaultLayer::Net;
-}
-
 namespace {
-
-/** "250ms", "1.5s", "800us", "90ns"; a bare number means ms (the
- *  bench::Args convention). Returns false on garbage. */
-bool
-parseDuration(std::string_view tok, Duration *out)
-{
-    if (tok.empty())
-        return false;
-    std::size_t suffix = tok.size();
-    while (suffix > 0 && std::isalpha(static_cast<unsigned char>(
-                             tok[suffix - 1])))
-        --suffix;
-    const std::string_view unit = tok.substr(suffix);
-    const std::string num(tok.substr(0, suffix));
-    if (num.empty())
-        return false;
-    char *end = nullptr;
-    const double value = std::strtod(num.c_str(), &end);
-    if (end == nullptr || *end != '\0')
-        return false;
-    double scale = 0;
-    if (unit.empty() || unit == "ms")
-        scale = 1e6;
-    else if (unit == "ns")
-        scale = 1;
-    else if (unit == "us")
-        scale = 1e3;
-    else if (unit == "s")
-        scale = 1e9;
-    else
-        return false;
-    *out = static_cast<Duration>(value * scale);
-    return true;
-}
 
 bool
 parseInt(std::string_view tok, std::int64_t *out)
@@ -387,106 +332,60 @@ ChaosEngine::add(FaultSpec spec)
 {
     if (spec.name.empty())
         spec.name = faultKindName(spec.kind);
+    const auto index = static_cast<std::uint32_t>(faults_.size());
+    const auto insert = [this](Action action) {
+        const auto at = std::upper_bound(
+            actions_.begin(), actions_.end(), action.at,
+            [](Time t, const Action &a) { return t < a.at; });
+        actions_.insert(at, action);
+    };
+    insert({spec.at, index, true});
+    if (spec.duration > 0)
+        insert({spec.at + spec.duration, index, false});
     faults_.push_back(std::move(spec));
-    finalized_ = false;
 }
 
 void
-ChaosEngine::finalize()
+ChaosEngine::record(const Action &action)
 {
-    if (finalized_)
-        return;
-    actions_.clear();
-    for (std::uint32_t i = 0; i < faults_.size(); ++i) {
-        const FaultSpec &f = faults_[i];
-        actions_.push_back({f.at, i, true});
-        if (f.duration > 0)
-            actions_.push_back({f.at + f.duration, i, false});
+    const FaultSpec &fault = faults_[action.fault];
+    if (action.start) {
+        activeStack_.push_back(action.fault);
+        ++injections_;
+        stats_.counter("injected").inc();
+        stats_.counter(std::string("injected.") +
+                       faultKindName(fault.kind))
+            .inc();
+        trace_.instant("chaos.inject", fault.name,
+                       static_cast<std::int64_t>(action.fault),
+                       static_cast<std::int64_t>(fault.kind));
+    } else {
+        activeStack_.erase(std::remove(activeStack_.begin(),
+                                       activeStack_.end(), action.fault),
+                           activeStack_.end());
+        ++heals_;
+        stats_.counter("healed").inc();
+        trace_.instant("chaos.heal", fault.name,
+                       static_cast<std::int64_t>(action.fault),
+                       static_cast<std::int64_t>(fault.kind));
     }
-    // Stable: same-instant actions fire in schedule (emission) order,
-    // which is itself deterministic — part of the replay contract.
-    std::stable_sort(actions_.begin(), actions_.end(),
-                     [](const Action &a, const Action &b) {
-                         return a.at < b.at;
-                     });
-    finalized_ = true;
-}
-
-void
-ChaosEngine::arm(Time origin)
-{
-    finalize();
-    origin_ = origin;
-}
-
-Time
-ChaosEngine::nextActionAt() const
-{
-    if (origin_ < 0 || !finalized_ || cursor_ >= actions_.size())
-        return -1;
-    return origin_ + actions_[cursor_].at;
 }
 
 bool
-ChaosEngine::done() const
+ChaosEngine::clockFaultActive() const
 {
-    return !finalized_ || cursor_ >= actions_.size();
-}
-
-void
-ChaosEngine::applyUntil(Time now, ChaosSink &sink)
-{
-    if (origin_ < 0)
-        return;
-    finalize();
-    while (cursor_ < actions_.size() &&
-           origin_ + actions_[cursor_].at <= now) {
-        const Action action = actions_[cursor_++];
-        const FaultSpec &fault = faults_[action.fault];
-        sink.applyFault(fault, action.start);
-        const FaultLayer layer = faultLayer(fault.kind);
-        if (action.start) {
-            activeStack_.push_back(action.fault);
-            ++injections_;
-            stats_.counter("injected").inc();
-            stats_.counter(std::string("injected.") +
-                           faultKindName(fault.kind))
-                .inc();
-            trace_.instant("chaos.inject", fault.name,
-                           static_cast<std::int64_t>(action.fault),
-                           static_cast<std::int64_t>(fault.kind));
-        } else {
-            activeStack_.erase(std::remove(activeStack_.begin(),
-                                           activeStack_.end(),
-                                           action.fault),
-                               activeStack_.end());
-            ++heals_;
-            stats_.counter("healed").inc();
-            trace_.instant("chaos.heal", fault.name,
-                           static_cast<std::int64_t>(action.fault),
-                           static_cast<std::int64_t>(fault.kind));
-        }
-        std::uint32_t &layerCount =
-            layer == FaultLayer::Net
-                ? activeNet_
-                : (layer == FaultLayer::Clock ? activeClock_
-                                              : activeFlash_);
-        if (action.start)
-            ++layerCount;
-        else if (layerCount > 0)
-            --layerCount;
-    }
-}
-
-void
-ChaosEngine::rewind()
-{
-    cursor_ = 0;
-    origin_ = -1;
-    activeStack_.clear();
-    activeNet_ = activeClock_ = activeFlash_ = 0;
-    injections_ = 0;
-    heals_ = 0;
+    return std::any_of(
+        activeStack_.begin(), activeStack_.end(), [this](std::uint32_t i) {
+            switch (faults_[i].kind) {
+            case FaultKind::ClockStep:
+            case FaultKind::ClockStuck:
+            case FaultKind::ClockDrift:
+            case FaultKind::ClockMasterDown:
+                return true;
+            default:
+                return false;
+            }
+        });
 }
 
 std::string_view

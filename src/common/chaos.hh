@@ -4,30 +4,27 @@
  *
  * A ChaosEngine holds a list of FaultSpecs — faults parsed from a
  * small line-oriented DSL (see docs/CHAOS.md) or added
- * programmatically — and replays them at exact simulated times
- * against a ChaosSink. The engine itself knows nothing about the
+ * programmatically — and the time-ordered list of the inject and heal
+ * actions they imply. The engine itself knows nothing about the
  * network, clocks, or flash layers: it owns the *schedule* (parsing,
  * ordering, activation windows, trace/metrics recording, dedicated
- * RNG streams) while the sink — implemented by workload::Cluster —
- * performs the layer-specific mutations.
+ * RNG streams). workload::Cluster::armChaos() turns every action into
+ * an ordinary simulator event that performs the layer-specific
+ * mutation and then record()s the action here.
  *
  * Determinism contract (CONCURRENCY.md):
  *
- *  - applyUntil() is only called by the harness while the simulation
- *    is quiescent (between Simulator run calls). From inside events
- *    every engine access is a read (anyActive(), activeFaultName(),
- *    ...).
+ *  - A fault is an event like any other: it runs at `origin + at` in
+ *    the simulator's (when, seq) order, so same-instant ties break by
+ *    the order in which the events were scheduled.
  *  - All fault randomness comes from Rng streams forked off the
  *    engine's seed in construction order, never from the simulators'
  *    streams, so a run is replayable from (schedule, seed) and
  *    injections do not perturb unrelated random sequences.
- *  - Schedule times are relative to an origin set by arm(); until the
- *    engine is armed no action fires, which keeps populate/warmup
- *    phases fault-free and lets harnesses schedule in "time since
- *    measurement start".
- *  - nextActionAt() is where Cluster's run façade splits every
- *    runUntil(), so mutations land at their exact simulated instants,
- *    between the events scheduled at or before them and those after.
+ *  - Schedule times are relative to the instant the cluster arms the
+ *    engine; until then no action is scheduled, which lets harnesses
+ *    keep warmup fault-free and schedule in "time since measurement
+ *    start".
  */
 
 #ifndef COMMON_CHAOS_HH
@@ -64,11 +61,8 @@ enum class FaultKind : std::uint8_t {
 
 const char *faultKindName(FaultKind kind);
 
-enum class FaultLayer : std::uint8_t { Net, Clock, Flash };
-FaultLayer faultLayer(FaultKind kind);
-
 /**
- * A node (or node set) named symbolically, resolved by the sink at
+ * A node (or node set) named symbolically, resolved by the cluster at
  * apply time — so one schedule works for any topology and survives
  * failovers ("primary:0" is whoever the master map says it is *now*).
  */
@@ -89,11 +83,11 @@ struct NodeSel
     std::int64_t sub = 0;
 };
 
-/** One scheduled fault. Times are relative to the engine's origin. */
+/** One scheduled fault. Times are relative to the arming instant. */
 struct FaultSpec
 {
     FaultKind kind = FaultKind::NodeCrash;
-    Time at = 0;             ///< injection time (since origin)
+    Time at = 0;             ///< injection time (since arming)
     Duration duration = 0;   ///< 0 = never healed (active to run end)
     NodeSel selA;            ///< subject (node/clock/device)
     NodeSel selB;            ///< second endpoint (partitions, delay)
@@ -103,20 +97,6 @@ struct FaultSpec
     bool oneway = false;     ///< LinkPartition: drop selA->selB only
     bool failover = false;   ///< NodeCrash: promote a backup too
     std::string name;        ///< label for traces/tags (default: verb)
-};
-
-/**
- * The mutation callback. Implementations (workload::Cluster) apply
- * `start == true` when a fault begins and `start == false` when it
- * heals; both calls happen only at quiescent points. A sink that has
- * no matching component (e.g. a clock fault on a Perfect-clock
- * cluster) should treat the call as a no-op rather than fail.
- */
-class ChaosSink
-{
-  public:
-    virtual ~ChaosSink() = default;
-    virtual void applyFault(const FaultSpec &fault, bool start) = 0;
 };
 
 class ChaosEngine
@@ -132,48 +112,37 @@ class ChaosEngine
     bool parse(std::string_view text, std::string *error = nullptr);
     bool parseFile(const std::string &path, std::string *error = nullptr);
 
-    /** Append one fault programmatically. */
+    /** One inject (`start`) or heal of a fault, `at` after arming. */
+    struct Action
+    {
+        Time at = 0;
+        std::uint32_t fault = 0; ///< index into faults()
+        bool start = true;
+    };
+
+    /** Append one fault programmatically; its actions join actions()
+     *  after every action already due at the same time. */
     void add(FaultSpec spec);
 
     std::size_t faultCount() const { return faults_.size(); }
     const std::vector<FaultSpec> &faults() const { return faults_; }
-
-    // ------------------------------------------------------------------
-    // Driver API — quiescent points only (between run calls).
-    // ------------------------------------------------------------------
+    /** Every action, ordered by time; same-time actions keep the
+     *  order in which their faults were added. */
+    const std::vector<Action> &actions() const { return actions_; }
 
     /**
-     * Set the schedule origin: fault times are `origin + spec.at`.
-     * Until armed, nextActionAt() reports no pending work, so warmup
-     * and populate run fault-free.
+     * Book one action that has just been applied: the active-fault
+     * stack, the counters and a `chaos.inject`/`chaos.heal` trace
+     * instant.
      */
-    void arm(Time origin);
-    bool armed() const { return origin_ >= 0; }
-
-    /** Absolute TrueTime of the next pending action; -1 when none. */
-    Time nextActionAt() const;
-    bool done() const;
-
-    /** Apply (via @p sink) every action due at or before @p now, in
-     *  schedule order; records a trace instant and counters each. */
-    void applyUntil(Time now, ChaosSink &sink);
-
-    /** Forget all applied state so the same schedule can run again. */
-    void rewind();
-
-    // ------------------------------------------------------------------
-    // Read-only queries — safe from inside events (the harness writes
-    // only while quiescent).
-    // ------------------------------------------------------------------
+    void record(const Action &action);
 
     std::uint32_t activeCount() const
     {
         return static_cast<std::uint32_t>(activeStack_.size());
     }
     bool anyActive() const { return !activeStack_.empty(); }
-    bool netFaultActive() const { return activeNet_ > 0; }
-    bool clockFaultActive() const { return activeClock_ > 0; }
-    bool flashFaultActive() const { return activeFlash_ > 0; }
+    bool clockFaultActive() const;
     /** Name of the most recently injected still-active fault ("" when
      *  none) — used to tag aborted-transaction traces. */
     std::string_view activeFaultName() const;
@@ -191,29 +160,12 @@ class ChaosEngine
     Tracer &tracer() { return trace_; }
 
   private:
-    struct Action
-    {
-        Time at = 0;            ///< relative to origin
-        std::uint32_t fault = 0;
-        bool start = true;
-    };
-
-    /** Build + stable-sort the action list (idempotent). */
-    void finalize();
-
     Rng rng_;
     std::vector<FaultSpec> faults_;
     std::vector<Action> actions_;
-    bool finalized_ = false;
-
-    Time origin_ = -1; ///< < 0 = not armed
-    std::size_t cursor_ = 0;
 
     /** Indices of active faults, injection order (LIFO for naming). */
     std::vector<std::uint32_t> activeStack_;
-    std::uint32_t activeNet_ = 0;
-    std::uint32_t activeClock_ = 0;
-    std::uint32_t activeFlash_ = 0;
     std::uint64_t injections_ = 0;
     std::uint64_t heals_ = 0;
 

@@ -285,13 +285,9 @@ parseTraceJson(std::string_view text, ParsedTrace &out, std::string &error)
         return false;
     }
     const std::string &schema = doc.at("schema").asString();
-    if (schema == "milana-trace-v1") {
-        out.schemaVersion = 1;
-    } else if (schema == "milana-trace-v2") {
-        out.schemaVersion = 2;
-    } else {
+    if (schema != "milana-trace-v2") {
         error = "unsupported trace schema \"" + schema +
-                "\" (expected milana-trace-v1 or -v2)";
+                "\" (expected milana-trace-v2)";
         return false;
     }
     out.capacity = static_cast<std::uint64_t>(doc.at("capacity").asInt());
@@ -324,8 +320,6 @@ parseTraceJson(std::string_view text, ParsedTrace &out, std::string &error)
             return false;
         }
         e.span = static_cast<std::uint64_t>(j.at("span").asInt());
-        // v2 additions; JsonValue::at returns Null (asInt == 0) for
-        // absent members, which is exactly the v1 default.
         e.traceId = static_cast<std::uint64_t>(j.at("trace").asInt());
         e.parentSpan = static_cast<std::uint64_t>(j.at("parent").asInt());
         e.name = j.at("name").asString();

@@ -213,11 +213,9 @@ class TraceLog
     Observer observer_;
 };
 
-/** A parsed milana-trace-v1/v2 document (tools, tests). */
+/** A parsed milana-trace-v2 document (tools, tests). */
 struct ParsedTrace
 {
-    /** 1 or 2, from the schema string. */
-    int schemaVersion = 0;
     std::uint64_t capacity = 0;
     std::uint64_t recorded = 0;
     std::uint64_t dropped = 0;
@@ -225,9 +223,8 @@ struct ParsedTrace
 };
 
 /**
- * Parse a trace JSON document. Accepts both milana-trace-v1 (no
- * trace/parent/arg2 fields — they default to 0) and milana-trace-v2.
- * Returns false with a one-line @p error on malformed input.
+ * Parse a milana-trace-v2 JSON document. Returns false with a one-line
+ * @p error on malformed input or any other schema.
  */
 bool parseTraceJson(std::string_view text, ParsedTrace &out,
                     std::string &error);

@@ -22,6 +22,7 @@
 #include <compare>
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 namespace common {
 
@@ -56,6 +57,14 @@ toSeconds(Duration d)
 {
     return static_cast<double>(d) / static_cast<double>(kSecond);
 }
+
+/**
+ * Parse a duration: a number with an `ns`, `us`, `ms` or `s` suffix
+ * ("250ms", "1.5s", "800us", "90ns"); a bare number means ms. The
+ * chaos DSL and every duration flag share this grammar. Returns false
+ * on anything else.
+ */
+bool parseDuration(std::string_view text, Duration *out);
 
 /** Unique identifier of a SEMEL/MILANA client (application server). */
 using ClientId = std::uint32_t;

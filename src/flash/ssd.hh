@@ -136,8 +136,7 @@ class SsdDevice
     common::Tracer &tracer() { return trace_; }
 
     // ------------------------------------------------------------------
-    // Gray-failure injection hooks (chaos engine; mutations only at
-    // quiescent points, see common/chaos.hh).
+    // Gray-failure injection hooks (chaos engine, see common/chaos.hh).
     // ------------------------------------------------------------------
 
     /** One slow channel: multiply @p channel's service time by
@@ -204,7 +203,7 @@ class SsdDevice
     /** Per-channel op counters, pre-resolved (stable map nodes). */
     std::vector<common::Counter *> channelOps_;
 
-    // Gray-failure state (written at quiescent points only).
+    // Gray-failure state (written by chaos fault events).
     std::vector<double> channelFactor_;
     double retryProb_ = 0.0;
     std::uint32_t retryMax_ = 0;

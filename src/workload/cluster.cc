@@ -177,34 +177,20 @@ Cluster::Cluster(const ClusterConfig &config)
         attachMetrics();
 }
 
-std::uint64_t
-Cluster::runUntil(common::Time t)
+void
+Cluster::armChaos()
 {
-    common::ChaosEngine *chaos = config_.chaos;
-    if (chaos == nullptr)
-        return sim_.runUntil(t);
-    // Interleave simulation with the fault schedule: stop at each
-    // pending action time, mutate between events, resume.
-    std::uint64_t events = 0;
-    for (common::Time next = chaos->nextActionAt();
-         next >= 0 && next <= t; next = chaos->nextActionAt()) {
-        if (next > now())
-            events += sim_.runUntil(next);
-        chaos->applyUntil(now(), *this);
+    if (config_.chaos == nullptr)
+        return;
+    const common::Time origin = now();
+    for (const common::ChaosEngine::Action &action :
+         config_.chaos->actions()) {
+        sim_.scheduleAt(origin + action.at, [this, action] {
+            applyFault(config_.chaos->faults()[action.fault],
+                       action.start);
+            config_.chaos->record(action);
+        });
     }
-    events += sim_.runUntil(t);
-    return events;
-}
-
-std::uint64_t
-Cluster::runFor(common::Duration d, common::Duration grace)
-{
-    // Mirrors Simulator::runFor, with the chaos interleave in the
-    // measured span; the wind-down grace runs fault-schedule-free.
-    std::uint64_t n = runUntil(now() + d);
-    requestStop();
-    n += sim_.runUntil(now() + grace);
-    return n;
 }
 
 void
@@ -216,8 +202,6 @@ Cluster::attachTracers()
     net_.tracer().attach(*config_.trace, net::kNetworkNode, true_now,
                          true_now);
     if (config_.chaos != nullptr) {
-        // Inject/heal instants are appended between events, by the
-        // run façade.
         config_.chaos->tracer().attach(*config_.trace, net::kNetworkNode,
                                        true_now, true_now);
     }
@@ -536,12 +520,6 @@ double
 Cluster::avgClientSkew() const
 {
     return ensemble_ == nullptr ? 0.0 : ensemble_->avgPairwiseSkew();
-}
-
-void
-Cluster::crashServer(common::NodeId node)
-{
-    net_.setNodeDown(node, true);
 }
 
 std::vector<common::NodeId>

@@ -100,19 +100,16 @@ struct ClusterConfig
      */
     common::MetricsRegistry *metrics = nullptr;
     /**
-     * When non-null, the cluster acts as the engine's ChaosSink: the
-     * run façade (runUntil/runFor) interleaves simulation with
-     * ChaosEngine::applyUntil between events, so every fault mutation
-     * lands at a deterministic point of the schedule. The engine is
-     * also handed to every server and client (abort-reason
-     * classification, fault-name trace tags) and its forked RNG
-     * streams to every SSD (construction order). Arm it with
-     * ChaosEngine::arm(cluster.now()) when the measured phase begins.
+     * When non-null, the cluster applies this engine's fault schedule
+     * once armChaos() is called. The engine is also handed to every
+     * server and client (abort-reason classification, fault-name trace
+     * tags) and its forked RNG streams to every SSD (construction
+     * order).
      */
     common::ChaosEngine *chaos = nullptr;
 };
 
-class Cluster : private common::ChaosSink
+class Cluster
 {
   public:
     explicit Cluster(const ClusterConfig &config);
@@ -122,13 +119,23 @@ class Cluster : private common::ChaosSink
     sim::Simulator &sim() { return sim_; }
     const ClusterConfig &config() const { return config_; }
 
-    // Run façade: the simulator's, with the chaos schedule (if any)
-    // interleaved.
+    // Shorthands for the simulator's run calls.
     common::Time now() const { return sim_.now(); }
-    std::uint64_t runUntil(common::Time t);
-    std::uint64_t runFor(common::Duration d,
-                         common::Duration grace = common::kSecond);
+    std::uint64_t runUntil(common::Time t) { return sim_.runUntil(t); }
+    std::uint64_t
+    runFor(common::Duration d, common::Duration grace = common::kSecond)
+    {
+        return sim_.runFor(d, grace);
+    }
     void requestStop() { sim_.requestStop(); }
+
+    /**
+     * Schedule config().chaos's actions as simulator events, each at
+     * now() + its time: the event applies the fault's mutation, then
+     * records it in the engine. Call once, when the schedule's clock
+     * should start; no-op without an engine.
+     */
+    void armChaos();
 
     /**
      * Finish the metrics plane: flush the final partial window into
@@ -168,9 +175,6 @@ class Cluster : private common::ChaosSink
      *  ensemble is running. */
     double avgClientSkew() const;
 
-    /** Crash a storage node (requests to it are dropped). */
-    void crashServer(common::NodeId node);
-
     /**
      * Fail over a shard to the given replica: repoints the master and
      * runs the recovery protocol on the new primary.
@@ -180,12 +184,12 @@ class Cluster : private common::ChaosSink
 
   private:
     /**
-     * ChaosSink: perform one fault mutation (start or heal). Called by
-     * the chaos engine from runUntil()'s quiescent points only.
-     * Resolves symbolic node selectors against the *current* topology
-     * (so `primary:0` tracks failovers).
+     * Perform one fault mutation (start or heal). Resolves symbolic
+     * node selectors against the *current* topology (so `primary:0`
+     * tracks failovers). A fault with no matching component (a clock
+     * fault on Perfect clocks) is a no-op.
      */
-    void applyFault(const common::FaultSpec &fault, bool start) override;
+    void applyFault(const common::FaultSpec &fault, bool start);
     /** Expand a symbolic selector to concrete node ids. */
     std::vector<common::NodeId> resolveSel(const common::NodeSel &sel) const;
     /** Clock indices (ensemble slots) a selector names; empty without

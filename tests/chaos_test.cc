@@ -1,14 +1,16 @@
 /**
  * @file
  * Chaos engine tests: the schedule DSL (field coverage and error line
- * numbers), deterministic replay against a recording sink, clock
- * faults (skew raised, clock-suspect abort path tripped, commit-ts
- * monotonicity preserved under the invariant monitor), SSD gray
- * failure hooks, and the link-partition heal regression.
+ * numbers), action order and bookkeeping, faults as simulator events
+ * (exact injection time, firing during populate), clock faults (skew
+ * raised, clock-suspect abort path tripped, commit-ts monotonicity
+ * preserved under the invariant monitor), SSD gray failure hooks, and
+ * the link-partition heal regression.
  */
 
 #include <cstddef>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -27,9 +29,7 @@
 #include "workload/retwis.hh"
 
 using common::ChaosEngine;
-using common::ChaosSink;
 using common::FaultKind;
-using common::FaultSpec;
 using common::kMillisecond;
 using common::kSecond;
 using common::NodeSel;
@@ -60,9 +60,10 @@ TEST(ChaosDsl, ParsesFullVocabulary)
         "at 6s master-down for 40ms\n"
         "at 7s ssd-slow node:1 channel=3 factor=20 for 50ms\n"
         "at 8s ssd-retry servers prob=0.5 retries=4 for 60ms\n"
-        "at 9s ssd-gc servers for 70ms\n";
+        "at 9s ssd-gc servers for 70ms\n"
+        "at 5 crash node:0\n"; // a bare number is milliseconds
     ASSERT_TRUE(e.parse(text, &err)) << err;
-    ASSERT_EQ(e.faultCount(), 10u);
+    ASSERT_EQ(e.faultCount(), 11u);
     const auto &f = e.faults();
 
     EXPECT_EQ(f[0].kind, FaultKind::NodeCrash);
@@ -103,6 +104,8 @@ TEST(ChaosDsl, ParsesFullVocabulary)
 
     EXPECT_EQ(f[9].kind, FaultKind::SsdGcStorm);
     EXPECT_EQ(f[9].name, "ssd-gc"); // default name = verb
+
+    EXPECT_EQ(f[10].at, 5 * kMillisecond);
 }
 
 TEST(ChaosDsl, ErrorsNameTheLine)
@@ -126,67 +129,115 @@ TEST(ChaosDsl, ErrorsNameTheLine)
     EXPECT_FALSE(bad_time.parse("at soon crash node:0", &err));
 }
 
-// ------------------------------------------------------------ replay
+// ------------------------------------------------------------ actions
 
-struct RecordingSink : ChaosSink
-{
-    std::vector<std::pair<std::string, bool>> events;
-    void
-    applyFault(const FaultSpec &fault, bool start) override
-    {
-        events.emplace_back(fault.name, start);
-    }
-};
-
-TEST(ChaosEngineReplay, AppliesInOrderAndRewindsIdentically)
+TEST(ChaosEngineReplay, SameInstantActionsKeepScheduleOrder)
 {
     ChaosEngine e(7);
     std::string err;
     ASSERT_TRUE(e.parse("at 10ms delay all factor=2 for 30ms\n"
                         "at 20ms clock-stuck clock:0 for 5ms\n"
-                        "at 15ms ssd-gc servers\n",
+                        "at 15ms ssd-gc servers\n"
+                        "at 25ms clock-drift clock:1 ppm=5 for 15ms\n",
                         &err))
         << err;
 
-    // Unarmed: nothing pending, applyUntil is a no-op.
-    RecordingSink sink;
-    EXPECT_EQ(e.nextActionAt(), -1);
-    e.applyUntil(10 * kSecond, sink);
-    EXPECT_TRUE(sink.events.empty());
+    // Time order; at 25ms and at 40ms the action of the fault added
+    // first comes first, start or heal.
+    using Action = ChaosEngine::Action;
+    const std::vector<std::tuple<common::Time, std::uint32_t, bool>>
+        expected = {
+            {10 * kMillisecond, 0, true},  {15 * kMillisecond, 2, true},
+            {20 * kMillisecond, 1, true},  {25 * kMillisecond, 1, false},
+            {25 * kMillisecond, 3, true},  {40 * kMillisecond, 0, false},
+            {40 * kMillisecond, 3, false},
+        };
+    std::vector<std::tuple<common::Time, std::uint32_t, bool>> got;
+    for (const Action &a : e.actions())
+        got.emplace_back(a.at, a.fault, a.start);
+    EXPECT_EQ(got, expected);
 
-    e.arm(1 * kSecond);
-    EXPECT_EQ(e.nextActionAt(), 1 * kSecond + 10 * kMillisecond);
-    e.applyUntil(1 * kSecond + 9 * kMillisecond, sink);
-    EXPECT_TRUE(sink.events.empty());
-
-    e.applyUntil(1 * kSecond + 25 * kMillisecond, sink);
-    const std::vector<std::pair<std::string, bool>> expected = {
-        {"delay", true},
-        {"ssd-gc", true},
-        {"clock-stuck", true},
-        {"clock-stuck", false}, // heals at exactly 25ms
-    };
-    EXPECT_EQ(sink.events, expected);
+    const std::vector<Action> &actions = e.actions();
+    for (std::size_t i = 0; i < 4; ++i)
+        e.record(actions[i]);
     EXPECT_EQ(e.activeCount(), 2u);
-    EXPECT_TRUE(e.netFaultActive());
-    EXPECT_TRUE(e.flashFaultActive());
     EXPECT_FALSE(e.clockFaultActive());
     EXPECT_EQ(e.activeFaultName(), "ssd-gc"); // most recent active
 
-    e.applyUntil(10 * kSecond, sink);
-    EXPECT_TRUE(e.done());
-    EXPECT_EQ(e.injections(), 3u);
-    EXPECT_EQ(e.heals(), 2u); // ssd-gc has no duration: never healed
-    EXPECT_EQ(e.activeCount(), 1u);
+    e.record(actions[4]);
+    EXPECT_TRUE(e.clockFaultActive());
+    EXPECT_EQ(e.activeFaultName(), "clock-drift");
 
-    // rewind + re-arm replays the same sequence.
-    const auto first = sink.events;
-    sink.events.clear();
-    e.rewind();
-    EXPECT_EQ(e.nextActionAt(), -1);
-    e.arm(2 * kSecond);
-    e.applyUntil(3 * kSecond, sink);
-    EXPECT_EQ(sink.events, first);
+    for (std::size_t i = 5; i < actions.size(); ++i)
+        e.record(actions[i]);
+    EXPECT_EQ(e.injections(), 4u);
+    EXPECT_EQ(e.heals(), 3u); // ssd-gc has no duration: never healed
+    EXPECT_EQ(e.activeCount(), 1u);
+    EXPECT_FALSE(e.clockFaultActive());
+    EXPECT_EQ(e.stats().counterValue("injected.clock-drift"), 1u);
+}
+
+// ------------------------------------------------- faults as events
+
+/** A small cell: 1x3 MFTL, Perfect clocks, 2,000 keys. */
+ClusterConfig
+smallCell(ChaosEngine *chaos, common::TraceLog *trace)
+{
+    ClusterConfig cfg;
+    cfg.numShards = 1;
+    cfg.replicasPerShard = 3;
+    cfg.numClients = 4;
+    cfg.backend = BackendKind::Mftl;
+    cfg.clocks = ClockKind::Perfect;
+    cfg.numKeys = 2000;
+    cfg.seed = 3;
+    cfg.chaos = chaos;
+    cfg.trace = trace;
+    return cfg;
+}
+
+TEST(ChaosCluster, FaultArmedBeforePopulateFiresDuringPopulate)
+{
+    ChaosEngine chaos(5);
+    std::string err;
+    ASSERT_TRUE(chaos.parse("at 1ms delay all factor=4 for 2ms", &err))
+        << err;
+    Cluster cluster(smallCell(&chaos, nullptr));
+    cluster.armChaos();
+    cluster.populate();
+    // The bulk load outlasts the whole fault window, and the fault was
+    // injected and healed inside it.
+    EXPECT_GT(cluster.now(), 3 * kMillisecond);
+    EXPECT_EQ(chaos.injections(), 1u);
+    EXPECT_EQ(chaos.heals(), 1u);
+    EXPECT_FALSE(chaos.anyActive());
+}
+
+TEST(ChaosCluster, InjectInstantCarriesExactTrueTime)
+{
+    common::TraceLog trace(1u << 16);
+    ChaosEngine chaos(5);
+    std::string err;
+    ASSERT_TRUE(chaos.parse("at 7ms delay all factor=2 for 3ms", &err))
+        << err;
+    Cluster cluster(smallCell(&chaos, &trace));
+    cluster.populate();
+    cluster.start();
+    // An origin off any round number.
+    cluster.runUntil(cluster.now() + 12'345'678);
+    const common::Time origin = cluster.now();
+    cluster.armChaos();
+    cluster.runFor(20 * kMillisecond);
+
+    std::vector<std::pair<std::string, common::Time>> instants;
+    for (const common::TraceEvent &e : trace.snapshot())
+        if (e.name == "chaos.inject" || e.name == "chaos.heal")
+            instants.emplace_back(e.name, e.trueTime);
+    const std::vector<std::pair<std::string, common::Time>> expected = {
+        {"chaos.inject", origin + 7 * kMillisecond},
+        {"chaos.heal", origin + 10 * kMillisecond},
+    };
+    EXPECT_EQ(instants, expected);
 }
 
 // ------------------------------------------------------ clock faults
@@ -265,7 +316,7 @@ TEST(ChaosClockFaults, ClusterStepTripsClockSuspectNotMonotonicity)
     cluster.runUntil(cluster.now() + 300 * kMillisecond);
     fleet.resetMeasurement();
     cluster.resetStats();
-    chaos.arm(cluster.now());
+    cluster.armChaos();
     cluster.runFor(300 * kMillisecond);
 
     EXPECT_EQ(monitor.violationCount(), 0u);
@@ -453,7 +504,7 @@ runHealCell(bool oneway)
     cluster.runUntil(cluster.now() + 100 * kMillisecond);
     fleet.resetMeasurement();
     cluster.resetStats();
-    chaos.arm(cluster.now());
+    cluster.armChaos();
     const common::Time origin = cluster.now();
 
     HealCell cell;
@@ -550,7 +601,7 @@ TEST(ChaosCluster, SameScheduleAndSeedReplaysExactly)
         cluster.runUntil(cluster.now() + 100 * kMillisecond);
         fleet.resetMeasurement();
         cluster.resetStats();
-        chaos.arm(cluster.now());
+        cluster.armChaos();
         cluster.runFor(200 * kMillisecond);
         return std::make_tuple(fleet.totalCommits(),
                                fleet.totalAborts(),
@@ -566,5 +617,5 @@ TEST(ChaosCluster, SameScheduleAndSeedReplaysExactly)
 
 } // namespace
 
-INSTANTIATE_TEST_SUITE_P(SimThreads, PartitionHeal,
+INSTANTIATE_TEST_SUITE_P(Copies, PartitionHeal,
                          ::testing::Values(1u, 2u, 8u));

@@ -4,8 +4,9 @@
  * (counter deltas, reset detection, gauges, per-window histogram
  * quantiles), TimeSeriesLog ring behavior, sampler window alignment
  * on interval boundaries, counter-delta conservation against final
- * StatSet totals, and — the property CI byte-compares — identical
- * deterministic exports across runs of one seed.
+ * StatSet totals, the property CI byte-compares — identical
+ * deterministic exports across runs of one seed — and the
+ * --metrics-interval flag's rejection of unusable values.
  */
 
 #include <cstdint>
@@ -15,6 +16,7 @@
 
 #include <gtest/gtest.h>
 
+#include "../bench/bench_util.hh"
 #include "common/metrics.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
@@ -23,6 +25,7 @@
 
 namespace {
 
+using common::kMicrosecond;
 using common::kMillisecond;
 using common::kSecond;
 using common::MetricPoint;
@@ -240,6 +243,30 @@ TEST(MetricsPlane, DeterministicExportsIdenticalAcrossRuns)
     const CellRun two = runCell(kSecond / 2);
     EXPECT_EQ(one.json, two.json);
     EXPECT_EQ(one.csv, two.csv);
+}
+
+/** --metrics-interval=@p value, read the way milana-sim and fig6 do. */
+common::Duration
+metricsInterval(const std::string &value)
+{
+    std::string prog = "bench";
+    std::string flag = "--metrics-interval=" + value;
+    char *argv[] = {prog.data(), flag.data()};
+    return bench::Args(2, argv).getDuration("metrics-interval",
+                                            100 * kMillisecond);
+}
+
+TEST(MetricsIntervalDeathTest, RejectsZeroNegativeAndMalformed)
+{
+    EXPECT_EQ(metricsInterval("250us"), 250 * kMicrosecond);
+    EXPECT_EQ(metricsInterval("5"), 5 * kMillisecond);
+    // Each would otherwise divide by zero, schedule into the past or
+    // silently fall back to the default.
+    for (const char *bad : {"0", "-5ms", "10xs"}) {
+        EXPECT_EXIT(metricsInterval(bad), ::testing::ExitedWithCode(2),
+                    "metrics-interval")
+            << bad;
+    }
 }
 
 } // namespace

@@ -399,7 +399,7 @@ TEST(Milana, FailoverRecoversCommittedState)
             cluster.master().primaryOf(0);
         const common::NodeId new_primary =
             cluster.master().backupsOf(0)[0];
-        cluster.crashServer(old_primary);
+        cluster.network().setNodeDown(old_primary, true);
         co_await cluster.failover(0, new_primary);
 
         // After recovery (incl. the lease wait), reads and writes work
@@ -445,7 +445,7 @@ TEST(Milana, FailoverResolvesInDoubtCrossShardTxn)
         // the async decision reached B but not necessarily A; either
         // way recovery must converge to commit.
         const common::NodeId a_primary = cluster.master().primaryOf(0);
-        cluster.crashServer(a_primary);
+        cluster.network().setNodeDown(a_primary, true);
         const common::NodeId promoted =
             cluster.master().backupsOf(0)[0];
         co_await cluster.failover(0, promoted);
@@ -766,7 +766,7 @@ TEST(Milana, PromotedBackupRebuildsLatestCommittedFromStorage)
         const common::Version loaded{1, 0};
         EXPECT_GT(committed, loaded);
 
-        cluster.crashServer(cluster.master().primaryOf(0));
+        cluster.network().setNodeDown(cluster.master().primaryOf(0), true);
         co_await cluster.failover(0, cluster.master().backupsOf(0)[0]);
         auto &promoted = cluster.primary(0);
         // Recovery forgot every key's state; key 7 was only ever
@@ -836,7 +836,7 @@ TEST_P(MilanaRecovery, ReinstatedPreparedMarksBlockWritersUntilCtpResolves)
             EXPECT_TRUE(co_await logged->handleReplicateTxnRecord(rec, 0));
         }
 
-        cluster.crashServer(cluster.master().primaryOf(0));
+        cluster.network().setNodeDown(cluster.master().primaryOf(0), true);
         co_await cluster.failover(0, backups[0]);
         auto &promoted = cluster.primary(0);
         EXPECT_EQ(promoted.preparedVersion(key), rec.commitVersion);
@@ -889,7 +889,7 @@ TEST(Milana, RecoveryCommitsLocallyLoggedSingleShardPrepare)
             cluster.directory().at(backups[0]));
         EXPECT_TRUE(co_await promoted->handleReplicateTxnRecord(rec, 0));
 
-        cluster.crashServer(cluster.master().primaryOf(0));
+        cluster.network().setNodeDown(cluster.master().primaryOf(0), true);
         co_await cluster.failover(0, backups[0]);
         EXPECT_FALSE(promoted->recovering());
         EXPECT_EQ(promoted->txnTable().statusOf(txn),
@@ -969,7 +969,7 @@ TEST(Milana, OutcomeKeptUntilEveryBackupAcks)
         EXPECT_EQ(serverAt(cluster, lagging)->txnTable().statusOf(id),
                   semel::TxnStatus::Prepared);
 
-        cluster.crashServer(primary);
+        cluster.network().setNodeDown(primary, true);
         co_await cluster.failover(0, lagging);
         EXPECT_EQ(serverAt(cluster, lagging)->txnTable().statusOf(id),
                   semel::TxnStatus::Committed);

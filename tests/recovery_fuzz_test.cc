@@ -115,7 +115,7 @@ TEST_P(RecoveryFuzz, InvariantSurvivesRandomCrashPoint)
     Cluster cluster(cfg);
     cluster.populate();
     cluster.start();
-    chaos.arm(cluster.now());
+    cluster.armChaos();
 
     bool scenario_done = false;
     bool halt_transfers = false;
@@ -198,9 +198,8 @@ TEST_P(RecoveryFuzz, InvariantSurvivesRandomCrashPoint)
         *done = true;
     }(&cluster, seed, &halt_transfers, &scenario_done));
 
-    // Bounded drive through the chaos-aware façade (interleaves the
-    // fault schedule at quiescent points); the scenario requests stop
-    // itself.
+    // Bounded drive; the fault fires as a simulator event, and the
+    // scenario requests stop itself.
     cluster.runUntil(cluster.now() + 30 * kSecond);
     EXPECT_TRUE(scenario_done) << "scenario wedged for seed " << seed;
     EXPECT_EQ(chaos.injections(), 1u) << "seed " << seed;

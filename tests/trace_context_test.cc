@@ -221,31 +221,6 @@ TEST(TraceContext, SurvivesNetworkRoundTrip)
     EXPECT_EQ(events[0].span, handlerSaw->spanId);
 }
 
-TEST(TraceParse, V1DocumentsStillParse)
-{
-    const char *v1 =
-        "{\"schema\": \"milana-trace-v1\", \"capacity\": 8, "
-        "\"recorded\": 2, \"dropped\": 0, \"events\": [\n"
-        " {\"seq\": 0, \"t\": 100, \"lt\": 101, \"node\": 3, "
-        "\"kind\": \"B\", \"span\": 5, \"name\": \"x\", \"tag\": \"\", "
-        "\"arg\": 0},\n"
-        " {\"seq\": 1, \"t\": 200, \"lt\": 201, \"node\": 3, "
-        "\"kind\": \"E\", \"span\": 5, \"name\": \"x\", \"tag\": \"ok\", "
-        "\"arg\": 7}\n"
-        "]}";
-    common::ParsedTrace trace;
-    std::string error;
-    ASSERT_TRUE(common::parseTraceJson(v1, trace, error)) << error;
-    EXPECT_EQ(trace.schemaVersion, 1);
-    ASSERT_EQ(trace.events.size(), 2u);
-    EXPECT_EQ(trace.events[0].kind, TraceKind::SpanBegin);
-    // v2 causal fields default to "no context".
-    EXPECT_EQ(trace.events[0].traceId, 0u);
-    EXPECT_EQ(trace.events[0].parentSpan, 0u);
-    EXPECT_EQ(trace.events[1].arg2, 0);
-    EXPECT_EQ(trace.events[1].tag, "ok");
-}
-
 // ---------------------------------------------------------------------
 // Invariant monitor on hand-built event streams.
 
@@ -445,7 +420,16 @@ TEST(ClusterTrace, CommittedTxnFormsOneParentChain)
     common::ParsedTrace trace;
     std::string error;
     ASSERT_TRUE(common::parseTraceJson(json, trace, error)) << error;
-    EXPECT_EQ(trace.schemaVersion, 2);
+
+    // Only v2 is read: the same document stamped v1 is rejected.
+    std::string v1 = json;
+    const std::string v2Schema = "milana-trace-v2";
+    v1.replace(v1.find(v2Schema), v2Schema.size(), "milana-trace-v1");
+    common::ParsedTrace rejected;
+    std::string v1Error;
+    EXPECT_FALSE(common::parseTraceJson(v1, rejected, v1Error));
+    EXPECT_NE(v1Error.find("milana-trace-v1"), std::string::npos)
+        << v1Error;
 
     // Pick a committed transaction.
     std::uint64_t txn = 0, commitSpan = 0;

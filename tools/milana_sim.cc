@@ -2,7 +2,7 @@
  * @file
  * milana_sim — command-line scenario runner for the simulated
  * MILANA/SEMEL stack. Builds an arbitrary topology, drives a Retwis
- * fleet, optionally injects a primary crash + failover, and reports
+ * fleet, optionally replays a chaos fault schedule, and reports
  * throughput, latency, abort rates, skew, and (on request) the full
  * stat dump of every component.
  *
@@ -12,7 +12,8 @@
  *              --clocks=ntp --alpha=0.9 --seconds=5
  *
  *   # kill shard 0's primary two seconds in, watch recovery:
- *   milana_sim --shards=2 --replicas=3 --crash-at=2 --seconds=8
+ *   echo 'at 2s crash primary:0 failover' > crash.chaos
+ *   milana_sim --shards=2 --replicas=3 --chaos=crash.chaos --seconds=8
  *
  *   # everything the simulator knows, for debugging:
  *   milana_sim --seconds=2 --dump-stats
@@ -92,8 +93,7 @@ main(int argc, char **argv)
             "  --alpha=F (Zipf contention)     --read-heavy (75%% "
             "read-only mix)\n"
             "  --no-local-validation           --centiman\n"
-            "  --seconds=N --warmup=N          --crash-at=N (crash "
-            "shard 0's primary)\n"
+            "  --seconds=N --warmup=N\n"
             "  --chaos=PATH (fault schedule, see docs/CHAOS.md; armed\n"
             "                when measurement starts — times are "
             "relative\n"
@@ -181,7 +181,6 @@ main(int argc, char **argv)
 
     const auto warmup = args.getInt("warmup", 1) * kSecond;
     const auto measure = args.getInt("seconds", 5) * kSecond;
-    const auto crash_at = args.getInt("crash-at", -1);
 
     std::printf("milana_sim: %u shard(s) x %u replica(s), %u clients, "
                 "%s backend, %s clocks, alpha=%.2f%s%s\n",
@@ -200,35 +199,13 @@ main(int argc, char **argv)
     RetwisWorkload fleet(cluster, retwis);
     fleet.start();
 
-    if (crash_at >= 0) {
-        const auto victim = cluster.master().primaryOf(0);
-        cluster.sim().schedule(
-            warmup + crash_at * kSecond, [&cluster, victim] {
-                std::printf("[t=%.2fs] crashing shard-0 primary "
-                            "(node %u) and promoting a backup\n",
-                            common::toSeconds(cluster.sim().now()),
-                            victim);
-                cluster.crashServer(victim);
-                const auto promoted =
-                    cluster.master().backupsOf(0)[0];
-                sim::spawn([](Cluster *c, common::NodeId promoted)
-                               -> sim::Task<void> {
-                    co_await c->failover(0, promoted);
-                    std::printf("[t=%.2fs] recovery complete; shard 0 "
-                                "serving from node %u\n",
-                                common::toSeconds(c->sim().now()),
-                                promoted);
-                }(&cluster, promoted));
-            });
-    }
-
     cluster.runUntil(cluster.now() + warmup);
     fleet.resetMeasurement();
     cluster.resetStats();
     if (chaos != nullptr) {
         // Schedule times are relative to this instant: warmup and
         // population ran fault-free.
-        chaos->arm(cluster.now());
+        cluster.armChaos();
         std::printf("chaos armed: %zu fault(s) from %s (seed %lld)\n",
                     chaos->faultCount(), chaos_path.c_str(),
                     static_cast<long long>(
@@ -274,7 +251,7 @@ main(int argc, char **argv)
                     cluster.network().stats().dump("  ").c_str());
     }
 
-    if (trace != nullptr) {
+    if (!trace_path.empty()) {
         std::ofstream os(trace_path);
         if (!os) {
             std::fprintf(stderr, "error: cannot write %s\n",

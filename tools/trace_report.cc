@@ -2,8 +2,8 @@
  * @file
  * trace-report — offline analysis of a milana-trace event log (the
  * --trace output of fig6_abort_vs_clients, milana-sim, or any harness
- * wired through ClusterConfig::trace). Reads both milana-trace-v1 and
- * milana-trace-v2 documents (JSON or CSV, chosen by file extension).
+ * wired through ClusterConfig::trace). Reads milana-trace-v2 documents
+ * (JSON or CSV, chosen by file extension).
  *
  * Default report:
  *
@@ -21,7 +21,6 @@
  * Options:
  *   --strict     exit 3 if the window is incomplete (dropped > 0)
  *   --txn=<id>   per-transaction timeline + critical-path breakdown
- *                (v2 traces only — needs the causal fields)
  *
  * See OBSERVABILITY.md for worked examples.
  */
@@ -53,15 +52,12 @@ loadCsv(std::istream &is, common::ParsedTrace &trace, std::string &error)
 {
     std::string line;
     if (!std::getline(is, line) ||
-        line.rfind("seq,true_ns,local_ns", 0) != 0) {
-        error = "missing trace CSV header";
+        line != "seq,true_ns,local_ns,node,kind,span,trace,parent,name,"
+                "tag,arg,arg2") {
+        error = "missing milana-trace-v2 CSV header";
         return false;
     }
-    // v1 header has 9 columns; v2 adds trace,parent (after span) and
-    // arg2 (last) for 12.
-    const bool v2 = line.find(",trace,parent,") != std::string::npos;
-    trace.schemaVersion = v2 ? 2 : 1;
-    const std::size_t expect = v2 ? 12 : 9;
+    const std::size_t expect = 12;
     std::size_t lineno = 1;
     while (std::getline(is, line)) {
         ++lineno;
@@ -93,16 +89,12 @@ loadCsv(std::istream &is, common::ParsedTrace &trace, std::string &error)
                   : kind == "E" ? TraceKind::SpanEnd
                                 : TraceKind::Instant;
         ev.span = std::strtoull(fields[f++].c_str(), nullptr, 10);
-        if (v2) {
-            ev.traceId = std::strtoull(fields[f++].c_str(), nullptr, 10);
-            ev.parentSpan =
-                std::strtoull(fields[f++].c_str(), nullptr, 10);
-        }
+        ev.traceId = std::strtoull(fields[f++].c_str(), nullptr, 10);
+        ev.parentSpan = std::strtoull(fields[f++].c_str(), nullptr, 10);
         ev.name = fields[f++];
         ev.tag = fields[f++];
         ev.arg = std::strtoll(fields[f++].c_str(), nullptr, 10);
-        if (v2)
-            ev.arg2 = std::strtoll(fields[f++].c_str(), nullptr, 10);
+        ev.arg2 = std::strtoll(fields[f++].c_str(), nullptr, 10);
         trace.events.push_back(std::move(ev));
     }
     // CSV carries no recorded/dropped header counters, but seq is the
@@ -197,8 +189,7 @@ reportTxn(const common::ParsedTrace &trace, std::uint64_t txnId)
             events.push_back(&e);
     if (events.empty()) {
         std::fprintf(stderr,
-                     "error: no events with trace id %llu "
-                     "(v1 traces carry no trace ids)\n",
+                     "error: no events with trace id %llu\n",
                      static_cast<unsigned long long>(txnId));
         return 1;
     }
@@ -413,7 +404,7 @@ main(int argc, char **argv)
             stderr,
             "usage: trace-report [--strict] [--txn=<id>] "
             "[--csv=PATH] <trace.json | trace.csv>\n"
-            "analyzes a milana-trace-v1/v2 event log; see "
+            "analyzes a milana-trace-v2 event log; see "
             "OBSERVABILITY.md\n"
             "  --strict   exit 3 when the ring evicted events\n"
             "  --txn=<id> per-transaction timeline and critical-path "
@@ -468,8 +459,7 @@ main(int argc, char **argv)
     std::int64_t t_min = trace.events.front().trueTime;
     std::int64_t t_max = trace.events.back().trueTime;
 
-    std::printf("%s: %zu events (schema v%d)\n", path.c_str(),
-                trace.events.size(), trace.schemaVersion);
+    std::printf("%s: %zu events\n", path.c_str(), trace.events.size());
     if (trace.dropped != 0) {
         std::printf("WARNING: incomplete window — the ring evicted "
                     "%llu of %llu recorded events (%.1f%%).\n"
