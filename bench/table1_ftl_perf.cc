@@ -61,16 +61,13 @@ runCell(bool unified, double get_percent, std::uint64_t keys,
     flash::SsdDevice ssd(sim, flash::Geometry::scaledFor(data_bytes, 0.35));
 
     std::unique_ptr<ftl::Sftl> sftl;
-    std::unique_ptr<ftl::Mftl> mftl;
-    std::unique_ptr<ftl::Vftl> vftl;
-    ftl::KvBackend *backend = nullptr;
+    std::unique_ptr<ftl::KvBackend> backend;
     if (unified) {
-        mftl = std::make_unique<ftl::Mftl>(sim, ssd, ftl::Mftl::Config{});
-        backend = mftl.get();
+        backend = std::make_unique<ftl::Mftl>(sim, ssd, ftl::Mftl::Config{});
     } else {
         sftl = std::make_unique<ftl::Sftl>(sim, ssd, ftl::Sftl::Config{});
-        vftl = std::make_unique<ftl::Vftl>(sim, *sftl, ftl::Vftl::Config{});
-        backend = vftl.get();
+        backend =
+            std::make_unique<ftl::Vftl>(sim, *sftl, ftl::Vftl::Config{});
     }
 
     workload::MicroConfig cfg;
@@ -87,10 +84,7 @@ runCell(bool unified, double get_percent, std::uint64_t keys,
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                       populate_start)
             .count();
-    if (mftl)
-        mftl->start();
-    if (vftl)
-        vftl->start();
+    backend->start();
     micro.start();
     sim.runUntil(sim.now() + warmup);
     micro.resetMeasurement();

@@ -4,16 +4,6 @@
 
 namespace ftl {
 
-DramBackend::DramBackend(sim::Simulator &sim)
-    : DramBackend(sim, Config{})
-{
-}
-
-DramBackend::DramBackend(sim::Simulator &sim, const Config &config)
-    : sim_(sim), config_(config), map_(config.expectedKeys)
-{
-}
-
 sim::Task<GetResult>
 DramBackend::get(Key key, Version at)
 {
@@ -30,7 +20,7 @@ DramBackend::get(Key key, Version at)
             result.value = entry->loc.value;
         }
     }
-    co_await sim::sleepFor(sim_, config_.readLatency);
+    co_await sim::sleepFor(sim_, kReadLatency);
     co_return result;
 }
 
@@ -43,7 +33,7 @@ DramBackend::put(Key key, Value value, Version version)
     auto chain = map_.getOrCreate(key);
     chain.append(version, Stored{std::move(value)});
     chain.pruneBelowWatermark(watermark_, [](const auto &) {});
-    co_await sim::sleepFor(sim_, config_.writeLatency);
+    co_await sim::sleepFor(sim_, kWriteLatency);
     co_return PutStatus::Ok;
 }
 
@@ -51,7 +41,7 @@ sim::Task<void>
 DramBackend::erase(Key key, Version version)
 {
     deletes_.inc();
-    co_await sim::sleepFor(sim_, config_.writeLatency);
+    co_await sim::sleepFor(sim_, kWriteLatency);
     map_.dropAtOrBelow(key, version, [](const auto &) {});
 }
 

@@ -21,23 +21,18 @@ namespace ftl {
 class DramBackend : public KvBackend
 {
   public:
-    struct Config
-    {
-        common::Duration readLatency = 200 * common::kNanosecond;
-        common::Duration writeLatency = 500 * common::kNanosecond;
-        /** Pre-size the mapping table for this many keys (0 = grow). */
-        std::uint64_t expectedKeys = 0;
-    };
+    static constexpr common::Duration kReadLatency =
+        200 * common::kNanosecond;
+    static constexpr common::Duration kWriteLatency =
+        500 * common::kNanosecond;
 
-    explicit DramBackend(sim::Simulator &sim);
-    DramBackend(sim::Simulator &sim, const Config &config);
+    explicit DramBackend(sim::Simulator &sim) : sim_(sim) {}
 
     sim::Task<GetResult> get(Key key, Version at) override;
     sim::Task<PutStatus> put(Key key, Value value, Version version) override;
     sim::Task<void> erase(Key key, Version version) override;
     void setWatermark(Time watermark) override;
     std::optional<Version> versionAt(Key key, Version at) override;
-    bool multiVersion() const override { return true; }
     common::StatSet &stats() override { return stats_; }
     void reserveKeys(std::uint64_t keys) override { map_.reserveKeys(keys); }
     std::uint64_t dataPlaneBytes() const override
@@ -56,7 +51,6 @@ class DramBackend : public KvBackend
     using Store = VersionStore<Stored>;
 
     sim::Simulator &sim_;
-    Config config_;
     Store map_;
     Time watermark_ = 0;
     common::StatSet stats_;

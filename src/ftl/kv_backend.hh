@@ -103,9 +103,6 @@ class KvBackend
         return std::nullopt;
     }
 
-    /** True if the backend stores multiple versions per key. */
-    virtual bool multiVersion() const = 0;
-
     /**
      * Pre-size the in-DRAM mapping structures for @p keys distinct
      * keys so bulk load performs zero rehashes. Synchronous; no-op
@@ -128,6 +125,13 @@ class KvBackend
     {
         return 0;
     }
+
+    /**
+     * Start the backend's background processes (the FTLs' watermark
+     * sweep). Call after bulk load: populate drains the simulator, and
+     * a periodic process would keep it from draining.
+     */
+    virtual void start() {}
 
     virtual common::StatSet &stats() = 0;
 };

@@ -4,171 +4,189 @@
  * (section 3.1, Contribution 3).
  *
  * A single in-DRAM mapping table maps each key directly to the
- * physical locations of its versions (no LBA indirection): key ->
- * list of <create-timestamp, physical page, slot>, sorted by
- * descending timestamp. New tuples are written log-structured through
- * a pack buffer (pack_log.hh); version management is integrated with
- * flash garbage collection:
- *
- *  - validity: a flash tuple is live iff the mapping table still
- *    references its exact <key, version, location>;
- *  - watermark GC (section 3.1): once every client's clock has passed
- *    the watermark, only the youngest version with stamp <= watermark
- *    plus all younger versions are kept; older tuples become dead in
- *    place and are never remapped;
- *  - flash GC: when free blocks fall below the reserve (10% of
- *    capacity), the block with the fewest live tuples is victimized
- *    (ties broken toward least-worn, providing wear-leveling); its
- *    live tuples are re-packed through the same pack buffer as user
- *    writes — "puts or remapped keys" share pages, as in the paper —
- *    and the block is erased once they are durable.
+ * physical locations of its versions (no LBA indirection): the shared
+ * multi-version layer (multi_version_kv.hh) placed straight on the raw
+ * device. Version management is integrated with flash garbage
+ * collection: the layer's collector victimizes erase blocks, choosing
+ * the block with the fewest live tuples (ties broken toward
+ * least-worn, providing wear-leveling), re-packs their live tuples
+ * through the same pack buffer as user writes, and erases each block
+ * once they are durable.
  */
 
 #ifndef FTL_MFTL_HH
 #define FTL_MFTL_HH
 
+#include <algorithm>
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "flash/ssd.hh"
 #include "ftl/free_blocks.hh"
-#include "ftl/kv_backend.hh"
-#include "ftl/mapping_table.hh"
-#include "ftl/pack_log.hh"
-#include "sim/future.hh"
-#include "sim/task.hh"
+#include "ftl/multi_version_kv.hh"
 
 namespace ftl {
 
-class Mftl : public KvBackend
+/** MFTL's placement: log pages in erase blocks of the raw device. */
+class FlashPages
 {
   public:
-    struct Config
-    {
-        /** Max time a tuple waits in the pack buffer (paper: 1 ms). */
-        common::Duration packTimeout = common::kMillisecond;
-        /** Fraction of blocks reserved for GC headroom (paper: 10%). */
-        double reserveFraction = 0.10;
-        /** Free-block fraction the integrated collector maintains:
-         *  version management is fused with flash GC, so dead versions
-         *  are reclaimed eagerly as the watermark advances. */
-        double gcTargetFraction = 0.25;
-        /** Accounted on-flash tuple size (paper: 512 B). */
-        std::uint32_t recordSize = 512;
-        /** Interval of the background watermark pruning sweep. Each
-         *  sweep visits only the chains holding >= 2 versions (the
-         *  mapping table's multi-version index), so its cost scales
-         *  with those, not with the key count; reads and writes also
-         *  prune the chain they touch. */
-        common::Duration watermarkSweepInterval =
-            50 * common::kMillisecond;
-        /** Pre-size the mapping table for this many keys (0 = grow). */
-        std::uint64_t expectedKeys = 0;
+    using Device = flash::SsdDevice;
+    using Addr = flash::PageAddr;
+    /** A read returns the device's page, valid while its block is
+     *  pinned. */
+    using Page = const flash::PageData *;
+
+    static constexpr const char *kName = "mftl";
+    static constexpr KvStatNames kStats{
+        .deletes = "mftl.deletes",
+        .gcRemapped = "mftl.gc_remapped",
+        .gcVictims = "mftl.gc_victims",
+        .gets = "mftl.gets",
+        .puts = "mftl.puts",
+        .versionsPruned = "mftl.versions_pruned",
+        .getLatency = "mftl.get_latency",
+        .putLatency = "mftl.put_latency",
+        .unitsWritten = "mftl.pages_written",
+        .gcReads = "mftl.gc_page_reads",
+        .gcReclaims = "mftl.gc_erases",
     };
 
-    Mftl(sim::Simulator &sim, flash::SsdDevice &device,
-         const Config &config);
+    /** A GC pass takes at most 32 victim blocks and stops once it
+     *  nets 12 free blocks. */
+    static constexpr std::size_t kMaxVictims = 32;
+    static constexpr std::size_t kNetUnits = 12;
+    /** Version management is fused with flash GC, so dead versions
+     *  are reclaimed eagerly as the watermark advances: the collector
+     *  keeps a quarter of the blocks free. */
+    static constexpr double kGcTargetFraction = 0.25;
 
-    // KvBackend interface.
-    sim::Task<GetResult> get(Key key, Version at) override;
-    sim::Task<PutStatus> put(Key key, Value value, Version version) override;
-    sim::Task<void> erase(Key key, Version version) override;
-    void setWatermark(Time watermark) override;
-    std::optional<Version> versionAt(Key key, Version at) override;
-    bool multiVersion() const override { return true; }
-    common::StatSet &stats() override { return stats_; }
-    void reserveKeys(std::uint64_t keys) override { map_.reserveKeys(keys); }
-    std::uint64_t dataPlaneBytes() const override
+    explicit FlashPages(flash::SsdDevice &device)
+        : device_(device),
+          pendingPrograms_(device.geometry().numBlocks, 0),
+          free_(device.geometry().numBlocks)
     {
-        return map_.memoryBytes();
+        for (std::uint32_t b = 0; b < units(); ++b)
+            release(b);
     }
 
-    /** Start background processes (GC trigger loop, watermark sweep). */
-    void start();
+    static std::uint32_t unitOf(flash::PageAddr addr) { return addr.block; }
 
-    /** Number of live versions of a key (tests/introspection). */
-    std::size_t versionCount(Key key) const;
+    /** Fresh blocks a pass relocating @p live tuples may consume: a
+     *  block beyond the exact need plus one for the open block. */
+    static std::uint64_t
+    projectedUnits(std::uint64_t live, std::uint64_t per_block)
+    {
+        return (live + per_block) / per_block + 1;
+    }
 
-    /** Number of free (erased, unallocated) blocks. */
-    std::size_t freeBlocks() const { return freeBlocks_.size(); }
+    std::uint32_t units() const { return device_.geometry().numBlocks; }
+    std::uint32_t
+    pagesPerUnit() const
+    {
+        return device_.geometry().pagesPerBlock;
+    }
+    std::uint32_t pageSize() const { return device_.geometry().pageSize; }
+    std::size_t freeUnits() const { return free_.size(); }
 
-    /**
-     * Rebuild the mapping table by scanning all programmed pages, as a
-     * restarted storage server would. Returns the number of tuples
-     * recovered. (Timing-free: models an offline scan.)
-     */
-    std::size_t rebuildFromFlash();
+    /** The open block's next page; when it is full, open the
+     *  least-worn free block (wear-levelling) if at least @p min_free
+     *  are free. */
+    std::optional<flash::PageAddr>
+    tryAllocate(std::size_t min_free)
+    {
+        if (openBlock_ < 0 || nextPage_ >= pagesPerUnit()) {
+            if (free_.size() < min_free)
+                return std::nullopt;
+            openBlock_ = free_.pop();
+            nextPage_ = 0;
+        }
+        const flash::PageAddr addr{static_cast<std::uint32_t>(openBlock_),
+                                   nextPage_++};
+        ++pendingPrograms_[addr.block];
+        return addr;
+    }
+
+    auto
+    write(flash::PageAddr addr, flash::PageData page)
+    {
+        return device_.programPage(addr, std::move(page));
+    }
+    void written(flash::PageAddr addr) { --pendingPrograms_[addr.block]; }
+    auto read(flash::PageAddr addr) { return device_.readPage(addr); }
+
+    /** A read pin makes GC's erase of the block wait for the read. */
+    void pin(std::uint32_t block) { device_.pinBlock(block); }
+    void unpin(std::uint32_t block) { device_.unpinBlock(block); }
+
+    /** Neither free, nor open, nor awaiting a program. */
+    bool
+    collectable(std::uint32_t block) const
+    {
+        return !free_.contains(block) &&
+               static_cast<std::int64_t>(block) != openBlock_ &&
+               pendingPrograms_[block] == 0;
+    }
+
+    /** Greedy by liveness, least-worn among equals. */
+    std::uint64_t
+    victimCost(std::uint32_t block, std::uint32_t live) const
+    {
+        return (static_cast<std::uint64_t>(live) << 20) +
+               device_.eraseCount(block);
+    }
+
+    template <typename Visit>
+    void
+    forEachPage(std::uint32_t block, Visit &&visit) const
+    {
+        for (std::uint32_t pg = 0; pg < pagesPerUnit(); ++pg) {
+            const flash::PageAddr addr{block, pg};
+            if (device_.pageState(addr) == flash::PageState::Programmed)
+                visit(addr);
+        }
+    }
+
+    auto reclaim(std::uint32_t block) { return device_.eraseBlock(block); }
+    void
+    release(std::uint32_t block)
+    {
+        free_.push(block, device_.eraseCount(block));
+    }
+
+    /** Forget all placement state and visit every programmed page in
+     *  block order; blocks holding none return to the free pool. */
+    template <typename Visit>
+    void
+    scan(Visit &&visit)
+    {
+        std::fill(pendingPrograms_.begin(), pendingPrograms_.end(), 0);
+        free_.clear();
+        openBlock_ = -1;
+        nextPage_ = 0;
+        for (std::uint32_t b = 0; b < units(); ++b) {
+            bool any_programmed = false;
+            forEachPage(b, [&](flash::PageAddr addr) {
+                any_programmed = true;
+                visit(addr, device_.peekPage(addr));
+            });
+            if (!any_programmed)
+                release(b);
+        }
+    }
 
   private:
-    /** Physical locator of one tuple. */
-    struct Loc
-    {
-        flash::PageAddr page;
-        std::uint16_t slot;
-    };
-
-    using Store = VersionStore<Loc>;
-    using ChainRef = Store::ChainRef;
-
-    void flushBatch(std::vector<Pending> batch);
-    sim::Task<void> flushTask(std::vector<Pending> batch);
-
-    /** Block user writes while free space is critically low. */
-    sim::Task<void> admitUserWrite();
-
-    /** Allocate the next log page; may wait for GC to free space. */
-    sim::Task<flash::PageAddr> allocatePage(bool has_relocation);
-
-    /** True when the free pool is below the GC trigger level. */
-    bool needGc() const;
-    void kickGc();
-    sim::Task<void> gcLoop();
-    sim::Task<void> gcOnce();
-    sim::Task<void> watermarkSweep();
-
-    std::int32_t pickVictim() const;
-    void pruneChain(ChainRef chain);
-    void dropEntry(const Store::Entry &entry);
-
-    sim::Simulator &sim_;
     flash::SsdDevice &device_;
-    Config config_;
-
-    Store map_;
-    /** Live tuples per block (validity counters for GC). */
-    std::vector<std::uint32_t> liveTuples_;
     /** Programs issued but whose mapping update is still pending. */
     std::vector<std::uint32_t> pendingPrograms_;
-    /** Blocks in the current GC pass's victim set. */
-    std::vector<bool> victimized_;
-
-    FreeBlockPool freeBlocks_;
+    FreeBlockPool free_;
     std::int64_t openBlock_ = -1;
     std::uint32_t nextPage_ = 0;
-
-    PackLog packLog_;
-    Time watermark_ = 0;
-
-    bool gcRunning_ = false;
-    std::uint32_t gcLowWater_ = 0;
-    std::uint32_t gcHighWater_ = 0;
-    /** Resolved (and replaced) each time GC frees a block. */
-    sim::Promise<bool> spaceFreed_;
-
-    common::StatSet stats_;
-    // Stat handles, each bound at its first use.
-    common::CounterHandle deletes_{stats_, "mftl.deletes"};
-    common::CounterHandle gcErases_{stats_, "mftl.gc_erases"};
-    common::CounterHandle gcPageReads_{stats_, "mftl.gc_page_reads"};
-    common::CounterHandle gcRemapped_{stats_, "mftl.gc_remapped"};
-    common::CounterHandle gcVictims_{stats_, "mftl.gc_victims"};
-    common::CounterHandle gets_{stats_, "mftl.gets"};
-    common::CounterHandle pagesWritten_{stats_, "mftl.pages_written"};
-    common::CounterHandle puts_{stats_, "mftl.puts"};
-    common::CounterHandle versionsPruned_{stats_, "mftl.versions_pruned"};
-    common::HistogramHandle getLatency_{stats_, "mftl.get_latency"};
-    common::HistogramHandle putLatency_{stats_, "mftl.put_latency"};
 };
+
+using Mftl = MultiVersionKv<FlashPages>;
+extern template class MultiVersionKv<FlashPages>;
 
 } // namespace ftl
 

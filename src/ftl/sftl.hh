@@ -14,9 +14,10 @@
  *  - SingleVersionKv: keys mapped statically onto LBA slots with
  *    read-modify-write updates — the "SFTL" storage backend of
  *    Figure 6;
- *  - Vftl (vftl.hh): a separate multi-version KV layer that stacks its
- *    own log, mapping and GC on top of SFTL — the paper's "VFTL"
- *    baseline with duplicated functionality at two levels.
+ *  - Vftl (vftl.hh): the multi-version KV layer MFTL runs on the raw
+ *    device (multi_version_kv.hh), placed on SFTL's logical blocks, so
+ *    its own log, mapping and GC stack on top of SFTL's — the paper's
+ *    "VFTL" baseline with duplicated functionality at two levels.
  */
 
 #ifndef FTL_SFTL_HH
@@ -149,7 +150,6 @@ class SingleVersionKv : public KvBackend
     sim::Task<PutStatus> put(Key key, Value value, Version version) override;
     sim::Task<void> erase(Key key, Version version) override;
     void setWatermark(Time watermark) override;
-    bool multiVersion() const override { return false; }
     common::StatSet &stats() override { return stats_; }
 
   private:

@@ -1,11 +1,11 @@
 /**
  * @file
- * VFTL: the paper's baseline — a multi-version key-value layer built
- * *on top of* a generic single-version FTL (section 5.1), with its own
- * lookup, request handling and garbage collection, separate from the
- * FTL's.
+ * VFTL: the paper's baseline — the multi-version key-value layer
+ * (multi_version_kv.hh) stacked *on top of* a generic single-version
+ * FTL (section 5.1), with its own lookup, request handling and garbage
+ * collection, separate from the FTL's.
  *
- * The duplication costs are exactly the ones Table 1 measures:
+ * The layering costs are exactly the ones Table 1 measures:
  *
  *  - two mapping steps (key -> LBA -> physical page) instead of one;
  *  - 10% capacity reserved at *two* levels (the KV layer holds back
@@ -24,126 +24,163 @@
 #ifndef FTL_VFTL_HH
 #define FTL_VFTL_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <deque>
+#include <optional>
 #include <vector>
 
-#include "ftl/kv_backend.hh"
-#include "ftl/mapping_table.hh"
-#include "ftl/pack_log.hh"
+#include "ftl/multi_version_kv.hh"
 #include "ftl/sftl.hh"
-#include "sim/future.hh"
-#include "sim/task.hh"
 
 namespace ftl {
 
-class Vftl : public KvBackend
+/** VFTL's placement: one page of tuples per logical block of an Sftl,
+ *  allocated first-freed first. */
+class SftlLbas
 {
   public:
-    struct Config
-    {
-        common::Duration packTimeout = common::kMillisecond;
-        /** Fraction of LBAs the KV layer reserves for its own GC. */
-        double reserveFraction = 0.10;
-        /** Free-LBA fraction the collector restores per pass. The
-         *  split stack keeps only its 10% reserve working room (the
-         *  paper's configuration); compare MFTL's integrated
-         *  watermark-driven target. */
-        double gcTargetFraction = 0.15;
-        std::uint32_t recordSize = 512;
-        /** Interval of the KV layer's watermark pruning sweep; as in
-         *  MFTL, each sweep visits only the multi-version chains. */
-        common::Duration watermarkSweepInterval =
-            50 * common::kMillisecond;
-        /** Pre-size the mapping table for this many keys (0 = grow). */
-        std::uint64_t expectedKeys = 0;
+    using Device = Sftl;
+    using Addr = Lba;
+    /** A read returns a copy of the logical block. */
+    using Page = std::optional<flash::PageData>;
+
+    static constexpr const char *kName = "vftl";
+    static constexpr KvStatNames kStats{
+        .deletes = "vftl.deletes",
+        .gcRemapped = "vftl.gc_remapped",
+        .gcVictims = "vftl.gc_victims",
+        .gets = "vftl.gets",
+        .puts = "vftl.puts",
+        .versionsPruned = "vftl.versions_pruned",
+        .getLatency = "vftl.get_latency",
+        .putLatency = "vftl.put_latency",
+        .unitsWritten = "vftl.lbas_written",
+        .gcReads = "vftl.gc_lba_reads",
+        .gcReclaims = "vftl.gc_trims",
     };
 
-    Vftl(sim::Simulator &sim, Sftl &sftl, const Config &config);
+    /** A GC pass takes at most 256 victim LBAs and stops once it nets
+     *  64 free LBAs. */
+    static constexpr std::size_t kMaxVictims = 256;
+    static constexpr std::size_t kNetUnits = 64;
+    /** The split stack keeps only its 10% reserve working room (the
+     *  paper's configuration); compare MFTL's integrated
+     *  watermark-driven target. */
+    static constexpr double kGcTargetFraction = 0.15;
 
-    sim::Task<GetResult> get(Key key, Version at) override;
-    sim::Task<PutStatus> put(Key key, Value value, Version version) override;
-    sim::Task<void> erase(Key key, Version version) override;
-    void setWatermark(Time watermark) override;
-    std::optional<Version> versionAt(Key key, Version at) override;
-    bool multiVersion() const override { return true; }
-    common::StatSet &stats() override { return stats_; }
-    void reserveKeys(std::uint64_t keys) override { map_.reserveKeys(keys); }
-    std::uint64_t dataPlaneBytes() const override
+    explicit SftlLbas(Sftl &sftl)
+        : sftl_(sftl),
+          pendingWrite_(sftl.logicalBlocks(), false),
+          isFree_(sftl.logicalBlocks(), false)
     {
-        return map_.memoryBytes();
+        for (std::uint32_t lba = 0; lba < units(); ++lba)
+            release(lba);
     }
 
-    void start();
+    static std::uint32_t unitOf(Lba lba)
+    {
+        return static_cast<std::uint32_t>(lba);
+    }
 
-    std::size_t versionCount(Key key) const;
-    std::size_t freeLbas() const { return freeLbas_.size(); }
+    /** Fresh LBAs a pass relocating @p live tuples consumes. */
+    static std::uint64_t
+    projectedUnits(std::uint64_t live, std::uint64_t per_lba)
+    {
+        return (live + per_lba - 1) / per_lba;
+    }
 
-    /**
-     * Rebuild the KV layer's mapping by scanning every mapped logical
-     * block in the FTL below, as a restarted storage server would.
-     * Returns the number of tuples recovered. (Timing-free: models an
-     * offline scan.)
-     */
-    std::size_t rebuildFromStore();
+    std::uint32_t
+    units() const
+    {
+        return static_cast<std::uint32_t>(sftl_.logicalBlocks());
+    }
+    std::uint32_t pagesPerUnit() const { return 1; }
+    std::uint32_t pageSize() const { return sftl_.pageSize(); }
+    std::size_t freeUnits() const { return free_.size(); }
+
+    std::optional<Lba>
+    tryAllocate(std::size_t min_free)
+    {
+        if (free_.size() < min_free)
+            return std::nullopt;
+        const std::uint32_t lba = free_.front();
+        free_.pop_front();
+        isFree_[lba] = false;
+        pendingWrite_[lba] = true;
+        return lba;
+    }
+
+    auto
+    write(Lba lba, flash::PageData page)
+    {
+        return sftl_.write(lba, std::move(page));
+    }
+    void written(Lba lba) { pendingWrite_[unitOf(lba)] = false; }
+    /** Second mapping step: LBA -> physical page, inside SFTL. */
+    auto read(Lba lba) { return sftl_.read(lba); }
+
+    /** Reads copy the block out of SFTL, which remaps under them
+     *  itself: nothing to pin. */
+    void pin(std::uint32_t) {}
+    void unpin(std::uint32_t) {}
+
+    /** Neither free, nor awaiting its write, and mapped below. */
+    bool
+    collectable(std::uint32_t lba) const
+    {
+        return !isFree_[lba] && !pendingWrite_[lba] && sftl_.mapped(lba);
+    }
+
+    /** Greedy by liveness. */
+    std::uint64_t
+    victimCost(std::uint32_t, std::uint32_t live) const
+    {
+        return live;
+    }
+
+    template <typename Visit>
+    void
+    forEachPage(std::uint32_t lba, Visit &&visit) const
+    {
+        visit(Lba{lba});
+    }
+
+    auto reclaim(std::uint32_t lba) { return sftl_.trim(lba); }
+    void
+    release(std::uint32_t lba)
+    {
+        free_.push_back(lba);
+        isFree_[lba] = true;
+    }
+
+    /** Forget all placement state and visit every mapped LBA in
+     *  address order; unmapped ones return to the free list. */
+    template <typename Visit>
+    void
+    scan(Visit &&visit)
+    {
+        std::fill(pendingWrite_.begin(), pendingWrite_.end(), false);
+        std::fill(isFree_.begin(), isFree_.end(), false);
+        free_.clear();
+        for (std::uint32_t lba = 0; lba < units(); ++lba) {
+            if (const flash::PageData *page = sftl_.peek(lba))
+                visit(Lba{lba}, *page);
+            else
+                release(lba);
+        }
+    }
 
   private:
-    struct Loc
-    {
-        Lba lba;
-        std::uint16_t slot;
-    };
-
-    using Store = VersionStore<Loc>;
-    using ChainRef = Store::ChainRef;
-
-    void flushBatch(std::vector<Pending> batch);
-    sim::Task<void> flushTask(std::vector<Pending> batch);
-    sim::Task<void> admitUserWrite();
-    sim::Task<Lba> allocateLba(bool has_relocation);
-
-    bool needGc() const;
-    void kickGc();
-    sim::Task<void> gcOnce();
-    sim::Task<void> watermarkSweep();
-    std::int64_t pickVictim() const;
-
-    void pruneChain(ChainRef chain);
-    void dropEntry(const Store::Entry &entry);
-
-    sim::Simulator &sim_;
     Sftl &sftl_;
-    Config config_;
-
-    Store map_;
-    std::vector<std::uint32_t> liveRecords_;
     std::vector<bool> pendingWrite_;
-    /** LBAs being compacted by the current GC pass. */
-    std::vector<bool> victimized_;
-    std::deque<Lba> freeLbas_;
-
-    PackLog packLog_;
-    Time watermark_ = 0;
-
-    bool gcRunning_ = false;
-    std::uint64_t gcLowWater_ = 0;
-    std::uint64_t gcHighWater_ = 0;
-    sim::Promise<bool> spaceFreed_;
-
-    common::StatSet stats_;
-    // Stat handles, each bound at its first use.
-    common::CounterHandle deletes_{stats_, "vftl.deletes"};
-    common::CounterHandle gcLbaReads_{stats_, "vftl.gc_lba_reads"};
-    common::CounterHandle gcRemapped_{stats_, "vftl.gc_remapped"};
-    common::CounterHandle gcTrims_{stats_, "vftl.gc_trims"};
-    common::CounterHandle gcVictims_{stats_, "vftl.gc_victims"};
-    common::CounterHandle gets_{stats_, "vftl.gets"};
-    common::CounterHandle lbasWritten_{stats_, "vftl.lbas_written"};
-    common::CounterHandle puts_{stats_, "vftl.puts"};
-    common::CounterHandle versionsPruned_{stats_, "vftl.versions_pruned"};
-    common::HistogramHandle getLatency_{stats_, "vftl.get_latency"};
-    common::HistogramHandle putLatency_{stats_, "vftl.put_latency"};
+    /** Membership bitmap of free_, for the victim scan. */
+    std::vector<bool> isFree_;
+    std::deque<std::uint32_t> free_;
 };
+
+using Vftl = MultiVersionKv<SftlLbas>;
+extern template class MultiVersionKv<SftlLbas>;
 
 } // namespace ftl
 

@@ -331,9 +331,7 @@ Cluster::buildStorageNode(common::ShardId shard, std::uint32_t replica)
       case BackendKind::Dram: {
         devices_.push_back(nullptr);
         sftls_.push_back(nullptr);
-        ftl::DramBackend::Config cfg;
-        cfg.expectedKeys = shard_keys;
-        auto dram = std::make_unique<ftl::DramBackend>(sim_, cfg);
+        auto dram = std::make_unique<ftl::DramBackend>(sim_);
         backend = dram.get();
         backends_.push_back(std::move(dram));
         break;
@@ -347,7 +345,6 @@ Cluster::buildStorageNode(common::ShardId shard, std::uint32_t replica)
         sftls_.push_back(nullptr);
         ftl::Mftl::Config cfg;
         cfg.recordSize = config_.recordSize;
-        cfg.expectedKeys = shard_keys;
         auto mftl = std::make_unique<ftl::Mftl>(sim_, *devices_.back(),
                                                 cfg);
         backend = mftl.get();
@@ -364,7 +361,6 @@ Cluster::buildStorageNode(common::ShardId shard, std::uint32_t replica)
             sim_, *devices_.back(), ftl::Sftl::Config{}));
         ftl::Vftl::Config cfg;
         cfg.recordSize = config_.recordSize;
-        cfg.expectedKeys = shard_keys;
         auto vftl = std::make_unique<ftl::Vftl>(sim_, *sftls_.back(),
                                                 cfg);
         backend = vftl.get();
@@ -464,12 +460,8 @@ Cluster::populate()
 void
 Cluster::start()
 {
-    for (auto &backend : backends_) {
-        if (auto *mftl = dynamic_cast<ftl::Mftl *>(backend.get()))
-            mftl->start();
-        else if (auto *vftl = dynamic_cast<ftl::Vftl *>(backend.get()))
-            vftl->start();
-    }
+    for (auto &backend : backends_)
+        backend->start();
     for (auto &server : servers_)
         server->start();
     if (ensemble_ != nullptr)

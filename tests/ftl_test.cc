@@ -12,6 +12,7 @@
 #include <deque>
 #include <memory>
 #include <random>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -282,7 +283,7 @@ TEST(Mftl, RebuildFromFlashRecoversMappings)
         co_await f.mftl.put(1, "b", v(200));
         co_await f.mftl.put(2, "c", v(150));
     });
-    const std::size_t recovered = f.mftl.rebuildFromFlash();
+    const std::size_t recovered = f.mftl.rebuild();
     EXPECT_GE(recovered, 3u);
     GetResult got;
     runSim(f.s, [&]() -> sim::Task<void> {
@@ -300,7 +301,7 @@ TEST(Mftl, RebuildHonoursTombstones)
         co_await f.mftl.erase(9, v(200));
         co_await f.mftl.put(10, "b", v(300));
     });
-    EXPECT_EQ(f.mftl.rebuildFromFlash(), 1u);
+    EXPECT_EQ(f.mftl.rebuild(), 1u);
     GetResult erased, kept;
     runSim(f.s, [&]() -> sim::Task<void> {
         erased = co_await f.mftl.get(9, v(1000));
@@ -366,7 +367,7 @@ TEST(Mftl, SweepAfterRebuildPrunesEveryChainToWatermark)
             }
         }
     });
-    f.mftl.rebuildFromFlash();
+    f.mftl.rebuild();
     for (Key k = 0; k < stamps.size(); ++k)
         ASSERT_EQ(f.mftl.versionCount(k), stamps[k].size()) << k;
 
@@ -703,7 +704,7 @@ TEST(Vftl, ReservesLbasForGc)
 {
     VftlFixture f;
     // VFTL holds back ~10% of SFTL's logical blocks.
-    EXPECT_LT(f.vftl.freeLbas(), f.sftl.logicalBlocks() + 1);
+    EXPECT_LT(f.vftl.freeUnits(), f.sftl.logicalBlocks() + 1);
 }
 
 TEST(Vftl, GcCompactsDeadVersions)
@@ -848,15 +849,14 @@ TEST(Dram, PaperScalePopulateIdenticalAcrossTableCapacities)
 {
     // 2M keys — the paper's Figure 6 key count. Populate one backend
     // that grows from the default table capacity and one pre-sized via
-    // Config::expectedKeys; reads must be byte-identical, so table
-    // geometry (grow schedule, slot order, robin-hood displacement)
-    // is unobservable.
+    // reserveKeys; reads must be byte-identical, so table geometry
+    // (grow schedule, slot order, robin-hood displacement) is
+    // unobservable.
     constexpr Key kKeys = 2'000'000;
     sim::Simulator s1, s2;
     DramBackend grown(s1);
-    DramBackend::Config cfg;
-    cfg.expectedKeys = kKeys;
-    DramBackend sized(s2, cfg);
+    DramBackend sized(s2);
+    sized.reserveKeys(kKeys);
 
     auto populate = [](sim::Simulator &s, DramBackend &d) {
         runSim(s, [&]() -> sim::Task<void> {
@@ -900,7 +900,7 @@ TEST(Vftl, RebuildFromStoreRecoversMappings)
         co_await f.vftl.put(1, "b", v(200));
         co_await f.vftl.put(2, "c", v(150));
     });
-    const std::size_t recovered = f.vftl.rebuildFromStore();
+    const std::size_t recovered = f.vftl.rebuild();
     EXPECT_GE(recovered, 3u);
     GetResult got;
     runSim(f.s, [&]() -> sim::Task<void> {
@@ -918,7 +918,7 @@ TEST(Vftl, RebuildHonoursTombstones)
         co_await f.vftl.erase(9, v(200));
         co_await f.vftl.put(10, "b", v(300));
     });
-    EXPECT_EQ(f.vftl.rebuildFromStore(), 1u);
+    EXPECT_EQ(f.vftl.rebuild(), 1u);
     GetResult erased, kept;
     runSim(f.s, [&]() -> sim::Task<void> {
         erased = co_await f.vftl.get(9, v(1000));
@@ -940,7 +940,7 @@ TEST(Vftl, SweepAfterRebuildPrunesEveryChainToWatermark)
                  ts += 100)
                 co_await f.vftl.put(k, "x", v(ts));
     });
-    f.vftl.rebuildFromStore();
+    f.vftl.rebuild();
     f.vftl.start();
     f.vftl.setWatermark(250);
     runSweeps(f);
@@ -967,7 +967,7 @@ TEST(Vftl, RebuildAfterGcStillConsistent)
         }
         f.s.requestStop();
     });
-    f.vftl.rebuildFromStore();
+    f.vftl.rebuild();
     bool all_ok = true;
     runSim(f.s, [&]() -> sim::Task<void> {
         for (Key k = 0; k < 100; ++k) {
@@ -976,6 +976,70 @@ TEST(Vftl, RebuildAfterGcStillConsistent)
         }
     });
     EXPECT_TRUE(all_ok);
+}
+
+// ------------------------------------------------- stat-name contract
+
+namespace {
+
+/** Every counter and histogram name @p kv has emitted. */
+std::set<std::string>
+statNames(KvBackend &kv)
+{
+    std::set<std::string> names;
+    for (const auto &entry : kv.stats().counters())
+        names.insert(entry.first);
+    for (const auto &entry : kv.stats().histograms())
+        names.insert(entry.first);
+    return names;
+}
+
+/** Puts, overwrites under an advancing watermark (enough to make the
+ *  collector relocate and reclaim), an erase and a read. */
+void
+driveThroughGc(sim::Simulator &s, KvBackend &kv)
+{
+    kv.start();
+    runSim(s, [&]() -> sim::Task<void> {
+        for (int round = 0; round < 30; ++round) {
+            for (Key k = 0; k < 150; ++k)
+                co_await kv.put(
+                    k, "x", v(round * 1000 + static_cast<int>(k) + 1));
+            kv.setWatermark(round * 1000);
+        }
+        co_await kv.erase(0, v(100000));
+        (void)co_await kv.getLatest(1);
+        s.requestStop();
+    });
+}
+
+} // namespace
+
+// Benches and docs read these names (ablation_pack_timer reads
+// mftl.pages_written, the end-to-end bench mftl.puts): they are part
+// of each backend's interface, not an implementation detail.
+TEST(Mftl, EmitsExactlyItsStatNames)
+{
+    MftlFixture f(32);
+    driveThroughGc(f.s, f.mftl);
+    EXPECT_EQ(statNames(f.mftl),
+              (std::set<std::string>{
+                  "mftl.deletes", "mftl.gc_erases", "mftl.gc_page_reads",
+                  "mftl.gc_remapped", "mftl.gc_victims", "mftl.get_latency",
+                  "mftl.gets", "mftl.pages_written", "mftl.put_latency",
+                  "mftl.puts", "mftl.versions_pruned"}));
+}
+
+TEST(Vftl, EmitsExactlyItsStatNames)
+{
+    VftlFixture f(24);
+    driveThroughGc(f.s, f.vftl);
+    EXPECT_EQ(statNames(f.vftl),
+              (std::set<std::string>{
+                  "vftl.deletes", "vftl.gc_lba_reads", "vftl.gc_remapped",
+                  "vftl.gc_trims", "vftl.gc_victims", "vftl.get_latency",
+                  "vftl.gets", "vftl.lbas_written", "vftl.put_latency",
+                  "vftl.puts", "vftl.versions_pruned"}));
 }
 
 TEST(FreeBlockPool, PopMatchesLinearScanReference)
