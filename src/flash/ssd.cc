@@ -104,6 +104,7 @@ SsdDevice::programPage(PageAddr addr, PageData data)
     block.states[addr.page] = PageState::Programmed;
     block.nextProgramPage = addr.page + 1;
     block.pages[addr.page] = std::move(data);
+    ++programmedPages_;
 
     co_await service(addr.block, geometry_.writeLatency, "program");
     programs_.inc();
@@ -121,12 +122,34 @@ SsdDevice::eraseBlock(std::uint32_t block_index)
     co_await service(block_index, geometry_.eraseLatency, "erase");
 
     auto &block = blocks_[block_index];
-    for (auto &p : block.pages)
-        p = PageData{};
+    // A page's storage stays put until here: readers hold a pointer
+    // to it (under a pin) across suspensions. A program that does not
+    // take its buffer from pageBuffer() leaves a spare behind, so the
+    // spares are capped at the erased pages.
+    programmedPages_ -= block.nextProgramPage;
+    const std::uint64_t erased = geometry_.totalPages() - programmedPages_;
+    for (auto &p : block.pages) {
+        if (p.records.capacity() != 0 && spareRecords_.size() < erased) {
+            p.records.clear();
+            spareRecords_.push_back(std::move(p.records));
+        }
+        p.records = {};
+    }
     std::fill(block.states.begin(), block.states.end(), PageState::Erased);
     block.nextProgramPage = 0;
     ++block.eraseCount;
     erases_.inc();
+}
+
+PageData
+SsdDevice::pageBuffer()
+{
+    PageData page;
+    if (!spareRecords_.empty()) {
+        page.records = std::move(spareRecords_.back());
+        spareRecords_.pop_back();
+    }
+    return page;
 }
 
 PageState

@@ -97,15 +97,26 @@ class SsdDevice
      *  in order (NAND constraint); violating this panics. */
     sim::Task<void> programPage(PageAddr addr, PageData data);
 
-    /** Erase a whole block; all its pages become Erased. */
+    /**
+     * An empty page to fill and program. Its record vector is one an
+     * erase gave back, with that page's capacity, when one is spare,
+     * so the steady state's programs reuse the buffers its erases
+     * free and only a page programmed for the first time allocates.
+     */
+    PageData pageBuffer();
+
+    /** Erase a whole block; all its pages become Erased. Their record
+     *  vectors, cleared, become spare buffers for pageBuffer(). */
     sim::Task<void> eraseBlock(std::uint32_t block);
 
     PageState pageState(PageAddr addr) const;
 
     /**
      * Timing-free functional access to a programmed page's content,
-     * for offline operations (recovery scans, tests). Must not be used
-     * on the simulated fast path.
+     * for offline operations (recovery scans, tests) and for an FTL
+     * reading back what its own program just stored. It models no
+     * flash read, so it must not stand in for one on the simulated
+     * path.
      */
     const PageData &peekPage(PageAddr addr) const;
 
@@ -186,6 +197,10 @@ class SsdDevice
     Geometry geometry_;
     std::vector<Block> blocks_;
     std::vector<std::uint32_t> pins_;
+    /** Cleared record vectors of erased pages, for pageBuffer(); never
+     *  more of them than erased pages. */
+    std::vector<std::vector<Record>> spareRecords_;
+    std::uint64_t programmedPages_ = 0;
     sim::Semaphore queue_;
     std::vector<std::unique_ptr<sim::Mutex>> channels_;
     common::StatSet stats_;

@@ -108,12 +108,19 @@ class FlashPages
         return addr;
     }
 
+    flash::PageData pageBuffer() { return device_.pageBuffer(); }
     auto
     write(flash::PageAddr addr, flash::PageData page)
     {
         return device_.programPage(addr, std::move(page));
     }
     void written(flash::PageAddr addr) { --pendingPrograms_[addr.block]; }
+    /** The programmed page's tuples, without a timed read. */
+    const flash::PageData &
+    peek(flash::PageAddr addr) const
+    {
+        return device_.peekPage(addr);
+    }
     auto read(flash::PageAddr addr) { return device_.readPage(addr); }
 
     /** A read pin makes GC's erase of the block wait for the read. */

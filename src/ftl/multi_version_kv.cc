@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <limits>
-#include <memory>
 
 #include "common/logging.hh"
 #include "ftl/mftl.hh"
@@ -133,27 +132,31 @@ MultiVersionKv<Medium>::flushTask(std::vector<Pending> batch)
 
     const Addr addr = co_await allocate(has_relocation);
 
-    flash::PageData page;
-    page.records.reserve(batch.size());
-    for (const auto &p : batch)
-        page.records.push_back(p.record);
+    // The tuples move into a recycled page buffer, sized for a full
+    // page so that any later batch fits it; the publish loop reads
+    // them back from the programmed page.
+    flash::PageData page = medium_.pageBuffer();
+    page.records.reserve(std::max<std::size_t>(
+        batch.size(), medium_.pageSize() / config_.recordSize));
+    for (auto &p : batch)
+        page.records.push_back(std::move(p.record));
 
     co_await medium_.write(addr, std::move(page));
     medium_.written(addr);
     unitsWritten_.inc();
 
     // Publish the new locations in the mapping table.
+    const flash::PageData &programmed = medium_.peek(addr);
     for (std::size_t i = 0; i < batch.size(); ++i) {
-        auto &p = batch[i];
+        const flash::Record &rec = programmed.records[i];
         const Loc loc{addr, static_cast<std::uint16_t>(i)};
-        if (p.record.tombstone) {
+        if (rec.tombstone) {
             // A durable delete: drop the versions it covers.
-            map_.dropAtOrBelow(p.record.key, p.record.version,
+            map_.dropAtOrBelow(rec.key, rec.version,
                                [this](const auto &e) { dropEntry(e); });
-        } else if (p.relocation) {
-            auto chain = map_.find(p.record.key);
-            auto *entry =
-                chain ? chain.find(p.record.version) : nullptr;
+        } else if (batch[i].relocation) {
+            auto chain = map_.find(rec.key);
+            auto *entry = chain ? chain.find(rec.version) : nullptr;
             if (entry != nullptr) {
                 --liveTuples_[Medium::unitOf(entry->loc.addr)];
                 entry->loc = loc;
@@ -163,15 +166,16 @@ MultiVersionKv<Medium>::flushTask(std::vector<Pending> batch)
             // else: the version was pruned while in flight — the new
             // copy is dead on arrival, which is fine.
         } else {
-            auto chain = map_.getOrCreate(p.record.key);
-            if (chain.append(p.record.version, loc)) {
+            auto chain = map_.getOrCreate(rec.key);
+            if (chain.append(rec.version, loc)) {
                 ++liveTuples_[Medium::unitOf(addr)];
                 pruneChain(chain);
             }
             // else: idempotent duplicate; dead on arrival.
         }
-        p.ack.set(PutStatus::Ok);
+        batch[i].ack.set(PutStatus::Ok);
     }
+    packLog_.recycle(std::move(batch));
     kickGc();
 }
 
@@ -330,8 +334,12 @@ MultiVersionKv<Medium>::gcOnce()
     const std::uint64_t per_unit =
         static_cast<std::uint64_t>(medium_.pagesPerUnit()) *
         (medium_.pageSize() / config_.recordSize);
+    using Scan = typename GcScratch::Scan;
+    auto &victims = gc_.victims;
+    auto &scans = gc_.scans;
+    auto &acks = gc_.acks;
     while (medium_.freeUnits() < gcHighWater_) {
-        std::vector<std::uint32_t> victims;
+        victims.clear();
         std::uint64_t live_total = 0;
         while (victims.size() < Medium::kMaxVictims) {
             const std::int64_t v = pickVictim(per_unit);
@@ -356,43 +364,31 @@ MultiVersionKv<Medium>::gcOnce()
 
         // Read every victim page in parallel (pins held across the
         // scan): a serial collector cannot outpace the user write
-        // stream through a saturated device.
-        struct Scan
-        {
-            Addr addr;
-            typename Medium::Page page{};
-        };
-        auto scans = std::make_shared<std::vector<Scan>>();
-        std::vector<std::uint32_t> pinned;
+        // stream through a saturated device. Every reader arrives
+        // before this frame resumes, so the quorum lives here.
         for (const std::uint32_t vu : victims) {
             gcVictims_.inc();
             if (liveTuples_[vu] == 0)
                 continue;
             medium_.pin(vu);
-            pinned.push_back(vu);
+            gc_.pinned.push_back(vu);
             medium_.forEachPage(
-                vu, [&](Addr addr) { scans->push_back(Scan{addr}); });
+                vu, [&](Addr addr) { scans.push_back(Scan{addr}); });
         }
-        if (!scans->empty()) {
-            auto done = std::make_shared<sim::Quorum>(
-                sim_, static_cast<std::uint32_t>(scans->size()));
-            for (std::size_t i = 0; i < scans->size(); ++i) {
-                sim::spawn([](MultiVersionKv *self,
-                              std::shared_ptr<std::vector<Scan>> scans,
-                              std::size_t index,
-                              std::shared_ptr<sim::Quorum> done)
-                               -> sim::Task<void> {
-                    (*scans)[index].page = co_await
-                        self->medium_.read((*scans)[index].addr);
+        if (!scans.empty()) {
+            sim::Quorum done(sim_, static_cast<std::uint32_t>(scans.size()));
+            for (Scan &scan : scans) {
+                sim::spawn([](MultiVersionKv *self, Scan *scan,
+                              sim::Quorum *done) -> sim::Task<void> {
+                    scan->page = co_await self->medium_.read(scan->addr);
                     self->gcReads_.inc();
                     done->arrive();
-                }(this, scans, i, done));
+                }(this, &scan, &done));
             }
-            co_await done->wait();
+            co_await done.wait();
         }
 
-        std::vector<sim::Future<PutStatus>> acks;
-        for (const Scan &scan : *scans) {
+        for (const Scan &scan : scans) {
             // A vanished page keeps its tuples counted live, so the
             // reclaim loop below fails on its unit.
             if (!scan.page)
@@ -414,11 +410,14 @@ MultiVersionKv<Medium>::gcOnce()
                 acks.push_back(packLog_.append(rec, true));
             }
         }
-        for (const std::uint32_t vu : pinned)
+        for (const std::uint32_t vu : gc_.pinned)
             medium_.unpin(vu);
+        gc_.pinned.clear();
         packLog_.flushNow();
         for (auto &ack : acks)
             co_await ack;
+        acks.clear();
+        scans.clear();
 
         for (const std::uint32_t vu : victims) {
             if (liveTuples_[vu] != 0)

@@ -170,6 +170,23 @@ class MultiVersionKv : public KvBackend
     PackLog packLog_;
     Time watermark_ = 0;
 
+    /** A GC pass's working sets. One pass runs at a time (gcRunning_),
+     *  so they are cleared between passes rather than made anew. */
+    struct GcScratch
+    {
+        /** A victim page and, once read, its contents. */
+        struct Scan
+        {
+            Addr addr;
+            typename Medium::Page page{};
+        };
+        std::vector<std::uint32_t> victims;
+        std::vector<std::uint32_t> pinned;
+        std::vector<Scan> scans;
+        std::vector<sim::Future<PutStatus>> acks;
+    };
+    GcScratch gc_;
+
     bool gcRunning_ = false;
     std::uint64_t gcLowWater_ = 0;
     std::uint64_t gcHighWater_ = 0;

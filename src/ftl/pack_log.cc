@@ -60,10 +60,22 @@ PackLog::doFlush()
     bytes_ = 0;
     std::vector<Pending> batch;
     batch.swap(buffer_);
-    // The next page most likely packs as many tuples as this one:
-    // one allocation instead of regrowing from empty.
-    buffer_.reserve(batch.size());
+    if (!spares_.empty()) {
+        buffer_.swap(spares_.back());
+        spares_.pop_back();
+    } else {
+        // The next page most likely packs as many tuples as this one:
+        // one allocation instead of regrowing from empty.
+        buffer_.reserve(batch.size());
+    }
     flush_(std::move(batch));
+}
+
+void
+PackLog::recycle(std::vector<Pending> batch)
+{
+    batch.clear();
+    spares_.push_back(std::move(batch));
 }
 
 } // namespace ftl

@@ -66,6 +66,10 @@ class PackLog
     /** Force out a partial page (e.g. at the end of a GC pass). */
     void flushNow();
 
+    /** Hand back a flushed batch once done with it: its capacity
+     *  becomes a later page's buffer instead of a fresh allocation. */
+    void recycle(std::vector<Pending> batch);
+
     bool empty() const { return buffer_.empty(); }
     std::uint32_t bufferedBytes() const { return bytes_; }
 
@@ -78,6 +82,8 @@ class PackLog
     common::Duration packTimeout_;
     std::function<void(std::vector<Pending>)> flush_;
     std::vector<Pending> buffer_;
+    /** Recycled, empty batch vectors (see recycle()). */
+    std::vector<std::vector<Pending>> spares_;
     std::uint32_t bytes_ = 0;
     /** Invalidates pack timers armed for batches already flushed. */
     std::uint64_t epoch_ = 0;

@@ -123,7 +123,8 @@ Sftl::read(Lba lba)
         co_return std::nullopt;
     device_.pinBlock(addr.block);
     const flash::PageData *page = co_await device_.readPage(addr);
-    flash::PageData copy = *page;
+    flash::PageData copy = device_.pageBuffer();
+    copy.records = page->records;
     device_.unpinBlock(addr.block);
     co_return copy;
 }
@@ -187,7 +188,7 @@ Sftl::pickVictim() const
 
 sim::Task<void>
 Sftl::moveValidPage(std::uint32_t vb, std::uint32_t pg,
-                    std::shared_ptr<sim::Quorum> done)
+                    sim::Quorum *done)
 {
     const auto pages = device_.geometry().pagesPerBlock;
     const flash::PageAddr addr{vb, pg};
@@ -195,7 +196,8 @@ Sftl::moveValidPage(std::uint32_t vb, std::uint32_t pg,
     if (lba >= 0 &&
         device_.pageState(addr) == flash::PageState::Programmed) {
         const flash::PageData *page = co_await device_.readPage(addr);
-        flash::PageData copy = *page;
+        flash::PageData copy = device_.pageBuffer();
+        copy.records = page->records;
         gcPageReads_.inc();
 
         const flash::PageAddr dst = co_await allocatePage(true);
@@ -253,12 +255,14 @@ Sftl::gcOnce()
             device_.pinBlock(vb);
             move_count += pages;
         }
-        auto done = std::make_shared<sim::Quorum>(sim_, move_count);
+        // Every mover arrives before this frame resumes, so the quorum
+        // can live here.
+        sim::Quorum done(sim_, move_count);
         for (const std::uint32_t vb : victims) {
             for (std::uint32_t pg = 0; pg < pages; ++pg)
-                sim::spawn(moveValidPage(vb, pg, done));
+                sim::spawn(moveValidPage(vb, pg, &done));
         }
-        co_await done->wait();
+        co_await done.wait();
 
         for (const std::uint32_t vb : victims) {
             device_.unpinBlock(vb);

@@ -68,6 +68,9 @@ class Sftl
     /** Overwrite a logical block (log-structured remap). */
     sim::Task<PutStatus> write(Lba lba, flash::PageData data);
 
+    /** An empty block to fill and write (SsdDevice::pageBuffer). */
+    flash::PageData pageBuffer() { return device_.pageBuffer(); }
+
     /** Discard a logical block's contents. */
     sim::Task<void> trim(Lba lba);
 
@@ -75,7 +78,8 @@ class Sftl
     std::size_t freeBlocks() const { return freeBlocks_.size(); }
 
     /** Timing-free functional read of a mapped LBA (recovery scans,
-     *  tests). Returns nullptr for unmapped LBAs. */
+     *  tests, reading back a block just written). Returns nullptr for
+     *  unmapped LBAs. */
     const flash::PageData *peek(Lba lba) const;
 
     common::StatSet &stats() { return stats_; }
@@ -87,7 +91,7 @@ class Sftl
     sim::Task<void> gcOnce();
     /** Relocate one page of a GC victim (spawned in parallel). */
     sim::Task<void> moveValidPage(std::uint32_t vb, std::uint32_t pg,
-                                  std::shared_ptr<sim::Quorum> done);
+                                  sim::Quorum *done);
     std::int32_t pickVictim() const;
 
     /** Physical owner of each page: LBA, or -1 when invalid. */

@@ -111,12 +111,15 @@ class SftlLbas
         return lba;
     }
 
+    flash::PageData pageBuffer() { return sftl_.pageBuffer(); }
     auto
     write(Lba lba, flash::PageData page)
     {
         return sftl_.write(lba, std::move(page));
     }
     void written(Lba lba) { pendingWrite_[unitOf(lba)] = false; }
+    /** The written block's tuples, without a timed read. */
+    const flash::PageData &peek(Lba lba) const { return *sftl_.peek(lba); }
     /** Second mapping step: LBA -> physical page, inside SFTL. */
     auto read(Lba lba) { return sftl_.read(lba); }
 

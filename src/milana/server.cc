@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <limits>
-#include <memory>
 
 #include "common/chaos.hh"
 #include "common/logging.hh"
@@ -437,14 +436,14 @@ MilanaServer::replicateTxnRecord(const TxnSlot &record, bool wait_quorum)
             ? 0
             : static_cast<std::uint32_t>(backups_.size());
     const ReplicateTxnRecord wire = record.toRecord();
-    auto quorum = std::make_shared<sim::Quorum>(sim_, needed);
+    sim::SharedQuorum quorum(sim_, needed);
     for (semel::Server *backup : backups_) {
         auto *mb = dynamic_cast<MilanaServer *>(backup);
         if (mb == nullptr)
             PANIC("milana primary wired to a non-milana backup");
         sim::spawn([](MilanaServer *self, MilanaServer *backup,
                       ReplicateTxnRecord rec, std::uint32_t all_backups,
-                      std::shared_ptr<sim::Quorum> q) -> sim::Task<void> {
+                      sim::SharedQuorum q) -> sim::Task<void> {
             const TxnId txn = rec.txn;
             auto ok = co_await self->net_.callTyped<bool>(
                 self->id_, backup->nodeId(),
@@ -477,11 +476,11 @@ MilanaServer::barrierBackups()
     const auto needed = std::min<std::uint32_t>(
         config_.backupAcksNeeded,
         static_cast<std::uint32_t>(backups_.size()));
-    auto quorum = std::make_shared<sim::Quorum>(sim_, needed);
+    sim::SharedQuorum quorum(sim_, needed);
     for (semel::Server *backup : backups_) {
         auto *mb = dynamic_cast<MilanaServer *>(backup);
         sim::spawn([](MilanaServer *self, MilanaServer *backup,
-                      std::shared_ptr<sim::Quorum> q) -> sim::Task<void> {
+                      sim::SharedQuorum q) -> sim::Task<void> {
             auto ok = co_await self->net_.callTyped<bool>(
                 self->id_, backup->nodeId(), backup->handleBarrier());
             if (ok.has_value())
@@ -539,12 +538,12 @@ MilanaServer::renewLease()
         leaseUntil_ = until;
         co_return true;
     }
-    auto quorum = std::make_shared<sim::Quorum>(sim_, needed);
+    sim::SharedQuorum quorum(sim_, needed);
     for (semel::Server *backup : backups_) {
         auto *mb = dynamic_cast<MilanaServer *>(backup);
         sim::spawn([](MilanaServer *self, MilanaServer *backup,
                       Time until,
-                      std::shared_ptr<sim::Quorum> q) -> sim::Task<void> {
+                      sim::SharedQuorum q) -> sim::Task<void> {
             auto ok = co_await self->net_.callTyped<Time>(
                 self->id_, backup->nodeId(),
                 backup->handleLeaseGrant(until));
@@ -555,7 +554,7 @@ MilanaServer::renewLease()
     // Bounded wait: with a majority of backups down, renewal fails.
     sim::Promise<bool> done(sim_);
     auto fut = done.future();
-    sim::spawn([](std::shared_ptr<sim::Quorum> q,
+    sim::spawn([](sim::SharedQuorum q,
                   sim::Promise<bool> p) -> sim::Task<void> {
         co_await q->wait();
         p.set(true);

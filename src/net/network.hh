@@ -182,14 +182,16 @@ class Network
         const std::optional<Duration> delay = legDelay(from, to);
         if (!delay)
             return;
-        const MessageHeader header{common::currentTraceContext()};
-        sim_.schedule(*delay,
-                      [this, to, header, deliver = std::move(deliver)] {
-                          if (nodeDown(to))
-                              return;
-                          common::TraceContextScope scope(header.trace);
-                          deliver();
-                      });
+        // schedule() carries the sender's TraceContext into the event,
+        // so the delivery runs under it without a header capture.
+        auto arrive = [this, to, deliver = std::move(deliver)] {
+            if (!nodeDown(to))
+                deliver();
+        };
+        static_assert(sizeof(arrive) <= sim::Callback::kInlineSize,
+                      "a one-way message's closure must fit a "
+                      "sim::Callback inline, or every send allocates");
+        sim_.schedule(*delay, std::move(arrive));
     }
 
   private:

@@ -86,11 +86,10 @@ Server::replicateToBackups(ReplicateWrite msg)
     common::ScopedSpan span(trace_, "semel.repl.write");
     span.setArg(static_cast<std::int64_t>(backups_.size()));
     const Time started = sim_.now();
-    auto quorum = std::make_shared<sim::Quorum>(
-        sim_, config_.backupAcksNeeded);
+    sim::SharedQuorum quorum(sim_, config_.backupAcksNeeded);
     for (Server *backup : backups_) {
         sim::spawn([](Server *self, Server *backup, ReplicateWrite m,
-                      std::shared_ptr<sim::Quorum> q) -> sim::Task<void> {
+                      sim::SharedQuorum q) -> sim::Task<void> {
             auto ok = co_await self->net_.callTyped<bool>(
                 self->id_, backup->nodeId(),
                 backup->handleReplicateWrite(m));
@@ -133,9 +132,9 @@ Server::handlePut(PutRequest request)
     // Replicate and persist concurrently; commit requires local
     // durability plus f backup acks (majority of 2f+1).
     ReplicateWrite msg{request.key, request.value, request.version};
-    auto replication = std::make_shared<sim::Quorum>(sim_, 1);
+    sim::SharedQuorum replication(sim_, 1);
     sim::spawn([](Server *self, ReplicateWrite m,
-                  std::shared_ptr<sim::Quorum> q) -> sim::Task<void> {
+                  sim::SharedQuorum q) -> sim::Task<void> {
         co_await self->replicateToBackups(m);
         q->arrive();
     }(this, msg, replication));

@@ -9,14 +9,26 @@
  *  - Semaphore: bounded resource (e.g. an SSD's hardware queue depth).
  *  - Mutex:     exclusive section spanning awaits (e.g. GC vs. writes).
  *  - Quorum:    wait until k of n expected arrivals (replication ACKs).
+ *  - SharedQuorum: a pool-allocated Quorum whose late arrivals may
+ *               outlive the waiter (a primary answering at f acks).
+ *
+ * Waiter lifetime rule: a waiter's list node lives in its suspended
+ * frame. Semaphore and Mutex keep their waiters on an intrusive FIFO
+ * list whose nodes are the awaiter objects themselves, which sit in
+ * the awaiting coroutine's frame from suspension until the wake event
+ * resumes it. Queueing a waiter therefore never allocates. The list
+ * only links nodes: it unlinks one before scheduling its wake, and a
+ * primitive destroyed with waiters still queued touches none of their
+ * frames (those coroutines simply never resume).
  */
 
 #ifndef SIM_SYNC_HH
 #define SIM_SYNC_HH
 
 #include <coroutine>
+#include <cstddef>
 #include <cstdint>
-#include <deque>
+#include <new>
 #include <utility>
 
 #include "common/logging.hh"
@@ -33,12 +45,13 @@ namespace detail {
  * arrive), so the waiter's context must be pinned at suspension and
  * the wakeup event scheduled under it (scheduleWithContext) —
  * otherwise the waiter would be stamped with the releaser's
- * transaction.
+ * transaction. `next` links the node into a WaiterList.
  */
 struct Waiter
 {
     std::coroutine_handle<> handle;
     common::TraceContext ctx;
+    Waiter *next = nullptr;
 
     static Waiter
     suspend(std::coroutine_handle<> h)
@@ -53,6 +66,51 @@ struct Waiter
     {
         sim.scheduleWithContext(0, ctx, [h = handle] { h.resume(); });
     }
+};
+
+/**
+ * Intrusive FIFO of Waiters. The list neither owns, allocates nor
+ * frees its nodes: each is an awaiter member living in a suspended
+ * coroutine's frame (see the lifetime rule in the file comment).
+ */
+class WaiterList
+{
+  public:
+    WaiterList() = default;
+    WaiterList(const WaiterList &) = delete;
+    WaiterList &operator=(const WaiterList &) = delete;
+
+    bool empty() const { return head_ == nullptr; }
+    std::size_t size() const { return size_; }
+
+    void
+    push(Waiter &w)
+    {
+        w.next = nullptr;
+        if (tail_ != nullptr)
+            tail_->next = &w;
+        else
+            head_ = &w;
+        tail_ = &w;
+        ++size_;
+    }
+
+    /** Unlink the oldest node; the list is non-empty. */
+    Waiter &
+    pop()
+    {
+        Waiter &w = *head_;
+        head_ = w.next;
+        if (head_ == nullptr)
+            tail_ = nullptr;
+        --size_;
+        return w;
+    }
+
+  private:
+    Waiter *head_ = nullptr;
+    Waiter *tail_ = nullptr;
+    std::size_t size_ = 0;
 };
 
 } // namespace detail
@@ -73,6 +131,7 @@ class Semaphore
         struct Awaiter
         {
             Semaphore &sem;
+            detail::Waiter node{};
             bool fast = false;
 
             bool
@@ -88,7 +147,8 @@ class Semaphore
             void
             await_suspend(std::coroutine_handle<> h)
             {
-                sem.waiters_.push_back(detail::Waiter::suspend(h));
+                node = detail::Waiter::suspend(h);
+                sem.waiters_.push(node);
             }
 
             // The slow path's unit was already reserved by pump().
@@ -118,20 +178,16 @@ class Semaphore
     pump()
     {
         while (count_ > 0 && !waiters_.empty()) {
-            auto w = waiters_.front();
-            waiters_.pop_front();
             // Reserve the unit here so an acquire() racing in before
             // the scheduled resume cannot steal it.
             --count_;
-            w.wake(sim_);
+            waiters_.pop().wake(sim_);
         }
     }
 
-    friend struct AcquireAwaiter;
-
     Simulator &sim_;
     std::int64_t count_;
-    std::deque<detail::Waiter> waiters_;
+    detail::WaiterList waiters_;
 };
 
 /** Async mutex: exclusive ownership across awaits; FIFO handoff. */
@@ -146,6 +202,7 @@ class Mutex
         struct Awaiter
         {
             Mutex &mtx;
+            detail::Waiter node{};
 
             bool
             await_ready() const noexcept
@@ -156,7 +213,8 @@ class Mutex
             void
             await_suspend(std::coroutine_handle<> h)
             {
-                mtx.waiters_.push_back(detail::Waiter::suspend(h));
+                node = detail::Waiter::suspend(h);
+                mtx.waiters_.push(node);
             }
 
             void await_resume() { mtx.locked_ = true; }
@@ -171,19 +229,18 @@ class Mutex
             PANIC("unlock of unlocked mutex");
         locked_ = false;
         if (!waiters_.empty()) {
-            auto w = waiters_.front();
-            waiters_.pop_front();
             locked_ = true; // hand off directly; awaiter re-asserts
-            w.wake(sim_);
+            waiters_.pop().wake(sim_);
         }
     }
 
     bool locked() const { return locked_; }
+    std::size_t waiting() const { return waiters_.size(); }
 
   private:
     Simulator &sim_;
     bool locked_ = false;
-    std::deque<detail::Waiter> waiters_;
+    detail::WaiterList waiters_;
 };
 
 /** RAII guard for Mutex (use after co_await m.lock()). */
@@ -258,10 +315,70 @@ class Quorum
     }
 
   private:
+    friend class SharedQuorum;
+
     Simulator &sim_;
     std::uint32_t needed_;
     std::uint32_t arrived_ = 0;
     detail::Waiter waiter_{};
+};
+
+/**
+ * Handle to a Quorum taken from the simulator's BlockPool, for
+ * fan-outs whose late arrivals can outlive the waiter: a primary
+ * answers once f backups acked while the rest are still in flight,
+ * and each spawned child holds a handle until its ack lands. The
+ * refcount is intrusive and non-atomic (a simulator is confined to
+ * one thread), as for future states (sim::detail::StateRef), so a
+ * round costs a free-list pop rather than a make_shared, and the
+ * block returns to the pool when the last handle drops. Like a future
+ * state, a SharedQuorum must not outlive its Simulator.
+ */
+class SharedQuorum
+{
+  public:
+    SharedQuorum(Simulator &sim, std::uint32_t needed)
+        : node_(::new (sim.pool().allocate(sizeof(Node)))
+                    Node{Quorum(sim, needed)})
+    {
+    }
+
+    SharedQuorum(const SharedQuorum &other) : node_(other.node_)
+    {
+        ++node_->refs;
+    }
+
+    SharedQuorum(SharedQuorum &&other) noexcept
+        : node_(std::exchange(other.node_, nullptr))
+    {
+    }
+
+    SharedQuorum &
+    operator=(SharedQuorum other) noexcept
+    {
+        std::swap(node_, other.node_);
+        return *this;
+    }
+
+    ~SharedQuorum()
+    {
+        if (node_ == nullptr || --node_->refs != 0)
+            return;
+        Simulator &sim = node_->quorum.sim_;
+        node_->~Node();
+        sim.pool().deallocate(node_, sizeof(Node));
+    }
+
+    Quorum *operator->() const { return &node_->quorum; }
+
+  private:
+    struct Node
+    {
+        Quorum quorum;
+        std::uint32_t refs = 1;
+    };
+
+    Node *node_;
 };
 
 } // namespace sim

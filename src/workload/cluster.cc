@@ -491,6 +491,30 @@ Cluster::serverStats() const
 }
 
 common::StatSet
+Cluster::backendStats() const
+{
+    common::StatSet merged;
+    for (const auto &backend : backends_)
+        merged.merge(backend->stats());
+    for (const auto &sftl : sftls_) {
+        if (sftl != nullptr)
+            merged.merge(sftl->stats());
+    }
+    return merged;
+}
+
+common::StatSet
+Cluster::deviceStats() const
+{
+    common::StatSet merged;
+    for (const auto &device : devices_) {
+        if (device != nullptr)
+            merged.merge(device->stats());
+    }
+    return merged;
+}
+
+common::StatSet
 Cluster::clockStats() const
 {
     common::StatSet merged;

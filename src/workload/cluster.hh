@@ -168,6 +168,14 @@ class Cluster
     common::StatSet serverStats() const;
     /** Clock-sync exchange stats (empty without an ensemble). */
     common::StatSet clockStats() const;
+    /** Aggregate of all storage backend stat sets (mftl.*, vftl.*,
+     *  dram.*, ...), plus the SFTL under each VFTL or single-version
+     *  backend (sftl.*). Counted from construction; resetStats()
+     *  leaves them alone. */
+    common::StatSet backendStats() const;
+    /** Aggregate of all flash device stat sets (ssd.*; empty on the
+     *  DRAM backend). Counted from construction, like backendStats. */
+    common::StatSet deviceStats() const;
     /** Reset all client/server counters (end of warm-up). */
     void resetStats();
 

@@ -1,0 +1,232 @@
+/**
+ * @file
+ * Allocation gate for the assembled cluster: after warm-up, a simulated
+ * transaction makes no heap allocation. Two small cells stand in for
+ * the end-to-end benchmark's workloads (e2e_bench/):
+ *
+ *  - fig8-shaped: 3x3 DRAM, PTP-SW clocks, local validation, the
+ *    read-heavy Retwis mix. Replication quorums, waiter queues and
+ *    one-way messages must all come from pools: 0 allocations per
+ *    attempt. The warm-up is long because what a window can still
+ *    catch is high-water growth, not churn: a new peak of concurrent
+ *    transactions grows a pool or the transaction table, a rare event
+ *    binds its stat handle. Those die out as the run goes on (at this
+ *    seed none is left after 5 s); a per-round allocation does not.
+ *  - fig6-shaped: 1x1 MFTL, 20k keys, 16 clients, alpha 0.8, warmed up
+ *    until the collector has erased blocks, so programs reuse the page
+ *    buffers erases free. What may remain is a pool's high-water mark
+ *    still rising under a burst of GC reads, and pages programmed for
+ *    the first time: at most 0.05 allocations per attempt.
+ *
+ * The binary replaces the global operator new/delete with counters, as
+ * bench/store_core and e2e_bench/e2e_core do, and counts only inside
+ * the measured window's run loop. It runs alone (its own executable),
+ * and is left out of sanitizer builds, whose runtimes replace the
+ * allocator themselves.
+ */
+
+#include <gtest/gtest.h>
+
+#include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <memory>
+#include <new>
+
+#include "common/types.hh"
+#include "workload/cluster.hh"
+#include "workload/retwis.hh"
+
+namespace {
+
+bool g_counting = false;
+std::uint64_t g_allocCalls = 0;
+std::uint64_t g_allocBytes = 0;
+
+void *
+countedAlloc(std::size_t size)
+{
+    if (g_counting) {
+        ++g_allocCalls;
+        g_allocBytes += size;
+    }
+    void *p = std::malloc(size ? size : 1);
+    if (!p)
+        std::abort();
+    return p;
+}
+
+} // namespace
+
+void *operator new(std::size_t size) { return countedAlloc(size); }
+void *operator new[](std::size_t size) { return countedAlloc(size); }
+void *
+operator new(std::size_t size, const std::nothrow_t &) noexcept
+{
+    return countedAlloc(size);
+}
+void *
+operator new[](std::size_t size, const std::nothrow_t &) noexcept
+{
+    return countedAlloc(size);
+}
+void operator delete(void *p) noexcept { std::free(p); }
+void operator delete[](void *p) noexcept { std::free(p); }
+void operator delete(void *p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void *p, std::size_t) noexcept { std::free(p); }
+void
+operator delete(void *p, const std::nothrow_t &) noexcept
+{
+    std::free(p);
+}
+void
+operator delete[](void *p, const std::nothrow_t &) noexcept
+{
+    std::free(p);
+}
+
+namespace {
+
+using common::kMillisecond;
+using common::kMicrosecond;
+using common::kSecond;
+using common::Time;
+using workload::BackendKind;
+using workload::ClockKind;
+using workload::Cluster;
+using workload::ClusterConfig;
+using workload::RetwisConfig;
+using workload::RetwisWorkload;
+
+/** One assembled system driven by a Retwis fleet. */
+struct Cell
+{
+    Cell(const ClusterConfig &cfg, const RetwisConfig &retwis)
+        : cluster(cfg)
+    {
+        cluster.populate();
+        cluster.start();
+        fleet = std::make_unique<RetwisWorkload>(cluster, retwis);
+        fleet->start();
+    }
+
+    std::uint64_t
+    attempts() const
+    {
+        return fleet->totalCommits() + fleet->totalAborts();
+    }
+
+    std::uint64_t
+    erases() const
+    {
+        return cluster.deviceStats().counterValue("ssd.erases");
+    }
+
+    void runFor(common::Duration d) { cluster.runUntil(cluster.now() + d); }
+
+    Cluster cluster;
+    std::unique_ptr<RetwisWorkload> fleet;
+};
+
+struct Window
+{
+    std::uint64_t attempts = 0;
+    std::uint64_t allocs = 0;
+    std::uint64_t bytes = 0;
+
+    double
+    perAttempt() const
+    {
+        return static_cast<double>(allocs) / static_cast<double>(attempts);
+    }
+};
+
+/** Count allocations over @p window of simulated time, in 10 ms steps
+ *  so the harness's own work between steps stays uncounted. */
+Window
+measure(const char *name, Cell &cell, common::Duration window)
+{
+    Window w;
+    const std::uint64_t a0 = cell.attempts();
+    const Time end = cell.cluster.now() + window;
+    while (cell.cluster.now() < end) {
+        const std::uint64_t calls0 = g_allocCalls;
+        const std::uint64_t bytes0 = g_allocBytes;
+        g_counting = true;
+        cell.runFor(10 * kMillisecond);
+        g_counting = false;
+        w.allocs += g_allocCalls - calls0;
+        w.bytes += g_allocBytes - bytes0;
+    }
+    w.attempts = cell.attempts() - a0;
+    std::printf("%s: %llu attempts, %llu allocations (%llu B), "
+                "%.4f allocations per attempt\n",
+                name, static_cast<unsigned long long>(w.attempts),
+                static_cast<unsigned long long>(w.allocs),
+                static_cast<unsigned long long>(w.bytes), w.perAttempt());
+    return w;
+}
+
+TEST(AllocGate, Fig8ShapedCellAllocatesNothingPerAttempt)
+{
+    ClusterConfig cfg;
+    cfg.numShards = 3;
+    cfg.replicasPerShard = 3;
+    cfg.numClients = 8;
+    cfg.backend = BackendKind::Dram;
+    cfg.clocks = ClockKind::PtpSw;
+    cfg.localValidation = true;
+    cfg.numKeys = 3'000;
+    cfg.seed = 7;
+    RetwisConfig retwis;
+    retwis.alpha = 0.6;
+    retwis.numKeys = cfg.numKeys;
+    retwis.readHeavy = true;
+    retwis.seed = cfg.seed + 100;
+
+    Cell cell(cfg, retwis);
+    cell.runFor(5 * kSecond);
+    const Window w = measure("fig8-shaped", cell, 500 * kMillisecond);
+    ASSERT_GT(w.attempts, 1'000u);
+    EXPECT_EQ(w.allocs, 0u);
+}
+
+TEST(AllocGate, Fig6ShapedCellReusesErasedPageBuffers)
+{
+    ClusterConfig cfg;
+    cfg.numShards = 1;
+    cfg.replicasPerShard = 1;
+    cfg.numClients = 16;
+    cfg.backend = BackendKind::Mftl;
+    cfg.clocks = ClockKind::Perfect;
+    cfg.numKeys = 20'000;
+    cfg.seed = 7;
+    // fig6's same-machine network.
+    cfg.net.oneWayMean = 5 * kMicrosecond;
+    cfg.net.oneWaySigma = 1 * kMicrosecond;
+    cfg.net.minLatency = 1 * kMicrosecond;
+    RetwisConfig retwis;
+    retwis.alpha = 0.8;
+    retwis.numKeys = cfg.numKeys;
+    retwis.seed = cfg.seed + 100;
+
+    Cell cell(cfg, retwis);
+    // Warm up until the collector has reclaimed blocks, then as long
+    // again, so the window runs in the erase/program steady state.
+    const Time start = cell.cluster.now();
+    while (cell.erases() == 0 && cell.cluster.now() - start < 10 * kSecond)
+        cell.runFor(100 * kMillisecond);
+    ASSERT_GT(cell.erases(), 0u) << "no block erased during warm-up";
+    cell.runFor(cell.cluster.now() - start);
+    const std::uint64_t erases0 = cell.erases();
+
+    const Window w = measure("fig6-shaped", cell, kSecond);
+    const std::uint64_t erases = cell.erases() - erases0;
+    std::printf("fig6-shaped: %llu blocks erased in the window\n",
+                static_cast<unsigned long long>(erases));
+    ASSERT_GT(w.attempts, 1'000u);
+    EXPECT_GT(erases, 0u);
+    EXPECT_LE(w.perAttempt(), 0.05);
+}
+
+} // namespace

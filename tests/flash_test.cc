@@ -141,6 +141,45 @@ TEST(Ssd, EraseResetsBlockForReuse)
     EXPECT_EQ(ssd.eraseCount(2), 1u);
 }
 
+TEST(Ssd, ErasedPagesHandTheirBuffersToLaterPrograms)
+{
+    // A page's records stay where a reader's pointer found them until
+    // the erase; then the cleared vector, capacity kept, becomes the
+    // buffer pageBuffer() hands the next program.
+    sim::Simulator s;
+    SsdDevice ssd(s, tinyGeometry());
+    EXPECT_EQ(ssd.pageBuffer().records.capacity(), 0u); // nothing erased
+    bool ok = false;
+    auto t = [&]() -> sim::Task<void> {
+        PageData wide;
+        for (std::uint64_t k = 0; k < 6; ++k)
+            wide.records.push_back(onePage(k).records[0]);
+        co_await ssd.programPage({3, 0}, std::move(wide));
+        const PageData *p = co_await ssd.readPage({3, 0});
+        const Record *stored = p->records.data();
+        co_await ssd.programPage({3, 1}, onePage(7));
+        // Programming a neighbour does not move this page's storage.
+        const bool stayed = p->records.data() == stored &&
+                            p->records[5].key == 5;
+        co_await ssd.eraseBlock(3);
+
+        // Spares come back last-erased first: page 1's, then page 0's.
+        const bool page1 = ssd.pageBuffer().records.capacity() >= 1;
+        PageData reused = ssd.pageBuffer();
+        const bool recycled = page1 && reused.records.empty() &&
+                              reused.records.capacity() >= 6;
+        reused.records.push_back(onePage(9).records[0]);
+        co_await ssd.programPage({4, 0}, std::move(reused));
+        const PageData *q = co_await ssd.readPage({4, 0});
+        ok = stayed && recycled && q->records.size() == 1 &&
+             q->records[0].key == 9 && q->records[0].value == "v";
+    };
+    sim::spawn(t());
+    s.run();
+    EXPECT_TRUE(ok);
+    EXPECT_EQ(ssd.pageBuffer().records.capacity(), 0u); // all handed out
+}
+
 TEST(Ssd, ChannelsServiceInParallel)
 {
     sim::Simulator s;

@@ -127,3 +127,32 @@ TEST(PackLog, MixedSizesPackUntilFull)
     EXPECT_EQ(c.batches[0].size(), 5u);
     EXPECT_EQ(c.log.bufferedBytes(), 768u);
 }
+
+TEST(PackLog, RecycledBatchBecomesTheNextBuffer)
+{
+    // A flush function that hands its batch back: the capacity is
+    // reused for the page after next (the next one is already open).
+    sim::Simulator sim;
+    std::vector<const Pending *> storage;
+    std::vector<std::size_t> sizes;
+    PackLog *self = nullptr;
+    PackLog log(sim, 4096, kMillisecond, [&](std::vector<Pending> b) {
+        storage.push_back(b.data());
+        sizes.push_back(b.size());
+        for (auto &p : b)
+            p.ack.set(PutStatus::Ok);
+        self->recycle(std::move(b));
+    });
+    self = &log;
+    flash::Record r;
+    r.sizeBytes = 512;
+    for (common::Key k = 0; k < 24; ++k) {
+        r.key = k;
+        (void)log.append(r, false);
+    }
+    ASSERT_EQ(sizes, (std::vector<std::size_t>{8, 8, 8}));
+    // Page 1 was recycled while page 2 was filling, so page 3 packs
+    // into page 1's storage.
+    EXPECT_EQ(storage[2], storage[0]);
+    EXPECT_NE(storage[1], storage[0]);
+}

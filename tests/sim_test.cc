@@ -7,6 +7,12 @@
 
 #include <gtest/gtest.h>
 
+#include <coroutine>
+#include <cstring>
+#include <exception>
+#include <memory>
+#include <optional>
+#include <utility>
 #include <vector>
 
 #include "sim/future.hh"
@@ -264,6 +270,219 @@ TEST(Semaphore, FifoWakeOrder)
     EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
 }
 
+namespace {
+
+/** Waits on @p sem, logging @p id when it gets a unit. Holds it for
+ *  @p hold, then releases. */
+Task<void>
+semWorker(Simulator &s, Semaphore &sem, int id, Duration hold,
+          std::vector<int> &order)
+{
+    co_await sem.acquire();
+    order.push_back(id);
+    co_await sleepFor(s, hold);
+    sem.release();
+}
+
+/** Locks @p m, logging @p id on entry; holds it for @p hold. */
+Task<void>
+mutexWorker(Simulator &s, Mutex &m, int id, Duration hold,
+            std::vector<int> &order)
+{
+    co_await m.lock();
+    LockGuard guard(m);
+    order.push_back(id);
+    co_await sleepFor(s, hold);
+}
+
+/**
+ * Waiters arrive while others hold the primitive or are being woken
+ * (the last one at the very instant of a handoff), each holding it for
+ * 10 ns. The oldest waiter must get it every time, and waiting() must
+ * count the queue at every probe. @p worker(id, order) starts one
+ * waiter; @p waiting reads the primitive's queue length.
+ */
+template <typename Worker, typename Waiting>
+void
+expectInterleavedFifo(Simulator &s, Worker worker, Waiting waiting)
+{
+    std::vector<int> order;
+    std::vector<std::size_t> seen;
+    const Time arrivals[] = {0, 1, 2, 12, 13, 25, 26, 27, 40};
+    for (int id = 0; id < 9; ++id)
+        s.schedule(arrivals[id], [&, id] { spawn(worker(id, order)); });
+    for (Time t : {1, 3, 11, 14, 21, 28, 31, 41, 51, 61, 71, 81})
+        s.schedule(t, [&] { seen.push_back(waiting()); });
+    s.run();
+    EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5, 6, 7, 8}));
+    EXPECT_EQ(seen, (std::vector<std::size_t>{1, 2, 1, 3, 2, 5, 4, 4, 3,
+                                              2, 1, 0}));
+}
+
+} // namespace
+
+TEST(Semaphore, InterleavedWaitersWakeInArrivalOrder)
+{
+    Simulator s;
+    Semaphore sem(s, 1);
+    expectInterleavedFifo(
+        s,
+        [&](int id, std::vector<int> &order) {
+            return semWorker(s, sem, id, 10, order);
+        },
+        [&] { return sem.waiting(); });
+    EXPECT_EQ(sem.available(), 1);
+}
+
+TEST(Mutex, InterleavedWaitersWakeInArrivalOrder)
+{
+    Simulator s;
+    Mutex m(s);
+    expectInterleavedFifo(
+        s,
+        [&](int id, std::vector<int> &order) {
+            return mutexWorker(s, m, id, 10, order);
+        },
+        [&] { return m.waiting(); });
+    EXPECT_FALSE(m.locked());
+}
+
+namespace {
+
+/** Where the last OwnedCoro frame was put, and its size. */
+void *g_ownedFrame = nullptr;
+std::size_t g_ownedFrameSize = 0;
+
+/**
+ * A coroutine the test owns outright: it starts eagerly, never frees
+ * itself, and records its frame's address, so a test can compare the
+ * frame's bytes before and after an operation.
+ */
+struct OwnedCoro
+{
+    struct promise_type
+    {
+        static void *
+        operator new(std::size_t n)
+        {
+            g_ownedFrame = ::operator new(n);
+            g_ownedFrameSize = n;
+            return g_ownedFrame;
+        }
+        static void operator delete(void *p) { ::operator delete(p); }
+
+        OwnedCoro
+        get_return_object()
+        {
+            return OwnedCoro{
+                std::coroutine_handle<promise_type>::from_promise(*this)};
+        }
+        std::suspend_never initial_suspend() noexcept { return {}; }
+        std::suspend_always final_suspend() noexcept { return {}; }
+        void return_void() {}
+        void unhandled_exception() { std::terminate(); }
+    };
+
+    explicit OwnedCoro(std::coroutine_handle<promise_type> h) : handle(h) {}
+    OwnedCoro(OwnedCoro &&other) noexcept
+        : handle(std::exchange(other.handle, nullptr))
+    {
+    }
+    OwnedCoro &operator=(OwnedCoro &&) = delete;
+    ~OwnedCoro()
+    {
+        if (handle)
+            handle.destroy();
+    }
+
+    std::coroutine_handle<promise_type> handle;
+};
+
+OwnedCoro
+acquireOnce(Semaphore &sem, bool &resumed)
+{
+    co_await sem.acquire();
+    resumed = true;
+}
+
+OwnedCoro
+lockOnce(Mutex &m, bool &resumed)
+{
+    co_await m.lock();
+    resumed = true;
+}
+
+/** A snapshot of an OwnedCoro frame (all of one size here). */
+std::vector<unsigned char>
+frameBytes(const void *frame)
+{
+    const auto *p = static_cast<const unsigned char *>(frame);
+    return std::vector<unsigned char>(p, p + g_ownedFrameSize);
+}
+
+bool
+frameUnchanged(const void *frame, const std::vector<unsigned char> &was)
+{
+    return std::memcmp(frame, was.data(), was.size()) == 0;
+}
+
+/**
+ * Suspend three waiters on a primitive made by @p make, free the
+ * middle one's frame, then destroy the primitive: the live frames'
+ * bytes must be untouched and nobody resumes. (Under ASan, a walk of
+ * the waiter list would also read the freed frame.)
+ */
+template <typename Primitive, typename Make, typename Wait>
+void
+destroyWithSuspendedWaiters(Make make, Wait wait)
+{
+    Simulator s;
+    std::unique_ptr<Primitive> prim = make(s);
+    bool resumed = false;
+    std::vector<std::unique_ptr<OwnedCoro>> waiters;
+    std::vector<void *> frames;
+    for (int i = 0; i < 3; ++i) {
+        waiters.push_back(
+            std::make_unique<OwnedCoro>(wait(*prim, resumed)));
+        frames.push_back(g_ownedFrame);
+    }
+    ASSERT_EQ(prim->waiting(), 3u);
+    waiters[1].reset();
+    const auto first = frameBytes(frames[0]);
+    const auto last = frameBytes(frames[2]);
+
+    prim.reset();
+    EXPECT_TRUE(frameUnchanged(frames[0], first));
+    EXPECT_TRUE(frameUnchanged(frames[2], last));
+    s.run();
+    EXPECT_FALSE(resumed);
+}
+
+} // namespace
+
+TEST(Semaphore, DestroyedWithSuspendedWaitersTouchesNoFrame)
+{
+    destroyWithSuspendedWaiters<Semaphore>(
+        [](Simulator &s) { return std::make_unique<Semaphore>(s, 0); },
+        [](Semaphore &sem, bool &resumed) {
+            return acquireOnce(sem, resumed);
+        });
+}
+
+TEST(Mutex, DestroyedWithSuspendedWaitersTouchesNoFrame)
+{
+    destroyWithSuspendedWaiters<Mutex>(
+        [](Simulator &s) {
+            auto m = std::make_unique<Mutex>(s);
+            // Hold it (a lock with no waiters completes inline).
+            bool held = false;
+            OwnedCoro holder = lockOnce(*m, held);
+            EXPECT_TRUE(held);
+            return m;
+        },
+        [](Mutex &m, bool &resumed) { return lockOnce(m, resumed); });
+}
+
 TEST(Mutex, ExclusionAcrossAwaits)
 {
     Simulator s;
@@ -317,4 +536,80 @@ TEST(Quorum, AlreadySatisfiedDoesNotBlock)
     spawn(waiter());
     s.run();
     EXPECT_TRUE(ran);
+}
+
+TEST(SharedQuorum, LateArrivalsCountAfterTheWaiterReturns)
+{
+    // Replication's shape: the waiter needs one ack of three and
+    // returns (dropping its handle) while two are still in flight.
+    Simulator s;
+    Time woke_at = -1;
+    std::vector<std::uint32_t> seen;
+    auto ack = [](Simulator &sim, SharedQuorum q, Duration delay,
+                  std::vector<std::uint32_t> &seen) -> Task<void> {
+        co_await sleepFor(sim, delay);
+        q->arrive();
+        seen.push_back(q->arrived());
+    };
+    auto waiter = [&]() -> Task<void> {
+        SharedQuorum q(s, 1);
+        for (Duration d : {10, 20, 30})
+            spawn(ack(s, q, d, seen));
+        co_await q->wait();
+        woke_at = s.now();
+    };
+    spawn(waiter());
+    s.run();
+    EXPECT_EQ(woke_at, 10);
+    EXPECT_EQ(seen, (std::vector<std::uint32_t>{1, 2, 3}));
+}
+
+TEST(SharedQuorum, BlockReturnsToThePoolWithTheLastHandle)
+{
+    Simulator s;
+    std::optional<SharedQuorum> first(std::in_place, s, 2);
+    SharedQuorum second = *first;
+    EXPECT_EQ(s.pool().freshAllocations(), 1u);
+    first.reset();
+    EXPECT_EQ(s.pool().freeBlocks(), 0u); // `second` still holds it
+    second->arrive();
+    EXPECT_EQ(second->arrived(), 1u);
+    {
+        SharedQuorum last = std::move(second);
+        EXPECT_EQ(s.pool().freeBlocks(), 0u);
+    }
+    EXPECT_EQ(s.pool().freeBlocks(), 1u);
+
+    SharedQuorum next(s, 1); // the recycled block, reset
+    EXPECT_EQ(next->arrived(), 0u);
+    EXPECT_FALSE(next->satisfied());
+    EXPECT_EQ(s.pool().freshAllocations(), 1u);
+}
+
+TEST(SharedQuorum, PoolStaysFlatOverManyRounds)
+{
+    // 10k back-to-back rounds whose late acks overlap the next round:
+    // after the first rounds, quorums and frames come from the pool.
+    Simulator s;
+    auto ack = [](Simulator &sim, SharedQuorum q,
+                  Duration delay) -> Task<void> {
+        co_await sleepFor(sim, delay);
+        q->arrive();
+    };
+    std::uint64_t fresh_after_warmup = 0;
+    auto rounds = [&]() -> Task<void> {
+        for (int round = 0; round < 10'000; ++round) {
+            if (round == 100)
+                fresh_after_warmup = s.pool().freshAllocations();
+            SharedQuorum q(s, 1);
+            for (Duration d : {1, 2, 3})
+                spawn(ack(s, q, d));
+            co_await q->wait();
+        }
+    };
+    spawn(rounds());
+    s.run();
+    ASSERT_GT(fresh_after_warmup, 0u);
+    EXPECT_EQ(s.pool().freshAllocations(), fresh_after_warmup);
+    EXPECT_GE(s.pool().reusedAllocations(), 30'000u);
 }

@@ -249,6 +249,10 @@ main(int argc, char **argv)
                     cluster.serverStats().dump("  ").c_str());
         std::printf("--- network stats ---\n%s",
                     cluster.network().stats().dump("  ").c_str());
+        std::printf("--- backend stats ---\n%s",
+                    cluster.backendStats().dump("  ").c_str());
+        std::printf("--- device stats ---\n%s",
+                    cluster.deviceStats().dump("  ").c_str());
     }
 
     if (!trace_path.empty()) {
@@ -322,6 +326,8 @@ main(int argc, char **argv)
     report.addStats("server", cluster.serverStats(), "server.");
     report.addStats("network", cluster.network().stats(), "net.");
     report.addStats("clocksync", cluster.clockStats());
+    report.addStats("backend", cluster.backendStats(), "ftl.");
+    report.addStats("device", cluster.deviceStats(), "flash.");
     report.write(args);
 
     if (monitor != nullptr) {
