@@ -65,7 +65,7 @@ runCell(bool unified, double get_percent, std::uint64_t keys,
     if (unified) {
         backend = std::make_unique<ftl::Mftl>(sim, ssd, ftl::Mftl::Config{});
     } else {
-        sftl = std::make_unique<ftl::Sftl>(sim, ssd, ftl::Sftl::Config{});
+        sftl = std::make_unique<ftl::Sftl>(sim, ssd);
         backend =
             std::make_unique<ftl::Vftl>(sim, *sftl, ftl::Vftl::Config{});
     }

@@ -1,7 +1,6 @@
 #include "ftl/multi_version_kv.hh"
 
 #include <algorithm>
-#include <limits>
 
 #include "common/logging.hh"
 #include "ftl/mftl.hh"
@@ -11,14 +10,6 @@
 namespace ftl {
 
 using common::kMillisecond;
-using common::kSecond;
-
-namespace {
-
-/** Upper bound on waiting for GC before declaring the FTL wedged. */
-constexpr common::Duration kAllocTimeout = 30 * kSecond;
-
-} // namespace
 
 template <class Medium>
 MultiVersionKv<Medium>::MultiVersionKv(sim::Simulator &sim,
@@ -27,23 +18,19 @@ MultiVersionKv<Medium>::MultiVersionKv(sim::Simulator &sim,
     : sim_(sim),
       medium_(device),
       config_(config),
-      liveTuples_(medium_.units(), 0),
-      victimized_(medium_.units(), false),
       packLog_(sim, medium_.pageSize(), config.packTimeout,
                [this](std::vector<Pending> batch) {
                    flushBatch(std::move(batch));
                }),
-      spaceFreed_(sim)
+      gc_(sim, medium_, *this, stats_,
+          {.name = Medium::kName,
+           .perUnit = static_cast<std::uint64_t>(medium_.pagesPerUnit()) *
+                      (medium_.pageSize() / kRecordSize),
+           .lowFraction = kReserveFraction,
+           .highFraction = Medium::kGcTargetFraction,
+           .victimsStat = kStats.gcVictims,
+           .reclaimsStat = kStats.gcReclaims})
 {
-    const auto units = static_cast<double>(medium_.units());
-    gcLowWater_ = std::max<std::uint64_t>(
-        3, static_cast<std::uint64_t>(config_.reserveFraction * units));
-    // Hysteresis: once triggered, collect up to the high-water mark so
-    // occupancy does not ratchet up to the trigger level and stay
-    // there (which would leave every victim nearly fully live).
-    gcHighWater_ = std::max<std::uint64_t>(
-        gcLowWater_ + 2,
-        static_cast<std::uint64_t>(config.gcTargetFraction * units));
 }
 
 template <class Medium>
@@ -51,25 +38,6 @@ void
 MultiVersionKv<Medium>::start()
 {
     sim::spawn(watermarkSweep());
-}
-
-template <class Medium>
-bool
-MultiVersionKv<Medium>::needGc() const
-{
-    // Proactive collection: pursue the high-water mark whenever
-    // reclaimable space exists, instead of waiting for the cliff.
-    return medium_.freeUnits() < gcHighWater_;
-}
-
-template <class Medium>
-void
-MultiVersionKv<Medium>::kickGc()
-{
-    if (!gcRunning_ && needGc()) {
-        gcRunning_ = true;
-        sim::spawn(gcOnce());
-    }
 }
 
 template <class Medium>
@@ -81,38 +49,10 @@ MultiVersionKv<Medium>::admitUserWrite()
     // ride in relocation batches and consume the units the collector
     // needs to make progress (the flash write cliff).
     const Time start = sim_.now();
-    const std::size_t floor =
-        std::min<std::size_t>(gcLowWater_,
-                              std::max<std::size_t>(2, gcLowWater_ / 4));
-    while (medium_.freeUnits() < floor) {
-        kickGc();
-        if (sim_.now() - start > kAllocTimeout)
-            PANIC(Medium::kName << ": device full — writes cannot be "
-                                   "admitted");
-        co_await spaceFreed_.future().withTimeout(100 * kMillisecond);
-    }
-}
-
-template <class Medium>
-sim::Task<typename Medium::Addr>
-MultiVersionKv<Medium>::allocate(bool has_relocation)
-{
-    const Time start = sim_.now();
-    for (;;) {
-        // Relocation batches (GC progress) may take the last free unit;
-        // user-only batches throttle earlier so the collector always
-        // has working room (write-cliff backpressure, as real FTLs
-        // apply).
-        if (const auto addr = medium_.tryAllocate(has_relocation ? 1 : 3)) {
-            kickGc();
-            co_return *addr;
-        }
-        kickGc();
-        if (sim_.now() - start > kAllocTimeout)
-            PANIC(Medium::kName << ": device full — GC cannot free space "
-                                   "(live data exceeds usable capacity)");
-        co_await spaceFreed_.future().withTimeout(kSecond);
-    }
+    const std::size_t floor = std::min<std::size_t>(
+        gc_.lowWater(), std::max<std::size_t>(2, gc_.lowWater() / 4));
+    while (medium_.freeUnits() < floor)
+        co_await gc_.waitForSpace(start, 100 * kMillisecond);
 }
 
 template <class Medium>
@@ -130,14 +70,17 @@ MultiVersionKv<Medium>::flushTask(std::vector<Pending> batch)
     for (const auto &p : batch)
         has_relocation |= p.relocation;
 
-    const Addr addr = co_await allocate(has_relocation);
+    // Relocation batches (GC progress) may take the last free unit;
+    // user-only batches throttle earlier so the collector always has
+    // working room (write-cliff backpressure, as real FTLs apply).
+    const Addr addr = co_await gc_.allocate(0, has_relocation ? 1 : 3);
 
     // The tuples move into a recycled page buffer, sized for a full
     // page so that any later batch fits it; the publish loop reads
     // them back from the programmed page.
     flash::PageData page = medium_.pageBuffer();
     page.records.reserve(std::max<std::size_t>(
-        batch.size(), medium_.pageSize() / config_.recordSize));
+        batch.size(), medium_.pageSize() / kRecordSize));
     for (auto &p : batch)
         page.records.push_back(std::move(p.record));
 
@@ -158,9 +101,9 @@ MultiVersionKv<Medium>::flushTask(std::vector<Pending> batch)
             auto chain = map_.find(rec.key);
             auto *entry = chain ? chain.find(rec.version) : nullptr;
             if (entry != nullptr) {
-                --liveTuples_[Medium::unitOf(entry->loc.addr)];
+                --gc_.live(Medium::unitOf(entry->loc.addr));
                 entry->loc = loc;
-                ++liveTuples_[Medium::unitOf(addr)];
+                ++gc_.live(Medium::unitOf(addr));
                 gcRemapped_.inc();
             }
             // else: the version was pruned while in flight — the new
@@ -168,7 +111,7 @@ MultiVersionKv<Medium>::flushTask(std::vector<Pending> batch)
         } else {
             auto chain = map_.getOrCreate(rec.key);
             if (chain.append(rec.version, loc)) {
-                ++liveTuples_[Medium::unitOf(addr)];
+                ++gc_.live(Medium::unitOf(addr));
                 pruneChain(chain);
             }
             // else: idempotent duplicate; dead on arrival.
@@ -176,7 +119,7 @@ MultiVersionKv<Medium>::flushTask(std::vector<Pending> batch)
         batch[i].ack.set(PutStatus::Ok);
     }
     packLog_.recycle(std::move(batch));
-    kickGc();
+    gc_.kick();
 }
 
 template <class Medium>
@@ -227,7 +170,7 @@ MultiVersionKv<Medium>::put(Key key, Value value, Version version)
     record.key = key;
     record.version = version;
     record.value = std::move(value);
-    record.sizeBytes = config_.recordSize;
+    record.sizeBytes = kRecordSize;
     auto ack = packLog_.append(std::move(record), false);
     const PutStatus status = co_await ack;
     putLatency_.record(sim_.now() - start);
@@ -243,7 +186,7 @@ MultiVersionKv<Medium>::erase(Key key, Version version)
     flash::Record record;
     record.key = key;
     record.version = version;
-    record.sizeBytes = config_.recordSize;
+    record.sizeBytes = kRecordSize;
     record.tombstone = true;
     auto ack = packLog_.append(std::move(record), false);
     co_await ack;
@@ -281,7 +224,7 @@ template <class Medium>
 void
 MultiVersionKv<Medium>::dropEntry(const typename Store::Entry &entry)
 {
-    --liveTuples_[Medium::unitOf(entry.loc.addr)];
+    --gc_.live(Medium::unitOf(entry.loc.addr));
     versionsPruned_.inc();
 }
 
@@ -290,151 +233,68 @@ sim::Task<void>
 MultiVersionKv<Medium>::watermarkSweep()
 {
     while (!sim_.stopRequested()) {
-        co_await sim::sleepFor(sim_, config_.watermarkSweepInterval);
+        co_await sim::sleepFor(sim_, kWatermarkSweepInterval);
         // Only multi-version chains can lose a version; the store
         // indexes exactly those, so the sweep never walks the table.
         map_.pruneMultiVersion(
             watermark_, [this](const auto &e) { dropEntry(e); });
-        kickGc();
+        gc_.kick();
     }
-}
-
-template <class Medium>
-std::int64_t
-MultiVersionKv<Medium>::pickVictim(std::uint64_t per_unit) const
-{
-    // Cheapest collectable unit by the medium's cost, first among
-    // equals. A fully-live victim frees nothing; it is unreclaimable.
-    std::int64_t victim = -1;
-    std::uint64_t best_cost = std::numeric_limits<std::uint64_t>::max();
-    for (std::uint32_t u = 0; u < liveTuples_.size(); ++u) {
-        if (victimized_[u] || liveTuples_[u] >= per_unit ||
-            !medium_.collectable(u))
-            continue;
-        const std::uint64_t cost = medium_.victimCost(u, liveTuples_[u]);
-        if (cost < best_cost) {
-            best_cost = cost;
-            victim = u;
-        }
-    }
-    return victim;
 }
 
 template <class Medium>
 sim::Task<void>
-MultiVersionKv<Medium>::gcOnce()
+MultiVersionKv<Medium>::relocate(const std::vector<std::uint32_t> &victims)
 {
-    // Victims are processed in batches: their live tuples re-pack
-    // tightly together, so a pass that reclaims V units consumes only
-    // about live_total / tuples_per_unit fresh ones (per-victim
-    // flushing would burn one fresh unit per victim and make no net
-    // progress). Selection is bounded by the current free pool so the
-    // relocation writes can never exhaust it (which would deadlock the
-    // collector against its own flushes).
-    const std::uint64_t per_unit =
-        static_cast<std::uint64_t>(medium_.pagesPerUnit()) *
-        (medium_.pageSize() / config_.recordSize);
-    using Scan = typename GcScratch::Scan;
-    auto &victims = gc_.victims;
-    auto &scans = gc_.scans;
-    auto &acks = gc_.acks;
-    while (medium_.freeUnits() < gcHighWater_) {
-        victims.clear();
-        std::uint64_t live_total = 0;
-        while (victims.size() < Medium::kMaxVictims) {
-            const std::int64_t v = pickVictim(per_unit);
-            if (v < 0)
-                break;
-            const auto vu = static_cast<std::uint32_t>(v);
-            const std::uint64_t projected = Medium::projectedUnits(
-                live_total + liveTuples_[vu], per_unit);
-            // Leave at least one free unit outside the pass.
-            if (projected + 1 > medium_.freeUnits() && !victims.empty())
-                break;
-            victimized_[vu] = true;
-            victims.push_back(vu);
-            live_total += liveTuples_[vu];
-            const std::uint64_t consumed =
-                (live_total + per_unit - 1) / per_unit;
-            if (victims.size() >= consumed + Medium::kNetUnits)
-                break; // the pass already nets enough units
-        }
-        if (victims.empty())
-            break;
-
-        // Read every victim page in parallel (pins held across the
-        // scan): a serial collector cannot outpace the user write
-        // stream through a saturated device. Every reader arrives
-        // before this frame resumes, so the quorum lives here.
-        for (const std::uint32_t vu : victims) {
-            gcVictims_.inc();
-            if (liveTuples_[vu] == 0)
-                continue;
-            medium_.pin(vu);
-            gc_.pinned.push_back(vu);
+    // Read every page of a victim holding live tuples, in parallel: a
+    // serial collector cannot outpace the user write stream through a
+    // saturated device. Every reader arrives before this frame
+    // resumes, so the quorum lives here.
+    for (const std::uint32_t vu : victims) {
+        if (gc_.live(vu) != 0)
             medium_.forEachPage(
-                vu, [&](Addr addr) { scans.push_back(Scan{addr}); });
+                vu, [&](Addr addr) { scans_.push_back(Scan{addr}); });
+    }
+    if (!scans_.empty()) {
+        sim::Quorum done(sim_, static_cast<std::uint32_t>(scans_.size()));
+        for (Scan &scan : scans_) {
+            sim::spawn([](MultiVersionKv *self, Scan *scan,
+                          sim::Quorum *done) -> sim::Task<void> {
+                scan->page = co_await self->medium_.read(scan->addr);
+                self->gcReads_.inc();
+                done->arrive();
+            }(this, &scan, &done));
         }
-        if (!scans.empty()) {
-            sim::Quorum done(sim_, static_cast<std::uint32_t>(scans.size()));
-            for (Scan &scan : scans) {
-                sim::spawn([](MultiVersionKv *self, Scan *scan,
-                              sim::Quorum *done) -> sim::Task<void> {
-                    scan->page = co_await self->medium_.read(scan->addr);
-                    self->gcReads_.inc();
-                    done->arrive();
-                }(this, &scan, &done));
-            }
-            co_await done.wait();
-        }
+        co_await done.wait();
+    }
 
-        for (const Scan &scan : scans) {
-            // A vanished page keeps its tuples counted live, so the
-            // reclaim loop below fails on its unit.
-            if (!scan.page)
+    for (const Scan &scan : scans_) {
+        // A vanished page keeps its tuples counted live, so the
+        // collector fails on its unit.
+        if (!scan.page)
+            continue;
+        for (std::uint16_t slot = 0; slot < scan.page->records.size();
+             ++slot) {
+            const auto &rec = scan.page->records[slot];
+            if (rec.tombstone)
                 continue;
-            for (std::uint16_t slot = 0;
-                 slot < scan.page->records.size(); ++slot) {
-                const auto &rec = scan.page->records[slot];
-                if (rec.tombstone)
-                    continue;
-                auto chain = map_.find(rec.key);
-                if (!chain)
-                    continue;
-                const auto *entry = chain.find(rec.version);
-                if (entry == nullptr || entry->loc.addr != scan.addr ||
-                    entry->loc.slot != slot)
-                    continue; // dead or already moved
-                // Live: remap through the shared pack buffer
-                // ("puts or remapped keys", section 5).
-                acks.push_back(packLog_.append(rec, true));
-            }
-        }
-        for (const std::uint32_t vu : gc_.pinned)
-            medium_.unpin(vu);
-        gc_.pinned.clear();
-        packLog_.flushNow();
-        for (auto &ack : acks)
-            co_await ack;
-        acks.clear();
-        scans.clear();
-
-        for (const std::uint32_t vu : victims) {
-            if (liveTuples_[vu] != 0)
-                PANIC(Medium::kName << ": victim unit " << vu
-                                    << " still has " << liveTuples_[vu]
-                                    << " live tuples after remap");
-            co_await medium_.reclaim(vu);
-            victimized_[vu] = false;
-            medium_.release(vu);
-            gcReclaims_.inc();
-
-            auto freed = spaceFreed_;
-            spaceFreed_ = sim::Promise<bool>(sim_);
-            freed.set(true);
+            auto chain = map_.find(rec.key);
+            if (!chain)
+                continue;
+            const auto *entry = chain.find(rec.version);
+            if (entry == nullptr || entry->loc.addr != scan.addr ||
+                entry->loc.slot != slot)
+                continue; // dead or already moved
+            // Live: remap through the shared pack buffer
+            // ("puts or remapped keys", section 5).
+            acks_.push_back(packLog_.append(rec, true));
         }
     }
-    gcRunning_ = false;
+    packLog_.flushNow();
+    for (auto &ack : acks_)
+        co_await ack;
+    acks_.clear();
+    scans_.clear();
 }
 
 template <class Medium>
@@ -442,8 +302,7 @@ std::size_t
 MultiVersionKv<Medium>::rebuild()
 {
     map_.clear();
-    std::fill(liveTuples_.begin(), liveTuples_.end(), 0);
-    std::fill(victimized_.begin(), victimized_.end(), false);
+    gc_.reset();
 
     std::size_t recovered = 0;
     // The medium scans in address order, not write order, so a
@@ -458,7 +317,7 @@ MultiVersionKv<Medium>::rebuild()
             }
             auto chain = map_.getOrCreate(rec.key);
             if (chain.append(rec.version, Loc{addr, slot})) {
-                ++liveTuples_[Medium::unitOf(addr)];
+                ++gc_.live(Medium::unitOf(addr));
                 ++recovered;
             }
         }

@@ -19,19 +19,23 @@
  *    plus all younger versions are kept; older tuples become dead in
  *    place and are never remapped;
  *  - space GC: when free units fall below the reserve (10% of
- *    capacity), the units with the fewest live tuples are victimized
- *    in a batch; their live tuples are re-packed through the same pack
+ *    capacity), the shared collector (space_collector.hh) victimizes
+ *    the units with the fewest live tuples in a batch; this layer's
+ *    relocation step re-packs their live tuples through the same pack
  *    buffer as user writes ("puts or remapped keys" share pages, as in
- *    the paper), and each unit is reclaimed once they are durable.
+ *    the paper), and each unit is reclaimed once they are durable;
+ *  - write admission: user puts wait while free space is critically
+ *    low, so they cannot starve the collector.
  *
  * The medium holds only placement: which unit a page of tuples goes
  * to, how it is written and read, which units may be victimized and
  * at what cost, how a victim is enumerated and reclaimed, and the
  * rebuild scan; plus its stat names and GC constants. FlashPages
- * (mftl.hh) places pages in erase blocks of the raw device; SftlLbas
- * (vftl.hh) places them in logical blocks of an Sftl, which keeps its
- * own mapping and collector underneath. The medium is a compile-time
- * parameter, so the get and put paths make no indirect call.
+ * (flash_pages.hh) places pages in erase blocks of the raw device;
+ * SftlLbas (vftl.hh) places them in logical blocks of an Sftl, which
+ * runs its own instance of the same collector underneath. The medium
+ * is a compile-time parameter, so the get and put paths make no
+ * indirect call.
  */
 
 #ifndef FTL_MULTI_VERSION_KV_HH
@@ -43,6 +47,7 @@
 #include "ftl/kv_backend.hh"
 #include "ftl/mapping_table.hh"
 #include "ftl/pack_log.hh"
+#include "ftl/space_collector.hh"
 #include "sim/future.hh"
 #include "sim/task.hh"
 
@@ -75,20 +80,18 @@ class MultiVersionKv : public KvBackend
     {
         /** Max time a tuple waits in the pack buffer (paper: 1 ms). */
         common::Duration packTimeout = common::kMillisecond;
-        /** Fraction of units reserved for GC headroom (paper: 10%). */
-        double reserveFraction = 0.10;
-        /** Free-unit fraction the collector restores per pass. */
-        double gcTargetFraction = Medium::kGcTargetFraction;
-        /** Accounted on-flash tuple size (paper: 512 B). */
-        std::uint32_t recordSize = 512;
-        /** Interval of the background watermark pruning sweep. Each
-         *  sweep visits only the chains holding >= 2 versions (the
-         *  mapping table's multi-version index), so its cost scales
-         *  with those, not with the key count; reads and writes also
-         *  prune the chain they touch. */
-        common::Duration watermarkSweepInterval =
-            50 * common::kMillisecond;
     };
+
+    /** Fraction of units reserved for GC headroom (paper: 10%): the
+     *  collector's low-water mark; its target is the medium's. */
+    static constexpr double kReserveFraction = 0.10;
+    /** Interval of the background watermark pruning sweep. Each sweep
+     *  visits only the chains holding >= 2 versions (the mapping
+     *  table's multi-version index), so its cost scales with those,
+     *  not with the key count; reads and writes also prune the chain
+     *  they touch. */
+    static constexpr common::Duration kWatermarkSweepInterval =
+        50 * common::kMillisecond;
 
     MultiVersionKv(sim::Simulator &sim, typename Medium::Device &device,
                    const Config &config);
@@ -127,6 +130,8 @@ class MultiVersionKv : public KvBackend
 
   private:
     using Addr = typename Medium::Addr;
+    using Collector = SpaceCollector<Medium, MultiVersionKv>;
+    friend Collector;
 
     /** Locator of one tuple: a page on the medium and its slot. */
     struct Loc
@@ -144,16 +149,11 @@ class MultiVersionKv : public KvBackend
     /** Block user writes while free space is critically low. */
     sim::Task<void> admitUserWrite();
 
-    /** Allocate the next log page; may wait for GC to free space. */
-    sim::Task<Addr> allocate(bool has_relocation);
-
-    /** True when the free pool is below the GC trigger level. */
-    bool needGc() const;
-    void kickGc();
-    sim::Task<void> gcOnce();
+    /** The collector's relocation step: re-pack the victims' live
+     *  tuples and wait until they are durable. */
+    sim::Task<void> relocate(const std::vector<std::uint32_t> &victims);
     sim::Task<void> watermarkSweep();
 
-    std::int64_t pickVictim(std::uint64_t per_unit) const;
     void pruneChain(ChainRef chain);
     void dropEntry(const typename Store::Entry &entry);
 
@@ -162,51 +162,34 @@ class MultiVersionKv : public KvBackend
     Config config_;
 
     Store map_;
-    /** Live tuples per unit (validity counters for GC). */
-    std::vector<std::uint32_t> liveTuples_;
-    /** Units in the current GC pass's victim set. */
-    std::vector<bool> victimized_;
-
     PackLog packLog_;
     Time watermark_ = 0;
 
-    /** A GC pass's working sets. One pass runs at a time (gcRunning_),
-     *  so they are cleared between passes rather than made anew. */
-    struct GcScratch
+    /** A victim page and, once read, its contents. */
+    struct Scan
     {
-        /** A victim page and, once read, its contents. */
-        struct Scan
-        {
-            Addr addr;
-            typename Medium::Page page{};
-        };
-        std::vector<std::uint32_t> victims;
-        std::vector<std::uint32_t> pinned;
-        std::vector<Scan> scans;
-        std::vector<sim::Future<PutStatus>> acks;
+        Addr addr;
+        typename Medium::Page page{};
     };
-    GcScratch gc_;
-
-    bool gcRunning_ = false;
-    std::uint64_t gcLowWater_ = 0;
-    std::uint64_t gcHighWater_ = 0;
-    /** Resolved (and replaced) each time GC frees a unit. */
-    sim::Promise<bool> spaceFreed_;
+    /** The relocation's working sets. One pass runs at a time, so they
+     *  are cleared between passes rather than made anew. */
+    std::vector<Scan> scans_;
+    std::vector<sim::Future<PutStatus>> acks_;
 
     common::StatSet stats_;
     // Stat handles, each bound at its first use.
     static constexpr const KvStatNames &kStats = Medium::kStats;
     common::CounterHandle deletes_{stats_, kStats.deletes};
     common::CounterHandle gcReads_{stats_, kStats.gcReads};
-    common::CounterHandle gcReclaims_{stats_, kStats.gcReclaims};
     common::CounterHandle gcRemapped_{stats_, kStats.gcRemapped};
-    common::CounterHandle gcVictims_{stats_, kStats.gcVictims};
     common::CounterHandle gets_{stats_, kStats.gets};
     common::CounterHandle unitsWritten_{stats_, kStats.unitsWritten};
     common::CounterHandle puts_{stats_, kStats.puts};
     common::CounterHandle versionsPruned_{stats_, kStats.versionsPruned};
     common::HistogramHandle getLatency_{stats_, kStats.getLatency};
     common::HistogramHandle putLatency_{stats_, kStats.putLatency};
+
+    Collector gc_;
 };
 
 } // namespace ftl

@@ -4,11 +4,15 @@
  * substrate of the paper's evaluation (section 5.1).
  *
  * SFTL exposes a logical block device of 4 KB logical blocks (LBAs).
- * Writes are log-structured: each write programs a freshly erased
- * physical page and remaps the LBA; the old page becomes invalid and
- * is reclaimed by a greedy, wear-aware garbage collector. 10% of the
- * physical capacity is reserved for GC headroom, so the logical space
- * is 90% of the physical pages.
+ * Writes are log-structured on erase blocks (flash_pages.hh): each
+ * write programs a freshly erased physical page and remaps the LBA;
+ * the old page becomes invalid and is reclaimed by the shared greedy,
+ * wear-aware space collector (space_collector.hh), whose relocation
+ * step here copies each valid page of a victim. GC moves write their
+ * own stream of blocks, apart from user writes. 10% of the physical
+ * capacity is reserved for GC headroom, so the logical space is 90%
+ * of the physical pages. Sftl itself keeps only the LBA map, the
+ * page -> LBA owner table and the page move.
  *
  * Two consumers exist:
  *  - SingleVersionKv: keys mapped statically onto LBA slots with
@@ -28,9 +32,9 @@
 #include <vector>
 
 #include "flash/ssd.hh"
-#include "ftl/free_blocks.hh"
+#include "ftl/flash_pages.hh"
 #include "ftl/kv_backend.hh"
-#include "sim/future.hh"
+#include "ftl/space_collector.hh"
 #include "sim/sync.hh"
 #include "sim/task.hh"
 
@@ -41,23 +45,19 @@ using Lba = std::int64_t;
 class Sftl
 {
   public:
-    struct Config
-    {
-        /** Fraction of physical pages reserved for GC headroom. */
-        double reserveFraction = 0.10;
-        /** Free-space fraction the collector restores per pass
-         *  (hysteresis target above the trigger). */
-        double gcTargetFraction = 0.08;
-    };
+    /** Fraction of physical pages reserved for GC headroom. */
+    static constexpr double kReserveFraction = 0.10;
+    /** The collector starts below 5% free blocks and restores 8%. */
+    static constexpr double kGcTriggerFraction = 0.05;
+    static constexpr double kGcTargetFraction = 0.08;
 
-    Sftl(sim::Simulator &sim, flash::SsdDevice &device,
-         const Config &config);
+    Sftl(sim::Simulator &sim, flash::SsdDevice &device);
 
     /** Number of addressable logical blocks. */
-    std::uint64_t logicalBlocks() const { return logicalBlocks_; }
+    std::uint64_t logicalBlocks() const { return lbaMap_.size(); }
 
     /** Logical block size in bytes (= flash page size). */
-    std::uint32_t pageSize() const { return device_.geometry().pageSize; }
+    std::uint32_t pageSize() const { return blocks_.pageSize(); }
 
     /**
      * Read a logical block. Returns the page content, or nullopt if
@@ -69,13 +69,12 @@ class Sftl
     sim::Task<PutStatus> write(Lba lba, flash::PageData data);
 
     /** An empty block to fill and write (SsdDevice::pageBuffer). */
-    flash::PageData pageBuffer() { return device_.pageBuffer(); }
+    flash::PageData pageBuffer() { return blocks_.pageBuffer(); }
 
     /** Discard a logical block's contents. */
     sim::Task<void> trim(Lba lba);
 
     bool mapped(Lba lba) const;
-    std::size_t freeBlocks() const { return freeBlocks_.size(); }
 
     /** Timing-free functional read of a mapped LBA (recovery scans,
      *  tests, reading back a block just written). Returns nullptr for
@@ -85,49 +84,38 @@ class Sftl
     common::StatSet &stats() { return stats_; }
 
   private:
-    sim::Task<flash::PageAddr> allocatePage(bool for_gc);
-    bool needGc() const;
-    void kickGc();
-    sim::Task<void> gcOnce();
-    /** Relocate one page of a GC victim (spawned in parallel). */
-    sim::Task<void> moveValidPage(std::uint32_t vb, std::uint32_t pg,
-                                  sim::Quorum *done);
-    std::int32_t pickVictim() const;
+    using Collector = SpaceCollector<FlashPages, Sftl>;
+    friend Collector;
 
+    /** Write streams: user writes and GC moves fill separate blocks. */
+    static constexpr std::size_t kUserStream = 0;
+    static constexpr std::size_t kMoveStream = 1;
+
+    /** The collector's relocation step: move every valid page of the
+     *  victims, in parallel. */
+    sim::Task<void> relocate(const std::vector<std::uint32_t> &victims);
+    sim::Task<void> moveValidPage(flash::PageAddr addr, sim::Quorum *done);
+
+    /** Point @p lba at @p addr (kNoPage: unmap), invalidating the
+     *  page it held. */
+    void remap(Lba lba, flash::PageAddr addr);
     /** Physical owner of each page: LBA, or -1 when invalid. */
     std::int64_t &owner(flash::PageAddr addr);
 
     sim::Simulator &sim_;
-    flash::SsdDevice &device_;
-    Config config_;
-
-    std::uint64_t logicalBlocks_;
+    FlashPages blocks_;
     std::vector<flash::PageAddr> lbaMap_;
     std::vector<std::int64_t> owners_;
-    std::vector<std::uint32_t> validPages_;
-    std::vector<std::uint32_t> pendingPrograms_;
-    std::vector<bool> victimized_;
-
-    FreeBlockPool freeBlocks_;
-    std::int64_t openBlock_ = -1;
-    std::uint32_t nextPage_ = 0;
-    std::int64_t gcOpenBlock_ = -1;
-    std::uint32_t gcNextPage_ = 0;
-
-    bool gcRunning_ = false;
-    std::uint32_t gcLowWater_ = 0;
-    std::uint32_t gcHighWater_ = 0;
-    sim::Promise<bool> spaceFreed_;
 
     common::StatSet stats_;
     // Stat handles, each bound at its first use.
-    common::CounterHandle gcErases_{stats_, "sftl.gc_erases"};
     common::CounterHandle gcPageReads_{stats_, "sftl.gc_page_reads"};
     common::CounterHandle gcPageWrites_{stats_, "sftl.gc_page_writes"};
-    common::CounterHandle gcVictims_{stats_, "sftl.gc_victims"};
     common::CounterHandle reads_{stats_, "sftl.reads"};
     common::CounterHandle trims_{stats_, "sftl.trims"};
     common::CounterHandle writes_{stats_, "sftl.writes"};
+
+    Collector gc_;
 };
 
 /**
@@ -143,7 +131,6 @@ class SingleVersionKv : public KvBackend
   public:
     struct Config
     {
-        std::uint32_t recordSize = 512;
         /** Keys must be < capacityKeys (static slot mapping). */
         std::uint64_t capacityKeys = 0;
     };

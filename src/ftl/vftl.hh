@@ -99,8 +99,10 @@ class SftlLbas
     std::uint32_t pageSize() const { return sftl_.pageSize(); }
     std::size_t freeUnits() const { return free_.size(); }
 
+    /** The first-freed LBA, if at least @p min_free are free (one
+     *  write stream). */
     std::optional<Lba>
-    tryAllocate(std::size_t min_free)
+    tryAllocate(std::size_t /* stream */, std::size_t min_free)
     {
         if (free_.size() < min_free)
             return std::nullopt;

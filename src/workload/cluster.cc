@@ -323,8 +323,7 @@ Cluster::buildStorageNode(common::ShardId shard, std::uint32_t replica)
     // margin for hash imbalance), at the configured utilization.
     const std::uint64_t shard_keys =
         config_.numKeys / config_.numShards + config_.numKeys / 10 + 64;
-    const std::uint64_t shard_bytes =
-        shard_keys * config_.recordSize;
+    const std::uint64_t shard_bytes = shard_keys * ftl::kRecordSize;
 
     ftl::KvBackend *backend = nullptr;
     switch (config_.backend) {
@@ -343,10 +342,8 @@ Cluster::buildStorageNode(common::ShardId shard, std::uint32_t replica)
         devices_.push_back(
             std::make_unique<flash::SsdDevice>(sim_, geo));
         sftls_.push_back(nullptr);
-        ftl::Mftl::Config cfg;
-        cfg.recordSize = config_.recordSize;
         auto mftl = std::make_unique<ftl::Mftl>(sim_, *devices_.back(),
-                                                cfg);
+                                                ftl::Mftl::Config{});
         backend = mftl.get();
         backends_.push_back(std::move(mftl));
         break;
@@ -357,12 +354,10 @@ Cluster::buildStorageNode(common::ShardId shard, std::uint32_t replica)
         geo.numChannels = config_.deviceChannels;
         devices_.push_back(
             std::make_unique<flash::SsdDevice>(sim_, geo));
-        sftls_.push_back(std::make_unique<ftl::Sftl>(
-            sim_, *devices_.back(), ftl::Sftl::Config{}));
-        ftl::Vftl::Config cfg;
-        cfg.recordSize = config_.recordSize;
+        sftls_.push_back(
+            std::make_unique<ftl::Sftl>(sim_, *devices_.back()));
         auto vftl = std::make_unique<ftl::Vftl>(sim_, *sftls_.back(),
-                                                cfg);
+                                                ftl::Vftl::Config{});
         backend = vftl.get();
         backends_.push_back(std::move(vftl));
         break;
@@ -370,14 +365,13 @@ Cluster::buildStorageNode(common::ShardId shard, std::uint32_t replica)
       case BackendKind::SingleVersion: {
         // Slot mapping covers the whole key range.
         auto geo = flash::Geometry::scaledFor(
-            config_.numKeys * config_.recordSize, 0.5);
+            config_.numKeys * ftl::kRecordSize, 0.5);
         geo.numChannels = config_.deviceChannels;
         devices_.push_back(
             std::make_unique<flash::SsdDevice>(sim_, geo));
-        sftls_.push_back(std::make_unique<ftl::Sftl>(
-            sim_, *devices_.back(), ftl::Sftl::Config{}));
+        sftls_.push_back(
+            std::make_unique<ftl::Sftl>(sim_, *devices_.back()));
         ftl::SingleVersionKv::Config cfg;
-        cfg.recordSize = config_.recordSize;
         cfg.capacityKeys = config_.numKeys;
         auto kv = std::make_unique<ftl::SingleVersionKv>(
             sim_, *sftls_.back(), cfg);

@@ -78,8 +78,6 @@ struct ClusterConfig
     /** Device sizing: live data / usable capacity. */
     double deviceUtilization = 0.35;
     net::NetConfig net;
-    /** Tuple footprint on flash (paper: 512 B). */
-    std::uint32_t recordSize = 512;
     /** Flash channels per storage-server SSD (the shared single-SSD
      *  experiments use the Geometry default of 32; cluster VMs get a
      *  smaller slice, as in the paper's per-VM emulated devices). */

@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <deque>
 #include <memory>
+#include <numeric>
 #include <random>
 #include <set>
 #include <string>
@@ -21,6 +22,7 @@
 #include "ftl/free_blocks.hh"
 #include "ftl/mftl.hh"
 #include "ftl/sftl.hh"
+#include "ftl/space_collector.hh"
 #include "ftl/vftl.hh"
 #include "sim/simulator.hh"
 #include "sim/task.hh"
@@ -433,7 +435,7 @@ struct SftlFixture
     Sftl sftl;
 
     explicit SftlFixture(std::uint32_t blocks = 64)
-        : ssd(s, smallGeometry(blocks)), sftl(s, ssd, Sftl::Config{})
+        : ssd(s, smallGeometry(blocks)), sftl(s, ssd)
     {
     }
 };
@@ -554,7 +556,7 @@ struct SvkvFixture
     }
 
     SvkvFixture()
-        : ssd(s, smallGeometry(64)), sftl(s, ssd, Sftl::Config{}),
+        : ssd(s, smallGeometry(64)), sftl(s, ssd),
           kv(s, sftl, cfg())
     {
     }
@@ -657,7 +659,7 @@ struct VftlFixture
     Vftl vftl;
 
     explicit VftlFixture(std::uint32_t blocks = 64)
-        : ssd(s, smallGeometry(blocks)), sftl(s, ssd, Sftl::Config{}),
+        : ssd(s, smallGeometry(blocks)), sftl(s, ssd),
           vftl(s, sftl, Vftl::Config{})
     {
     }
@@ -813,7 +815,7 @@ TEST_P(BackendParamTest, MonotoneVersionsReadBack)
 {
     sim::Simulator s;
     flash::SsdDevice ssd(s, smallGeometry(64));
-    Sftl sftl(s, ssd, Sftl::Config{});
+    Sftl sftl(s, ssd);
     std::unique_ptr<KvBackend> backend;
     const std::string which = GetParam();
     if (which == "mftl")
@@ -982,14 +984,14 @@ TEST(Vftl, RebuildAfterGcStillConsistent)
 
 namespace {
 
-/** Every counter and histogram name @p kv has emitted. */
+/** Every counter and histogram name emitted into @p stats. */
 std::set<std::string>
-statNames(KvBackend &kv)
+statNames(common::StatSet &stats)
 {
     std::set<std::string> names;
-    for (const auto &entry : kv.stats().counters())
+    for (const auto &entry : stats.counters())
         names.insert(entry.first);
-    for (const auto &entry : kv.stats().histograms())
+    for (const auto &entry : stats.histograms())
         names.insert(entry.first);
     return names;
 }
@@ -1022,7 +1024,7 @@ TEST(Mftl, EmitsExactlyItsStatNames)
 {
     MftlFixture f(32);
     driveThroughGc(f.s, f.mftl);
-    EXPECT_EQ(statNames(f.mftl),
+    EXPECT_EQ(statNames(f.mftl.stats()),
               (std::set<std::string>{
                   "mftl.deletes", "mftl.gc_erases", "mftl.gc_page_reads",
                   "mftl.gc_remapped", "mftl.gc_victims", "mftl.get_latency",
@@ -1034,12 +1036,110 @@ TEST(Vftl, EmitsExactlyItsStatNames)
 {
     VftlFixture f(24);
     driveThroughGc(f.s, f.vftl);
-    EXPECT_EQ(statNames(f.vftl),
+    EXPECT_EQ(statNames(f.vftl.stats()),
               (std::set<std::string>{
                   "vftl.deletes", "vftl.gc_lba_reads", "vftl.gc_remapped",
                   "vftl.gc_trims", "vftl.gc_victims", "vftl.get_latency",
                   "vftl.gets", "vftl.lbas_written", "vftl.put_latency",
                   "vftl.puts", "vftl.versions_pruned"}));
+    // The SFTL underneath collected too.
+    EXPECT_EQ(statNames(f.sftl.stats()),
+              (std::set<std::string>{
+                  "sftl.gc_erases", "sftl.gc_page_reads",
+                  "sftl.gc_page_writes", "sftl.gc_victims", "sftl.reads",
+                  "sftl.trims", "sftl.writes"}));
+}
+
+// ------------------------------------------------- collector batches
+
+namespace {
+
+/** Synthetic units for the collector's batch selection: FlashPages'
+ *  batch constants and projection, a cost of the live count alone (so
+ *  equal counts tie) and a free pool set by hand. */
+struct FakeUnits
+{
+    using Addr = std::uint32_t;
+    static constexpr std::size_t kMaxVictims = FlashPages::kMaxVictims;
+    static constexpr std::size_t kNetUnits = FlashPages::kNetUnits;
+    static std::uint64_t
+    projectedUnits(std::uint64_t live, std::uint64_t per_unit)
+    {
+        return FlashPages::projectedUnits(live, per_unit);
+    }
+
+    std::uint32_t count = 0;
+    std::size_t free = 0;
+
+    std::uint32_t units() const { return count; }
+    std::size_t freeUnits() const { return free; }
+    bool collectable(std::uint32_t) const { return true; }
+    std::uint64_t
+    victimCost(std::uint32_t, std::uint32_t live) const
+    {
+        return live;
+    }
+};
+
+struct NoOwner
+{
+};
+
+std::vector<std::uint32_t>
+firstUnits(std::uint32_t n)
+{
+    std::vector<std::uint32_t> units(n);
+    std::iota(units.begin(), units.end(), 0u);
+    return units;
+}
+
+} // namespace
+
+TEST(SpaceCollector, BatchSelectionStopsAtEachBound)
+{
+    // Units hold 8 items; a pass relocating L live items projects
+    // L / 8 + 2 fresh units (FlashPages::projectedUnits).
+    struct Case
+    {
+        const char *rule;
+        std::vector<std::uint32_t> live;
+        std::size_t free;
+        std::vector<std::uint32_t> want;
+    };
+    const std::vector<std::uint32_t> nearly_full(40, 7);
+    const Case cases[] = {
+        // 32 victims 7/8 live project 30 units and net only 4.
+        {"at most kMaxVictims", nearly_full, 100, firstUnits(32)},
+        // k half-live victims consume ceil(k / 2) units: 24 net 12.
+        {"stops once it nets kNetUnits", std::vector<std::uint32_t>(40, 4),
+         100, firstUnits(24)},
+        {"empty victims net one each", std::vector<std::uint32_t>(40, 0),
+         100, firstUnits(12)},
+        // With 10 free, 9 victims project 9 units; a tenth would
+        // project 10 and leave no unit spare.
+        {"keeps one free unit spare", nearly_full, 10, firstUnits(9)},
+        {"always takes a first victim", nearly_full, 1, {0}},
+        // Cheapest first, first among equals; a full unit frees nothing.
+        {"cheapest first, first among equals", {5, 3, 3, 0, 8, 3, 0}, 100,
+         {3, 6, 1, 2, 5, 0}},
+    };
+    for (const Case &c : cases) {
+        sim::Simulator s;
+        FakeUnits units{static_cast<std::uint32_t>(c.live.size()), c.free};
+        NoOwner owner;
+        common::StatSet stats;
+        SpaceCollector<FakeUnits, NoOwner> gc(
+            s, units, owner, stats,
+            {.name = "fake",
+             .perUnit = 8,
+             .lowFraction = 0.1,
+             .highFraction = 0.2,
+             .victimsStat = "fake.victims",
+             .reclaimsStat = "fake.reclaims"});
+        for (std::uint32_t u = 0; u < c.live.size(); ++u)
+            gc.live(u) = c.live[u];
+        EXPECT_EQ(gc.selectVictims(), c.want) << c.rule;
+    }
 }
 
 TEST(FreeBlockPool, PopMatchesLinearScanReference)

@@ -131,8 +131,7 @@ struct BackendRig
             backend = std::make_unique<ftl::Mftl>(sim, *ssd,
                                                   ftl::Mftl::Config{});
         } else {
-            sftl = std::make_unique<ftl::Sftl>(sim, *ssd,
-                                               ftl::Sftl::Config{});
+            sftl = std::make_unique<ftl::Sftl>(sim, *ssd);
             backend = std::make_unique<ftl::Vftl>(sim, *sftl,
                                                   ftl::Vftl::Config{});
         }

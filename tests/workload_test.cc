@@ -276,7 +276,7 @@ TEST(Micro, VftlSurvivesSustainedMixedLoad)
     sim::Simulator sim;
     flash::SsdDevice ssd(
         sim, flash::Geometry::scaledFor(5000 * 512, 0.35));
-    ftl::Sftl sftl(sim, ssd, ftl::Sftl::Config{});
+    ftl::Sftl sftl(sim, ssd);
     ftl::Vftl vftl(sim, sftl, ftl::Vftl::Config{});
     MicroConfig cfg;
     cfg.numKeys = 5000;
