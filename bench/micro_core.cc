@@ -3,17 +3,19 @@
  * google-benchmark micro-benchmarks for the hot paths of the
  * simulation and the FTL mapping structures: event queue throughput,
  * coroutine round trips, Zipf sampling, version-chain operations,
- * validation-table lookups, and the per-message lookups (shard ring,
- * link delay, stat counters). These bound the wall-clock cost of the
- * experiment harnesses.
+ * validation-table lookups, the per-message lookups (shard ring,
+ * link delay, stat counters) and latency histograms. These bound the
+ * wall-clock cost of the experiment harnesses.
  */
 
 #include <benchmark/benchmark.h>
 
+#include <cstdint>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "common/histogram.hh"
 #include "common/random.hh"
 #include "common/stats.hh"
 #include "common/zipf.hh"
@@ -240,6 +242,46 @@ BM_CounterInc(benchmark::State &state)
     benchmark::DoNotOptimize(stats.counterValue("milana.prepares"));
 }
 BENCHMARK(BM_CounterInc)->ArgName("by_name")->Arg(0)->Arg(1);
+
+/** fig8's link-delay shape, N(50 us, 10 us) in ns, drawn up front so
+ *  the timed loops measure the histogram alone. */
+std::vector<std::int64_t>
+linkDelays(std::size_t n)
+{
+    common::Rng rng(6);
+    std::vector<std::int64_t> v(n);
+    for (auto &x : v)
+        x = static_cast<std::int64_t>(rng.nextGaussian(50'000, 10'000));
+    return v;
+}
+
+/** One `net.link.*.delay` sample recorded. */
+void
+BM_HistogramRecord(benchmark::State &state)
+{
+    const std::vector<std::int64_t> delays = linkDelays(4096);
+    common::Histogram h;
+    std::size_t next = 0;
+    for (auto _ : state) {
+        h.record(delays[next]);
+        next = (next + 1) & (delays.size() - 1);
+    }
+    benchmark::DoNotOptimize(h.count());
+}
+BENCHMARK(BM_HistogramRecord);
+
+/** p50 + p99 + p999 of a filled link-delay histogram, as each metrics
+ *  window and stat dump reads them. */
+void
+BM_HistogramQuantile(benchmark::State &state)
+{
+    common::Histogram h;
+    for (const std::int64_t d : linkDelays(100'000))
+        h.record(d);
+    for (auto _ : state)
+        benchmark::DoNotOptimize(h.p50() + h.p99() + h.p999());
+}
+BENCHMARK(BM_HistogramQuantile);
 
 } // namespace
 

@@ -11,9 +11,9 @@
 namespace common {
 
 Histogram::Histogram()
-    : buckets_(static_cast<std::size_t>(kOctaves) * kSubBuckets, 0),
-      min_(std::numeric_limits<std::int64_t>::max())
+    : min_(std::numeric_limits<std::int64_t>::max())
 {
+    slot_.fill(kNoSlot);
 }
 
 int
@@ -57,12 +57,59 @@ Histogram::bucketWidth(int index)
     return static_cast<std::int64_t>(1ULL << shift);
 }
 
+std::uint64_t *
+Histogram::slotCounts(std::uint8_t slot)
+{
+    return slot < kInlineOctaves ? inline_[slot].data()
+                                 : overflow_[slot - kInlineOctaves].data();
+}
+
+const std::uint64_t *
+Histogram::slotCounts(std::uint8_t slot) const
+{
+    return slot < kInlineOctaves ? inline_[slot].data()
+                                 : overflow_[slot - kInlineOctaves].data();
+}
+
+std::uint64_t *
+Histogram::octaveCounts(int octave)
+{
+    std::uint8_t &slot = slot_[static_cast<std::size_t>(octave)];
+    if (slot == kNoSlot) {
+        slot = slotsUsed_++;
+        if (slot >= kInlineOctaves) {
+            if (overflow_.size() == overflow_.capacity())
+                overflow_.reserve(std::min<std::size_t>(
+                    std::max<std::size_t>(4, 2 * overflow_.capacity()),
+                    kOctaves - kInlineOctaves));
+            overflow_.emplace_back(); // value-initialised: zeroed
+        }
+    }
+    return slotCounts(slot);
+}
+
+void
+Histogram::clearCounts()
+{
+    for (std::uint8_t s = 0; s < slotsUsed_; ++s)
+        std::fill_n(slotCounts(s), kSubBuckets, 0);
+}
+
 void
 Histogram::record(std::int64_t value)
 {
     if (value < 0)
         value = 0;
-    ++buckets_[static_cast<std::size_t>(bucketIndex(value))];
+    const int idx = bucketIndex(value);
+    const int octave = idx >> kSubBucketBits;
+    const int sub = idx & (kSubBuckets - 1);
+    // One byte load: an inline slot is the common case; a new octave
+    // (kNoSlot) and an overflow block take the out-of-line path.
+    const std::uint8_t slot = slot_[static_cast<std::size_t>(octave)];
+    if (slot < kInlineOctaves) [[likely]]
+        ++inline_[slot][static_cast<std::size_t>(sub)];
+    else
+        ++octaveCounts(octave)[sub];
     ++count_;
     min_ = std::min(min_, value);
     max_ = std::max(max_, value);
@@ -72,9 +119,14 @@ Histogram::record(std::int64_t value)
 void
 Histogram::merge(const Histogram &other)
 {
-    assert(buckets_.size() == other.buckets_.size());
-    for (std::size_t i = 0; i < buckets_.size(); ++i)
-        buckets_[i] += other.buckets_[i];
+    for (int o = 0; o < kOctaves; ++o) {
+        if (other.slot_[o] == kNoSlot)
+            continue;
+        const std::uint64_t *src = other.slotCounts(other.slot_[o]);
+        std::uint64_t *dst = octaveCounts(o);
+        for (int i = 0; i < kSubBuckets; ++i)
+            dst[i] += src[i];
+    }
     count_ += other.count_;
     min_ = std::min(min_, other.min_);
     max_ = std::max(max_, other.max_);
@@ -84,7 +136,7 @@ Histogram::merge(const Histogram &other)
 void
 Histogram::reset()
 {
-    std::fill(buckets_.begin(), buckets_.end(), 0);
+    clearCounts();
     count_ = 0;
     min_ = std::numeric_limits<std::int64_t>::max();
     max_ = 0;
@@ -111,24 +163,30 @@ Histogram::quantile(double q) const
     q = std::clamp(q, 0.0, 1.0);
     const double target = q * static_cast<double>(count_ - 1);
     std::uint64_t seen = 0;
-    for (std::size_t i = 0; i < buckets_.size(); ++i) {
-        const std::uint64_t c = buckets_[i];
-        if (c == 0)
+    // Octaves in index order (not slot order): bucket order.
+    for (int o = 0; o < kOctaves; ++o) {
+        if (slot_[o] == kNoSlot)
             continue;
-        if (static_cast<double>(seen + c) > target) {
-            // Interpolate linearly within the bucket: rank `target`
-            // falls among this bucket's `c` samples, assumed evenly
-            // spread across the bucket's value range.
-            const double within = target - static_cast<double>(seen);
-            const double frac = (within + 0.5) / static_cast<double>(c);
-            const int idx = static_cast<int>(i);
-            const double value =
-                static_cast<double>(bucketLower(idx)) +
-                frac * static_cast<double>(bucketWidth(idx));
-            return std::clamp(static_cast<std::int64_t>(value), min(),
-                              max_);
+        const std::uint64_t *counts = slotCounts(slot_[o]);
+        for (int sub = 0; sub < kSubBuckets; ++sub) {
+            const std::uint64_t c = counts[sub];
+            if (c == 0)
+                continue;
+            if (static_cast<double>(seen + c) > target) {
+                // Interpolate linearly within the bucket: rank
+                // `target` falls among this bucket's `c` samples,
+                // assumed evenly spread across the bucket's range.
+                const double within = target - static_cast<double>(seen);
+                const double frac = (within + 0.5) / static_cast<double>(c);
+                const int idx = o * kSubBuckets + sub;
+                const double value =
+                    static_cast<double>(bucketLower(idx)) +
+                    frac * static_cast<double>(bucketWidth(idx));
+                return std::clamp(static_cast<std::int64_t>(value), min(),
+                                  max_);
+            }
+            seen += c;
         }
-        seen += c;
     }
     return max_;
 }
@@ -136,32 +194,46 @@ Histogram::quantile(double q) const
 void
 Histogram::assignDelta(const Histogram &cur, const Histogram &prev)
 {
-    assert(buckets_.size() == cur.buckets_.size());
+    assert(this != &cur && this != &prev);
     if (cur.count_ < prev.count_) {
         // cur was reset since the prev snapshot: delta is cur itself.
         *this = cur;
         return;
     }
+    clearCounts();
     count_ = cur.count_ - prev.count_;
     sum_ = cur.sum_ - prev.sum_;
     min_ = std::numeric_limits<std::int64_t>::max();
     max_ = 0;
-    for (std::size_t i = 0; i < buckets_.size(); ++i) {
-        const std::uint64_t c = cur.buckets_[i];
-        const std::uint64_t p = prev.buckets_[i];
-        const std::uint64_t d = c >= p ? c - p : 0;
-        buckets_[i] = d;
-        if (d != 0) {
-            const int idx = static_cast<int>(i);
-            min_ = std::min(min_, bucketLower(idx));
-            max_ = std::max(max_,
-                            bucketLower(idx) + bucketWidth(idx) - 1);
+    for (int o = 0; o < kOctaves; ++o) {
+        if (cur.slot_[o] == kNoSlot)
+            continue;
+        const std::uint64_t *c = cur.slotCounts(cur.slot_[o]);
+        const std::uint64_t *p = prev.slot_[o] == kNoSlot
+                                     ? nullptr
+                                     : prev.slotCounts(prev.slot_[o]);
+        std::uint64_t *d = octaveCounts(o);
+        for (int sub = 0; sub < kSubBuckets; ++sub) {
+            const std::uint64_t before = p == nullptr ? 0 : p[sub];
+            d[sub] = c[sub] >= before ? c[sub] - before : 0;
+            if (d[sub] != 0) {
+                const int idx = o * kSubBuckets + sub;
+                min_ = std::min(min_, bucketLower(idx));
+                max_ = std::max(max_,
+                                bucketLower(idx) + bucketWidth(idx) - 1);
+            }
         }
     }
     if (count_ == 0) {
         max_ = 0;
         sum_ = 0.0;
     }
+}
+
+std::size_t
+Histogram::memoryBytes() const
+{
+    return sizeof(Histogram) + overflow_.capacity() * sizeof(Octave);
 }
 
 std::string

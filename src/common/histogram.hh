@@ -5,11 +5,24 @@
  * Uses log-spaced buckets (HdrHistogram-style: linear sub-buckets
  * within power-of-two ranges) so that recording is O(1), memory is
  * bounded, and relative error of reported quantiles is < 2 / 64.
+ *
+ * Storage holds only the octaves (power-of-two ranges of 64 buckets)
+ * a histogram has seen: a 50-byte octave->slot index, room for 8
+ * octaves inline (4 KB, a 256x value range) and a 512 B block per
+ * further octave. The further blocks are elements of one overflow
+ * vector whose capacity goes 4, 8, 16, 32, 42 blocks, so the rare
+ * histogram that spills allocates a few times, not once per octave.
+ * The bucket math is that of a dense 50 x 64 array, and every walk
+ * visits octaves in index order, so counts, quantiles and their
+ * error are exactly those of the dense layout; a histogram that
+ * spans all 50 octaves costs about what the dense array did.
  */
 
 #ifndef COMMON_HISTOGRAM_HH
 #define COMMON_HISTOGRAM_HH
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -20,6 +33,15 @@ class Histogram
 {
   public:
     Histogram();
+    /**
+     * Copies are memberwise. Assigning allocates nothing when this
+     * histogram has room for as many overflow octaves as @p other
+     * (e.g. a snapshot re-taken each window). There are no move
+     * operations, so a move copies: a moved-from overflow vector
+     * would leave the slot index pointing past its end.
+     */
+    Histogram(const Histogram &) = default;
+    Histogram &operator=(const Histogram &) = default;
 
     /** Record one sample (negative samples clamp to zero). */
     void record(std::int64_t value);
@@ -27,6 +49,7 @@ class Histogram
     /** Merge another histogram into this one. */
     void merge(const Histogram &other);
 
+    /** Zero every count; the octaves' storage is kept for reuse. */
     void reset();
 
     /**
@@ -34,8 +57,8 @@ class Histogram
      * `cur - prev`, where @p prev is an earlier snapshot of @p cur
      * (bucket counts monotonically non-decreasing between the two).
      * If @p cur has fewer samples than @p prev (it was reset in
-     * between), the delta is @p cur itself. Reuses this histogram's
-     * pre-allocated bucket storage: no allocation. min/max of the
+     * between), the delta is @p cur itself. Allocates nothing once
+     * this histogram holds every octave @p cur holds. min/max of the
      * delta are approximated from the populated bucket bounds.
      */
     void assignDelta(const Histogram &cur, const Histogram &prev);
@@ -60,21 +83,42 @@ class Histogram
     /** One-line summary (interpreting samples as nanoseconds). */
     std::string summary() const;
 
+    /** Bytes this histogram occupies: the object plus the capacity
+     *  of its overflow vector. */
+    std::size_t memoryBytes() const;
+
   private:
     static constexpr int kSubBucketBits = 6; // 64 sub-buckets per octave
     static constexpr int kSubBuckets = 1 << kSubBucketBits;
     static constexpr int kOctaves = 50;
+    static constexpr int kInlineOctaves = 8;
+    static constexpr std::uint8_t kNoSlot = 0xff;
+
+    using Octave = std::array<std::uint64_t, kSubBuckets>;
 
     static int bucketIndex(std::int64_t value);
     static std::int64_t bucketMidpoint(int index);
     static std::int64_t bucketLower(int index);
     static std::int64_t bucketWidth(int index);
 
-    std::vector<std::uint64_t> buckets_;
+    /** The 64 counters of slot @p slot. */
+    std::uint64_t *slotCounts(std::uint8_t slot);
+    const std::uint64_t *slotCounts(std::uint8_t slot) const;
+    /** The counts of @p octave, given a zeroed slot first if it has
+     *  none. */
+    std::uint64_t *octaveCounts(int octave);
+    /** Zero the counts of every slot in use, keeping the slots. */
+    void clearCounts();
+
     std::uint64_t count_ = 0;
     std::int64_t min_ = 0;
     std::int64_t max_ = 0;
     double sum_ = 0.0;
+    std::array<std::uint8_t, kOctaves> slot_; ///< octave -> slot
+    std::uint8_t slotsUsed_ = 0;
+    std::vector<Octave> overflow_; ///< slots 8, 9, ...
+    /** Slots 0-7; those from slotsUsed_ on are all zero. */
+    std::array<Octave, kInlineOctaves> inline_{};
 };
 
 } // namespace common

@@ -524,6 +524,16 @@ Cluster::resetStats()
         client->stats().reset();
     for (auto &server : servers_)
         server->stats().reset();
+    for (auto &backend : backends_)
+        backend->stats().reset();
+    for (auto &sftl : sftls_) {
+        if (sftl != nullptr)
+            sftl->stats().reset();
+    }
+    for (auto &device : devices_) {
+        if (device != nullptr)
+            device->stats().reset();
+    }
 }
 
 double

@@ -168,13 +168,15 @@ class Cluster
     common::StatSet clockStats() const;
     /** Aggregate of all storage backend stat sets (mftl.*, vftl.*,
      *  dram.*, ...), plus the SFTL under each VFTL or single-version
-     *  backend (sftl.*). Counted from construction; resetStats()
-     *  leaves them alone. */
+     *  backend (sftl.*). Counted from construction or the last
+     *  resetStats(). */
     common::StatSet backendStats() const;
     /** Aggregate of all flash device stat sets (ssd.*; empty on the
-     *  DRAM backend). Counted from construction, like backendStats. */
+     *  DRAM backend). Counted like backendStats. */
     common::StatSet deviceStats() const;
-    /** Reset all client/server counters (end of warm-up). */
+    /** Reset every client, server, backend and device counter and
+     *  histogram (end of warm-up), so all their sections cover the
+     *  measured window. Network and clock-sync stats are not reset. */
     void resetStats();
 
     /** Average pairwise client clock skew observed (ns), if an

@@ -18,6 +18,10 @@
  *    still rising under a burst of GC reads, and pages programmed for
  *    the first time: at most 0.05 allocations per attempt.
  *
+ * A third case holds one histogram to the metrics plane's per-window
+ * cycle (record, diff against a snapshot, re-snapshot): once it has
+ * seen its octaves, the cycle allocates nothing.
+ *
  * The binary replaces the global operator new/delete with counters, as
  * bench/store_core and e2e_bench/e2e_core do, and counts only inside
  * the measured window's run loop. It runs alone (its own executable),
@@ -33,6 +37,8 @@
 #include <memory>
 #include <new>
 
+#include "common/histogram.hh"
+#include "common/random.hh"
 #include "common/types.hh"
 #include "workload/cluster.hh"
 #include "workload/retwis.hh"
@@ -227,6 +233,39 @@ TEST(AllocGate, Fig6ShapedCellReusesErasedPageBuffers)
     ASSERT_GT(w.attempts, 1'000u);
     EXPECT_GT(erases, 0u);
     EXPECT_LE(w.perAttempt(), 0.05);
+}
+
+/**
+ * The metrics plane's per-window work on one histogram: records, a
+ * delta against the last snapshot, a fresh snapshot. Once all three
+ * hold every octave the samples reach (12 here, so 4 live in overflow
+ * blocks), none of it allocates.
+ */
+TEST(HistogramSteadyState, RecordCopyAndDeltaAllocateNothing)
+{
+    constexpr int kOctaves = 12;
+    common::Histogram h, prev, delta;
+    h.record(0);
+    for (int shift = 0; shift < kOctaves - 1; ++shift)
+        h.record(std::int64_t{64} << shift);
+    delta.assignDelta(h, prev);
+    prev = h;
+
+    common::Rng r(3);
+    const std::uint64_t calls0 = g_allocCalls;
+    g_counting = true;
+    for (int i = 1; i <= 1'000'000; ++i) {
+        const auto shift = static_cast<int>(r.nextBounded(kOctaves - 1));
+        h.record((std::int64_t{64} + r.nextRange(0, 63)) << shift);
+        if (i % 10'000 == 0) {
+            delta.assignDelta(h, prev);
+            prev = h;
+        }
+    }
+    g_counting = false;
+    EXPECT_EQ(g_allocCalls - calls0, 0u);
+    EXPECT_EQ(h.count(), 1'000'000u + kOctaves);
+    EXPECT_EQ(delta.count(), 10'000u);
 }
 
 } // namespace

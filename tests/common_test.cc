@@ -6,12 +6,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <map>
 #include <set>
 #include <sstream>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "common/histogram.hh"
@@ -319,6 +325,327 @@ TEST(Histogram, AssignDeltaEmptyDelta)
     delta.assignDelta(cur, prev);
     EXPECT_EQ(delta.count(), 0u);
     EXPECT_EQ(delta.quantile(0.5), 0);
+}
+
+namespace {
+
+/**
+ * The dense layout Histogram had before it stored only the octaves it
+ * uses: all 50 x 64 buckets up front. Kept as the reference the sparse
+ * layout must match byte for byte.
+ */
+class DenseHistogram
+{
+  public:
+    void
+    record(std::int64_t value)
+    {
+        if (value < 0)
+            value = 0;
+        ++buckets_[static_cast<std::size_t>(bucketIndex(value))];
+        ++count_;
+        min_ = std::min(min_, value);
+        max_ = std::max(max_, value);
+        sum_ += static_cast<double>(value);
+    }
+
+    void
+    merge(const DenseHistogram &other)
+    {
+        for (std::size_t i = 0; i < buckets_.size(); ++i)
+            buckets_[i] += other.buckets_[i];
+        count_ += other.count_;
+        min_ = std::min(min_, other.min_);
+        max_ = std::max(max_, other.max_);
+        sum_ += other.sum_;
+    }
+
+    void reset() { *this = DenseHistogram(); }
+
+    void
+    assignDelta(const DenseHistogram &cur, const DenseHistogram &prev)
+    {
+        if (cur.count_ < prev.count_) {
+            *this = cur;
+            return;
+        }
+        count_ = cur.count_ - prev.count_;
+        sum_ = cur.sum_ - prev.sum_;
+        min_ = std::numeric_limits<std::int64_t>::max();
+        max_ = 0;
+        for (std::size_t i = 0; i < buckets_.size(); ++i) {
+            const std::uint64_t c = cur.buckets_[i];
+            const std::uint64_t p = prev.buckets_[i];
+            const std::uint64_t d = c >= p ? c - p : 0;
+            buckets_[i] = d;
+            if (d != 0) {
+                const int idx = static_cast<int>(i);
+                min_ = std::min(min_, bucketLower(idx));
+                max_ = std::max(max_,
+                                bucketLower(idx) + bucketWidth(idx) - 1);
+            }
+        }
+        if (count_ == 0) {
+            max_ = 0;
+            sum_ = 0.0;
+        }
+    }
+
+    std::uint64_t count() const { return count_; }
+    std::int64_t min() const { return count_ == 0 ? 0 : min_; }
+    std::int64_t max() const { return max_; }
+    double
+    mean() const
+    {
+        return count_ == 0 ? 0.0 : sum_ / static_cast<double>(count_);
+    }
+
+    std::int64_t
+    quantile(double q) const
+    {
+        if (count_ == 0)
+            return 0;
+        q = std::clamp(q, 0.0, 1.0);
+        const double target = q * static_cast<double>(count_ - 1);
+        std::uint64_t seen = 0;
+        for (std::size_t i = 0; i < buckets_.size(); ++i) {
+            const std::uint64_t c = buckets_[i];
+            if (c == 0)
+                continue;
+            if (static_cast<double>(seen + c) > target) {
+                const double within = target - static_cast<double>(seen);
+                const double frac = (within + 0.5) / static_cast<double>(c);
+                const int idx = static_cast<int>(i);
+                const double value =
+                    static_cast<double>(bucketLower(idx)) +
+                    frac * static_cast<double>(bucketWidth(idx));
+                return std::clamp(static_cast<std::int64_t>(value), min(),
+                                  max_);
+            }
+            seen += c;
+        }
+        return max_;
+    }
+
+    std::string
+    summary() const
+    {
+        std::ostringstream os;
+        os.precision(1);
+        os << std::fixed << "n=" << count_ << " mean="
+           << toMicros(static_cast<Duration>(mean()))
+           << "us p50=" << toMicros(quantile(0.50))
+           << "us p95=" << toMicros(quantile(0.95))
+           << "us p99=" << toMicros(quantile(0.99))
+           << "us max=" << toMicros(max_) << "us";
+        return os.str();
+    }
+
+  private:
+    static constexpr int kSubBucketBits = 6;
+    static constexpr int kSubBuckets = 1 << kSubBucketBits;
+    static constexpr int kOctaves = 50;
+
+    static int
+    bucketIndex(std::int64_t value)
+    {
+        const std::uint64_t v =
+            value <= 0 ? 0 : static_cast<std::uint64_t>(value);
+        if (v < kSubBuckets)
+            return static_cast<int>(v);
+        const int msb = 63 - std::countl_zero(v);
+        const int shift = msb - kSubBucketBits;
+        const int sub = static_cast<int>((v >> shift) & (kSubBuckets - 1));
+        const int idx = kSubBuckets + shift * kSubBuckets + sub;
+        return std::min(idx, kOctaves * kSubBuckets - 1);
+    }
+
+    static std::int64_t
+    bucketLower(int index)
+    {
+        if (index < kSubBuckets)
+            return index;
+        const int adjusted = index - kSubBuckets;
+        const int shift = adjusted / kSubBuckets;
+        const int sub = adjusted % kSubBuckets;
+        return static_cast<std::int64_t>(
+            (static_cast<std::uint64_t>(kSubBuckets + sub)) << shift);
+    }
+
+    static std::int64_t
+    bucketWidth(int index)
+    {
+        if (index < kSubBuckets)
+            return 1;
+        const int shift = (index - kSubBuckets) / kSubBuckets;
+        return static_cast<std::int64_t>(1ULL << shift);
+    }
+
+    std::array<std::uint64_t, kOctaves * kSubBuckets> buckets_{};
+    std::uint64_t count_ = 0;
+    std::int64_t min_ = std::numeric_limits<std::int64_t>::max();
+    std::int64_t max_ = 0;
+    double sum_ = 0.0;
+};
+
+/** A histogram and its dense reference, fed the same samples. */
+struct HistPair
+{
+    Histogram sparse;
+    DenseHistogram dense;
+
+    void
+    record(std::int64_t v)
+    {
+        sparse.record(v);
+        dense.record(v);
+    }
+};
+
+void
+expectSameAsDense(const Histogram &h, const DenseHistogram &ref,
+                  const std::string &where)
+{
+    SCOPED_TRACE(where);
+    ASSERT_EQ(h.count(), ref.count());
+    EXPECT_EQ(h.min(), ref.min());
+    EXPECT_EQ(h.max(), ref.max());
+    EXPECT_EQ(h.mean(), ref.mean());
+    EXPECT_EQ(h.summary(), ref.summary());
+    for (int i = 0; i <= 100; ++i) {
+        const double q = i / 100.0;
+        ASSERT_EQ(h.quantile(q), ref.quantile(q)) << "q=" << q;
+    }
+    EXPECT_EQ(h.p999(), ref.quantile(0.999));
+}
+
+/**
+ * One sample whose octave lies in [lo, lo + 6] (octave k >= 1 holds
+ * [64 << (k - 1), 128 << (k - 1))), with now and then a zero, a
+ * negative or a value past the last bucket's range.
+ */
+std::int64_t
+drawSample(Rng &r, int lo)
+{
+    const std::uint64_t kind = r.nextBounded(20);
+    if (kind == 0)
+        return 0;
+    if (kind == 1)
+        return -r.nextRange(1, 1'000'000);
+    if (kind == 2)
+        return r.nextRange(std::int64_t{1} << 56,
+                           std::numeric_limits<std::int64_t>::max());
+    const int octave = lo + static_cast<int>(r.nextBounded(7));
+    if (octave == 0)
+        return r.nextRange(0, 63);
+    const std::int64_t base = std::int64_t{64} << (octave - 1);
+    return base + r.nextRange(0, base - 1);
+}
+
+} // namespace
+
+TEST(Histogram, SparseMatchesDenseReference)
+{
+    Rng r(2024);
+    // Batches sweep octave windows out of index order, so first-touch
+    // (slot) order differs from index order and overflow blocks hold
+    // octaves below inline ones.
+    HistPair h;
+    for (int batch = 0; batch < 24; ++batch) {
+        const int lo = (batch * 19) % 44; // windows [lo, lo + 6] in 0..49
+        for (int i = 0; i < 400; ++i)
+            h.record(drawSample(r, lo));
+        expectSameAsDense(h.sparse, h.dense,
+                          "batch " + std::to_string(batch));
+    }
+
+    // Merge both ways, with disjoint and with overlapping octaves.
+    for (const auto &[alo, blo] : {std::pair{30, 2}, std::pair{10, 13}}) {
+        HistPair a, b;
+        for (int i = 0; i < 3000; ++i) {
+            a.record(drawSample(r, alo));
+            b.record(drawSample(r, blo));
+        }
+        HistPair ab = a, ba = b;
+        ab.sparse.merge(b.sparse);
+        ab.dense.merge(b.dense);
+        ba.sparse.merge(a.sparse);
+        ba.dense.merge(a.dense);
+        const std::string tag =
+            "octaves " + std::to_string(alo) + "/" + std::to_string(blo);
+        expectSameAsDense(ab.sparse, ab.dense, "a.merge(b), " + tag);
+        expectSameAsDense(ba.sparse, ba.dense, "b.merge(a), " + tag);
+        expectSameAsDense(ab.sparse, ba.dense, "merge commutes, " + tag);
+    }
+
+    // reset() keeps the slots; recording afterwards starts clean.
+    h.sparse.reset();
+    h.dense.reset();
+    expectSameAsDense(h.sparse, h.dense, "after reset");
+    for (int i = 0; i < 2000; ++i)
+        h.record(drawSample(r, 20));
+    expectSameAsDense(h.sparse, h.dense, "reset then record");
+
+    // Copy-assign over a histogram holding other octaves, copy- and
+    // move-construct.
+    HistPair other;
+    for (int i = 0; i < 500; ++i)
+        other.record(drawSample(r, 40));
+    other.sparse = h.sparse;
+    expectSameAsDense(other.sparse, h.dense, "copy-assign");
+    const Histogram copied(h.sparse);
+    expectSameAsDense(copied, h.dense, "copy-construct");
+    Histogram moved(std::move(other.sparse));
+    expectSameAsDense(moved, h.dense, "move-construct");
+
+    // assignDelta: new samples in old and new octaves, over a delta
+    // holding stale samples elsewhere.
+    HistPair prev = h;
+    for (int i = 0; i < 1500; ++i)
+        h.record(drawSample(r, 3));
+    HistPair delta;
+    for (int i = 0; i < 100; ++i)
+        delta.record(drawSample(r, 35));
+    delta.sparse.assignDelta(h.sparse, prev.sparse);
+    delta.dense.assignDelta(h.dense, prev.dense);
+    expectSameAsDense(delta.sparse, delta.dense, "assignDelta");
+
+    // ... against a snapshot missing octaves the delta has.
+    HistPair empty;
+    delta.sparse.assignDelta(h.sparse, empty.sparse);
+    delta.dense.assignDelta(h.dense, empty.dense);
+    expectSameAsDense(delta.sparse, delta.dense, "assignDelta vs empty");
+
+    // ... and with cur reset since prev: the delta is cur itself.
+    h.sparse.reset();
+    h.dense.reset();
+    for (int i = 0; i < 50; ++i)
+        h.record(drawSample(r, 44));
+    delta.sparse.assignDelta(h.sparse, prev.sparse);
+    delta.dense.assignDelta(h.dense, prev.dense);
+    expectSameAsDense(delta.sparse, delta.dense, "assignDelta after reset");
+}
+
+TEST(Histogram, FootprintFollowsOctavesUsed)
+{
+    EXPECT_EQ(Histogram().memoryBytes(), sizeof(Histogram));
+
+    // fig8's link-delay shape, N(50 us, 10 us): 4-5 octaves, all inline.
+    Histogram link;
+    Rng r(8);
+    for (int i = 0; i < 100'000; ++i)
+        link.record(static_cast<std::int64_t>(r.nextGaussian(50'000, 10'000)));
+    EXPECT_LE(link.memoryBytes(), 5u * 1024);
+
+    // Every octave: the dense array's 50 x 64 counters, plus the slot
+    // index, the fixed fields and the overflow blocks' pointers.
+    Histogram wide;
+    wide.record(0);
+    for (int shift = 0; shift < 49; ++shift)
+        wide.record(std::int64_t{64} << shift);
+    constexpr std::size_t kDenseBytes = 50 * 64 * sizeof(std::uint64_t);
+    EXPECT_GT(wide.memoryBytes(), kDenseBytes);
+    EXPECT_LE(wide.memoryBytes(), kDenseBytes + 1024);
 }
 
 TEST(StatSet, CountersCreateOnUse)
