@@ -24,6 +24,8 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <iostream>
+#include <memory>
 #include <ostream>
 #include <string>
 #include <type_traits>
@@ -31,10 +33,13 @@
 #include <variant>
 #include <vector>
 
+#include "common/invariant_monitor.hh"
 #include "common/json.hh"
 #include "common/metrics.hh"
 #include "common/stats.hh"
+#include "common/trace.hh"
 #include "common/types.hh"
+#include "workload/cluster.hh"
 
 namespace bench {
 
@@ -122,6 +127,19 @@ class Args
     std::vector<std::string> args_;
 };
 
+/** Open @p path for writing. Exits on I/O error, so scripted
+ *  pipelines fail loudly rather than read a stale file. */
+inline std::ofstream
+openOutput(const std::string &path)
+{
+    std::ofstream os(path);
+    if (!os) {
+        std::fprintf(stderr, "error: cannot write %s\n", path.c_str());
+        std::exit(1);
+    }
+    return os;
+}
+
 /**
  * Write a TimeSeriesLog as the `milana-metrics-v1` JSON document at
  * @p path plus a sibling CSV of its deterministic series (PATH with
@@ -132,27 +150,118 @@ inline void
 writeMetricsOutputs(const common::TimeSeriesLog &log,
                     const std::string &path)
 {
-    std::ofstream os(path);
-    if (!os) {
-        std::fprintf(stderr, "error: cannot write %s\n", path.c_str());
-        std::exit(1);
-    }
+    std::ofstream os = openOutput(path);
     log.writeJson(os);
     std::string csv_path = path;
-    if (csv_path.size() >= 5 &&
-        csv_path.compare(csv_path.size() - 5, 5, ".json") == 0)
+    if (csv_path.ends_with(".json"))
         csv_path.resize(csv_path.size() - 5);
     csv_path += ".csv";
-    std::ofstream cs(csv_path);
-    if (!cs) {
-        std::fprintf(stderr, "error: cannot write %s\n",
-                     csv_path.c_str());
-        std::exit(1);
-    }
+    std::ofstream cs = openOutput(csv_path);
     log.writeCsv(cs);
     std::printf("wrote %s and %s (%zu series)\n", path.c_str(),
                 csv_path.c_str(), log.seriesCount());
 }
+
+/**
+ * The invariant checks sound for a cluster: snapshot reads unless the
+ * backend is single-version (it returns versions newer than the
+ * snapshot and relies on validation to abort), replication-before-ack
+ * when shards have backups.
+ */
+inline common::InvariantMonitor::Config
+monitorConfigFor(const workload::ClusterConfig &cfg)
+{
+    common::InvariantMonitor::Config mcfg;
+    mcfg.checkSnapshotReads =
+        cfg.backend != workload::BackendKind::SingleVersion;
+    mcfg.checkReplicationBeforeAck = cfg.replicasPerShard > 1;
+    return mcfg;
+}
+
+/**
+ * The observers a run's flags ask for, on one cell:
+ *
+ *   --trace=PATH          event trace (.csv extension = CSV, else JSON)
+ *   --perfetto=PATH       the same trace as Chrome/Perfetto JSON
+ *   --monitor             online invariant checks over the trace;
+ *                         violations fail the run
+ *   --trace-capacity=N    trace ring size in events (default 262144)
+ *   --metrics=PATH        milana-metrics-v1 time series (JSON + CSV)
+ *   --metrics-interval=D  sampling window (default 100ms)
+ */
+class Observers
+{
+  public:
+    /** Build what @p args asks for and point @p cfg's trace and
+     *  metrics at it; the monitor's checks follow @p cfg. */
+    Observers(const Args &args, workload::ClusterConfig &cfg)
+        : tracePath_(args.getString("trace", "")),
+          perfettoPath_(args.getString("perfetto", "")),
+          metricsPath_(args.getString("metrics", ""))
+    {
+        const bool monitor_on = args.has("monitor");
+        if (!tracePath_.empty() || !perfettoPath_.empty() || monitor_on)
+            trace_ = std::make_unique<common::TraceLog>(
+                static_cast<std::size_t>(
+                    args.getInt("trace-capacity", 262'144)));
+        if (monitor_on) {
+            monitor_ = std::make_unique<common::InvariantMonitor>(
+                monitorConfigFor(cfg), &std::cerr);
+            monitor_->attach(*trace_);
+        }
+        if (!metricsPath_.empty())
+            metrics_ = std::make_unique<common::MetricsRegistry>(
+                args.getDuration("metrics-interval",
+                                 100 * common::kMillisecond));
+        cfg.trace = trace_.get();
+        cfg.metrics = metrics_.get();
+    }
+
+    /** Whether any observer flag was given. */
+    bool any() const { return trace_ != nullptr || metrics_ != nullptr; }
+
+    /**
+     * After the run: write the trace, the Perfetto export and the
+     * metrics, then print the monitor's report. Exits on I/O error.
+     * @return false when the monitor saw a violation.
+     */
+    bool
+    finish() const
+    {
+        if (!tracePath_.empty()) {
+            std::ofstream os = openOutput(tracePath_);
+            if (tracePath_.ends_with(".csv"))
+                trace_->writeCsv(os);
+            else
+                trace_->writeJson(os);
+            std::printf("wrote %s (%zu events kept, %llu dropped)\n",
+                        tracePath_.c_str(), trace_->size(),
+                        static_cast<unsigned long long>(trace_->dropped()));
+        }
+        if (!perfettoPath_.empty()) {
+            std::ofstream os = openOutput(perfettoPath_);
+            trace_->writePerfetto(os, metrics_ != nullptr ? &metrics_->log()
+                                                          : nullptr);
+            std::printf("wrote %s (Perfetto trace-event JSON; open at "
+                        "ui.perfetto.dev)\n",
+                        perfettoPath_.c_str());
+        }
+        if (metrics_ != nullptr)
+            writeMetricsOutputs(metrics_->log(), metricsPath_);
+        if (monitor_ == nullptr)
+            return true;
+        monitor_->report(std::cout);
+        return monitor_->ok();
+    }
+
+  private:
+    std::string tracePath_;
+    std::string perfettoPath_;
+    std::string metricsPath_;
+    std::unique_ptr<common::TraceLog> trace_;
+    std::unique_ptr<common::InvariantMonitor> monitor_;
+    std::unique_ptr<common::MetricsRegistry> metrics_;
+};
 
 inline void
 printHeader(const char *title)
@@ -282,12 +391,7 @@ class Report
         const std::string path = args.getString("json", "");
         if (path.empty())
             return;
-        std::ofstream os(path);
-        if (!os) {
-            std::fprintf(stderr, "error: cannot write %s\n",
-                         path.c_str());
-            std::exit(1);
-        }
+        std::ofstream os = openOutput(path);
         writeTo(os);
         std::printf("\nwrote %s\n", path.c_str());
     }

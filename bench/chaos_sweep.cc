@@ -38,16 +38,11 @@
 #include "common/invariant_monitor.hh"
 #include "common/json.hh"
 #include "common/trace.hh"
-#include "workload/cluster.hh"
-#include "workload/retwis.hh"
+#include "workload/cell.hh"
 
 using common::kSecond;
 using workload::BackendKind;
 using workload::ClockKind;
-using workload::Cluster;
-using workload::ClusterConfig;
-using workload::RetwisConfig;
-using workload::RetwisWorkload;
 
 namespace {
 
@@ -114,7 +109,7 @@ const WorkloadMix kWorkloads[] = {
 const ClockKind kBaselinePresets[] = {ClockKind::Perfect,
                                       ClockKind::PtpSw, ClockKind::Ntp};
 
-struct CellSpec
+struct ChaosCell
 {
     const Scenario *scenario; ///< null = fault-free baseline
     const WorkloadMix *mix;
@@ -141,80 +136,64 @@ struct CellResult
 };
 
 CellResult
-runCell(const CellSpec &spec, std::size_t cellIndex, std::uint64_t keys,
+runCell(const ChaosCell &cell, std::size_t cellIndex, std::uint64_t keys,
         common::Duration warmup, common::Duration measure,
         std::uint64_t seed, std::uint64_t chaosSeed)
 {
-    ClusterConfig cfg;
-    cfg.numShards = 1;
-    cfg.replicasPerShard = 3;
-    cfg.numClients = 8;
-    cfg.backend = BackendKind::Mftl;
-    cfg.clocks = spec.clocks;
-    cfg.numKeys = keys;
-    cfg.seed = seed;
+    workload::CellSpec spec;
+    spec.cluster.numShards = 1;
+    spec.cluster.replicasPerShard = 3;
+    spec.cluster.numClients = 8;
+    spec.cluster.backend = BackendKind::Mftl;
+    spec.cluster.clocks = cell.clocks;
+    spec.cluster.numKeys = keys;
+    spec.cluster.seed = seed;
+    spec.alpha = cell.mix->alpha;
+    spec.readHeavy = cell.mix->readHeavy;
+    spec.warmup = warmup;
+    spec.window = measure;
 
     // The monitor observes every append before the ring evicts it, so
     // a small ring loses nothing it checks.
     common::TraceLog trace(1u << 16);
-    cfg.trace = &trace;
-    common::InvariantMonitor::Config mcfg;
-    mcfg.checkSnapshotReads = true;
-    mcfg.checkReplicationBeforeAck = true;
+    spec.cluster.trace = &trace;
+    common::InvariantMonitor::Config mcfg =
+        bench::monitorConfigFor(spec.cluster);
     mcfg.failFast = false; // count everything; the sweep fails at exit
     common::InvariantMonitor monitor(mcfg, nullptr);
     monitor.attach(trace);
 
     common::ChaosEngine chaos(chaosSeed + cellIndex);
-    if (spec.scenario != nullptr) {
+    if (cell.scenario != nullptr) {
         std::string error;
-        if (!chaos.parse(spec.scenario->schedule, &error)) {
+        if (!chaos.parse(cell.scenario->schedule, &error)) {
             std::fprintf(stderr, "chaos_sweep: scenario %s: %s\n",
-                         spec.scenario->name, error.c_str());
+                         cell.scenario->name, error.c_str());
             std::exit(2);
         }
-        cfg.chaos = &chaos;
+        spec.cluster.chaos = &chaos;
     }
 
-    Cluster cluster(cfg);
-    cluster.populate();
-    cluster.start();
-
-    RetwisConfig retwis;
-    retwis.alpha = spec.mix->alpha;
-    retwis.readHeavy = spec.mix->readHeavy;
-    retwis.numKeys = keys;
-    retwis.seed = seed + 100;
-    RetwisWorkload fleet(cluster, retwis);
-    fleet.start();
-
-    cluster.runUntil(cluster.now() + warmup);
-    fleet.resetMeasurement();
-    cluster.resetStats();
-    cluster.armChaos();
-    cluster.runFor(measure);
-
-    const common::StatSet clients = cluster.clientStats();
-    const common::StatSet servers = cluster.serverStats();
+    const workload::CellReport w = workload::runCell(spec);
     CellResult r;
-    r.committed = fleet.totalCommits();
-    r.aborted = fleet.totalAborts();
-    r.failed = clients.counterValue("txn.failed");
-    r.readFailures = clients.counterValue("txn.read_failures");
-    r.abortPct = fleet.abortRate() * 100.0;
-    r.skewUs = cluster.avgClientSkew() / 1000.0;
+    r.committed = w.commits;
+    r.aborted = w.aborts;
+    r.failed = w.client.counterValue("txn.failed");
+    r.readFailures = w.client.counterValue("txn.read_failures");
+    r.abortPct = w.abortPct;
+    r.skewUs = w.avgSkewNs / 1000.0;
     r.injections = chaos.injections();
     r.heals = chaos.heals();
     r.clockSuspectAborts =
-        servers.counterValue("milana.abort_clock_suspect");
+        w.server.counterValue("milana.abort_clock_suspect");
     r.faultActiveAborts =
-        clients.counterValue("txn.fault_active_aborts");
+        w.client.counterValue("txn.fault_active_aborts");
     r.violations = monitor.violationCount();
     r.belowHorizon =
-        servers.counterValue("milana.txn_table.below_horizon_prepare") +
-        servers.counterValue("milana.txn_table.below_horizon_status");
+        w.server.counterValue("milana.txn_table.below_horizon_prepare") +
+        w.server.counterValue("milana.txn_table.below_horizon_status");
     r.lateMerges =
-        servers.counterValue("milana.txn_table.below_horizon_merge");
+        w.server.counterValue("milana.txn_table.below_horizon_merge");
     return r;
 }
 
@@ -232,7 +211,7 @@ main(int argc, char **argv)
 
     // Cell list: fault-free baselines first (one per preset x
     // workload), then every scenario under its two eligible presets.
-    std::vector<CellSpec> cells;
+    std::vector<ChaosCell> cells;
     for (const WorkloadMix &mix : kWorkloads)
         for (ClockKind preset : kBaselinePresets)
             cells.push_back({nullptr, &mix, preset});
@@ -262,7 +241,7 @@ main(int argc, char **argv)
 
     // Baseline lookup: abort rate of the fault-free cell with the same
     // workload and preset.
-    const auto baselineFor = [&](const CellSpec &spec) -> double {
+    const auto baselineFor = [&](const ChaosCell &spec) -> double {
         for (std::size_t i = 0; i < cells.size(); ++i)
             if (cells[i].scenario == nullptr &&
                 cells[i].mix == spec.mix &&
@@ -298,7 +277,7 @@ main(int argc, char **argv)
     std::uint64_t below_horizon = 0;
     std::uint64_t late_merges = 0;
     for (std::size_t i = 0; i < cells.size(); ++i) {
-        const CellSpec &spec = cells[i];
+        const ChaosCell &spec = cells[i];
         const CellResult &r = results[i];
         const bool baseline = spec.scenario == nullptr;
         const double base = baseline ? r.abortPct : baselineFor(spec);

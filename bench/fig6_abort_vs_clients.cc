@@ -33,93 +33,46 @@
  * against the txn.abort.<reason> counters.
  */
 
-#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
-#include <iostream>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "bench_util.hh"
 #include "sweep_runner.hh"
-#include "common/invariant_monitor.hh"
-#include "common/trace.hh"
-#include "workload/cluster.hh"
-#include "workload/retwis.hh"
+#include "workload/cell.hh"
 
 using common::kSecond;
 using workload::BackendKind;
+using workload::CellReport;
+using workload::CellSpec;
 using workload::ClockKind;
-using workload::Cluster;
-using workload::ClusterConfig;
-using workload::RetwisConfig;
-using workload::RetwisWorkload;
 
 namespace {
 
-struct CellResult
+/** One single-node, zero-skew Retwis cell. */
+CellSpec
+fig6Cell(BackendKind backend, std::uint32_t clients, double alpha,
+         std::uint64_t keys, common::Duration warmup,
+         common::Duration measure, std::uint64_t seed)
 {
-    double abortPct = 0.0;
-    /** Real (host) seconds spent bulk-loading the key space; reported
-     *  separately on stdout, never mixed into the measured window. */
-    double populateSeconds = 0.0;
-    common::StatSet clientStats;
-    common::StatSet serverStats;
-};
-
-CellResult
-runCell(BackendKind backend, std::uint32_t clients, double alpha,
-        std::uint64_t keys, common::Duration warmup,
-        common::Duration measure, std::uint64_t seed,
-        common::TraceLog *trace = nullptr,
-        common::MetricsRegistry *metrics = nullptr)
-{
-    ClusterConfig cfg;
-    cfg.numShards = 1;
-    cfg.replicasPerShard = 1; // single VM: storage layer + clients
-    cfg.numClients = clients;
-    cfg.backend = backend;
-    cfg.clocks = ClockKind::Perfect; // eliminates clock skew
-    cfg.numKeys = keys;
-    cfg.seed = seed;
-    cfg.trace = trace;
-    cfg.metrics = metrics;
+    CellSpec spec;
+    spec.cluster.numShards = 1;
+    spec.cluster.replicasPerShard = 1; // single VM: storage + clients
+    spec.cluster.numClients = clients;
+    spec.cluster.backend = backend;
+    spec.cluster.clocks = ClockKind::Perfect; // eliminates clock skew
+    spec.cluster.numKeys = keys;
+    spec.cluster.seed = seed;
     // Same-machine "network": IPC-scale latency.
-    cfg.net.oneWayMean = 5 * common::kMicrosecond;
-    cfg.net.oneWaySigma = 1 * common::kMicrosecond;
-    cfg.net.minLatency = 1 * common::kMicrosecond;
-
-    Cluster cluster(cfg);
-    const auto populate_start = std::chrono::steady_clock::now();
-    cluster.populate();
-    const double populate_secs =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      populate_start)
-            .count();
-    cluster.start();
-
-    RetwisConfig retwis;
-    retwis.alpha = alpha;
-    retwis.numKeys = keys;
-    retwis.seed = seed + 100;
-    RetwisWorkload fleet(cluster, retwis);
-    fleet.start();
-
-    cluster.runUntil(cluster.now() + warmup);
-    fleet.resetMeasurement();
-    cluster.resetStats(); // align counters with the measured window
-    cluster.runFor(measure);
-    cluster.finishMetrics();
-
-    CellResult result;
-    result.abortPct = fleet.abortRate() * 100.0;
-    result.populateSeconds = populate_secs;
-    result.clientStats = cluster.clientStats();
-    result.serverStats = cluster.serverStats();
-    return result;
+    spec.cluster.net.oneWayMean = 5 * common::kMicrosecond;
+    spec.cluster.net.oneWaySigma = 1 * common::kMicrosecond;
+    spec.cluster.net.minLatency = 1 * common::kMicrosecond;
+    spec.alpha = alpha;
+    spec.warmup = warmup;
+    spec.window = measure;
+    return spec;
 }
 
 } // namespace
@@ -190,8 +143,8 @@ main(int argc, char **argv)
     std::vector<double> populateSecs(cells.size());
     runner.run(cells.size(), [&](std::size_t i) {
         const Cell &c = cells[i];
-        const CellResult r = runCell(c.backend, c.clients, c.alpha,
-                                     keys, warmup, measure, seed);
+        const CellReport r = workload::runCell(fig6Cell(
+            c.backend, c.clients, c.alpha, keys, warmup, measure, seed));
         abortPct[i] = r.abortPct;
         populateSecs[i] = r.populateSeconds;
     });
@@ -221,92 +174,26 @@ main(int argc, char **argv)
         "tardy read-only transactions commit from a snapshot; the gap\n"
         "grows with contention and client count.\n");
 
-    const std::string trace_path = args.getString("trace", "");
-    const std::string perfetto_path = args.getString("perfetto", "");
-    const std::string metrics_path = args.getString("metrics", "");
-    const bool monitor_on = args.has("monitor");
+    const double trace_alpha = args.getDouble("trace-alpha", 0.8);
+    const auto trace_clients =
+        static_cast<std::uint32_t>(args.getInt("trace-clients", 16));
+    CellSpec traced = fig6Cell(BackendKind::Mftl, trace_clients,
+                               trace_alpha, keys, warmup, measure, seed);
+    const bench::Observers observers(args, traced.cluster);
     bool monitor_failed = false;
-    if (!trace_path.empty() || !perfetto_path.empty() ||
-        !metrics_path.empty() || monitor_on) {
-        const double trace_alpha = args.getDouble("trace-alpha", 0.8);
-        const auto trace_clients = static_cast<std::uint32_t>(
-            args.getInt("trace-clients", 16));
-        common::TraceLog log(static_cast<std::size_t>(
-            args.getInt("trace-capacity", 262'144)));
-        common::InvariantMonitor monitor(
-            [] {
-                common::InvariantMonitor::Config mcfg;
-                // The traced cell is MFTL (multi-version), so the
-                // snapshot-read check is sound; single replica, so
-                // the replication check stays off.
-                mcfg.checkSnapshotReads = true;
-                mcfg.checkReplicationBeforeAck = false;
-                return mcfg;
-            }(),
-            &std::cerr);
-        if (monitor_on)
-            monitor.attach(log);
-        std::unique_ptr<common::MetricsRegistry> metrics;
-        if (!metrics_path.empty())
-            metrics = std::make_unique<common::MetricsRegistry>(
-                args.getDuration("metrics-interval",
-                                 100 * common::kMillisecond));
+    if (observers.any()) {
         std::printf("\ntracing one MFTL cell (alpha=%.2f, %u clients)"
                     "...\n",
                     trace_alpha, trace_clients);
-        const CellResult cell =
-            runCell(BackendKind::Mftl, trace_clients, trace_alpha, keys,
-                    warmup, measure, seed,
-                    (trace_path.empty() && perfetto_path.empty() &&
-                     !monitor_on)
-                        ? nullptr
-                        : &log,
-                    metrics.get());
-        if (!trace_path.empty()) {
-            std::ofstream os(trace_path);
-            if (!os) {
-                std::fprintf(stderr, "error: cannot write %s\n",
-                             trace_path.c_str());
-                return 1;
-            }
-            if (trace_path.size() >= 4 &&
-                trace_path.compare(trace_path.size() - 4, 4, ".csv") ==
-                    0)
-                log.writeCsv(os);
-            else
-                log.writeJson(os);
-            std::printf("wrote %s (%zu events kept, %llu dropped)\n",
-                        trace_path.c_str(), log.size(),
-                        static_cast<unsigned long long>(log.dropped()));
-        }
-        if (!perfetto_path.empty()) {
-            std::ofstream os(perfetto_path);
-            if (!os) {
-                std::fprintf(stderr, "error: cannot write %s\n",
-                             perfetto_path.c_str());
-                return 1;
-            }
-            log.writePerfetto(os, metrics != nullptr ? &metrics->log()
-                                                     : nullptr);
-            std::printf("wrote %s (Perfetto trace-event JSON; open at "
-                        "ui.perfetto.dev)\n",
-                        perfetto_path.c_str());
-        }
-        if (metrics != nullptr)
-            bench::writeMetricsOutputs(metrics->log(), metrics_path);
-        if (monitor_on) {
-            monitor.report(std::cout);
-            monitor_failed = !monitor.ok();
-        }
+        const CellReport cell = workload::runCell(traced);
+        monitor_failed = !observers.finish();
         report.params()
-            .set("trace_path", trace_path)
+            .set("trace_path", args.getString("trace", ""))
             .set("trace_alpha", trace_alpha)
             .set("trace_clients", trace_clients)
             .set("trace_abort_pct", cell.abortPct);
-        report.addStats("traced_cell.client", cell.clientStats,
-                        "client.");
-        report.addStats("traced_cell.server", cell.serverStats,
-                        "server.");
+        report.addStats("traced_cell.client", cell.client, "client.");
+        report.addStats("traced_cell.server", cell.server, "server.");
     }
 
     report.write(args);

@@ -25,16 +25,11 @@
 
 #include "bench_util.hh"
 #include "sweep_runner.hh"
-#include "workload/cluster.hh"
-#include "workload/retwis.hh"
+#include "workload/cell.hh"
 
 using common::kSecond;
 using workload::BackendKind;
 using workload::ClockKind;
-using workload::Cluster;
-using workload::ClusterConfig;
-using workload::RetwisConfig;
-using workload::RetwisWorkload;
 
 namespace {
 
@@ -50,34 +45,19 @@ runCell(BackendKind backend, ClockKind clocks, double alpha,
         common::Duration warmup, common::Duration measure,
         std::uint64_t seed)
 {
-    ClusterConfig cfg;
-    cfg.numShards = 1;
-    cfg.replicasPerShard = 3; // 1 primary + 2 backups (paper)
-    cfg.numClients = clients;
-    cfg.backend = backend;
-    cfg.clocks = clocks;
-    cfg.numKeys = keys;
-    cfg.seed = seed;
-
-    Cluster cluster(cfg);
-    cluster.populate();
-    cluster.start();
-
-    RetwisConfig retwis;
-    retwis.alpha = alpha;
-    retwis.numKeys = keys;
-    retwis.seed = seed + 100;
-    RetwisWorkload fleet(cluster, retwis);
-    fleet.start();
-
-    cluster.runUntil(cluster.now() + warmup);
-    fleet.resetMeasurement();
-    cluster.runFor(measure);
-
-    Cell cell;
-    cell.abortPct = fleet.abortRate() * 100.0;
-    cell.skewUs = cluster.avgClientSkew() / 1000.0;
-    return cell;
+    workload::CellSpec spec;
+    spec.cluster.numShards = 1;
+    spec.cluster.replicasPerShard = 3; // 1 primary + 2 backups (paper)
+    spec.cluster.numClients = clients;
+    spec.cluster.backend = backend;
+    spec.cluster.clocks = clocks;
+    spec.cluster.numKeys = keys;
+    spec.cluster.seed = seed;
+    spec.alpha = alpha;
+    spec.warmup = warmup;
+    spec.window = measure;
+    const workload::CellReport r = workload::runCell(spec);
+    return {r.abortPct, r.avgSkewNs / 1000.0};
 }
 
 } // namespace

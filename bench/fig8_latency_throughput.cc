@@ -22,17 +22,12 @@
 
 #include "bench_util.hh"
 #include "sweep_runner.hh"
-#include "workload/cluster.hh"
-#include "workload/retwis.hh"
+#include "workload/cell.hh"
 
 using common::kSecond;
 using common::toMillis;
 using workload::BackendKind;
 using workload::ClockKind;
-using workload::Cluster;
-using workload::ClusterConfig;
-using workload::RetwisConfig;
-using workload::RetwisWorkload;
 
 namespace {
 
@@ -48,38 +43,22 @@ runCell(BackendKind backend, bool local_validation,
         common::Duration warmup, common::Duration measure,
         std::uint64_t seed)
 {
-    ClusterConfig cfg;
-    cfg.numShards = 3;
-    cfg.replicasPerShard = 3;
-    cfg.numClients = clients;
-    cfg.backend = backend;
-    cfg.clocks = ClockKind::PtpSw;
-    cfg.numKeys = keys;
-    cfg.seed = seed;
-    cfg.localValidation = local_validation;
-
-    Cluster cluster(cfg);
-    cluster.populate();
-    cluster.start();
-
-    RetwisConfig retwis;
-    retwis.alpha = 0.6;
-    retwis.numKeys = keys;
-    retwis.readHeavy = true; // 5/10/10/75 mix
-    retwis.seed = seed + 100;
-    RetwisWorkload fleet(cluster, retwis);
-    fleet.start();
-
-    cluster.runUntil(cluster.now() + warmup);
-    fleet.resetMeasurement();
-    cluster.runFor(measure);
-
-    Cell cell;
-    cell.txnPerSec = static_cast<double>(fleet.totalCommits()) /
-                     common::toSeconds(measure);
-    cell.latencyMs = toMillis(static_cast<common::Duration>(
-        fleet.mergedLatency().mean()));
-    return cell;
+    workload::CellSpec spec;
+    spec.cluster.numShards = 3;
+    spec.cluster.replicasPerShard = 3;
+    spec.cluster.numClients = clients;
+    spec.cluster.backend = backend;
+    spec.cluster.clocks = ClockKind::PtpSw;
+    spec.cluster.numKeys = keys;
+    spec.cluster.seed = seed;
+    spec.cluster.localValidation = local_validation;
+    spec.alpha = 0.6;
+    spec.readHeavy = true; // 5/10/10/75 mix
+    spec.warmup = warmup;
+    spec.window = measure;
+    const workload::CellReport r = workload::runCell(spec);
+    return {static_cast<double>(r.commits) / common::toSeconds(measure),
+            toMillis(static_cast<common::Duration>(r.latency.mean()))};
 }
 
 } // namespace

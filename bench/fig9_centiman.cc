@@ -24,16 +24,11 @@
 
 #include "bench_util.hh"
 #include "sweep_runner.hh"
-#include "workload/cluster.hh"
-#include "workload/retwis.hh"
+#include "workload/cell.hh"
 
 using common::kSecond;
 using workload::BackendKind;
 using workload::ClockKind;
-using workload::Cluster;
-using workload::ClusterConfig;
-using workload::RetwisConfig;
-using workload::RetwisWorkload;
 
 namespace {
 
@@ -49,44 +44,31 @@ runCell(bool centiman, double alpha, std::uint64_t keys,
         std::uint32_t clients, common::Duration warmup,
         common::Duration measure, std::uint64_t seed)
 {
-    ClusterConfig cfg;
-    cfg.numShards = 3;
-    cfg.replicasPerShard = 1; // no replication (Centiman parity)
-    cfg.numClients = clients;
-    cfg.backend = BackendKind::Mftl;
-    cfg.clocks = ClockKind::PtpSw;
-    cfg.numKeys = keys;
-    cfg.seed = seed;
-    cfg.centiman = centiman;
-    cfg.centimanDisseminateEvery = 1000;
-
-    Cluster cluster(cfg);
-    cluster.populate();
-    cluster.start();
-
-    RetwisConfig retwis;
-    retwis.alpha = alpha;
-    retwis.numKeys = keys;
-    retwis.readHeavy = true;
-    retwis.seed = seed + 100;
-    RetwisWorkload fleet(cluster, retwis);
-    fleet.start();
-
-    cluster.runUntil(cluster.now() + warmup);
-    fleet.resetMeasurement();
-    cluster.resetStats();
-    cluster.runFor(measure);
+    workload::CellSpec spec;
+    spec.cluster.numShards = 3;
+    spec.cluster.replicasPerShard = 1; // no replication (Centiman parity)
+    spec.cluster.numClients = clients;
+    spec.cluster.backend = BackendKind::Mftl;
+    spec.cluster.clocks = ClockKind::PtpSw;
+    spec.cluster.numKeys = keys;
+    spec.cluster.seed = seed;
+    spec.cluster.centiman = centiman;
+    spec.cluster.centimanDisseminateEvery = 1000;
+    spec.alpha = alpha;
+    spec.readHeavy = true;
+    spec.warmup = warmup;
+    spec.window = measure;
+    const workload::CellReport r = workload::runCell(spec);
 
     Cell cell;
-    cell.txnPerSec = static_cast<double>(fleet.totalCommits()) /
-                     common::toSeconds(measure);
-    cell.abortPct = fleet.abortRate() * 100.0;
+    cell.txnPerSec =
+        static_cast<double>(r.commits) / common::toSeconds(measure);
+    cell.abortPct = r.abortPct;
     if (centiman) {
-        const auto stats = cluster.clientStats();
         const double local = static_cast<double>(
-            stats.counterValue("centiman.local_validated"));
+            r.client.counterValue("centiman.local_validated"));
         const double remote = static_cast<double>(
-            stats.counterValue("centiman.remote_validated"));
+            r.client.counterValue("centiman.remote_validated"));
         cell.localValidatedPct =
             local + remote == 0 ? 0.0 : 100.0 * local / (local + remote);
     }

@@ -220,18 +220,11 @@ ClockEnsemble::skewSampler()
                 const Duration skew = std::abs(
                     clocks_[i]->currentOffset() -
                     clocks_[j]->currentOffset());
-                skewHist_.record(skew);
-                maxSkew_ = std::max(maxSkew_, skew);
+                pairwiseSkew_.record(skew);
             }
         }
         co_await sim::sleepFor(sim_, 100 * kMillisecond);
     }
-}
-
-double
-ClockEnsemble::avgPairwiseSkew() const
-{
-    return skewHist_.mean();
 }
 
 Duration

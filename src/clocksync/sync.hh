@@ -166,14 +166,17 @@ class ClockEnsemble
     void setMasterDown(bool down);
     bool masterDown() const { return masterDown_; }
 
-    /** Exchange counters/offset histograms of all member agents. */
+    /** Exchange counters/offset histograms of all member agents, and
+     *  the sampled pairwise skew (clocksync.pairwise_skew). */
     const common::StatSet &stats() const { return stats_; }
+    /** Mutable access, to reset the set with the cluster's others. */
+    common::StatSet &stats() { return stats_; }
 
-    /** Mean absolute pairwise skew observed so far. */
-    double avgPairwiseSkew() const;
+    /** Mean absolute pairwise skew sampled since start or reset. */
+    double avgPairwiseSkew() const { return pairwiseSkew_.mean(); }
 
-    /** Max absolute pairwise skew observed so far. */
-    Duration maxPairwiseSkew() const { return maxSkew_; }
+    /** Max absolute pairwise skew sampled since start or reset. */
+    Duration maxPairwiseSkew() const { return pairwiseSkew_.max(); }
 
     /**
      * Max absolute pairwise skew right now (spread between the
@@ -183,8 +186,6 @@ class ClockEnsemble
      */
     Duration instantaneousMaxPairwiseSkew() const;
 
-    const common::Histogram &skewHistogram() const { return skewHist_; }
-
   private:
     sim::Task<void> skewSampler();
 
@@ -192,11 +193,13 @@ class ClockEnsemble
     SyncConfig cfg_;
     std::vector<std::unique_ptr<DriftClock>> clocks_;
     std::vector<std::unique_ptr<SyncAgent>> agents_;
-    common::Histogram skewHist_;
-    Duration maxSkew_ = 0;
     bool masterDown_ = false;
     common::StatSet stats_;
     ExchangeStats exchangeStats_{stats_};
+    /** Every clock pair's |offset difference|, every 100 ms; bound
+     *  once, so the sampler allocates nothing per sample. */
+    common::Histogram &pairwiseSkew_{
+        stats_.histogram("clocksync.pairwise_skew")};
     common::CounterHandle masterDowns_{stats_, "clocksync.master_down"};
     common::CounterHandle masterUps_{stats_, "clocksync.master_up"};
 };

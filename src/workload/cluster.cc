@@ -534,6 +534,9 @@ Cluster::resetStats()
         if (device != nullptr)
             device->stats().reset();
     }
+    net_.stats().reset();
+    if (ensemble_ != nullptr)
+        ensemble_->stats().reset();
 }
 
 double

@@ -164,7 +164,8 @@ class Cluster
     common::StatSet clientStats() const;
     /** Aggregate of all server stat sets. */
     common::StatSet serverStats() const;
-    /** Clock-sync exchange stats (empty without an ensemble). */
+    /** Clock-sync exchange stats and pairwise skew (empty without an
+     *  ensemble). */
     common::StatSet clockStats() const;
     /** Aggregate of all storage backend stat sets (mftl.*, vftl.*,
      *  dram.*, ...), plus the SFTL under each VFTL or single-version
@@ -174,13 +175,13 @@ class Cluster
     /** Aggregate of all flash device stat sets (ssd.*; empty on the
      *  DRAM backend). Counted like backendStats. */
     common::StatSet deviceStats() const;
-    /** Reset every client, server, backend and device counter and
-     *  histogram (end of warm-up), so all their sections cover the
-     *  measured window. Network and clock-sync stats are not reset. */
+    /** Reset every client, server, network, clock-sync, backend and
+     *  device counter and histogram (end of warm-up), so every
+     *  section covers the measured window. */
     void resetStats();
 
-    /** Average pairwise client clock skew observed (ns), if an
-     *  ensemble is running. */
+    /** Average pairwise client clock skew (ns) sampled since start()
+     *  or the last resetStats(); 0 without an ensemble. */
     double avgClientSkew() const;
 
     /**

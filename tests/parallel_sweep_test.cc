@@ -23,18 +23,13 @@
 #include "../bench/bench_util.hh"
 #include "../bench/sweep_runner.hh"
 #include "common/types.hh"
-#include "workload/cluster.hh"
-#include "workload/retwis.hh"
+#include "workload/cell.hh"
 
 namespace {
 
 using common::kSecond;
 using workload::BackendKind;
 using workload::ClockKind;
-using workload::Cluster;
-using workload::ClusterConfig;
-using workload::RetwisConfig;
-using workload::RetwisWorkload;
 
 TEST(SweepRunner, RunsEveryCellExactlyOnce)
 {
@@ -81,30 +76,18 @@ TEST(SweepRunner, JobsClampedToAtLeastOne)
 double
 runAbortCell(BackendKind backend, std::uint32_t clients, double alpha)
 {
-    ClusterConfig cfg;
-    cfg.numShards = 1;
-    cfg.replicasPerShard = 1;
-    cfg.numClients = clients;
-    cfg.backend = backend;
-    cfg.clocks = ClockKind::Perfect;
-    cfg.numKeys = 500;
-    cfg.seed = 1;
-
-    Cluster cluster(cfg);
-    cluster.populate();
-    cluster.start();
-
-    RetwisConfig retwis;
-    retwis.alpha = alpha;
-    retwis.numKeys = cfg.numKeys;
-    retwis.seed = cfg.seed + 100;
-    RetwisWorkload fleet(cluster, retwis);
-    fleet.start();
-
-    cluster.sim().runUntil(cluster.sim().now() + kSecond / 4);
-    fleet.resetMeasurement();
-    cluster.sim().runFor(kSecond / 2);
-    return fleet.abortRate() * 100.0;
+    workload::CellSpec spec;
+    spec.cluster.numShards = 1;
+    spec.cluster.replicasPerShard = 1;
+    spec.cluster.numClients = clients;
+    spec.cluster.backend = backend;
+    spec.cluster.clocks = ClockKind::Perfect;
+    spec.cluster.numKeys = 500;
+    spec.cluster.seed = 1;
+    spec.alpha = alpha;
+    spec.warmup = kSecond / 4;
+    spec.window = kSecond / 2;
+    return workload::runCell(spec).abortPct;
 }
 
 /** Render the small grid as a milana-bench-v1 report string. */

@@ -5,6 +5,8 @@
  * knob, the micro-benchmark driver, and the Centiman baseline.
  */
 
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "flash/ssd.hh"
@@ -155,9 +157,30 @@ TEST(Retwis, CentimanRunsAndValidates)
               0u);
 }
 
-TEST(Cluster, StatsAggregationAndReset)
+namespace {
+
+/** Every section a cell reports: client, server, network, clock
+ *  sync, backend and device. */
+std::vector<common::StatSet>
+sections(Cluster &cluster)
 {
-    ClusterConfig cfg = tinyCluster(BackendKind::Dram, 2);
+    return {cluster.clientStats(),      cluster.serverStats(),
+            cluster.network().stats(),  cluster.clockStats(),
+            cluster.backendStats(),     cluster.deviceStats()};
+}
+
+/**
+ * A PTP-SW MFTL cell with backups, so every section counts something:
+ * 1 s of warm-up, then @p atWindowStart, then a 1 s window.
+ * @return the sections at the window's end.
+ */
+template <typename F>
+std::vector<common::StatSet>
+runPtpCell(F atWindowStart)
+{
+    ClusterConfig cfg = tinyCluster(BackendKind::Mftl);
+    cfg.replicasPerShard = 3;
+    cfg.clocks = ClockKind::PtpSw;
     Cluster cluster(cfg);
     cluster.populate();
     cluster.start();
@@ -165,10 +188,49 @@ TEST(Cluster, StatsAggregationAndReset)
     rcfg.numKeys = cfg.numKeys;
     RetwisWorkload fleet(cluster, rcfg);
     fleet.start();
-    cluster.sim().runFor(kSecond);
-    EXPECT_GT(cluster.clientStats().counterValue("txn.begun"), 0u);
-    cluster.resetStats();
-    EXPECT_EQ(cluster.clientStats().counterValue("txn.begun"), 0u);
+    cluster.runUntil(cluster.now() + kSecond);
+    atWindowStart(cluster);
+    cluster.runUntil(cluster.now() + kSecond);
+    return sections(cluster);
+}
+
+} // namespace
+
+TEST(Cluster, StatsAggregationAndReset)
+{
+    // A twin of the same seed is only snapshotted at the window's
+    // start: resetStats() changes no simulation decision, so the
+    // twin's growth across the window is what the reset cell must
+    // count.
+    std::vector<common::StatSet> twin_start;
+    const std::vector<common::StatSet> twin_end =
+        runPtpCell([&](Cluster &c) { twin_start = sections(c); });
+
+    const std::vector<common::StatSet> end = runPtpCell([](Cluster &c) {
+        for (const common::StatSet &s : sections(c))
+            EXPECT_FALSE(s.counters().empty());
+        EXPECT_GT(c.avgClientSkew(), 0.0);
+        c.resetStats();
+        for (const common::StatSet &s : sections(c)) {
+            for (const auto &[name, counter] : s.counters())
+                EXPECT_EQ(counter.value(), 0u) << name;
+            for (const auto &[name, hist] : s.histograms())
+                EXPECT_EQ(hist.count(), 0u) << name;
+        }
+        EXPECT_EQ(c.avgClientSkew(), 0.0);
+    });
+
+    ASSERT_EQ(end.size(), twin_end.size());
+    const std::uint64_t calls =
+        twin_end[2].counterValue("net.calls") -
+        twin_start[2].counterValue("net.calls");
+    EXPECT_GT(calls, 0u);
+    EXPECT_EQ(end[2].counterValue("net.calls"), calls);
+    for (std::size_t i = 0; i < end.size(); ++i)
+        for (const auto &[name, counter] : twin_end[i].counters())
+            EXPECT_EQ(end[i].counterValue(name),
+                      counter.value() - twin_start[i].counterValue(name))
+                << name;
 }
 
 TEST(Cluster, TxnTableStaysBoundedOverLongRun)

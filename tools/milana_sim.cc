@@ -20,25 +20,16 @@
  */
 
 #include <cstdio>
-#include <fstream>
-#include <iostream>
 #include <memory>
 #include <string>
 
 #include "../bench/bench_util.hh"
 #include "common/chaos.hh"
-#include "common/invariant_monitor.hh"
-#include "common/trace.hh"
-#include "workload/cluster.hh"
-#include "workload/retwis.hh"
+#include "workload/cell.hh"
 
 using common::kSecond;
 using workload::BackendKind;
 using workload::ClockKind;
-using workload::Cluster;
-using workload::ClusterConfig;
-using workload::RetwisConfig;
-using workload::RetwisWorkload;
 
 namespace {
 
@@ -115,7 +106,8 @@ main(int argc, char **argv)
         return 0;
     }
 
-    ClusterConfig cfg;
+    workload::CellSpec spec;
+    workload::ClusterConfig &cfg = spec.cluster;
     cfg.numShards = static_cast<std::uint32_t>(args.getInt("shards", 3));
     cfg.replicasPerShard =
         static_cast<std::uint32_t>(args.getInt("replicas", 3));
@@ -127,6 +119,10 @@ main(int argc, char **argv)
     cfg.clocks = parseClocks(args.getString("clocks", "ptp"));
     cfg.localValidation = !args.has("no-local-validation");
     cfg.centiman = args.has("centiman");
+    spec.alpha = args.getDouble("alpha", 0.6);
+    spec.readHeavy = args.has("read-heavy");
+    spec.warmup = args.getInt("warmup", 1) * kSecond;
+    spec.window = args.getInt("seconds", 5) * kSecond;
 
     const std::string chaos_path = args.getString("chaos", "");
     std::unique_ptr<common::ChaosEngine> chaos;
@@ -141,89 +137,38 @@ main(int argc, char **argv)
         }
         cfg.chaos = chaos.get();
     }
-
-    const std::string trace_path = args.getString("trace", "");
-    const std::string perfetto_path = args.getString("perfetto", "");
-    const bool monitor_on = args.has("monitor");
-    std::unique_ptr<common::TraceLog> trace;
-    if (!trace_path.empty() || !perfetto_path.empty() || monitor_on) {
-        trace = std::make_unique<common::TraceLog>(
-            static_cast<std::size_t>(
-                args.getInt("trace-capacity", 262'144)));
-        cfg.trace = trace.get();
-    }
-    const std::string metrics_path = args.getString("metrics", "");
-    std::unique_ptr<common::MetricsRegistry> metrics;
-    if (!metrics_path.empty()) {
-        metrics = std::make_unique<common::MetricsRegistry>(
-            args.getDuration("metrics-interval",
-                             100 * common::kMillisecond));
-        cfg.metrics = metrics.get();
-    }
-    std::unique_ptr<common::InvariantMonitor> monitor;
-    if (monitor_on) {
-        common::InvariantMonitor::Config mcfg;
-        // Single-version FTLs legitimately return versions newer than
-        // the snapshot and rely on validation to abort.
-        mcfg.checkSnapshotReads =
-            cfg.backend != BackendKind::SingleVersion;
-        mcfg.checkReplicationBeforeAck = cfg.replicasPerShard > 1;
-        monitor = std::make_unique<common::InvariantMonitor>(mcfg,
-                                                             &std::cerr);
-        monitor->attach(*trace);
-    }
-
-    RetwisConfig retwis;
-    retwis.alpha = args.getDouble("alpha", 0.6);
-    retwis.numKeys = cfg.numKeys;
-    retwis.readHeavy = args.has("read-heavy");
-    retwis.seed = cfg.seed + 100;
-
-    const auto warmup = args.getInt("warmup", 1) * kSecond;
-    const auto measure = args.getInt("seconds", 5) * kSecond;
+    const bench::Observers observers(args, cfg);
 
     std::printf("milana_sim: %u shard(s) x %u replica(s), %u clients, "
                 "%s backend, %s clocks, alpha=%.2f%s%s\n",
                 cfg.numShards, cfg.replicasPerShard, cfg.numClients,
                 workload::backendName(cfg.backend),
-                workload::clockName(cfg.clocks), retwis.alpha,
+                workload::clockName(cfg.clocks), spec.alpha,
                 cfg.localValidation ? "" : ", LV off",
                 cfg.centiman ? ", centiman validation" : "");
-
-    Cluster cluster(cfg);
     std::printf("populating %llu keys...\n",
                 static_cast<unsigned long long>(cfg.numKeys));
-    cluster.populate();
-    cluster.start();
-
-    RetwisWorkload fleet(cluster, retwis);
-    fleet.start();
-
-    cluster.runUntil(cluster.now() + warmup);
-    fleet.resetMeasurement();
-    cluster.resetStats();
     if (chaos != nullptr) {
-        // Schedule times are relative to this instant: warmup and
-        // population ran fault-free.
-        cluster.armChaos();
-        std::printf("chaos armed: %zu fault(s) from %s (seed %lld)\n",
+        // Armed when the window starts: schedule times are relative
+        // to the end of warmup, so population and warmup run
+        // fault-free.
+        std::printf("chaos: %zu fault(s) from %s (seed %lld), armed "
+                    "after warmup\n",
                     chaos->faultCount(), chaos_path.c_str(),
                     static_cast<long long>(
                         args.getInt("chaos-seed", 42)));
     }
-    cluster.runFor(measure);
-    cluster.finishMetrics();
+    const workload::CellReport r = workload::runCell(spec);
 
-    const double seconds = common::toSeconds(measure);
-    const auto latency = fleet.mergedLatency();
+    const double seconds = common::toSeconds(spec.window);
+    const common::Histogram &latency = r.latency;
     std::printf("\n=== results (%.0fs measured after %.0fs warmup) ===\n",
-                seconds, common::toSeconds(warmup));
+                seconds, common::toSeconds(spec.warmup));
     std::printf("committed:  %10llu  (%.0f txn/s)\n",
-                static_cast<unsigned long long>(fleet.totalCommits()),
-                static_cast<double>(fleet.totalCommits()) / seconds);
+                static_cast<unsigned long long>(r.commits),
+                static_cast<double>(r.commits) / seconds);
     std::printf("aborted:    %10llu  (abort rate %.2f%%)\n",
-                static_cast<unsigned long long>(fleet.totalAborts()),
-                fleet.abortRate() * 100.0);
+                static_cast<unsigned long long>(r.aborts), r.abortPct);
     std::printf("latency:    mean %.2f ms, p50 %.2f, p95 %.2f, p99 "
                 "%.2f\n",
                 common::toMillis(
@@ -233,59 +178,34 @@ main(int argc, char **argv)
                 common::toMillis(latency.p99()));
     if (cfg.clocks != ClockKind::Perfect)
         std::printf("avg client clock skew: %.1f us\n",
-                    cluster.avgClientSkew() / 1000.0);
-
-    const auto clients = cluster.clientStats();
+                    r.avgSkewNs / 1000.0);
     std::printf("local validations: %llu  (failures %llu)\n",
                 static_cast<unsigned long long>(
-                    clients.counterValue("txn.local_validations")),
-                static_cast<unsigned long long>(clients.counterValue(
+                    r.client.counterValue("txn.local_validations")),
+                static_cast<unsigned long long>(r.client.counterValue(
                     "txn.local_validation_fail")));
 
+    // Every section, printed and in the report, covers the window.
+    const struct
+    {
+        const char *name;
+        const common::StatSet &stats;
+        const char *prefix;
+    } sections[] = {
+        {"client", r.client, "client."},
+        {"server", r.server, "server."},
+        {"network", r.network, "net."},
+        {"clocksync", r.clock, ""},
+        {"backend", r.backend, "ftl."},
+        {"device", r.device, "flash."},
+    };
     if (args.has("dump-stats")) {
-        std::printf("\n--- client stats ---\n%s",
-                    clients.dump("  ").c_str());
-        std::printf("--- server stats ---\n%s",
-                    cluster.serverStats().dump("  ").c_str());
-        std::printf("--- network stats ---\n%s",
-                    cluster.network().stats().dump("  ").c_str());
-        std::printf("--- backend stats ---\n%s",
-                    cluster.backendStats().dump("  ").c_str());
-        std::printf("--- device stats ---\n%s",
-                    cluster.deviceStats().dump("  ").c_str());
+        std::printf("\n");
+        for (const auto &section : sections)
+            std::printf("--- %s stats ---\n%s", section.name,
+                        section.stats.dump("  ").c_str());
     }
-
-    if (!trace_path.empty()) {
-        std::ofstream os(trace_path);
-        if (!os) {
-            std::fprintf(stderr, "error: cannot write %s\n",
-                         trace_path.c_str());
-            return 1;
-        }
-        if (trace_path.size() >= 4 &&
-            trace_path.compare(trace_path.size() - 4, 4, ".csv") == 0)
-            trace->writeCsv(os);
-        else
-            trace->writeJson(os);
-        std::printf("wrote %s (%zu events kept, %llu dropped)\n",
-                    trace_path.c_str(), trace->size(),
-                    static_cast<unsigned long long>(trace->dropped()));
-    }
-    if (!perfetto_path.empty()) {
-        std::ofstream os(perfetto_path);
-        if (!os) {
-            std::fprintf(stderr, "error: cannot write %s\n",
-                         perfetto_path.c_str());
-            return 1;
-        }
-        trace->writePerfetto(os, metrics != nullptr ? &metrics->log()
-                                                    : nullptr);
-        std::printf("wrote %s (Perfetto trace-event JSON; open at "
-                    "ui.perfetto.dev)\n",
-                    perfetto_path.c_str());
-    }
-    if (metrics != nullptr)
-        bench::writeMetricsOutputs(metrics->log(), metrics_path);
+    const bool monitor_ok = observers.finish();
 
     bench::Report report("milana_sim");
     report.params()
@@ -296,11 +216,11 @@ main(int argc, char **argv)
         .set("seed", cfg.seed)
         .set("backend", workload::backendName(cfg.backend))
         .set("clocks", workload::clockName(cfg.clocks))
-        .set("alpha", retwis.alpha)
-        .set("read_heavy", retwis.readHeavy)
+        .set("alpha", spec.alpha)
+        .set("read_heavy", spec.readHeavy)
         .set("local_validation", cfg.localValidation)
         .set("centiman", cfg.centiman)
-        .set("warmup_s", common::toSeconds(warmup))
+        .set("warmup_s", common::toSeconds(spec.warmup))
         .set("seconds", seconds);
     if (chaos != nullptr) {
         report.params()
@@ -310,30 +230,19 @@ main(int argc, char **argv)
             .set("chaos_heals", chaos->heals());
     }
     report.addRow()
-        .set("committed", fleet.totalCommits())
-        .set("aborted", fleet.totalAborts())
-        .set("txn_per_sec",
-             static_cast<double>(fleet.totalCommits()) / seconds)
-        .set("abort_pct", fleet.abortRate() * 100.0)
+        .set("committed", r.commits)
+        .set("aborted", r.aborts)
+        .set("txn_per_sec", static_cast<double>(r.commits) / seconds)
+        .set("abort_pct", r.abortPct)
         .set("latency_mean_ms",
              common::toMillis(
                  static_cast<common::Duration>(latency.mean())))
         .set("latency_p50_ms", common::toMillis(latency.p50()))
         .set("latency_p95_ms", common::toMillis(latency.p95()))
         .set("latency_p99_ms", common::toMillis(latency.p99()))
-        .set("avg_client_skew_us", cluster.avgClientSkew() / 1000.0);
-    report.addStats("client", clients, "client.");
-    report.addStats("server", cluster.serverStats(), "server.");
-    report.addStats("network", cluster.network().stats(), "net.");
-    report.addStats("clocksync", cluster.clockStats());
-    report.addStats("backend", cluster.backendStats(), "ftl.");
-    report.addStats("device", cluster.deviceStats(), "flash.");
+        .set("avg_client_skew_us", r.avgSkewNs / 1000.0);
+    for (const auto &section : sections)
+        report.addStats(section.name, section.stats, section.prefix);
     report.write(args);
-
-    if (monitor != nullptr) {
-        monitor->report(std::cout);
-        if (!monitor->ok())
-            return 1;
-    }
-    return 0;
+    return monitor_ok ? 0 : 1;
 }
