@@ -19,6 +19,7 @@
 #ifndef BENCH_BENCH_UTIL_HH
 #define BENCH_BENCH_UTIL_HH
 
+#include <charconv>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -28,6 +29,7 @@
 #include <memory>
 #include <ostream>
 #include <string>
+#include <system_error>
 #include <type_traits>
 #include <utility>
 #include <variant>
@@ -63,13 +65,31 @@ class Args
         return def;
     }
 
+    /**
+     * A count flag (every integer flag is one): a whole non-negative
+     * decimal. Returns @p def when absent; exits 2, naming the flag, on
+     * anything else, such as "-1", "0.5", "abc" or "10x".
+     */
     std::int64_t
     getInt(const std::string &name, std::int64_t def) const
     {
         const std::string prefix = "--" + name + "=";
         for (const auto &a : args_) {
-            if (a.rfind(prefix, 0) == 0)
-                return std::atoll(a.c_str() + prefix.size());
+            if (a.rfind(prefix, 0) != 0)
+                continue;
+            const std::string text = a.substr(prefix.size());
+            std::int64_t v = 0;
+            const char *end = text.data() + text.size();
+            if (text.empty() ||
+                text.find_first_not_of("0123456789") != std::string::npos ||
+                std::from_chars(text.data(), end, v).ec != std::errc()) {
+                std::fprintf(stderr,
+                             "bad --%s '%s' (a whole non-negative "
+                             "number)\n",
+                             name.c_str(), text.c_str());
+                std::exit(2);
+            }
+            return v;
         }
         return def;
     }

@@ -117,16 +117,14 @@ main(int argc, char **argv)
     // --alpha=0.8 --clients=16). Absent, the full grid runs and the
     // --json report is unchanged.
     const std::string only_alpha = args.getString("alpha", "");
-    const std::string only_clients = args.getString("clients", "");
+    const std::int64_t only_clients = args.getInt("clients", -1);
     std::vector<Cell> cells;
     for (double alpha : {0.6, 0.8, 0.99}) {
         if (!only_alpha.empty() &&
             std::abs(alpha - std::atof(only_alpha.c_str())) > 1e-9)
             continue;
         for (std::uint32_t clients : {4u, 8u, 16u, 32u}) {
-            if (!only_clients.empty() &&
-                clients != static_cast<std::uint32_t>(
-                               std::atoll(only_clients.c_str())))
+            if (only_clients >= 0 && clients != only_clients)
                 continue;
             cells.push_back({alpha, clients, BackendKind::SingleVersion});
             cells.push_back({alpha, clients, BackendKind::Mftl});

@@ -75,6 +75,15 @@ SyncConfig::perfect()
 
 namespace {
 
+/** Mean one-way network delay of sync messages. */
+constexpr double kPathDelayMean = 50.0 * kMicrosecond;
+/**
+ * Frequency-servo damping: fraction of the apparent frequency error
+ * (measured offset / sync interval) trimmed per exchange. Every preset,
+ * NTP included, syntonizes; the offset itself is corrected in full.
+ */
+constexpr double kFrequencyGain = 0.7;
+
 /** Steady-state residual offset std-dev for a full-gain discipline. */
 double
 steadyStateSigma(const SyncConfig &cfg)
@@ -116,12 +125,13 @@ SyncAgent::performExchange()
     // which the offset moves by picoseconds; we therefore evaluate the
     // slave offset once, at the current instant.
     const double offset = static_cast<double>(clock_.currentOffset());
-    const double mean_d = static_cast<double>(cfg_.pathDelayMean);
     const double sigma_d = static_cast<double>(cfg_.pathDelaySigma);
     const double sigma_ts = static_cast<double>(cfg_.timestampNoiseSigma);
 
-    const double d_ms = std::max(0.0, rng_.nextGaussian(mean_d, sigma_d));
-    const double d_sm = std::max(0.0, rng_.nextGaussian(mean_d, sigma_d));
+    const double d_ms =
+        std::max(0.0, rng_.nextGaussian(kPathDelayMean, sigma_d));
+    const double d_sm =
+        std::max(0.0, rng_.nextGaussian(kPathDelayMean, sigma_d));
     const double wait = 100.0 * kMicrosecond; // slave turn-around
 
     // Four timestamps of the IEEE-1588 exchange, each with
@@ -141,15 +151,14 @@ SyncAgent::performExchange()
     // whatever reappeared is (drift * interval + noise), so the
     // apparent frequency error is measured / interval. Skip the first
     // exchange — its measurement contains the arbitrary initial offset.
-    if (havePrevious_ && cfg_.frequencyGain > 0.0) {
+    if (havePrevious_) {
         const double ppm =
             measured / static_cast<double>(cfg_.interval) * 1e6;
-        clock_.adjustRatePpm(-cfg_.frequencyGain * ppm);
+        clock_.adjustRatePpm(-kFrequencyGain * ppm);
     }
     havePrevious_ = true;
 
-    clock_.applyCorrection(
-        static_cast<Duration>(std::llround(measured)), cfg_.gain);
+    clock_.applyCorrection(static_cast<Duration>(std::llround(measured)));
 
     const auto measured_ns =
         static_cast<std::int64_t>(std::llround(measured));

@@ -46,18 +46,9 @@ struct SyncConfig
     Duration interval = 2 * common::kSecond;
     /** Std-dev of each of the four timestamps' noise. */
     Duration timestampNoiseSigma = 0;
-    /** Mean one-way network delay of sync messages. */
-    Duration pathDelayMean = 50 * common::kMicrosecond;
-    /** Std-dev of each one-way delay (asymmetry source). */
+    /** Std-dev of each one-way delay of sync messages (asymmetry
+     *  source); the mean is SyncAgent's constant. */
     Duration pathDelaySigma = 5 * common::kMicrosecond;
-    /** Fraction of the measured offset corrected per exchange. */
-    double gain = 1.0;
-    /**
-     * Frequency-servo damping: fraction of the apparent frequency
-     * error (measured offset / sync interval) trimmed per exchange.
-     * 0 disables syntonization (NTP-like loose discipline).
-     */
-    double frequencyGain = 0.7;
 
     /** PTP with NIC hardware timestamping: sub-microsecond skew. */
     static SyncConfig ptpHardware();

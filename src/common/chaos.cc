@@ -57,6 +57,14 @@ parseDouble(std::string_view tok, double *out)
     return true;
 }
 
+/** A selector's index: a node, shard, replica, client or clock
+ *  number, so never negative. */
+bool
+parseIndex(std::string_view tok, std::int64_t *out)
+{
+    return parseInt(tok, out) && *out >= 0;
+}
+
 /** `node:3`, `node:*`, `primary:0`, `backup:0:1`, `client:2`,
  *  `client:*`, `clock:1`, `clients`, `servers`, `all`. */
 bool
@@ -87,7 +95,7 @@ parseNodeSel(std::string_view tok, NodeSel *out)
             return true;
         }
         out->kind = NodeSel::Kind::Node;
-        return parseInt(rest, &out->index);
+        return parseIndex(rest, &out->index);
     }
     if (head == "client") {
         if (rest == "*") {
@@ -95,19 +103,19 @@ parseNodeSel(std::string_view tok, NodeSel *out)
             return true;
         }
         out->kind = NodeSel::Kind::Client;
-        return parseInt(rest, &out->index);
+        return parseIndex(rest, &out->index);
     }
     if (head == "primary") {
         out->kind = NodeSel::Kind::Primary;
-        return parseInt(rest, &out->index);
+        return parseIndex(rest, &out->index);
     }
     if (head == "backup") {
         const std::size_t colon2 = rest.find(':');
         out->kind = NodeSel::Kind::Backup;
         if (colon2 == std::string_view::npos)
-            return parseInt(rest, &out->index);
-        return parseInt(rest.substr(0, colon2), &out->index) &&
-               parseInt(rest.substr(colon2 + 1), &out->sub);
+            return parseIndex(rest, &out->index);
+        return parseIndex(rest.substr(0, colon2), &out->index) &&
+               parseIndex(rest.substr(colon2 + 1), &out->sub);
     }
     return false;
 }

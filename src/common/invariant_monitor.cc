@@ -23,7 +23,7 @@ InvariantMonitor::track(std::uint64_t traceId)
     auto it = txns_.find(traceId);
     if (it != txns_.end())
         return it->second;
-    if (txns_.size() >= config_.maxTrackedTraces && !txnOrder_.empty()) {
+    if (txns_.size() >= kMaxTrackedTraces && !txnOrder_.empty()) {
         txns_.erase(txnOrder_.front());
         txnOrder_.pop_front();
     }
@@ -63,7 +63,7 @@ InvariantMonitor::onEvent(const TraceEvent &e)
     // violation detected below reports a history that includes it.
     if (e.traceId != 0) {
         TxnState &txn = track(e.traceId);
-        if (txn.timeline.size() >= config_.maxTimelineEvents) {
+        if (txn.timeline.size() >= kMaxTimelineEvents) {
             txn.timeline.pop_front();
             txn.timelineTruncated = true;
         }

@@ -64,11 +64,6 @@ class InvariantMonitor
         std::int64_t maxQueueDepth = 128;
         /** Print each violation to @p err as soon as it is detected. */
         bool failFast = true;
-        /** Timeline events retained per in-flight transaction. */
-        std::size_t maxTimelineEvents = 64;
-        /** In-flight transactions tracked before the oldest is
-         *  forgotten (bounds memory on runs that never finish txns). */
-        std::size_t maxTrackedTraces = 4096;
     };
 
     struct Violation
@@ -78,7 +73,7 @@ class InvariantMonitor
         std::uint64_t traceId = 0; ///< 0 when not txn-scoped
         Time trueTime = 0;
         /** The offending transaction's buffered events (may be
-         *  truncated to Config::maxTimelineEvents). */
+         *  truncated to kMaxTimelineEvents). */
         std::vector<TraceEvent> timeline;
     };
 
@@ -102,6 +97,11 @@ class InvariantMonitor
 
   private:
     static constexpr std::size_t kMaxRetained = 16;
+    /** Timeline events retained per in-flight transaction. */
+    static constexpr std::size_t kMaxTimelineEvents = 64;
+    /** In-flight transactions tracked before the oldest is forgotten
+     *  (bounds memory on runs that never finish txns). */
+    static constexpr std::size_t kMaxTrackedTraces = 4096;
 
     struct TxnState
     {

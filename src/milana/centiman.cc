@@ -39,11 +39,10 @@ CentimanClient::CentimanClient(sim::Simulator &sim, net::Network &net,
                                clocksync::Clock &clock,
                                const semel::Master &master,
                                const semel::Directory &directory,
-                               const semel::Client::Config &config,
                                const TxnConfig &txn_config,
                                CentimanSystem &system)
     : MilanaClient(sim, net, node, client_id, clock, master, directory,
-                   config, txn_config),
+                   txn_config),
       system_(system)
 {
     system_.registerClient(client_id);

@@ -70,7 +70,6 @@ class CentimanClient : public MilanaClient
                    ClientId client_id, clocksync::Clock &clock,
                    const semel::Master &master,
                    const semel::Directory &directory,
-                   const semel::Client::Config &config,
                    const TxnConfig &txn_config, CentimanSystem &system);
 
   protected:

@@ -14,6 +14,10 @@ namespace milana {
 
 namespace {
 
+/** Resends of a prepare whose RPC timed out before the participant
+ *  counts as failed. */
+constexpr std::uint32_t kPrepareRetries = 2;
+
 /** "txn.abort.<reason>", built once per reason; handles keep views. */
 const std::string &
 abortCounterName(std::size_t reason)
@@ -43,10 +47,8 @@ MilanaClient::MilanaClient(sim::Simulator &sim, net::Network &net,
                            clocksync::Clock &clock,
                            const semel::Master &master,
                            const semel::Directory &directory,
-                           const semel::Client::Config &config,
                            const TxnConfig &txn_config)
-    : semel::Client(sim, net, node, client_id, clock, master, directory,
-                    config),
+    : semel::Client(sim, net, node, client_id, clock, master, directory),
       tcfg_(txn_config),
       abortCounters_(abortCounters(
           stats_, std::make_index_sequence<kAbortReasons>{}))
@@ -284,8 +286,7 @@ MilanaClient::twoPhaseCommit(Transaction &txn, bool read_only)
                       VoteState *votes) -> sim::Task<void> {
             std::optional<semel::PrepareResponse> resp;
             for (std::uint32_t attempt = 0;
-                 attempt <= self->tcfg_.prepareRetries && !resp;
-                 ++attempt) {
+                 attempt <= kPrepareRetries && !resp; ++attempt) {
                 resp = co_await self->net_.callTyped<semel::PrepareResponse>(
                     self->nodeId(), primary->nodeId(),
                     primary->handlePrepare(request));

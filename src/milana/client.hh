@@ -132,7 +132,6 @@ class MilanaClient : public semel::Client
         /** Client-local validation of read-only transactions
          *  (section 4.3). Off = remote validation (Figure 8 w/o LV). */
         bool localValidation = true;
-        std::uint32_t prepareRetries = 2;
         /** Section 4.6 relaxation: transactions hinted read-write may
          *  read from any replica (load balancing); their reads are
          *  re-validated at the primary during prepare. */
@@ -147,7 +146,6 @@ class MilanaClient : public semel::Client
                  ClientId client_id, clocksync::Clock &clock,
                  const semel::Master &master,
                  const semel::Directory &directory,
-                 const semel::Client::Config &config,
                  const TxnConfig &txn_config);
     ~MilanaClient() override = default;
 

@@ -12,16 +12,30 @@ namespace milana {
 
 using common::kMillisecond;
 
+namespace {
+
+/** Read-lease term a backup grants its primary. Leases run exactly
+ *  when the server has backups: a lone replica has no successor whose
+ *  reads it could contradict. */
+constexpr common::Duration kLeaseDuration = 2 * common::kSecond;
+/** How often the primary renews its lease. */
+constexpr common::Duration kLeaseRenewPeriod = 500 * kMillisecond;
+/** Age at which a prepared transaction counts as orphaned and the
+ *  cooperative termination protocol resolves it (section 4.5)... */
+constexpr common::Duration kCtpTimeout = 50 * kMillisecond;
+/** ...checked by a scan this often. */
+constexpr common::Duration kCtpScanPeriod = 20 * kMillisecond;
+
+} // namespace
+
 MilanaServer::MilanaServer(sim::Simulator &sim, net::Network &net,
                            NodeId id, common::ShardId shard,
                            ftl::KvBackend &backend,
                            clocksync::Clock &clock,
-                           const semel::Server::Config &config,
-                           const MilanaConfig &milana_config,
+                           std::uint32_t expected_clients,
                            semel::Master &master,
                            semel::Directory &directory)
-    : semel::Server(sim, net, id, shard, backend, config),
-      mcfg_(milana_config),
+    : semel::Server(sim, net, id, shard, backend, expected_clients),
       clock_(clock),
       master_(master),
       directory_(directory)
@@ -32,7 +46,7 @@ void
 MilanaServer::start()
 {
     started_ = true;
-    if (mcfg_.enableLeases && !backups_.empty())
+    if (!backups_.empty())
         sim::spawn(leaseLoop());
     sim::spawn(ctpScanLoop());
 }
@@ -110,8 +124,7 @@ MilanaServer::handleGet(GetRequest request)
     // ts_latestRead values.
     const Time deadline = sim_.now() + common::kSecond;
     while (recovering_ ||
-           (mcfg_.enableLeases && !backups_.empty() &&
-            request.at.timestamp > leaseUntil_)) {
+           (!backups_.empty() && request.at.timestamp > leaseUntil_)) {
         if (sim_.now() > deadline || sim_.stopRequested()) {
             resp.unavailable = true;
             getUnavailable_.inc();
@@ -426,9 +439,6 @@ MilanaServer::replicateTxnRecord(const TxnSlot &record, bool wait_quorum)
     common::ScopedSpan span(trace_, "milana.repl.txn_record", kind);
     const Time started = sim_.now();
 
-    const auto needed = std::min<std::uint32_t>(
-        config_.backupAcksNeeded,
-        static_cast<std::uint32_t>(backups_.size()));
     // The quorum answers the caller. An outcome may be truncated only
     // once every backup has acked it (DESIGN.md section 7).
     const auto all_backups =
@@ -436,7 +446,7 @@ MilanaServer::replicateTxnRecord(const TxnSlot &record, bool wait_quorum)
             ? 0
             : static_cast<std::uint32_t>(backups_.size());
     const ReplicateTxnRecord wire = record.toRecord();
-    sim::SharedQuorum quorum(sim_, needed);
+    sim::SharedQuorum quorum(sim_, semel::backupQuorum(backups_.size()));
     for (semel::Server *backup : backups_) {
         auto *mb = dynamic_cast<MilanaServer *>(backup);
         if (mb == nullptr)
@@ -473,10 +483,7 @@ MilanaServer::barrierBackups()
 {
     if (backups_.empty())
         co_return;
-    const auto needed = std::min<std::uint32_t>(
-        config_.backupAcksNeeded,
-        static_cast<std::uint32_t>(backups_.size()));
-    sim::SharedQuorum quorum(sim_, needed);
+    sim::SharedQuorum quorum(sim_, semel::backupQuorum(backups_.size()));
     for (semel::Server *backup : backups_) {
         auto *mb = dynamic_cast<MilanaServer *>(backup);
         sim::spawn([](MilanaServer *self, MilanaServer *backup,
@@ -530,15 +537,8 @@ MilanaServer::handleLeaseGrant(Time until)
 sim::Task<bool>
 MilanaServer::renewLease()
 {
-    const Time until = clock_.localNow() + mcfg_.leaseDuration;
-    const auto needed = std::min<std::uint32_t>(
-        config_.backupAcksNeeded,
-        static_cast<std::uint32_t>(backups_.size()));
-    if (needed == 0) {
-        leaseUntil_ = until;
-        co_return true;
-    }
-    sim::SharedQuorum quorum(sim_, needed);
+    const Time until = clock_.localNow() + kLeaseDuration;
+    sim::SharedQuorum quorum(sim_, semel::backupQuorum(backups_.size()));
     for (semel::Server *backup : backups_) {
         auto *mb = dynamic_cast<MilanaServer *>(backup);
         sim::spawn([](MilanaServer *self, MilanaServer *backup,
@@ -574,7 +574,7 @@ MilanaServer::leaseLoop()
     while (!sim_.stopRequested()) {
         if (!recovering_)
             (void)co_await renewLease();
-        co_await sim::sleepFor(sim_, mcfg_.leaseRenewPeriod);
+        co_await sim::sleepFor(sim_, kLeaseRenewPeriod);
     }
 }
 
@@ -661,7 +661,7 @@ sim::Task<void>
 MilanaServer::ctpScanLoop()
 {
     while (!sim_.stopRequested()) {
-        co_await sim::sleepFor(sim_, mcfg_.ctpScanPeriod);
+        co_await sim::sleepFor(sim_, kCtpScanPeriod);
         // Never while recovering: recoverAsPrimary holds references
         // into the table across suspensions.
         if (recovering_)
@@ -678,7 +678,7 @@ MilanaServer::ctpScanLoop()
         // its decisions delivered; below H_repl there is no live record
         // and every backup holds every outcome (DESIGN.md section 7).
         pruned_ += txns_.truncate(decidedBelow(), !backups_.empty());
-        const Time deadline = sim_.now() - mcfg_.ctpTimeout;
+        const Time deadline = sim_.now() - kCtpTimeout;
         for (const TxnId &txn : txns_.preparedBefore(deadline))
             co_await resolveOrphan(txn);
     }
@@ -791,11 +791,9 @@ MilanaServer::recoverAsPrimary()
 
     // Wait out the old primary's lease so no read it served can be
     // contradicted (its ts_latestRead values are lost with it).
-    if (mcfg_.enableLeases) {
-        while (clock_.localNow() <=
-               max_lease + 10 * kMillisecond) {
+    if (!backups_.empty()) {
+        while (clock_.localNow() <= max_lease + 10 * kMillisecond)
             co_await sim::sleepFor(sim_, kMillisecond);
-        }
     }
 
     recovering_ = false;

@@ -16,8 +16,8 @@
  *    order (Figure 5);
  *  - act as backup coordinator for orphaned transactions via the
  *    cooperative termination protocol (section 4.5);
- *  - maintain read leases so ts_latestRead (which is never persisted)
- *    cannot be violated across a failover.
+ *  - whenever it has backups, maintain read leases so ts_latestRead
+ *    (which is never persisted) cannot be violated across a failover.
  *
  * At a backup the server folds replicated transaction records into
  * its transaction table and applies committed write sets; a promoted
@@ -62,23 +62,9 @@ using semel::Vote;
 class MilanaServer : public semel::Server
 {
   public:
-    struct MilanaConfig
-    {
-        /** Read-lease duration granted by backups. */
-        common::Duration leaseDuration = 2 * common::kSecond;
-        /** How often the primary renews its lease. */
-        common::Duration leaseRenewPeriod = 500 * common::kMillisecond;
-        /** Orphaned-prepare age that triggers the CTP. */
-        common::Duration ctpTimeout = 50 * common::kMillisecond;
-        common::Duration ctpScanPeriod = 20 * common::kMillisecond;
-        /** Disable leases for single-node configurations. */
-        bool enableLeases = true;
-    };
-
     MilanaServer(sim::Simulator &sim, net::Network &net, NodeId id,
                  common::ShardId shard, ftl::KvBackend &backend,
-                 clocksync::Clock &clock, const semel::Server::Config &config,
-                 const MilanaConfig &milana_config,
+                 clocksync::Clock &clock, std::uint32_t expected_clients,
                  semel::Master &master, semel::Directory &directory);
 
     /** Start background processes (lease renewal, CTP scanner). */
@@ -190,6 +176,8 @@ class MilanaServer : public semel::Server
     sim::Task<bool> handleBarrier();
     sim::Task<void> barrierBackups();
 
+    /** Ask the backups for a lease; only a server with backups runs
+     *  leases (backupQuorum is 0 without them). */
     sim::Task<bool> renewLease();
     sim::Task<void> leaseLoop();
     sim::Task<void> ctpScanLoop();
@@ -197,7 +185,6 @@ class MilanaServer : public semel::Server
     /** Cooperative termination for an orphaned prepared transaction. */
     sim::Task<void> resolveOrphan(TxnId txn);
 
-    MilanaConfig mcfg_;
     clocksync::Clock &clock_;
     const common::ChaosEngine *chaos_ = nullptr;
     semel::Master &master_;

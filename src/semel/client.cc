@@ -7,18 +7,26 @@
 
 namespace semel {
 
+namespace {
+
+/** Resends of an operation whose RPC timed out, each to the shard's
+ *  primary as the master names it then (section 3.3). */
+constexpr std::uint32_t kMaxRetries = 3;
+/** Interval between watermark reports (section 3.1). */
+constexpr common::Duration kWatermarkPeriod = 100 * common::kMillisecond;
+
+} // namespace
+
 Client::Client(sim::Simulator &sim, net::Network &net, NodeId node,
                ClientId client_id, clocksync::Clock &clock,
-               const Master &master, const Directory &directory,
-               const Config &config)
+               const Master &master, const Directory &directory)
     : sim_(sim),
       net_(net),
       node_(node),
       clientId_(client_id),
       clock_(clock),
       master_(master),
-      directory_(directory),
-      config_(config)
+      directory_(directory)
 {
 }
 
@@ -49,8 +57,7 @@ Client::getAt(Key key, Version at)
 {
     gets_.inc();
     GetRequest req{key, at};
-    for (std::uint32_t attempt = 0; attempt <= config_.maxRetries;
-         ++attempt) {
+    for (std::uint32_t attempt = 0; attempt <= kMaxRetries; ++attempt) {
         Server *primary = primaryFor(key); // re-resolve across failover
         auto resp = co_await net_.callTyped<GetResponse>(
             node_, primary->nodeId(), primary->handleGet(req));
@@ -79,8 +86,7 @@ Client::put(Key key, Value value)
     // server can deduplicate (idempotence, section 3.3).
     const Version version{clock_.localNow(), clientId_};
     PutRequest req{key, std::move(value), version};
-    for (std::uint32_t attempt = 0; attempt <= config_.maxRetries;
-         ++attempt) {
+    for (std::uint32_t attempt = 0; attempt <= kMaxRetries; ++attempt) {
         Server *primary = primaryFor(key);
         auto resp = co_await net_.callTyped<PutResponse>(
             node_, primary->nodeId(), primary->handlePut(req));
@@ -100,8 +106,7 @@ Client::del(Key key)
 {
     deletes_.inc();
     const Version version{clock_.localNow(), clientId_};
-    for (std::uint32_t attempt = 0; attempt <= config_.maxRetries;
-         ++attempt) {
+    for (std::uint32_t attempt = 0; attempt <= kMaxRetries; ++attempt) {
         Server *primary = primaryFor(key);
         auto resp = co_await net_.callTyped<PutResponse>(
             node_, primary->nodeId(),
@@ -118,7 +123,7 @@ sim::Task<void>
 Client::watermarkLoop()
 {
     while (!sim_.stopRequested()) {
-        co_await sim::sleepFor(sim_, config_.watermarkPeriod);
+        co_await sim::sleepFor(sim_, kWatermarkPeriod);
         const Time report = lastAcked_;
         if (report == 0)
             continue;

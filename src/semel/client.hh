@@ -25,16 +25,9 @@ namespace semel {
 class Client
 {
   public:
-    struct Config
-    {
-        std::uint32_t maxRetries = 3;
-        common::Duration watermarkPeriod = 100 * common::kMillisecond;
-    };
-
     Client(sim::Simulator &sim, net::Network &net, NodeId node,
            ClientId client_id, clocksync::Clock &clock,
-           const Master &master, const Directory &directory,
-           const Config &config);
+           const Master &master, const Directory &directory);
     virtual ~Client() = default;
 
     ClientId clientId() const { return clientId_; }
@@ -84,7 +77,6 @@ class Client
     clocksync::Clock &clock_;
     const Master &master_;
     const Directory &directory_;
-    Config config_;
     Time lastAcked_ = 0;
     common::StatSet stats_;
     common::Tracer trace_;

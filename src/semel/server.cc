@@ -2,35 +2,41 @@
 
 #include <algorithm>
 #include <limits>
-#include <memory>
 
-#include "common/logging.hh"
 #include "sim/future.hh"
 #include "sim/sync.hh"
 
 namespace semel {
 
+namespace {
+
+/** Request-processing CPU model: cores available to the server
+ *  process, and the CPU time each request handled consumes. Bounds a
+ *  server's request rate at kCpuCores / kRequestCpuTime. */
+constexpr std::uint32_t kCpuCores = 8;
+constexpr common::Duration kRequestCpuTime = 100 * common::kMicrosecond;
+
+} // namespace
+
 Server::Server(sim::Simulator &sim, net::Network &net, NodeId id,
                ShardId shard, ftl::KvBackend &backend,
-               const Config &config)
+               std::uint32_t expected_clients)
     : sim_(sim),
       net_(net),
       id_(id),
       shard_(shard),
       backend_(backend),
-      config_(config)
+      expectedClients_(expected_clients),
+      cpu_(sim, kCpuCores)
 {
-    cpu_ = std::make_unique<sim::Semaphore>(sim, config.cpuCores);
 }
 
 sim::Task<void>
 Server::chargeCpu()
 {
-    if (config_.requestCpuTime <= 0)
-        co_return;
-    co_await cpu_->acquire();
-    co_await sim::sleepFor(sim_, config_.requestCpuTime);
-    cpu_->release();
+    co_await cpu_.acquire();
+    co_await sim::sleepFor(sim_, kRequestCpuTime);
+    cpu_.release();
 }
 
 void
@@ -79,14 +85,11 @@ Server::replicateToBackups(ReplicateWrite msg)
 {
     if (backups_.empty())
         co_return true;
-    if (config_.backupAcksNeeded > backups_.size())
-        PANIC("quorum " << config_.backupAcksNeeded << " > "
-                        << backups_.size() << " backups");
 
     common::ScopedSpan span(trace_, "semel.repl.write");
     span.setArg(static_cast<std::int64_t>(backups_.size()));
     const Time started = sim_.now();
-    sim::SharedQuorum quorum(sim_, config_.backupAcksNeeded);
+    sim::SharedQuorum quorum(sim_, backupQuorum(backups_.size()));
     for (Server *backup : backups_) {
         sim::spawn([](Server *self, Server *backup, ReplicateWrite m,
                       sim::SharedQuorum q) -> sim::Task<void> {
@@ -202,8 +205,7 @@ Server::handleWatermarkReport(ClientId client, Time timestamp,
     ClientReport &latest = clientReports_[client];
     latest.acked = std::max(latest.acked, timestamp);
     latest.doneBelow = std::max(latest.doneBelow, done_below);
-    if (config_.expectedClients == 0 ||
-        clientReports_.size() < config_.expectedClients)
+    if (expectedClients_ == 0 || clientReports_.size() < expectedClients_)
         return;
     Time min_ts = std::numeric_limits<Time>::max();
     Time min_done = std::numeric_limits<Time>::max();

@@ -27,8 +27,8 @@
 #ifndef SEMEL_SERVER_HH
 #define SEMEL_SERVER_HH
 
+#include <algorithm>
 #include <map>
-#include <memory>
 #include <vector>
 
 #include "common/key_table.hh"
@@ -77,27 +77,28 @@ static_assert(sizeof(KeySlot) <= 48, "KeySlot must stay within 48 B");
 
 using KeyTable = common::KeyTable<KeySlot>;
 
+/**
+ * Backup acknowledgements a replication round waits for: f of the 2f
+ * backups of a 2f+1-replica shard, at least one when there is any
+ * backup (two replicas wait for their one backup), none without.
+ */
+constexpr std::uint32_t
+backupQuorum(std::size_t backups)
+{
+    return backups == 0
+               ? 0
+               : std::max<std::uint32_t>(
+                     1, static_cast<std::uint32_t>(backups / 2));
+}
+
 class Server
 {
   public:
-    struct Config
-    {
-        /** Backup acknowledgements required before a write commits
-         *  (f, out of 2f backups). */
-        std::uint32_t backupAcksNeeded = 1;
-        /** Number of clients that must report before the watermark
-         *  advances (0 disables watermark GC). */
-        std::uint32_t expectedClients = 0;
-        /** Request-processing CPU model: cores available to the
-         *  server process... */
-        std::uint32_t cpuCores = 8;
-        /** ...and CPU time consumed per request handled. Bounds the
-         *  server's request rate at cpuCores / requestCpuTime. */
-        common::Duration requestCpuTime = 100 * common::kMicrosecond;
-    };
-
+    /** @p expected_clients must all report before the watermark
+     *  advances (0 disables watermark GC). */
     Server(sim::Simulator &sim, net::Network &net, NodeId id,
-           ShardId shard, ftl::KvBackend &backend, const Config &config);
+           ShardId shard, ftl::KvBackend &backend,
+           std::uint32_t expected_clients);
     virtual ~Server() = default;
 
     NodeId nodeId() const { return id_; }
@@ -159,8 +160,8 @@ class Server
     sim::Task<void> chargeCpu();
 
     /**
-     * Replicate a write to the backups and wait for the configured
-     * quorum of acknowledgements. Returns true on quorum.
+     * Replicate a write to the backups and wait for backupQuorum()
+     * acknowledgements. Returns true on quorum.
      */
     sim::Task<bool> replicateToBackups(ReplicateWrite msg);
 
@@ -173,14 +174,14 @@ class Server
     NodeId id_;
     ShardId shard_;
     ftl::KvBackend &backend_;
-    Config config_;
+    std::uint32_t expectedClients_;
     std::vector<Server *> backups_;
 
     /** DRAM: per-key state (see KeySlot). */
     KeyTable keys_;
 
     /** Core pool for the request-processing cost model. */
-    std::unique_ptr<sim::Semaphore> cpu_;
+    sim::Semaphore cpu_;
 
     struct ClientReport
     {

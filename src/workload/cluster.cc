@@ -36,6 +36,16 @@ clockName(ClockKind kind)
 
 namespace {
 
+/** Device sizing of every multi-version storage-server SSD: live data
+ *  over usable capacity. */
+constexpr double kDeviceUtilization = 0.35;
+/** Flash channels per storage-server SSD: the shared single-SSD
+ *  experiments use the Geometry default of 32, cluster VMs get a
+ *  smaller slice, as in the paper's per-VM emulated devices. */
+constexpr std::uint32_t kDeviceChannels = 8;
+/** Client i is node kFirstClientNode + i. */
+constexpr common::NodeId kFirstClientNode = 1000;
+
 clocksync::SyncConfig
 syncConfigFor(ClockKind kind)
 {
@@ -133,11 +143,10 @@ Cluster::Cluster(const ClusterConfig &config)
     centimanSystem_ =
         milana::CentimanSystem(config_.centimanDisseminateEvery);
 
-    semel::Client::Config client_config;
     milana::MilanaClient::TxnConfig txn_config;
     txn_config.localValidation = config_.localValidation;
     for (std::uint32_t i = 0; i < config_.numClients; ++i) {
-        const common::NodeId node = 1000 + i;
+        const common::NodeId node = kFirstClientNode + i;
         clocksync::Clock *clock = nullptr;
         if (ensemble_ != nullptr) {
             clock = &ensemble_->clock(i);
@@ -149,11 +158,11 @@ Cluster::Cluster(const ClusterConfig &config)
         if (config_.centiman) {
             clients_.push_back(std::make_unique<milana::CentimanClient>(
                 sim_, net_, node, i + 1, *clock, master_, directory_,
-                client_config, txn_config, centimanSystem_));
+                txn_config, centimanSystem_));
         } else {
             clients_.push_back(std::make_unique<milana::MilanaClient>(
                 sim_, net_, node, i + 1, *clock, master_, directory_,
-                client_config, txn_config));
+                txn_config));
         }
     }
 
@@ -182,6 +191,16 @@ Cluster::armChaos()
 {
     if (config_.chaos == nullptr)
         return;
+    // A selector that names nothing here is a schedule mistake: fail
+    // before anything is scheduled rather than mid-run.
+    for (const common::FaultSpec &fault : config_.chaos->faults())
+        for (const common::NodeSel *sel : {&fault.selA, &fault.selB})
+            if (!selectsInTopology(fault.kind, *sel))
+                PANIC("chaos fault `"
+                      << fault.name << "`: a selector names no node of "
+                      << config_.numShards << " shard(s) x "
+                      << config_.replicasPerShard << " replica(s), "
+                      << config_.numClients << " client(s)");
     const common::Time origin = now();
     for (const common::ChaosEngine::Action &action :
          config_.chaos->actions()) {
@@ -337,8 +356,8 @@ Cluster::buildStorageNode(common::ShardId shard, std::uint32_t replica)
       }
       case BackendKind::Mftl: {
         auto geo = flash::Geometry::scaledFor(shard_bytes,
-                                              config_.deviceUtilization);
-        geo.numChannels = config_.deviceChannels;
+                                              kDeviceUtilization);
+        geo.numChannels = kDeviceChannels;
         devices_.push_back(
             std::make_unique<flash::SsdDevice>(sim_, geo));
         sftls_.push_back(nullptr);
@@ -350,8 +369,8 @@ Cluster::buildStorageNode(common::ShardId shard, std::uint32_t replica)
       }
       case BackendKind::Vftl: {
         auto geo = flash::Geometry::scaledFor(shard_bytes,
-                                              config_.deviceUtilization);
-        geo.numChannels = config_.deviceChannels;
+                                              kDeviceUtilization);
+        geo.numChannels = kDeviceChannels;
         devices_.push_back(
             std::make_unique<flash::SsdDevice>(sim_, geo));
         sftls_.push_back(
@@ -366,7 +385,7 @@ Cluster::buildStorageNode(common::ShardId shard, std::uint32_t replica)
         // Slot mapping covers the whole key range.
         auto geo = flash::Geometry::scaledFor(
             config_.numKeys * ftl::kRecordSize, 0.5);
-        geo.numChannels = config_.deviceChannels;
+        geo.numChannels = kDeviceChannels;
         devices_.push_back(
             std::make_unique<flash::SsdDevice>(sim_, geo));
         sftls_.push_back(
@@ -384,22 +403,9 @@ Cluster::buildStorageNode(common::ShardId shard, std::uint32_t replica)
     serverClocks_.push_back(
         std::make_unique<clocksync::PerfectClock>(sim_));
 
-    semel::Server::Config server_config;
-    server_config.backupAcksNeeded =
-        config_.replicasPerShard > 1
-            ? (config_.replicasPerShard - 1) / 2
-            : 0;
-    if (config_.replicasPerShard > 1 &&
-        server_config.backupAcksNeeded == 0)
-        server_config.backupAcksNeeded = 1; // 2 replicas: wait the one
-    server_config.expectedClients = config_.numClients;
-
-    milana::MilanaServer::MilanaConfig milana_config;
-    milana_config.enableLeases = config_.replicasPerShard > 1;
-
     servers_.push_back(std::make_unique<milana::MilanaServer>(
         sim_, net_, node, shard, *backend, *serverClocks_.back(),
-        server_config, milana_config, master_, directory_));
+        config_.numClients, master_, directory_));
     directory_.add(servers_.back().get());
 }
 
@@ -545,6 +551,40 @@ Cluster::avgClientSkew() const
     return ensemble_ == nullptr ? 0.0 : ensemble_->avgPairwiseSkew();
 }
 
+bool
+Cluster::selectsInTopology(common::FaultKind kind,
+                           const common::NodeSel &sel) const
+{
+    using Kind = common::NodeSel::Kind;
+    // Indices parse non-negative; a negative one here names nothing.
+    const auto below = [](std::int64_t index, std::uint64_t count) {
+        return static_cast<std::uint64_t>(index) < count;
+    };
+    if (kind == common::FaultKind::ClockStep ||
+        kind == common::FaultKind::ClockStuck ||
+        kind == common::FaultKind::ClockDrift) {
+        // `clock:N` and `client:N` name clock slot N, one per client.
+        // Perfect clocks have none: their clock faults stay no-ops.
+        return ensemble_ == nullptr ||
+               (sel.kind != Kind::Node && sel.kind != Kind::Client) ||
+               below(sel.index, config_.numClients);
+    }
+    switch (sel.kind) {
+      case Kind::Node:
+        return below(sel.index, servers_.size()) ||
+               below(sel.index - kFirstClientNode, config_.numClients);
+      case Kind::Client:
+        return below(sel.index, config_.numClients);
+      case Kind::Primary:
+        return below(sel.index, config_.numShards);
+      case Kind::Backup:
+        return below(sel.index, config_.numShards) &&
+               below(sel.sub, config_.replicasPerShard - 1);
+      default:
+        return true;
+    }
+}
+
 std::vector<common::NodeId>
 Cluster::resolveSel(const common::NodeSel &sel) const
 {
@@ -560,23 +600,17 @@ Cluster::resolveSel(const common::NodeSel &sel) const
         nodes.push_back(master_.primaryOf(
             static_cast<common::ShardId>(sel.index)));
         break;
-      case Kind::Backup: {
-        const auto backups = master_.backupsOf(
-            static_cast<common::ShardId>(sel.index));
-        if (backups.empty())
-            break;
-        const auto r = std::min<std::size_t>(
-            static_cast<std::size_t>(std::max<std::int64_t>(sel.sub, 0)),
-            backups.size() - 1);
-        nodes.push_back(backups[r]);
+      case Kind::Backup:
+        nodes.push_back(master_.backupsOf(static_cast<common::ShardId>(
+            sel.index))[static_cast<std::size_t>(sel.sub)]);
         break;
-      }
       case Kind::Client:
-        nodes.push_back(static_cast<common::NodeId>(1000 + sel.index));
+        nodes.push_back(
+            static_cast<common::NodeId>(kFirstClientNode + sel.index));
         break;
       case Kind::AllClients:
         for (std::uint32_t i = 0; i < config_.numClients; ++i)
-            nodes.push_back(1000 + i);
+            nodes.push_back(kFirstClientNode + i);
         break;
       case Kind::AllServers:
         for (const auto &server : servers_)
@@ -586,7 +620,7 @@ Cluster::resolveSel(const common::NodeSel &sel) const
         for (const auto &server : servers_)
             nodes.push_back(server->nodeId());
         for (std::uint32_t i = 0; i < config_.numClients; ++i)
-            nodes.push_back(1000 + i);
+            nodes.push_back(kFirstClientNode + i);
         break;
     }
     return nodes;
@@ -602,9 +636,7 @@ Cluster::resolveClockSel(const common::NodeSel &sel) const
     switch (sel.kind) {
       case Kind::Node:   // `clock:N` parses as a raw index
       case Kind::Client: // `client:N` is the same slot
-        if (sel.index >= 0 &&
-            static_cast<std::uint64_t>(sel.index) < config_.numClients)
-            clocks.push_back(static_cast<std::size_t>(sel.index));
+        clocks.push_back(static_cast<std::size_t>(sel.index));
         break;
       case Kind::AllClients:
       case Kind::All:
@@ -633,7 +665,7 @@ Cluster::applyFault(const common::FaultSpec &fault, bool start)
       case FaultKind::NodeCrash:
         for (common::NodeId node : resolveSel(fault.selA)) {
             net_.setNodeDown(node, start);
-            if (start && fault.failover && node < 1000) {
+            if (start && fault.failover && node < kFirstClientNode) {
                 // Promote the first surviving backup of the crashed
                 // node's shard, mirroring what an external failure
                 // detector + master would do.

@@ -75,13 +75,7 @@ struct ClusterConfig
     bool localValidation = true;
     bool centiman = false;
     std::uint32_t centimanDisseminateEvery = 1000;
-    /** Device sizing: live data / usable capacity. */
-    double deviceUtilization = 0.35;
     net::NetConfig net;
-    /** Flash channels per storage-server SSD (the shared single-SSD
-     *  experiments use the Geometry default of 32; cluster VMs get a
-     *  smaller slice, as in the paper's per-VM emulated devices). */
-    std::uint32_t deviceChannels = 8;
     /**
      * When non-null, every component (clients, servers, devices, sync
      * agents) emits trace events into this log, stamped with TrueTime
@@ -131,7 +125,8 @@ class Cluster
      * Schedule config().chaos's actions as simulator events, each at
      * now() + its time: the event applies the fault's mutation, then
      * records it in the engine. Call once, when the schedule's clock
-     * should start; no-op without an engine.
+     * should start; no-op without an engine. PANICs, before scheduling
+     * anything, if a selector names no node of this topology.
      */
     void armChaos();
 
@@ -199,10 +194,16 @@ class Cluster
      * fault on Perfect clocks) is a no-op.
      */
     void applyFault(const common::FaultSpec &fault, bool start);
-    /** Expand a symbolic selector to concrete node ids. */
+    /** True unless @p sel, in a fault of @p kind, names a node, shard,
+     *  replica, client or clock slot this topology lacks. */
+    bool selectsInTopology(common::FaultKind kind,
+                           const common::NodeSel &sel) const;
+    /** Expand a symbolic selector that selectsInTopology accepted to
+     *  concrete node ids. */
     std::vector<common::NodeId> resolveSel(const common::NodeSel &sel) const;
-    /** Clock indices (ensemble slots) a selector names; empty without
-     *  an ensemble (Perfect clocks — clock faults are no-ops). */
+    /** Clock indices (ensemble slots) an accepted selector names;
+     *  empty without an ensemble (Perfect clocks — clock faults are
+     *  no-ops). */
     std::vector<std::size_t> resolveClockSel(const common::NodeSel &sel) const;
     void buildStorageNode(common::ShardId shard, std::uint32_t replica);
     /** Arm every component's Tracer on config_.trace. */

@@ -7,6 +7,14 @@
 
 namespace workload {
 
+namespace {
+
+/** Version-retention window: the watermark trails current time by
+ *  this much (section 3.1's tunable window size). */
+constexpr common::Duration kWatermarkWindow = 50 * common::kMillisecond;
+
+} // namespace
+
 MicroBench::MicroBench(sim::Simulator &sim, ftl::KvBackend &backend,
                        const MicroConfig &config)
     : sim_(sim), backend_(backend), config_(config), rng_(config.seed)
@@ -45,8 +53,8 @@ sim::Task<void>
 MicroBench::watermarkLoop()
 {
     while (!sim_.stopRequested()) {
-        co_await sim::sleepFor(sim_, config_.watermarkWindow / 4);
-        const common::Time wm = sim_.now() - config_.watermarkWindow;
+        co_await sim::sleepFor(sim_, kWatermarkWindow / 4);
+        const common::Time wm = sim_.now() - kWatermarkWindow;
         if (wm > 0)
             backend_.setWatermark(wm);
     }

@@ -27,9 +27,6 @@ struct MicroConfig
     /** Closed-loop concurrency (outstanding requests). */
     std::uint32_t workers = 192;
     std::uint64_t seed = 3;
-    /** Version-retention window: the watermark trails current time by
-     *  this much (section 3.1's tunable window size). */
-    common::Duration watermarkWindow = 50 * common::kMillisecond;
 };
 
 class MicroBench

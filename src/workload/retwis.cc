@@ -7,6 +7,14 @@
 
 namespace workload {
 
+namespace {
+
+/** Aborted attempts after which an instance gives up on a
+ *  transaction and draws the next. */
+constexpr std::uint32_t kMaxAttempts = 100;
+
+} // namespace
+
 RetwisInstance::RetwisInstance(milana::MilanaClient &client,
                                const RetwisConfig &config,
                                common::Rng rng)
@@ -102,7 +110,7 @@ RetwisInstance::run(sim::Simulator &sim)
         // Retry an aborted transaction with the same key set, without
         // any wait (section 5.2).
         for (std::uint32_t attempt = 0;
-             attempt < config_.maxAttempts && !sim.stopRequested();
+             attempt < kMaxAttempts && !sim.stopRequested();
              ++attempt) {
             const common::Time start = sim.now();
             milana::CommitResult result;
@@ -123,15 +131,13 @@ RetwisInstance::run(sim::Simulator &sim)
 }
 
 RetwisWorkload::RetwisWorkload(Cluster &cluster,
-                               const RetwisConfig &config,
-                               std::uint32_t instances_per_client)
+                               const RetwisConfig &config)
     : cluster_(cluster)
 {
     common::Rng rng(config.seed);
     for (std::uint32_t c = 0; c < cluster.numClients(); ++c)
-        for (std::uint32_t i = 0; i < instances_per_client; ++i)
-            instances_.push_back(std::make_unique<RetwisInstance>(
-                cluster.client(c), config, rng.fork()));
+        instances_.push_back(std::make_unique<RetwisInstance>(
+            cluster.client(c), config, rng.fork()));
 }
 
 void

@@ -40,8 +40,6 @@ struct RetwisConfig
     std::uint64_t numKeys = 50'000;
     /** Use the 75%-read-only mix of Figures 8 and 9. */
     bool readHeavy = false;
-    /** Give up on a transaction after this many aborted attempts. */
-    std::uint32_t maxAttempts = 100;
     std::uint64_t seed = 7;
 };
 
@@ -92,18 +90,15 @@ class RetwisInstance
     common::Histogram latency_;
 };
 
-/** A fleet of Retwis instances over a cluster's clients. */
+/**
+ * A fleet of Retwis instances over a cluster's clients, one session
+ * per MILANA client: the paper runs 4-6 instances per client VM, and
+ * here each instance gets its own client and clock.
+ */
 class RetwisWorkload
 {
   public:
-    /**
-     * @param instances_per_client Independent sessions per MILANA
-     *        client (the paper runs 4-6 instances per client VM; here
-     *        each instance gets its own client/clock, so this is
-     *        usually 1).
-     */
-    RetwisWorkload(Cluster &cluster, const RetwisConfig &config,
-                   std::uint32_t instances_per_client = 1);
+    RetwisWorkload(Cluster &cluster, const RetwisConfig &config);
 
     void start();
     void resetMeasurement();

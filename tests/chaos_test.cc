@@ -129,6 +129,19 @@ TEST(ChaosDsl, ErrorsNameTheLine)
     EXPECT_FALSE(bad_time.parse("at soon crash node:0", &err));
 }
 
+TEST(ChaosDsl, RejectsNegativeSelectorIndex)
+{
+    for (const char *sel : {"node:-1", "client:-1", "backup:0:-1"}) {
+        ChaosEngine e;
+        std::string err;
+        EXPECT_FALSE(e.parse(std::string("# one fault\nat 100ms crash ") +
+                                 sel + " for 50ms",
+                             &err))
+            << sel;
+        EXPECT_NE(err.find("line 2"), std::string::npos) << err;
+    }
+}
+
 // ------------------------------------------------------------ actions
 
 TEST(ChaosEngineReplay, SameInstantActionsKeepScheduleOrder)
@@ -211,6 +224,40 @@ TEST(ChaosCluster, FaultArmedBeforePopulateFiresDuringPopulate)
     EXPECT_EQ(chaos.injections(), 1u);
     EXPECT_EQ(chaos.heals(), 1u);
     EXPECT_FALSE(chaos.anyActive());
+}
+
+TEST(ChaosClusterDeathTest, SelectorOutsideTopologyPanicsBeforeScheduling)
+{
+    // smallCell is 1 shard x 3 replicas (nodes 0-2, two backups) with
+    // clients 0-3 (nodes 1000-1003).
+    for (const char *sel : {"node:500", "node:4000000000", "primary:7",
+                            "backup:0:2", "backup:1", "client:4"}) {
+        ChaosEngine chaos(5);
+        std::string err;
+        ASSERT_TRUE(chaos.parse(std::string("at 100ms crash ") + sel +
+                                    " for 50ms",
+                                &err))
+            << err;
+        EXPECT_DEATH(
+            {
+                Cluster cluster(smallCell(&chaos, nullptr));
+                cluster.armChaos();
+            },
+            "names no node")
+            << sel;
+    }
+    // A client's node id is in range, and a clock fault on perfect
+    // clocks stays a no-op whatever slot it names.
+    ChaosEngine chaos(5);
+    std::string err;
+    ASSERT_TRUE(chaos.parse("at 100ms crash node:1003 for 50ms\n"
+                            "at 100ms clock-step clock:9 by=1ms",
+                            &err))
+        << err;
+    Cluster cluster(smallCell(&chaos, nullptr));
+    cluster.armChaos();
+    cluster.runFor(200 * kMillisecond);
+    EXPECT_EQ(chaos.injections(), 2u);
 }
 
 TEST(ChaosCluster, InjectInstantCarriesExactTrueTime)

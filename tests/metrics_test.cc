@@ -269,4 +269,27 @@ TEST(MetricsIntervalDeathTest, RejectsZeroNegativeAndMalformed)
     }
 }
 
+/** --keys=@p value, read the way every bench and milana-sim read a
+ *  count flag. */
+std::int64_t
+keysFlag(const std::string &value)
+{
+    std::string prog = "bench";
+    std::string flag = "--keys=" + value;
+    char *argv[] = {prog.data(), flag.data()};
+    return bench::Args(2, argv).getInt("keys", 7);
+}
+
+TEST(IntFlagDeathTest, AcceptsOnlyWholeNonNegativeDecimals)
+{
+    EXPECT_EQ(keysFlag("2000"), 2000);
+    EXPECT_EQ(keysFlag("0"), 0);
+    // Each would otherwise wrap to billions (-1 shards), truncate to a
+    // 0 s window or parse as 0 or 10.
+    for (const char *bad : {"-1", "0.5", "abc", "10x"}) {
+        EXPECT_EXIT(keysFlag(bad), ::testing::ExitedWithCode(2), "keys")
+            << bad;
+    }
+}
+
 } // namespace

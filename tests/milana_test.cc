@@ -515,11 +515,10 @@ TEST(Milana, ReplicaReadsValidateAtPrimary)
     // Rebuild a client with the relaxation enabled.
     milana::MilanaClient::TxnConfig tcfg;
     tcfg.readFromAnyReplica = true;
-    semel::Client::Config ccfg;
     clocksync::PerfectClock clock(cluster.sim());
     milana::MilanaClient relaxed(cluster.sim(), cluster.network(), 2000,
                                  99, clock, cluster.master(),
-                                 cluster.directory(), ccfg, tcfg);
+                                 cluster.directory(), tcfg);
     CommitResult result{};
     drive(cluster, [&]() -> sim::Task<void> {
         auto txn = relaxed.beginTransaction(milana::TxnHint::ReadWrite);
@@ -544,11 +543,10 @@ TEST(Milana, StaleReplicaReadAborts)
     cluster.start();
     milana::MilanaClient::TxnConfig tcfg;
     tcfg.readFromAnyReplica = true;
-    semel::Client::Config ccfg;
     clocksync::PerfectClock clock(cluster.sim());
     milana::MilanaClient relaxed(cluster.sim(), cluster.network(), 2001,
                                  98, clock, cluster.master(),
-                                 cluster.directory(), ccfg, tcfg);
+                                 cluster.directory(), tcfg);
     drive(cluster, [&]() -> sim::Task<void> {
         // Cut replication to one backup so it stays stale, then
         // repeatedly update key 5 through the normal client.
@@ -589,11 +587,10 @@ TEST(Milana, InterTxnCacheServesRepeatReads)
     cluster.start();
     milana::MilanaClient::TxnConfig tcfg;
     tcfg.interTxnCacheCapacity = 128;
-    semel::Client::Config ccfg;
     clocksync::PerfectClock clock(cluster.sim());
     milana::MilanaClient cachy(cluster.sim(), cluster.network(), 2002,
                                97, clock, cluster.master(),
-                               cluster.directory(), ccfg, tcfg);
+                               cluster.directory(), tcfg);
     drive(cluster, [&]() -> sim::Task<void> {
         // First hinted txn populates the cache.
         auto t1 = cachy.beginTransaction(milana::TxnHint::ReadWrite);
@@ -625,11 +622,10 @@ TEST(Milana, StaleCacheEntryAbortsThenRecovers)
     cluster.start();
     milana::MilanaClient::TxnConfig tcfg;
     tcfg.interTxnCacheCapacity = 128;
-    semel::Client::Config ccfg;
     clocksync::PerfectClock clock(cluster.sim());
     milana::MilanaClient cachy(cluster.sim(), cluster.network(), 2003,
                                96, clock, cluster.master(),
-                               cluster.directory(), ccfg, tcfg);
+                               cluster.directory(), tcfg);
     drive(cluster, [&]() -> sim::Task<void> {
         // Warm the cache on key 6.
         auto t1 = cachy.beginTransaction(milana::TxnHint::ReadWrite);

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <set>
@@ -136,6 +137,21 @@ TEST(Master, FailoverPromotesReplica)
     EXPECT_EQ(backups[0], 10u);
 }
 
+TEST(Semel, BackupQuorumIsHalfTheBackupsAtLeastOne)
+{
+    const std::uint32_t expected[] = {0, 1, 1, 1, 2, 2, 3};
+    for (std::size_t backups = 0; backups < std::size(expected); ++backups)
+        EXPECT_EQ(backupQuorum(backups), expected[backups]) << backups;
+    // The rule a cluster once set from its replica count r, whose
+    // primaries have r - 1 backups.
+    for (std::uint32_t r = 1; r <= 8; ++r) {
+        std::uint32_t from_replicas = r > 1 ? (r - 1) / 2 : 0;
+        if (r > 1 && from_replicas == 0)
+            from_replicas = 1;
+        EXPECT_EQ(backupQuorum(r - 1), from_replicas) << r;
+    }
+}
+
 namespace {
 
 /** Hand-wired 1-shard, 3-replica SEMEL deployment on DRAM. */
@@ -155,14 +171,11 @@ struct SemelRig
     explicit SemelRig(std::uint32_t replicas = 3,
                       std::uint32_t num_clients = 2)
     {
-        Server::Config cfg;
-        cfg.backupAcksNeeded = replicas > 1 ? 1 : 0;
-        cfg.expectedClients = num_clients;
         std::vector<common::NodeId> nodes;
         for (std::uint32_t r = 0; r < replicas; ++r) {
             backends.push_back(std::make_unique<ftl::DramBackend>(sim));
             servers.push_back(std::make_unique<Server>(
-                sim, net, r, 0, *backends.back(), cfg));
+                sim, net, r, 0, *backends.back(), num_clients));
             directory.add(servers.back().get());
             nodes.push_back(r);
         }
@@ -172,13 +185,12 @@ struct SemelRig
             backups.push_back(servers[r].get());
         servers[0]->setBackups(backups);
 
-        Client::Config ccfg;
         for (std::uint32_t c = 0; c < num_clients; ++c) {
             clocks.push_back(
                 std::make_unique<clocksync::PerfectClock>(sim));
             clients.push_back(std::make_unique<Client>(
                 sim, net, 1000 + c, c + 1, *clocks.back(), master,
-                directory, ccfg));
+                directory));
         }
     }
 };
