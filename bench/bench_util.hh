@@ -20,6 +20,7 @@
 #define BENCH_BENCH_UTIL_HH
 
 #include <charconv>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -54,13 +55,31 @@ class Args
             args_.emplace_back(argv[i]);
     }
 
+    /**
+     * A real-valued flag (every one is a Zipf exponent): a finite,
+     * non-negative decimal such as "0.8" or "1". Returns @p def when
+     * absent; exits 2, naming the flag, on anything else, such as "",
+     * "abc", "0.8x", "-1" or "inf".
+     */
     double
     getDouble(const std::string &name, double def) const
     {
         const std::string prefix = "--" + name + "=";
         for (const auto &a : args_) {
-            if (a.rfind(prefix, 0) == 0)
-                return std::atof(a.c_str() + prefix.size());
+            if (a.rfind(prefix, 0) != 0)
+                continue;
+            const std::string text = a.substr(prefix.size());
+            double v = 0;
+            const char *end = text.data() + text.size();
+            const auto [ptr, ec] = std::from_chars(text.data(), end, v);
+            if (text.empty() || ec != std::errc() || ptr != end ||
+                !std::isfinite(v) || v < 0) {
+                std::fprintf(stderr,
+                             "bad --%s '%s' (a non-negative number)\n",
+                             name.c_str(), text.c_str());
+                std::exit(2);
+            }
+            return v;
         }
         return def;
     }

@@ -116,12 +116,11 @@ main(int argc, char **argv)
     // the single-cell path for paper-scale runs (e.g. --keys=2000000
     // --alpha=0.8 --clients=16). Absent, the full grid runs and the
     // --json report is unchanged.
-    const std::string only_alpha = args.getString("alpha", "");
+    const double only_alpha = args.getDouble("alpha", -1.0);
     const std::int64_t only_clients = args.getInt("clients", -1);
     std::vector<Cell> cells;
     for (double alpha : {0.6, 0.8, 0.99}) {
-        if (!only_alpha.empty() &&
-            std::abs(alpha - std::atof(only_alpha.c_str())) > 1e-9)
+        if (only_alpha >= 0 && std::abs(alpha - only_alpha) > 1e-9)
             continue;
         for (std::uint32_t clients : {4u, 8u, 16u, 32u}) {
             if (only_clients >= 0 && clients != only_clients)

@@ -9,6 +9,10 @@
  *    linear probing with robin-hood displacement, at most 7/8 full.
  *  - Tombstone-free erase by backward shift.
  *
+ * Both tables take their slot arrays from allocSlotArray: at paper
+ * scale (2M keys, 192 MiB per table) an array on 2 MiB pages costs a
+ * probe one cache miss instead of a miss plus a page walk.
+ *
  * Single-threaded by design, like the simulator that owns it.
  */
 
@@ -20,6 +24,8 @@
 #include <cstring>
 #include <new>
 #include <type_traits>
+
+#include <sys/mman.h>
 
 #include "common/types.hh"
 
@@ -50,6 +56,58 @@ capacityFor(std::uint64_t keys)
 {
     const std::size_t want = static_cast<std::size_t>(keys + keys / 7 + 1);
     return pow2AtLeast(want < kMinTableCap ? kMinTableCap : want);
+}
+
+/** A transparent huge page on x86-64 and arm64 (4 KiB base pages). */
+inline constexpr std::size_t kHugePage = std::size_t{2} << 20;
+
+/**
+ * A zeroed slot array of @p bytes, freed by freeSlotArray with the
+ * same @p bytes. An array smaller than kHugePage is a plain
+ * `::operator new`. A larger one starts on a kHugePage boundary and
+ * its whole huge pages are advised MADV_HUGEPAGE (the process's own
+ * memory; no system setting); the tail past the last whole huge page
+ * stays on base pages, so RSS never grows by a half-used huge page.
+ *
+ * The large path over-allocates by kHugePage through the same plain,
+ * unaligned `::operator new`, so every allocation counter that
+ * replaces it still sees the table, and keeps the raw pointer in the
+ * word before the array. Since `::operator new` returns memory
+ * aligned for a pointer, the array and that word always fit.
+ */
+inline void *
+allocSlotArray(std::size_t bytes)
+{
+    if (bytes < kHugePage) {
+        void *p = ::operator new(bytes);
+        std::memset(p, 0, bytes);
+        return p;
+    }
+    void *raw = ::operator new(bytes + kHugePage);
+    const std::uintptr_t first =
+        reinterpret_cast<std::uintptr_t>(raw) + sizeof(void *);
+    auto *p = reinterpret_cast<char *>((first + kHugePage - 1) &
+                                       ~(kHugePage - 1));
+    std::memcpy(p - sizeof(void *), &raw, sizeof(void *));
+    // Advice first, so the zero-fill faults the array in huge pages.
+    // A kernel without THP refuses it; the array still works.
+    ::madvise(p, bytes / kHugePage * kHugePage, MADV_HUGEPAGE);
+    std::memset(p, 0, bytes);
+    return p;
+}
+
+/** Free an array from allocSlotArray(@p bytes); null is a no-op. */
+inline void
+freeSlotArray(void *p, std::size_t bytes)
+{
+    if (p == nullptr || bytes < kHugePage) {
+        ::operator delete(p);
+        return;
+    }
+    void *raw;
+    std::memcpy(&raw, static_cast<char *>(p) - sizeof(void *),
+                sizeof(void *));
+    ::operator delete(raw);
 }
 
 /*
@@ -159,7 +217,7 @@ class KeyTable
     KeyTable(const KeyTable &) = delete;
     KeyTable &operator=(const KeyTable &) = delete;
 
-    ~KeyTable() { ::operator delete(slots_); }
+    ~KeyTable() { table_detail::freeSlotArray(slots_, cap_ * sizeof(Slot)); }
 
     Slot *
     find(Key key)
@@ -275,8 +333,8 @@ class KeyTable
     {
         Slot *old = slots_;
         const std::size_t old_cap = cap_;
-        slots_ = static_cast<Slot *>(::operator new(new_cap * sizeof(Slot)));
-        std::memset(static_cast<void *>(slots_), 0, new_cap * sizeof(Slot));
+        slots_ = static_cast<Slot *>(
+            table_detail::allocSlotArray(new_cap * sizeof(Slot)));
         cap_ = new_cap;
         mask_ = new_cap - 1;
         shift_ = static_cast<std::uint32_t>(64 - std::countr_zero(new_cap));
@@ -285,7 +343,7 @@ class KeyTable
             if (old[i].dist != 0)
                 copier()(getOrCreate(old[i].key), old[i]);
         }
-        ::operator delete(old);
+        table_detail::freeSlotArray(old, old_cap * sizeof(Slot));
     }
 
     Slot *slots_ = nullptr;

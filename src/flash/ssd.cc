@@ -10,13 +10,11 @@ SsdDevice::SsdDevice(sim::Simulator &sim, const Geometry &geometry)
     : sim_(sim),
       geometry_(geometry),
       blocks_(geometry.numBlocks),
+      pages_(geometry.totalPages()),
+      states_(geometry.totalPages(), PageState::Erased),
       pins_(geometry.numBlocks, 0),
       queue_(sim, geometry.queueDepth)
 {
-    for (auto &b : blocks_) {
-        b.pages.resize(geometry.pagesPerBlock);
-        b.states.assign(geometry.pagesPerBlock, PageState::Erased);
-    }
     channels_.reserve(geometry.numChannels);
     channelOps_.reserve(geometry.numChannels);
     for (std::uint32_t c = 0; c < geometry.numChannels; ++c) {
@@ -63,8 +61,8 @@ SsdDevice::readPage(PageAddr addr)
     if (addr.block >= blocks_.size() ||
         addr.page >= geometry_.pagesPerBlock)
         PANIC("readPage out of range: " << addr.block << "/" << addr.page);
-    auto &block = blocks_[addr.block];
-    if (block.states[addr.page] != PageState::Programmed)
+    const std::size_t at = pageIndex(addr);
+    if (states_[at] != PageState::Programmed)
         PANIC("read of unprogrammed page " << addr.block << "/"
                                            << addr.page);
     co_await service(addr.block, geometry_.readLatency, "read");
@@ -78,7 +76,7 @@ SsdDevice::readPage(PageAddr addr)
         co_await service(addr.block, geometry_.readLatency, "read_retry");
     }
     reads_.inc();
-    co_return &block.pages[addr.page];
+    co_return &pages_[at];
 }
 
 sim::Task<void>
@@ -88,7 +86,8 @@ SsdDevice::programPage(PageAddr addr, PageData data)
         addr.page >= geometry_.pagesPerBlock)
         PANIC("programPage out of range");
     auto &block = blocks_[addr.block];
-    if (block.states[addr.page] != PageState::Erased)
+    const std::size_t at = pageIndex(addr);
+    if (states_[at] != PageState::Erased)
         PANIC("program of non-erased page " << addr.block << "/"
                                             << addr.page);
     if (addr.page != block.nextProgramPage)
@@ -101,9 +100,9 @@ SsdDevice::programPage(PageAddr addr, PageData data)
     // observes the mapping update (made by the FTL after we return)
     // always finds the data. NAND-wise the data is on the page once
     // program completes; the FTL publishes the mapping only after that.
-    block.states[addr.page] = PageState::Programmed;
+    states_[at] = PageState::Programmed;
     block.nextProgramPage = addr.page + 1;
-    block.pages[addr.page] = std::move(data);
+    pages_[at] = std::move(data);
     ++programmedPages_;
 
     co_await service(addr.block, geometry_.writeLatency, "program");
@@ -128,14 +127,18 @@ SsdDevice::eraseBlock(std::uint32_t block_index)
     // spares are capped at the erased pages.
     programmedPages_ -= block.nextProgramPage;
     const std::uint64_t erased = geometry_.totalPages() - programmedPages_;
-    for (auto &p : block.pages) {
-        if (p.records.capacity() != 0 && spareRecords_.size() < erased) {
-            p.records.clear();
-            spareRecords_.push_back(std::move(p.records));
+    const std::size_t first = pageIndex({block_index, 0});
+    const std::size_t last = first + geometry_.pagesPerBlock;
+    for (std::size_t i = first; i < last; ++i) {
+        auto &records = pages_[i].records;
+        if (records.capacity() != 0 && spareRecords_.size() < erased) {
+            records.clear();
+            spareRecords_.push_back(std::move(records));
         }
-        p.records = {};
+        records = {};
     }
-    std::fill(block.states.begin(), block.states.end(), PageState::Erased);
+    std::fill(states_.begin() + first, states_.begin() + last,
+              PageState::Erased);
     block.nextProgramPage = 0;
     ++block.eraseCount;
     erases_.inc();
@@ -155,7 +158,7 @@ SsdDevice::pageBuffer()
 PageState
 SsdDevice::pageState(PageAddr addr) const
 {
-    return blocks_[addr.block].states[addr.page];
+    return states_[pageIndex(addr)];
 }
 
 const PageData &
@@ -163,7 +166,7 @@ SsdDevice::peekPage(PageAddr addr) const
 {
     if (pageState(addr) != PageState::Programmed)
         PANIC("peek of unprogrammed page");
-    return blocks_[addr.block].pages[addr.page];
+    return pages_[pageIndex(addr)];
 }
 
 std::uint32_t

@@ -179,11 +179,18 @@ class SsdDevice
   private:
     struct Block
     {
-        std::vector<PageData> pages;
-        std::vector<PageState> states;
         std::uint32_t nextProgramPage = 0;
         std::uint32_t eraseCount = 0;
     };
+
+    /** Index of @p addr in pages_ and states_. */
+    std::size_t
+    pageIndex(PageAddr addr) const
+    {
+        return static_cast<std::size_t>(addr.block) *
+                   geometry_.pagesPerBlock +
+               addr.page;
+    }
 
     /** Acquire queue slot + channel, wait the service time. @p op
      *  ("read" | "program" | "erase") labels the trace span. */
@@ -196,6 +203,10 @@ class SsdDevice
     sim::Simulator &sim_;
     Geometry geometry_;
     std::vector<Block> blocks_;
+    /** The page store, flat over the device: block b's pages are
+     *  [b * pagesPerBlock, (b + 1) * pagesPerBlock). */
+    std::vector<PageData> pages_;
+    std::vector<PageState> states_;
     std::vector<std::uint32_t> pins_;
     /** Cleared record vectors of erased pages, for pageBuffer(); never
      *  more of them than erased pages. */

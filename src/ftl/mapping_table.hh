@@ -68,7 +68,6 @@
 #include <bit>
 #include <cassert>
 #include <cstdint>
-#include <cstring>
 #include <new>
 #include <type_traits>
 #include <utility>
@@ -119,7 +118,7 @@ class VersionStore
     ~VersionStore()
     {
         clear();
-        ::operator delete(slots_);
+        table_detail::freeSlotArray(slots_, cap_ * sizeof(Slot));
     }
 
     class ChainRef;
@@ -688,7 +687,10 @@ class VersionStore
     {
         Slot *old = slots_;
         const std::size_t old_cap = cap_;
-        slots_ = allocSlots(new_cap);
+        // Zero-filled: dist == 0 marks every slot empty; union bytes
+        // are raw until a chain is constructed.
+        slots_ = static_cast<Slot *>(
+            table_detail::allocSlotArray(new_cap * sizeof(Slot)));
         cap_ = new_cap;
         mask_ = new_cap - 1;
         shift_ = static_cast<std::uint32_t>(
@@ -703,17 +705,7 @@ class VersionStore
             ChainRef ref = getOrCreate(s.key);
             movePayload(ref.slot(), s);
         }
-        ::operator delete(old);
-    }
-
-    Slot *
-    allocSlots(std::size_t n)
-    {
-        auto *p = static_cast<Slot *>(::operator new(n * sizeof(Slot)));
-        // Zero-fill: dist == 0 marks every slot empty; union bytes are
-        // raw until a chain is constructed.
-        std::memset(static_cast<void *>(p), 0, n * sizeof(Slot));
-        return p;
+        table_detail::freeSlotArray(old, old_cap * sizeof(Slot));
     }
 
     Slot *slots_ = nullptr;

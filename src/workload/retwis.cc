@@ -17,11 +17,9 @@ constexpr std::uint32_t kMaxAttempts = 100;
 
 RetwisInstance::RetwisInstance(milana::MilanaClient &client,
                                const RetwisConfig &config,
+                               const common::ScrambledZipf &zipf,
                                common::Rng rng)
-    : client_(client),
-      config_(config),
-      rng_(rng),
-      zipf_(config.numKeys, config.alpha, config.seed)
+    : client_(client), config_(config), rng_(rng), zipf_(zipf)
 {
 }
 
@@ -132,12 +130,12 @@ RetwisInstance::run(sim::Simulator &sim)
 
 RetwisWorkload::RetwisWorkload(Cluster &cluster,
                                const RetwisConfig &config)
-    : cluster_(cluster)
+    : cluster_(cluster), zipf_(config.numKeys, config.alpha, config.seed)
 {
     common::Rng rng(config.seed);
     for (std::uint32_t c = 0; c < cluster.numClients(); ++c)
         instances_.push_back(std::make_unique<RetwisInstance>(
-            cluster.client(c), config, rng.fork()));
+            cluster.client(c), config, zipf_, rng.fork()));
 }
 
 void

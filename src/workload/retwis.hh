@@ -43,12 +43,17 @@ struct RetwisConfig
     std::uint64_t seed = 7;
 };
 
-/** One sequential Retwis session bound to one MILANA client. */
+/**
+ * One sequential Retwis session bound to one MILANA client. It draws
+ * keys from @p zipf, the fleet's shared key distribution, with its own
+ * @p rng.
+ */
 class RetwisInstance
 {
   public:
     RetwisInstance(milana::MilanaClient &client,
-                   const RetwisConfig &config, common::Rng rng);
+                   const RetwisConfig &config,
+                   const common::ScrambledZipf &zipf, common::Rng rng);
 
     /** Closed-loop driver; winds down on Simulator::requestStop. */
     sim::Task<void> run(sim::Simulator &sim);
@@ -81,7 +86,7 @@ class RetwisInstance
     milana::MilanaClient &client_;
     RetwisConfig config_;
     common::Rng rng_;
-    common::ScrambledZipf zipf_;
+    const common::ScrambledZipf &zipf_;
     std::uint64_t serial_ = 0;
 
     std::uint64_t commits_ = 0;
@@ -100,6 +105,10 @@ class RetwisWorkload
   public:
     RetwisWorkload(Cluster &cluster, const RetwisConfig &config);
 
+    // The instances hold a reference to zipf_.
+    RetwisWorkload(const RetwisWorkload &) = delete;
+    RetwisWorkload &operator=(const RetwisWorkload &) = delete;
+
     void start();
     void resetMeasurement();
 
@@ -110,6 +119,9 @@ class RetwisWorkload
 
   private:
     Cluster &cluster_;
+    /** One key distribution for every instance: its zeta sum over the
+     *  key space is the costly part of building a fleet. */
+    common::ScrambledZipf zipf_;
     std::vector<std::unique_ptr<RetwisInstance>> instances_;
 };
 

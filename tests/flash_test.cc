@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "flash/ssd.hh"
 #include "sim/simulator.hh"
 #include "sim/task.hh"
@@ -178,6 +180,75 @@ TEST(Ssd, ErasedPagesHandTheirBuffersToLaterPrograms)
     s.run();
     EXPECT_TRUE(ok);
     EXPECT_EQ(ssd.pageBuffer().records.capacity(), 0u); // all handed out
+}
+
+TEST(Ssd, EraseClearsOnlyItsOwnBlockOfTheFlatPageStore)
+{
+    // Blocks 1..3 filled, the middle one erased: a page store indexed
+    // with a wrong block stride erases or keeps the wrong pages.
+    const Geometry g = tinyGeometry();
+    sim::Simulator s;
+    SsdDevice ssd(s, g);
+    auto content = [](std::uint32_t block, std::uint32_t page) {
+        PageData d;
+        for (std::uint32_t i = 0; i <= page; ++i) {
+            Record r;
+            r.key = block * 100 + page * 10 + i;
+            r.version = Version{block * 1000 + page, i};
+            r.value = "b" + std::to_string(block) + "p" +
+                      std::to_string(page) + "r" + std::to_string(i);
+            r.lba = block * 10 + page;
+            r.sizeBytes = 100 + i;
+            r.tombstone = (i % 2) == 1;
+            d.records.push_back(r);
+        }
+        return d;
+    };
+    auto same = [](const PageData &a, const PageData &b) {
+        if (a.records.size() != b.records.size())
+            return false;
+        for (std::size_t i = 0; i < a.records.size(); ++i) {
+            const Record &x = a.records[i];
+            const Record &y = b.records[i];
+            if (x.key != y.key || !(x.version == y.version) ||
+                x.value != y.value || x.lba != y.lba ||
+                x.sizeBytes != y.sizeBytes || x.tombstone != y.tombstone)
+                return false;
+        }
+        return true;
+    };
+    bool outer_intact = true;
+    auto t = [&]() -> sim::Task<void> {
+        for (std::uint32_t b = 1; b <= 3; ++b)
+            for (std::uint32_t p = 0; p < g.pagesPerBlock; ++p)
+                co_await ssd.programPage({b, p}, content(b, p));
+        co_await ssd.eraseBlock(2);
+        for (const std::uint32_t b : {1u, 3u}) {
+            for (std::uint32_t p = 0; p < g.pagesPerBlock; ++p) {
+                if (ssd.pageState({b, p}) != PageState::Programmed) {
+                    outer_intact = false; // a read would panic
+                    continue;
+                }
+                const PageData *read = co_await ssd.readPage({b, p});
+                outer_intact = outer_intact && same(*read, content(b, p));
+            }
+        }
+    };
+    sim::spawn(t());
+    s.run();
+    EXPECT_TRUE(outer_intact);
+    for (std::uint32_t p = 0; p < g.pagesPerBlock; ++p) {
+        EXPECT_EQ(ssd.pageState({2, p}), PageState::Erased) << p;
+        EXPECT_EQ(ssd.pageState({1, p}), PageState::Programmed) << p;
+        EXPECT_EQ(ssd.pageState({3, p}), PageState::Programmed) << p;
+    }
+    EXPECT_EQ(ssd.eraseCount(1), 0u);
+    EXPECT_EQ(ssd.eraseCount(2), 1u);
+    EXPECT_EQ(ssd.eraseCount(3), 0u);
+    // The erased block's record vectors are the next programs' buffers.
+    const PageData recycled = ssd.pageBuffer();
+    EXPECT_TRUE(recycled.records.empty());
+    EXPECT_GE(recycled.records.capacity(), 1u);
 }
 
 TEST(Ssd, ChannelsServiceInParallel)

@@ -292,4 +292,26 @@ TEST(IntFlagDeathTest, AcceptsOnlyWholeNonNegativeDecimals)
     }
 }
 
+/** --alpha=@p value, read the way every bench and milana-sim read a
+ *  real-valued flag. */
+double
+alphaFlag(const std::string &value)
+{
+    std::string prog = "bench";
+    std::string flag = "--alpha=" + value;
+    char *argv[] = {prog.data(), flag.data()};
+    return bench::Args(2, argv).getDouble("alpha", 0.5);
+}
+
+TEST(DoubleFlagDeathTest, AcceptsOnlyNonNegativeDecimals)
+{
+    EXPECT_EQ(alphaFlag("0.8"), 0.8);
+    EXPECT_EQ(alphaFlag("1"), 1.0);
+    // Each would otherwise parse as 0 (a uniform key choice) or 0.8.
+    for (const char *bad : {"abc", "0.8x", ""}) {
+        EXPECT_EXIT(alphaFlag(bad), ::testing::ExitedWithCode(2), "alpha")
+            << bad;
+    }
+}
+
 } // namespace

@@ -14,16 +14,21 @@
  * the multi-version index behind the watermark sweep (exact after
  * every op; an indexed sweep equals a full-table one), and the
  * KeyTable behind the servers' per-key state (against an
- * unordered_map reference).
+ * unordered_map reference), and the slot arrays both tables share,
+ * which move onto 2 MiB pages once they are that large.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
+#include <cstring>
+#include <fstream>
 #include <map>
 #include <random>
 #include <set>
+#include <sstream>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -696,4 +701,170 @@ TEST(KeyTable, MemoryBytesIsTheSlotArray)
     table.clear();
     EXPECT_EQ(table.size(), 0u);
     EXPECT_EQ(table.memoryBytes(), 2048 * sizeof(TestSlot));
+}
+
+// ------------------------------------------ huge-page slot arrays
+
+namespace {
+
+using common::table_detail::kHugePage;
+
+/**
+ * The THPeligible field of the /proc/self/smaps mapping holding
+ * @p addr: 1 or 0, or -1 when the mapping or the field is absent.
+ */
+int
+thpEligible(const void *addr)
+{
+    const auto at = reinterpret_cast<std::uintptr_t>(addr);
+    std::ifstream smaps("/proc/self/smaps");
+    std::string line;
+    bool inside = false;
+    while (std::getline(smaps, line)) {
+        unsigned long lo = 0;
+        unsigned long hi = 0;
+        char dash = 0;
+        std::istringstream head(line);
+        if (head >> std::hex >> lo >> dash >> hi && dash == '-') {
+            inside = lo <= at && at < hi;
+            continue;
+        }
+        if (inside && line.rfind("THPeligible:", 0) == 0)
+            return std::stoi(line.substr(12));
+    }
+    return -1;
+}
+
+/** True when this kernel can put no memory on transparent huge pages. */
+bool
+thpOff()
+{
+    std::ifstream f("/sys/kernel/mm/transparent_hugepage/enabled");
+    std::string modes;
+    return !std::getline(f, modes) ||
+           modes.find("[never]") != std::string::npos;
+}
+
+/** Skips the test unless @p addr's mapping reads THPeligible: 1. */
+#define EXPECT_ON_HUGE_PAGES(addr)                                     \
+    do {                                                               \
+        if (thpOff())                                                  \
+            GTEST_SKIP() << "transparent huge pages are off";          \
+        const int eligible = thpEligible(addr);                        \
+        if (eligible < 0)                                              \
+            GTEST_SKIP() << "smaps has no THPeligible field";          \
+        EXPECT_EQ(eligible, 1);                                        \
+    } while (0)
+
+/** A key spread over the whole hash range. */
+Key
+scatter(std::uint64_t i)
+{
+    return (i + 1) * 0xD6E8FEB86659FD93ull;
+}
+
+/** The slot array behind @p slot: its index is its home bucket plus
+ *  its probe distance. */
+const char *
+slotArrayOf(const TestTable &table, const TestSlot &slot)
+{
+    const std::uint32_t shift = static_cast<std::uint32_t>(
+        64 - std::countr_zero(table.capacity()));
+    const std::size_t home =
+        common::table_detail::mixKey(slot.key) >> shift;
+    const std::size_t index =
+        (home + slot.dist - 1) & (table.capacity() - 1);
+    return reinterpret_cast<const char *>(&slot) -
+           index * sizeof(TestSlot);
+}
+
+} // namespace
+
+TEST(SlotArray, LargeArraysStartOnAHugePageAndSmallOnesStayPlain)
+{
+    for (const std::size_t bytes :
+         {std::size_t{4096}, kHugePage - 8, kHugePage, 3 * kHugePage + 24}) {
+        auto *p = static_cast<unsigned char *>(
+            common::table_detail::allocSlotArray(bytes));
+        EXPECT_TRUE(std::all_of(p, p + bytes,
+                                [](unsigned char b) { return b == 0; }))
+            << bytes;
+        if (bytes >= kHugePage) {
+            EXPECT_EQ(reinterpret_cast<std::uintptr_t>(p) % kHugePage, 0u)
+                << bytes;
+        }
+        std::memset(p, 0xab, bytes); // the whole array is writable
+        common::table_detail::freeSlotArray(p, bytes);
+    }
+    common::table_detail::freeSlotArray(nullptr, 3 * kHugePage);
+}
+
+TEST(KeyTable, GrowsAcrossTheHugePageLineLikeAReference)
+{
+    TestTable table;
+    std::unordered_map<Key, TestPayload> ref;
+    std::vector<Key> keys;
+    std::size_t huge_rehashes = 0;
+    // 24-byte slots: 65,536 of them are 1.5 MiB, 131,072 are 3 MiB
+    // and 262,144 are 6 MiB, so this grows across 2 MiB and past it.
+    for (std::uint64_t i = 0; i < 120'000; ++i) {
+        const std::size_t cap_before = table.capacity();
+        const Key key = scatter(i);
+        TestSlot &slot = table.getOrCreate(key);
+        slot.small = static_cast<std::uint32_t>(i);
+        slot.big = ~i;
+        ref[key] = TestPayload{slot.small, slot.big};
+        keys.push_back(key);
+        if (table.capacity() == cap_before)
+            continue;
+        expectSameContents(table, ref, keys);
+        if (table.memoryBytes() < kHugePage)
+            continue;
+        ++huge_rehashes;
+        const auto base = reinterpret_cast<std::uintptr_t>(
+            slotArrayOf(table, *table.find(key)));
+        EXPECT_EQ(base % kHugePage, 0u) << "capacity " << table.capacity();
+        // Every slot agrees on where the array starts.
+        EXPECT_EQ(slotArrayOf(table, *table.find(keys.front())),
+                  reinterpret_cast<const char *>(base));
+    }
+    expectSameContents(table, ref, keys);
+    EXPECT_EQ(huge_rehashes, 2u);
+    EXPECT_EQ(table.memoryBytes(), 262'144 * sizeof(TestSlot));
+    EXPECT_ON_HUGE_PAGES(slotArrayOf(table, *table.find(keys.front())));
+}
+
+TEST(VersionStore, GrowsAcrossTheHugePageLineLikeAReference)
+{
+    Store store;
+    RefStore ref;
+    std::size_t huge_rehashes = 0;
+    // Every fifth key holds two versions, so arena chains move through
+    // each rehash too.
+    for (std::uint64_t i = 0; i < 70'000; ++i) {
+        const std::size_t cap_before = store.capacity();
+        const Key key = scatter(i);
+        store.getOrCreate(key).insert(v(10), Loc{i});
+        ref[key].insert(v(10), Loc{i});
+        if (i % 5 == 0) {
+            store.getOrCreate(key).insert(v(20), Loc{~i});
+            ref[key].insert(v(20), Loc{~i});
+        }
+        if (store.capacity() == cap_before)
+            continue;
+        expectEquivalent(ref, store);
+        ASSERT_EQ(indexMismatch(store), "");
+        if (store.memoryBytes() >= kHugePage)
+            ++huge_rehashes;
+    }
+    expectEquivalent(ref, store);
+    EXPECT_GE(huge_rehashes, 2u);
+    // forEach visits slots in array order: the first chain it meets
+    // sits in the array's first huge page.
+    const void *first = nullptr;
+    store.forEach([&](Key, Store::ChainRef chain) {
+        if (first == nullptr && chain.size() == 1)
+            first = &chain.youngest();
+    });
+    EXPECT_ON_HUGE_PAGES(first);
 }
