@@ -1,7 +1,8 @@
 /**
  * @file
  * Shared helpers for the experiment harnesses: a tiny flag parser
- * (--name=value), table printing, and the machine-readable report
+ * (--name=value for a value flag, a bare --name for a switch), table
+ * printing, and the machine-readable report
  * writer behind every harness's --json flag. Every bench accepts:
  *
  *   --seconds=N   simulated measurement seconds per cell
@@ -28,6 +29,7 @@
 #include <fstream>
 #include <iostream>
 #include <memory>
+#include <optional>
 #include <ostream>
 #include <string>
 #include <system_error>
@@ -64,24 +66,19 @@ class Args
     double
     getDouble(const std::string &name, double def) const
     {
-        const std::string prefix = "--" + name + "=";
-        for (const auto &a : args_) {
-            if (a.rfind(prefix, 0) != 0)
-                continue;
-            const std::string text = a.substr(prefix.size());
-            double v = 0;
-            const char *end = text.data() + text.size();
-            const auto [ptr, ec] = std::from_chars(text.data(), end, v);
-            if (text.empty() || ec != std::errc() || ptr != end ||
-                !std::isfinite(v) || v < 0) {
-                std::fprintf(stderr,
-                             "bad --%s '%s' (a non-negative number)\n",
-                             name.c_str(), text.c_str());
-                std::exit(2);
-            }
-            return v;
+        const std::optional<std::string> text = valueOf(name);
+        if (!text)
+            return def;
+        double v = 0;
+        const char *end = text->data() + text->size();
+        const auto [ptr, ec] = std::from_chars(text->data(), end, v);
+        if (text->empty() || ec != std::errc() || ptr != end ||
+            !std::isfinite(v) || v < 0) {
+            std::fprintf(stderr, "bad --%s '%s' (a non-negative number)\n",
+                         name.c_str(), text->c_str());
+            std::exit(2);
         }
-        return def;
+        return v;
     }
 
     /**
@@ -92,40 +89,26 @@ class Args
     std::int64_t
     getInt(const std::string &name, std::int64_t def) const
     {
-        const std::string prefix = "--" + name + "=";
-        for (const auto &a : args_) {
-            if (a.rfind(prefix, 0) != 0)
-                continue;
-            const std::string text = a.substr(prefix.size());
-            std::int64_t v = 0;
-            const char *end = text.data() + text.size();
-            if (text.empty() ||
-                text.find_first_not_of("0123456789") != std::string::npos ||
-                std::from_chars(text.data(), end, v).ec != std::errc()) {
-                std::fprintf(stderr,
-                             "bad --%s '%s' (a whole non-negative "
-                             "number)\n",
-                             name.c_str(), text.c_str());
-                std::exit(2);
-            }
-            return v;
+        const std::optional<std::string> text = valueOf(name);
+        if (!text)
+            return def;
+        std::int64_t v = 0;
+        const char *end = text->data() + text->size();
+        if (text->empty() ||
+            text->find_first_not_of("0123456789") != std::string::npos ||
+            std::from_chars(text->data(), end, v).ec != std::errc()) {
+            std::fprintf(stderr,
+                         "bad --%s '%s' (a whole non-negative number)\n",
+                         name.c_str(), text->c_str());
+            std::exit(2);
         }
-        return def;
+        return v;
     }
 
     std::string
     getString(const std::string &name, const std::string &def) const
     {
-        const std::string prefix = "--" + name + "=";
-        const std::string flag = "--" + name;
-        for (std::size_t i = 0; i < args_.size(); ++i) {
-            if (args_[i].rfind(prefix, 0) == 0)
-                return args_[i].substr(prefix.size());
-            // Also accept the two-token form "--name value".
-            if (args_[i] == flag && i + 1 < args_.size())
-                return args_[i + 1];
-        }
-        return def;
+        return valueOf(name).value_or(def);
     }
 
     bool
@@ -163,6 +146,28 @@ class Args
     }
 
   private:
+    /**
+     * The text after `--name=`, or nothing when the flag is absent.
+     * Exits 2, naming the flag, when it is given bare: read as absent,
+     * `--keys 2000` would run with the default key count.
+     */
+    std::optional<std::string>
+    valueOf(const std::string &name) const
+    {
+        const std::string flag = "--" + name;
+        for (const auto &a : args_) {
+            if (a == flag) {
+                std::fprintf(stderr, "%s needs a value: %s=VALUE\n",
+                             flag.c_str(), flag.c_str());
+                std::exit(2);
+            }
+            if (a.size() > flag.size() && a.rfind(flag, 0) == 0 &&
+                a[flag.size()] == '=')
+                return a.substr(flag.size() + 1);
+        }
+        return std::nullopt;
+    }
+
     std::vector<std::string> args_;
 };
 

@@ -106,9 +106,6 @@ class DriftClock : public Clock
 
     double driftPpm() const { return driftPpm_; }
 
-    /** Effective drift after servo correction, in ppm. */
-    double effectiveDriftPpm() const { return driftPpm_ + servoPpm_; }
-
     // ------------------------------------------------------------------
     // Chaos mutation hooks (see common/chaos.hh).
     // ------------------------------------------------------------------

@@ -155,7 +155,6 @@ class ClockEnsemble
      * transitions in the ensemble stats.
      */
     void setMasterDown(bool down);
-    bool masterDown() const { return masterDown_; }
 
     /** Exchange counters/offset histograms of all member agents, and
      *  the sampled pairwise skew (clocksync.pairwise_skew). */

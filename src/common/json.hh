@@ -105,15 +105,9 @@ class JsonValue
 
     Kind kind() const { return kind_; }
     bool isNull() const { return kind_ == Kind::Null; }
-    bool isNumber() const
-    {
-        return kind_ == Kind::Int || kind_ == Kind::Double;
-    }
-    bool isString() const { return kind_ == Kind::String; }
     bool isArray() const { return kind_ == Kind::Array; }
     bool isObject() const { return kind_ == Kind::Object; }
 
-    bool asBool() const { return bool_; }
     std::int64_t asInt() const;
     double asDouble() const;
     const std::string &asString() const { return string_; }

@@ -1,17 +1,22 @@
 /**
  * @file
- * The robin-hood open-addressing discipline shared by the flat
- * tables keyed by a 64-bit Key: ftl::VersionStore (the storage data
- * plane, ftl/mapping_table.hh) and KeyTable, a table of fixed-size,
- * trivially copyable slots.
+ * KeyTable, the one robin-hood hash table behind every per-key map
+ * keyed by a 64-bit Key: the servers' per-key OCC state, the
+ * transaction table, the network's per-link state and the storage data
+ * plane, ftl::VersionStore (ftl/mapping_table.hh), which is a KeyTable
+ * of version-chain slots.
  *
  *  - Power-of-two capacity, multiplicative (Fibonacci) hashing,
  *    linear probing with robin-hood displacement, at most 7/8 full.
  *  - Tombstone-free erase by backward shift.
+ *  - A slot is `Key key`, `std::uint32_t dist` and a payload. The
+ *    table places slots; a hooks type sets up and moves payloads, so a
+ *    payload that owns memory (a version chain) moves the same way as
+ *    a few plain words (CopySlotHooks, the default).
  *
- * Both tables take their slot arrays from allocSlotArray: at paper
- * scale (2M keys, 192 MiB per table) an array on 2 MiB pages costs a
- * probe one cache miss instead of a miss plus a page walk.
+ * Slot arrays come from allocSlotArray: at paper scale (2M keys,
+ * 192 MiB per table) an array on 2 MiB pages costs a probe one cache
+ * miss instead of a miss plus a page walk.
  *
  * Single-threaded by design, like the simulator that owns it.
  */
@@ -24,6 +29,7 @@
 #include <cstring>
 #include <new>
 #include <type_traits>
+#include <utility>
 
 #include <sys/mman.h>
 
@@ -46,7 +52,6 @@ pow2AtLeast(std::size_t n)
     return std::bit_ceil(n < 2 ? std::size_t{2} : n);
 }
 
-inline constexpr std::size_t kNpos = static_cast<std::size_t>(-1);
 inline constexpr std::size_t kMinTableCap = 16;
 
 /** Power-of-two capacity keeping the load under 7/8 after @p keys
@@ -110,105 +115,58 @@ freeSlotArray(void *p, std::size_t bytes)
     ::operator delete(raw);
 }
 
-/*
- * The robin-hood discipline both tables below share. A slot type has
- * `Key key` and `std::uint32_t dist` (probe distance + 1; 0 = empty);
- * the table is a power-of-two array probed from the top bits of the
- * Fibonacci hash. Payload moves are the caller's: @p move(dst, src)
- * carries src's payload into dst (dst's payload is dead) and leaves
- * src's dead.
- */
-
-/** Index of @p key's slot, or kNpos. The table must be allocated. */
-template <typename Slot>
-inline std::size_t
-probe(const Slot *slots, std::size_t mask, std::uint32_t shift, Key key)
-{
-    std::size_t i = mixKey(key) >> shift;
-    std::uint32_t dist = 1;
-    for (;;) {
-        const Slot &s = slots[i];
-        if (s.dist < dist) // includes empty (dist == 0)
-            return kNpos;
-        if (s.key == key)
-            return i;
-        i = (i + 1) & mask;
-        ++dist;
-    }
-}
-
-/**
- * Make slot @p pos a hole by moving the contiguous run starting there
- * one step right (into the first empty slot), bumping each displaced
- * resident's probe distance. The hole's dist is 0.
- */
-template <typename Slot, typename Move>
-inline void
-shiftForward(Slot *slots, std::size_t mask, std::size_t pos, Move &&move)
-{
-    std::size_t e = pos;
-    while (slots[e].dist != 0)
-        e = (e + 1) & mask;
-    while (e != pos) {
-        const std::size_t p = (e - 1) & mask;
-        Slot &dst = slots[e];
-        Slot &src = slots[p];
-        dst.key = src.key;
-        dst.dist = src.dist + 1;
-        move(dst, src);
-        e = p;
-    }
-    slots[pos].dist = 0;
-}
-
-/**
- * Tombstone-free erase of the (already destroyed) slot @p idx: the
- * following run members move one slot toward home, and the slot at
- * the end of the run is left empty.
- */
-template <typename Slot, typename Move>
-inline void
-backwardShift(Slot *slots, std::size_t mask, std::size_t idx, Move &&move)
-{
-    std::size_t hole = idx;
-    for (;;) {
-        const std::size_t next = (hole + 1) & mask;
-        Slot &n = slots[next];
-        if (n.dist <= 1)
-            break;
-        Slot &h = slots[hole];
-        h.key = n.key;
-        h.dist = n.dist - 1;
-        move(h, n);
-        hole = next;
-    }
-    slots[hole].dist = 0;
-}
-
 } // namespace table_detail
 
 /**
- * Robin-hood table of fixed-size per-key slots: the same probe,
- * forward-shift insert, backward-shift erase and hash as
- * ftl::VersionStore, with the whole payload inline. It backs state
- * that is a few words per key (the servers' per-key OCC state, the
- * transaction table, the network's per-link state), so a lookup is
- * one probe run in one array and steady state allocates nothing.
- *
- * @p Slot is trivially copyable and carries `Key key` and
- * `std::uint32_t dist` (table bookkeeping; callers never write them);
- * every other member is payload, zero on creation. References into
- * the table are invalidated by any insert of a new key (robin-hood
- * shifts, growth), erase, reserve or clear.
+ * KeyTable's hooks for a trivially copyable slot: a new slot's payload
+ * is zero and a payload moves by copy.
  */
 template <typename Slot>
-class KeyTable
+struct CopySlotHooks
 {
     static_assert(std::is_trivially_copyable_v<Slot>,
-                  "KeyTable slots move by copy");
+                  "CopySlotHooks move slots by copy");
 
+    void init(Slot &s) const { s = Slot{}; }
+
+    void
+    move(Slot &dst, const Slot &src) const
+    {
+        const Key key = dst.key;
+        const std::uint32_t dist = dst.dist;
+        dst = src;
+        dst.key = key;
+        dst.dist = dist;
+    }
+};
+
+/**
+ * Robin-hood table of fixed-size per-key slots. A lookup is one probe
+ * run in one array, and steady state allocates nothing.
+ *
+ * @p Slot carries `Key key` and `std::uint32_t dist` (probe distance
+ * + 1, 0 = empty: table bookkeeping that callers never write); every
+ * other member is payload, which @p Hooks manages:
+ *
+ *  - `init(Slot &s)` gives the slot taken for a new key an empty
+ *    payload; the table writes key and dist after it.
+ *  - `move(Slot &dst, Slot &src)` carries src's payload into dst and
+ *    leaves src's dead. dst is a slot of the current array whose key
+ *    and dist are already written and whose payload is dead. It runs
+ *    for every resident that an insert's forward shift, an erase's
+ *    backward shift or a rehash moves.
+ *
+ * The table never destroys a payload: a caller whose payload owns
+ * anything releases it before erase, clear or destruction. References
+ * into the table are invalidated by any insert of a new key (robin-hood
+ * shifts, growth), erase, reserve or clear.
+ */
+template <typename Slot, typename Hooks = CopySlotHooks<Slot>>
+class KeyTable
+{
   public:
-    explicit KeyTable(std::uint64_t expected_keys = 0)
+    explicit KeyTable(std::uint64_t expected_keys = 0, Hooks hooks = {})
+        : hooks_(hooks)
     {
         if (expected_keys > 0)
             rehash(table_detail::capacityFor(expected_keys));
@@ -222,18 +180,28 @@ class KeyTable
     Slot *
     find(Key key)
     {
-        const std::size_t i = findIndex(key);
-        return i == table_detail::kNpos ? nullptr : &slots_[i];
+        return const_cast<Slot *>(std::as_const(*this).find(key));
     }
 
     const Slot *
     find(Key key) const
     {
-        const std::size_t i = findIndex(key);
-        return i == table_detail::kNpos ? nullptr : &slots_[i];
+        if (cap_ == 0)
+            return nullptr;
+        std::size_t i = table_detail::mixKey(key) >> shift_;
+        std::uint32_t dist = 1;
+        for (;;) {
+            const Slot &s = slots_[i];
+            if (s.dist < dist) // includes empty (dist == 0)
+                return nullptr;
+            if (s.key == key)
+                return &s;
+            i = (i + 1) & mask_;
+            ++dist;
+        }
     }
 
-    /** Slot for @p key, created with a zero payload when absent. */
+    /** Slot for @p key, created with an empty payload when absent. */
     Slot &
     getOrCreate(Key key)
     {
@@ -249,8 +217,8 @@ class KeyTable
                 // Empty, or a resident closer to home than we are:
                 // shift its run right and take the slot.
                 if (s.dist != 0)
-                    table_detail::shiftForward(slots_, mask_, i, copier());
-                s = Slot{};
+                    shiftForward(i);
+                hooks_.init(s);
                 s.key = key;
                 s.dist = dist;
                 ++size_;
@@ -265,12 +233,20 @@ class KeyTable
     bool
     erase(Key key)
     {
-        const std::size_t i = findIndex(key);
-        if (i == table_detail::kNpos)
+        Slot *s = find(key);
+        if (s == nullptr)
             return false;
-        table_detail::backwardShift(slots_, mask_, i, copier());
-        --size_;
+        erase(*s);
         return true;
+    }
+
+    /** Remove @p slot, found in this table with no insert of a new
+     *  key, erase or reserve since. */
+    void
+    erase(Slot &slot)
+    {
+        backwardShift(static_cast<std::size_t>(&slot - slots_));
+        --size_;
     }
 
     /** Drop every slot; capacity is retained. */
@@ -292,6 +268,18 @@ class KeyTable
             rehash(want);
     }
 
+    /** Visit every slot in array order. @p fn may change a payload but
+     *  must not insert or erase keys. */
+    template <typename Fn>
+    void
+    forEach(Fn &&fn)
+    {
+        for (std::size_t i = 0; i < cap_; ++i) {
+            if (slots_[i].dist != 0)
+                fn(slots_[i]);
+        }
+    }
+
     std::size_t size() const { return size_; }
     std::size_t capacity() const { return cap_; }
 
@@ -303,23 +291,46 @@ class KeyTable
     }
 
   private:
-    static auto
-    copier()
+    /**
+     * Make slot @p pos a hole by moving the contiguous run starting
+     * there one step right (into the first empty slot), bumping each
+     * displaced resident's probe distance. The hole's dist is 0.
+     */
+    void
+    shiftForward(std::size_t pos)
     {
-        return [](Slot &dst, const Slot &src) {
-            const Key key = dst.key;
-            const std::uint32_t dist = dst.dist;
-            dst = src;
-            dst.key = key;
-            dst.dist = dist;
-        };
+        std::size_t e = pos;
+        while (slots_[e].dist != 0)
+            e = (e + 1) & mask_;
+        while (e != pos) {
+            const std::size_t p = (e - 1) & mask_;
+            slots_[e].key = slots_[p].key;
+            slots_[e].dist = slots_[p].dist + 1;
+            hooks_.move(slots_[e], slots_[p]);
+            e = p;
+        }
+        slots_[pos].dist = 0;
     }
 
-    std::size_t
-    findIndex(Key key) const
+    /**
+     * Tombstone-free erase of slot @p idx (its payload dead): the
+     * following run members move one slot toward home, and the slot at
+     * the end of the run is left empty.
+     */
+    void
+    backwardShift(std::size_t idx)
     {
-        return cap_ == 0 ? table_detail::kNpos
-                         : table_detail::probe(slots_, mask_, shift_, key);
+        std::size_t hole = idx;
+        for (;;) {
+            const std::size_t next = (hole + 1) & mask_;
+            if (slots_[next].dist <= 1)
+                break;
+            slots_[hole].key = slots_[next].key;
+            slots_[hole].dist = slots_[next].dist - 1;
+            hooks_.move(slots_[hole], slots_[next]);
+            hole = next;
+        }
+        slots_[hole].dist = 0;
     }
 
     void
@@ -339,9 +350,10 @@ class KeyTable
         mask_ = new_cap - 1;
         shift_ = static_cast<std::uint32_t>(64 - std::countr_zero(new_cap));
         size_ = 0;
+        // Capacity is final, so getOrCreate cannot re-enter grow().
         for (std::size_t i = 0; i < old_cap; ++i) {
             if (old[i].dist != 0)
-                copier()(getOrCreate(old[i].key), old[i]);
+                hooks_.move(getOrCreate(old[i].key), old[i]);
         }
         table_detail::freeSlotArray(old, old_cap * sizeof(Slot));
     }
@@ -351,6 +363,7 @@ class KeyTable
     std::size_t mask_ = 0;
     std::uint32_t shift_ = 64; // >> 64 is UB; guarded by cap_ == 0
     std::size_t size_ = 0;
+    [[no_unique_address]] Hooks hooks_;
 };
 
 } // namespace common

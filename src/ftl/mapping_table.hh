@@ -1,22 +1,18 @@
 /**
  * @file
- * The zero-allocation storage data plane: an open-addressing
- * robin-hood mapping table from Key to a version chain, with the
- * common 1-version case stored inline in the table slot and overflow
- * chains carved from a size-class arena (arena.hh).
+ * The zero-allocation storage data plane: a map from Key to a version
+ * chain, with the common 1-version case stored inline in the table
+ * slot and overflow chains carved from a size-class arena (arena.hh).
  *
  * This replaces `std::unordered_map<Key, VersionChain>` in the DRAM,
  * MFTL and VFTL backends. Design points:
  *
- *  - Power-of-two capacity, multiplicative (Fibonacci) hashing,
- *    linear probing with robin-hood displacement: a probing insert
- *    that meets a slot closer to its home bucket than itself evicts
- *    it (forward-shifting the contiguous run), keeping probe-length
- *    variance tiny at the 7/8 max load factor.
- *  - Tombstone-free erase: deleting a key backward-shifts the
- *    following run members one slot toward their home buckets, so
- *    lookups never wade through tombstones and the table never needs
- *    an anti-tombstone rehash.
+ *  - The table is a common::KeyTable of chain slots (key_table.hh):
+ *    robin-hood probing at most 7/8 full, backward-shift erase, slot
+ *    arrays on 2 MiB pages at paper scale. VersionStore adds only the
+ *    payload: its slot hooks start a new slot as an empty inline chain
+ *    and move a chain (inline entry or arena block, with its index
+ *    cell) whenever the table moves a slot.
  *  - Slot layout (DRAM backend: 64 bytes, one cache line):
  *
  *        Key      key       8B   }
@@ -37,13 +33,13 @@
  *    put/prune churn allocates nothing.
  *  - Multi-version index: a chain lives in an arena block exactly
  *    when it holds >= 2 versions, and only such a chain can lose a
- *    version to watermark pruning. A dense vector of their slot
- *    numbers, with each chain's position kept in the block half of
- *    its slot's union (bytes an inline Entry would use anyway), lets
- *    the backends' watermark sweeps visit those chains alone instead
- *    of every slot. Promotion appends, demotion/erase swap-removes,
- *    and a slot move rewrites its one index cell, all O(1); the
- *    vector is bounded by the live multi-version chains on every
+ *    version to watermark pruning. A dense vector of pointers to their
+ *    slots, with each chain's position kept in the block half of its
+ *    slot's union (bytes an inline Entry would use anyway), lets the
+ *    backends' watermark sweeps visit those chains alone instead of
+ *    every slot. Promotion appends, demotion/erase swap-removes, and
+ *    the move hook rewrites a moved chain's one index cell, all O(1);
+ *    the vector is bounded by the live multi-version chains on every
  *    backend, including DRAM, which never sweeps.
  *  - All chain operations share ftl::chain_ops binary searches with
  *    the reference VersionChain, so semantics cannot drift
@@ -55,21 +51,15 @@
  * over the multi-version index, only decrements live counters and
  * runs without suspension points, so its order is unobservable.
  *
- * The probe/shift/erase discipline (common::table_detail) lives in
- * common/key_table.hh, shared with common::KeyTable, the same table
- * over fixed-size, trivially copyable slots.
- *
  * Single-threaded by design, like the simulator that owns it.
  */
 
 #ifndef FTL_MAPPING_TABLE_HH
 #define FTL_MAPPING_TABLE_HH
 
-#include <bit>
-#include <cassert>
+#include <cstddef>
 #include <cstdint>
 #include <new>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -84,11 +74,10 @@ using common::Key;
 using common::Time;
 using common::Version;
 
-namespace table_detail = common::table_detail;
-
 /**
- * Open-addressing robin-hood map from Key to a descending version
- * chain. See the file comment for layout and invariants.
+ * Robin-hood map from Key to a descending version chain: a
+ * common::KeyTable of chain slots. See the file comment for layout and
+ * invariants.
  */
 template <typename Loc>
 class VersionStore
@@ -99,17 +88,14 @@ class VersionStore
   public:
     using Entry = VersionEntry<Loc>;
 
-    static constexpr std::size_t npos = table_detail::kNpos;
-
     /**
      * @param expected_keys pre-sizes the table so that many distinct
      * keys insert without a single rehash (0 = start minimal and
      * grow).
      */
     explicit VersionStore(std::uint64_t expected_keys = 0)
+        : table_(expected_keys, SlotHooks{this})
     {
-        if (expected_keys > 0)
-            rehash(table_detail::capacityFor(expected_keys));
     }
 
     VersionStore(const VersionStore &) = delete;
@@ -117,8 +103,7 @@ class VersionStore
 
     ~VersionStore()
     {
-        clear();
-        table_detail::freeSlotArray(slots_, cap_ * sizeof(Slot));
+        table_.forEach([this](Slot &s) { destroyChain(s); });
     }
 
     class ChainRef;
@@ -127,51 +112,26 @@ class VersionStore
     ChainRef
     find(Key key)
     {
-        const std::size_t idx = findIndex(key);
-        return idx == npos ? ChainRef{} : ChainRef{this, idx};
+        Slot *s = table_.find(key);
+        return s == nullptr ? ChainRef{} : ChainRef{this, s};
     }
 
     /** Chain for @p key, creating an empty chain when absent. */
     ChainRef
     getOrCreate(Key key)
     {
-        if ((size_ + 1) * 8 > cap_ * 7)
-            grow();
-        std::size_t i = bucketOf(key);
-        std::uint32_t dist = 1;
-        for (;;) {
-            Slot &s = slots_[i];
-            if (s.dist == 0) {
-                fillEmpty(s, key, dist);
-                return ChainRef{this, i};
-            }
-            if (s.key == key)
-                return ChainRef{this, i};
-            if (s.dist < dist) {
-                // Robin hood: this resident is closer to home than we
-                // are; shift the run right and take its slot.
-                table_detail::shiftForward(slots_, mask_, i, mover());
-                fillEmpty(slots_[i], key, dist);
-                return ChainRef{this, i};
-            }
-            i = (i + 1) & mask_;
-            ++dist;
-        }
+        return ChainRef{this, &table_.getOrCreate(key)};
     }
 
-    /**
-     * Remove a key and its chain. Backward-shift erase: the following
-     * run members move one slot toward home, leaving no tombstone.
-     */
+    /** Remove a key and its chain. */
     bool
     erase(Key key)
     {
-        const std::size_t idx = findIndex(key);
-        if (idx == npos)
+        Slot *s = table_.find(key);
+        if (s == nullptr)
             return false;
-        destroyChain(slots_[idx]);
-        table_detail::backwardShift(slots_, mask_, idx, mover());
-        --size_;
+        destroyChain(*s);
+        table_.erase(*s);
         return true;
     }
 
@@ -183,18 +143,17 @@ class VersionStore
     std::size_t
     dropAtOrBelow(Key key, Version v, OnDrop &&on_drop)
     {
-        const std::size_t idx = findIndex(key);
-        if (idx == npos)
+        Slot *s = table_.find(key);
+        if (s == nullptr)
             return 0;
-        Slot &s = slots_[idx];
-        Entry *e = entriesOf(s);
-        const std::size_t from = chain_ops::firstLeq(e, s.count, v);
-        const std::size_t dropped = s.count - from;
-        for (std::size_t i = from; i < s.count; ++i)
+        Entry *e = entriesOf(*s);
+        const std::size_t from = chain_ops::firstLeq(e, s->count, v);
+        const std::size_t dropped = s->count - from;
+        for (std::size_t i = from; i < s->count; ++i)
             on_drop(e[i]);
-        truncate(s, from);
-        if (s.count == 0)
-            erase(key);
+        truncate(*s, from);
+        if (s->count == 0)
+            table_.erase(*s);
         return dropped;
     }
 
@@ -205,36 +164,25 @@ class VersionStore
     void
     clear()
     {
-        for (std::size_t i = 0; i < cap_; ++i) {
-            if (slots_[i].dist != 0) {
-                destroyChain(slots_[i]);
-                slots_[i].dist = 0;
-            }
-        }
-        size_ = 0;
+        table_.forEach([this](Slot &s) { destroyChain(s); });
+        table_.clear();
     }
 
     /**
      * Pre-size for @p keys distinct keys so bulk load performs no
      * rehashes. Never shrinks.
      */
-    void
-    reserveKeys(std::uint64_t keys)
-    {
-        const std::size_t want = table_detail::capacityFor(keys);
-        if (want > cap_)
-            rehash(want);
-    }
+    void reserveKeys(std::uint64_t keys) { table_.reserve(keys); }
 
-    std::size_t size() const { return size_; }
-    std::size_t capacity() const { return cap_; }
+    std::size_t size() const { return table_.size(); }
+    std::size_t capacity() const { return table_.capacity(); }
 
     /** Number of live versions for @p key (0 when absent). */
     std::size_t
     versionCount(Key key) const
     {
-        const std::size_t idx = findIndex(key);
-        return idx == npos ? 0 : slots_[idx].count;
+        const Slot *s = table_.find(key);
+        return s == nullptr ? 0 : s->count;
     }
 
     /**
@@ -246,10 +194,7 @@ class VersionStore
     void
     forEach(Fn &&fn)
     {
-        for (std::size_t i = 0; i < cap_; ++i) {
-            if (slots_[i].dist != 0)
-                fn(slots_[i].key, ChainRef{this, i});
-        }
+        table_.forEach([&](Slot &s) { fn(s.key, ChainRef{this, &s}); });
     }
 
     /** Number of chains holding >= 2 versions (the index's size). */
@@ -268,8 +213,8 @@ class VersionStore
     forEachMultiVersion(Fn &&fn)
     {
         for (std::size_t i = multi_.size(); i-- > 0;) {
-            const std::size_t idx = multi_[i];
-            fn(slots_[idx].key, ChainRef{this, idx});
+            Slot *s = multi_[i];
+            fn(s->key, ChainRef{this, s});
         }
     }
 
@@ -292,10 +237,9 @@ class VersionStore
     std::uint64_t
     memoryBytes() const
     {
-        return static_cast<std::uint64_t>(cap_) * sizeof(Slot) +
-               arena_.slabBytes() +
+        return table_.memoryBytes() + arena_.slabBytes() +
                static_cast<std::uint64_t>(multi_.capacity()) *
-                   sizeof(std::size_t);
+                   sizeof(Slot *);
     }
 
     /**
@@ -434,15 +378,14 @@ class VersionStore
 
       private:
         friend class VersionStore;
-        ChainRef(VersionStore *store, std::size_t index)
-            : store_(store), index_(index)
+        ChainRef(VersionStore *store, Slot *slot) : store_(store), slot_(slot)
         {
         }
 
-        Slot &slot() const { return store_->slots_[index_]; }
+        Slot &slot() const { return *slot_; }
 
         VersionStore *store_ = nullptr;
-        std::size_t index_ = 0;
+        Slot *slot_ = nullptr;
     };
 
   private:
@@ -455,7 +398,7 @@ class VersionStore
     struct Block
     {
         Entry *entries;
-        std::size_t pos; // multi_[pos] is this slot's number
+        std::size_t pos; // multi_[pos] points at this slot
     };
 
     // The index position rides in bytes the inline Entry occupies
@@ -497,29 +440,6 @@ class VersionStore
         return s.capClass == kInlineClass
                    ? 1u
                    : ChainArena<Entry>::capacityOf(s.capClass);
-    }
-
-    void
-    fillEmpty(Slot &s, Key key, std::uint32_t dist)
-    {
-        s.key = key;
-        s.dist = dist;
-        s.count = 0;
-        s.capClass = kInlineClass;
-        ++size_;
-    }
-
-    std::size_t
-    bucketOf(Key key) const
-    {
-        return table_detail::mixKey(key) >> shift_;
-    }
-
-    std::size_t
-    findIndex(Key key) const
-    {
-        return cap_ == 0 ? npos
-                         : table_detail::probe(slots_, mask_, shift_, key);
     }
 
     // --- chain storage management ------------------------------------
@@ -586,7 +506,7 @@ class VersionStore
         if (s.capClass == kInlineClass) {
             // Promotion: the chain is about to hold 2 versions.
             s.rep.many.pos = multi_.size();
-            multi_.push_back(slotNumber(s));
+            multi_.push_back(&s);
         } else {
             arena_.deallocate(s.rep.many.entries, s.capClass);
         }
@@ -627,27 +547,22 @@ class VersionStore
         s.capClass = kInlineClass;
     }
 
-    std::size_t
-    slotNumber(const Slot &s) const
-    {
-        return static_cast<std::size_t>(&s - slots_);
-    }
-
     /** Swap-remove index cell @p pos, re-pointing the moved chain. */
     void
     unindex(std::size_t pos)
     {
-        const std::size_t last = multi_.back();
+        Slot *last = multi_.back();
         multi_[pos] = last;
-        slots_[last].rep.many.pos = pos;
+        last->rep.many.pos = pos;
         multi_.pop_back();
     }
 
     /**
      * Move src's chain payload into dst (dst's payload must be dead;
-     * dst must be a slot of the current table). Inline entries move
-     * by move-construction; overflow chains transfer the block and
-     * re-point their index cell at dst. src is left empty.
+     * dst must be a slot of the current array): KeyTable's move hook.
+     * Inline entries move by move-construction; overflow chains
+     * transfer the block and re-point their index cell at dst. src is
+     * left empty.
      */
     void
     movePayload(Slot &dst, Slot &src)
@@ -661,61 +576,37 @@ class VersionStore
             }
         } else {
             dst.rep.many = src.rep.many;
-            multi_[dst.rep.many.pos] = slotNumber(dst);
+            multi_[dst.rep.many.pos] = &dst;
         }
         src.count = 0;
         src.capClass = kInlineClass;
     }
 
-    /** movePayload as the shared robin-hood helpers' move hook. */
-    auto
-    mover()
+    /** The table's payload hooks: a new slot holds an empty inline
+     *  chain, and a moved slot carries its chain. */
+    struct SlotHooks
     {
-        return [this](Slot &dst, Slot &src) { movePayload(dst, src); };
-    }
+        VersionStore *store;
 
-    // --- table growth ------------------------------------------------
-
-    void
-    grow()
-    {
-        rehash(cap_ == 0 ? table_detail::kMinTableCap : cap_ * 2);
-    }
-
-    void
-    rehash(std::size_t new_cap)
-    {
-        Slot *old = slots_;
-        const std::size_t old_cap = cap_;
-        // Zero-filled: dist == 0 marks every slot empty; union bytes
-        // are raw until a chain is constructed.
-        slots_ = static_cast<Slot *>(
-            table_detail::allocSlotArray(new_cap * sizeof(Slot)));
-        cap_ = new_cap;
-        mask_ = new_cap - 1;
-        shift_ = static_cast<std::uint32_t>(
-            64 - std::countr_zero(new_cap));
-        size_ = 0;
-        for (std::size_t i = 0; i < old_cap; ++i) {
-            Slot &s = old[i];
-            if (s.dist == 0)
-                continue;
-            // Capacity is already final, so this cannot re-enter
-            // grow(); the new slot's payload is empty — overwrite it.
-            ChainRef ref = getOrCreate(s.key);
-            movePayload(ref.slot(), s);
+        void
+        init(Slot &s) const
+        {
+            s.count = 0;
+            s.capClass = kInlineClass;
         }
-        table_detail::freeSlotArray(old, old_cap * sizeof(Slot));
-    }
 
-    Slot *slots_ = nullptr;
-    std::size_t cap_ = 0;
-    std::size_t mask_ = 0;
-    std::uint32_t shift_ = 64; // >> 64 is UB; guarded by cap_ == 0
-    std::size_t size_ = 0;
+        void
+        move(Slot &dst, Slot &src) const
+        {
+            store->movePayload(dst, src);
+        }
+    };
+
     ChainArena<Entry> arena_;
-    /** Slot numbers of the chains holding >= 2 versions. */
-    std::vector<std::size_t> multi_;
+    /** The slots of the chains holding >= 2 versions. */
+    std::vector<Slot *> multi_;
+    // Last, so its slot array is freed before the arena and the index.
+    common::KeyTable<Slot, SlotHooks> table_;
 };
 
 } // namespace ftl

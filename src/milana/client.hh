@@ -86,8 +86,6 @@ class Transaction
     /** Trace id grouping every span of this transaction (0 when
      *  tracing is disabled); printed by trace-report --txn=<id>. */
     std::uint64_t traceId() const { return traceId_; }
-    /** Why the last commit attempt aborted (None when committed). */
-    semel::AbortReason abortReason() const { return abortReason_; }
 
   private:
     friend class MilanaClient;
@@ -164,11 +162,8 @@ class MilanaClient : public semel::Client
     /** Discard all transaction state. */
     void abortTransaction(Transaction &txn);
 
-    /** Timestamp of the latest decided transaction (watermark input,
-     *  section 4.4). */
-    Time lastDecided() const { return lastAcked(); }
-
-    /** Truncation input: lastDecided(), or the commit stamp of a
+    /** Truncation input: lastAcked() (the latest decided transaction,
+     *  the watermark input of section 4.4), or the commit stamp of a
      *  transaction whose prepares or decisions are still in flight, or
      *  of one whose decision RPC was lost, whichever is oldest. */
     Time doneBelow() const override;

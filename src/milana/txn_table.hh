@@ -49,9 +49,9 @@
 #include <type_traits>
 #include <vector>
 
+#include "common/key_table.hh"
 #include "common/types.hh"
 #include "ftl/arena.hh"
-#include "ftl/mapping_table.hh"
 #include "semel/messages.hh"
 
 namespace milana {

@@ -92,8 +92,6 @@ class Simulator
     /** Abort run() from inside an event (used by a few tests). */
     void stop() { stopped_ = true; }
 
-    std::size_t pendingEvents() const { return queue_.size(); }
-
     /** Free-list allocator for per-simulator bookkeeping (future
      *  states, coroutine frames). Objects allocated here must not
      *  outlive the simulator; frames are exempt (see sim/task.hh). */

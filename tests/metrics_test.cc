@@ -269,15 +269,23 @@ TEST(MetricsIntervalDeathTest, RejectsZeroNegativeAndMalformed)
     }
 }
 
+/** The flags of a bench command line made of @p tokens. */
+bench::Args
+commandLine(std::vector<std::string> tokens)
+{
+    std::string prog = "bench";
+    std::vector<char *> argv{prog.data()};
+    for (std::string &t : tokens)
+        argv.push_back(t.data());
+    return bench::Args(static_cast<int>(argv.size()), argv.data());
+}
+
 /** --keys=@p value, read the way every bench and milana-sim read a
  *  count flag. */
 std::int64_t
 keysFlag(const std::string &value)
 {
-    std::string prog = "bench";
-    std::string flag = "--keys=" + value;
-    char *argv[] = {prog.data(), flag.data()};
-    return bench::Args(2, argv).getInt("keys", 7);
+    return commandLine({"--keys=" + value}).getInt("keys", 7);
 }
 
 TEST(IntFlagDeathTest, AcceptsOnlyWholeNonNegativeDecimals)
@@ -290,6 +298,9 @@ TEST(IntFlagDeathTest, AcceptsOnlyWholeNonNegativeDecimals)
         EXPECT_EXIT(keysFlag(bad), ::testing::ExitedWithCode(2), "keys")
             << bad;
     }
+    // Read as absent, the two-token form would run with the default.
+    EXPECT_EXIT(commandLine({"--keys", "2000"}).getInt("keys", 7),
+                ::testing::ExitedWithCode(2), "keys");
 }
 
 /** --alpha=@p value, read the way every bench and milana-sim read a
@@ -297,10 +308,7 @@ TEST(IntFlagDeathTest, AcceptsOnlyWholeNonNegativeDecimals)
 double
 alphaFlag(const std::string &value)
 {
-    std::string prog = "bench";
-    std::string flag = "--alpha=" + value;
-    char *argv[] = {prog.data(), flag.data()};
-    return bench::Args(2, argv).getDouble("alpha", 0.5);
+    return commandLine({"--alpha=" + value}).getDouble("alpha", 0.5);
 }
 
 TEST(DoubleFlagDeathTest, AcceptsOnlyNonNegativeDecimals)
@@ -312,6 +320,8 @@ TEST(DoubleFlagDeathTest, AcceptsOnlyNonNegativeDecimals)
         EXPECT_EXIT(alphaFlag(bad), ::testing::ExitedWithCode(2), "alpha")
             << bad;
     }
+    EXPECT_EXIT(commandLine({"--alpha", "0.8"}).getDouble("alpha", 0.5),
+                ::testing::ExitedWithCode(2), "alpha");
 }
 
 } // namespace

@@ -8,6 +8,10 @@
  * values, chain contents, dropped entries — so the zero-allocation
  * data plane cannot silently drift from the reference semantics.
  *
+ * The two randomized replays also run over a locator that owns heap
+ * memory (StrLoc), the shape of the DRAM backend's string payload, so
+ * every slot move the table makes runs a real move constructor.
+ *
  * Also covers what the reference cannot: table capacity independence
  * (same contents whatever the initial pre-size), robin-hood erase
  * stress (backward-shift must leave every surviving key findable),
@@ -22,7 +26,9 @@
 
 #include <algorithm>
 #include <bit>
+#include <cinttypes>
 #include <cstdint>
+#include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <map>
@@ -50,6 +56,47 @@ struct Loc
     bool operator==(const Loc &o) const = default;
 };
 
+/**
+ * A locator that owns heap memory: 40 characters, past the
+ * small-string buffer, carrying a cookie. `live` counts the StrLocs
+ * not yet destroyed, so a chain move that copies without destroying
+ * its source, or destroys what it never moved, leaves it off zero
+ * once every store is gone.
+ */
+struct StrLoc
+{
+    static inline std::int64_t live = 0;
+
+    std::string text;
+
+    StrLoc(std::uint64_t cookie = 0)
+    {
+        char hex[17];
+        std::snprintf(hex, sizeof hex, "%016" PRIx64, cookie);
+        text = std::string(24, '.') + hex;
+        ++live;
+    }
+    StrLoc(const StrLoc &o) : text(o.text) { ++live; }
+    StrLoc(StrLoc &&o) noexcept : text(std::move(o.text)) { ++live; }
+    StrLoc &operator=(const StrLoc &) = default;
+    StrLoc &operator=(StrLoc &&) noexcept = default;
+    ~StrLoc() { --live; }
+
+    bool operator==(const StrLoc &o) const { return text == o.text; }
+};
+
+std::uint64_t
+cookieOf(const Loc &loc)
+{
+    return loc.cookie;
+}
+
+std::uint64_t
+cookieOf(const StrLoc &loc)
+{
+    return std::stoull(loc.text.substr(24), nullptr, 16);
+}
+
 Version
 v(Time ts, common::ClientId c = 1)
 {
@@ -60,31 +107,28 @@ v(Time ts, common::ClientId c = 1)
  * The reference side: a map of VersionChain, mirroring what the
  * backends did before the arena rewrite.
  */
+template <typename L = Loc>
 struct RefStore
 {
-    std::unordered_map<Key, ftl::VersionChain<Loc>> chains;
+    std::unordered_map<Key, ftl::VersionChain<L>> chains;
 
-    ftl::VersionChain<Loc> &operator[](Key k) { return chains[k]; }
+    ftl::VersionChain<L> &operator[](Key k) { return chains[k]; }
 };
 
-/** Dump one chain as (version, cookie) pairs, youngest first. */
+/** Dump one chain, a VersionChain or a (possibly falsy) ChainRef, as
+ *  (version, cookie) pairs, youngest first. */
+template <typename Chain>
 std::vector<std::pair<Version, std::uint64_t>>
-dump(const ftl::VersionChain<Loc> &chain)
+dump(const Chain &chain)
 {
     std::vector<std::pair<Version, std::uint64_t>> out;
-    for (const auto &e : chain.entries())
-        out.emplace_back(e.version, e.loc.cookie);
-    return out;
-}
-
-std::vector<std::pair<Version, std::uint64_t>>
-dump(ftl::VersionStore<Loc>::ChainRef chain)
-{
-    std::vector<std::pair<Version, std::uint64_t>> out;
-    if (!chain)
-        return out;
-    for (const auto &e : chain)
-        out.emplace_back(e.version, e.loc.cookie);
+    if constexpr (requires { chain.entries(); }) {
+        for (const auto &e : chain.entries())
+            out.emplace_back(e.version, cookieOf(e.loc));
+    } else if (chain) {
+        for (const auto &e : chain)
+            out.emplace_back(e.version, cookieOf(e.loc));
+    }
     return out;
 }
 
@@ -92,8 +136,9 @@ dump(ftl::VersionStore<Loc>::ChainRef chain)
  * Full-store comparison: every key in the reference must have an
  * identical chain in the store, and the store must not hold extras.
  */
+template <typename L>
 void
-expectEquivalent(RefStore &ref, ftl::VersionStore<Loc> &store)
+expectEquivalent(RefStore<L> &ref, ftl::VersionStore<L> &store)
 {
     std::size_t ref_nonempty = 0;
     for (auto &[key, chain] : ref.chains) {
@@ -108,9 +153,8 @@ expectEquivalent(RefStore &ref, ftl::VersionStore<Loc> &store)
         EXPECT_EQ(dump(chain), dump(got)) << "key " << key;
     }
     std::size_t store_nonempty = 0;
-    store.forEach([&](Key, ftl::VersionStore<Loc>::ChainRef chain) {
-        store_nonempty += !chain.empty();
-    });
+    store.forEach(
+        [&](Key, auto chain) { store_nonempty += !chain.empty(); });
     EXPECT_EQ(ref_nonempty, store_nonempty);
 }
 
@@ -254,21 +298,25 @@ TEST(StoreSemantics, BulkAppendEqualsInsert)
 
 // ------------------------------------------------- randomized replay
 
-TEST(StoreSemantics, RandomizedOpStreamEquivalence)
+namespace {
+
+template <typename L>
+void
+replayRandomOpStream()
 {
     std::mt19937_64 rng(20260808);
-    RefStore ref;
-    ftl::VersionStore<Loc> store; // default capacity: exercises grow
-    constexpr Key kKeys = 257;    // prime, off the pow2 grid
+    RefStore<L> ref;
+    ftl::VersionStore<L> store; // default capacity: exercises grow
+    constexpr Key kKeys = 257;  // prime, off the pow2 grid
     std::uint64_t cookie = 0;
     for (int step = 0; step < 60000; ++step) {
         const Key key = rng() % kKeys;
         const Time ts = 1 + static_cast<Time>(rng() % 512);
         const auto op = rng() % 100;
         if (op < 45) {
-            const bool a = ref[key].insert(v(ts), Loc{++cookie});
+            const bool a = ref[key].insert(v(ts), L{++cookie});
             const bool b =
-                store.getOrCreate(key).insert(v(ts), Loc{cookie});
+                store.getOrCreate(key).insert(v(ts), L{cookie});
             ASSERT_EQ(a, b) << "step " << step;
         } else if (op < 60) {
             auto chain = store.find(key);
@@ -283,9 +331,9 @@ TEST(StoreSemantics, RandomizedOpStreamEquivalence)
             const bool b = chain ? chain.remove(v(ts)) : false;
             ASSERT_EQ(a, b) << "step " << step;
         } else if (op < 80) {
-            const bool a = ref[key].relocate(v(ts), Loc{++cookie});
+            const bool a = ref[key].relocate(v(ts), L{++cookie});
             auto chain = store.find(key);
-            const bool b = chain ? chain.relocate(v(ts), Loc{cookie})
+            const bool b = chain ? chain.relocate(v(ts), L{cookie})
                                  : false;
             ASSERT_EQ(a, b) << "step " << step;
         } else if (op < 90) {
@@ -312,6 +360,15 @@ TEST(StoreSemantics, RandomizedOpStreamEquivalence)
     expectEquivalent(ref, store);
 }
 
+} // namespace
+
+TEST(StoreSemantics, RandomizedOpStreamEquivalence)
+{
+    replayRandomOpStream<Loc>();
+    replayRandomOpStream<StrLoc>();
+    EXPECT_EQ(StrLoc::live, 0) << "a chain move lost or duplicated one";
+}
+
 // ------------------------------------------- multi-version index
 
 namespace {
@@ -323,17 +380,17 @@ using Store = ftl::VersionStore<Loc>;
  * versions, each listed once. Returns "" when it does, else what
  * differs.
  */
+template <typename L>
 std::string
-indexMismatch(Store &store)
+indexMismatch(ftl::VersionStore<L> &store)
 {
     std::set<Key> want;
-    store.forEach([&](Key key, Store::ChainRef chain) {
+    store.forEach([&](Key key, auto chain) {
         if (chain.size() >= 2)
             want.insert(key);
     });
     std::vector<Key> got;
-    store.forEachMultiVersion(
-        [&](Key key, Store::ChainRef) { got.push_back(key); });
+    store.forEachMultiVersion([&](Key key, auto) { got.push_back(key); });
     std::sort(got.begin(), got.end());
     if (std::adjacent_find(got.begin(), got.end()) != got.end())
         return "index lists a key twice";
@@ -347,27 +404,28 @@ indexMismatch(Store &store)
 }
 
 /** Every key's chain as (version, cookie) pairs, keyed by key. */
+template <typename L>
 std::map<Key, std::vector<std::pair<Version, std::uint64_t>>>
-contents(Store &store)
+contents(ftl::VersionStore<L> &store)
 {
     std::map<Key, std::vector<std::pair<Version, std::uint64_t>>> out;
-    store.forEach([&](Key key, Store::ChainRef chain) {
-        out[key] = dump(chain);
-    });
+    store.forEach([&](Key key, auto chain) { out[key] = dump(chain); });
     return out;
 }
 
-} // namespace
-
-TEST(StoreSemantics, MultiVersionIndexExactUnderRandomOps)
+/**
+ * `store` sweeps through its multi-version index; `twin` receives the
+ * same ops but sweeps with forEach over every slot. Both must drop the
+ * same entries and end with the same contents, and the index must be
+ * exact after every single step.
+ */
+template <typename L>
+void
+replayIndexedAgainstFullSweeps()
 {
-    // `store` sweeps through its multi-version index; `twin` receives
-    // the same ops but sweeps with forEach over every slot. Both must
-    // drop the same entries and end with the same contents, and the
-    // index must be exact after every single step.
     std::mt19937_64 rng(20261016);
-    Store store; // default capacity: exercises grow
-    Store twin(512);
+    ftl::VersionStore<L> store; // default capacity: exercises grow
+    ftl::VersionStore<L> twin(512);
     constexpr Key kKeys = 181;
     std::uint64_t cookie = 0;
     Time watermark = 0;
@@ -377,13 +435,13 @@ TEST(StoreSemantics, MultiVersionIndexExactUnderRandomOps)
         const auto op = rng() % 1000;
         if (op < 300) {
             ++cookie;
-            ASSERT_EQ(store.getOrCreate(key).insert(v(ts), Loc{cookie}),
-                      twin.getOrCreate(key).insert(v(ts), Loc{cookie}))
+            ASSERT_EQ(store.getOrCreate(key).insert(v(ts), L{cookie}),
+                      twin.getOrCreate(key).insert(v(ts), L{cookie}))
                 << "step " << step;
         } else if (op < 450) {
             ++cookie;
-            ASSERT_EQ(store.getOrCreate(key).append(v(ts), Loc{cookie}),
-                      twin.getOrCreate(key).append(v(ts), Loc{cookie}))
+            ASSERT_EQ(store.getOrCreate(key).append(v(ts), L{cookie}),
+                      twin.getOrCreate(key).append(v(ts), L{cookie}))
                 << "step " << step;
         } else if (op < 550) {
             // Prune-on-access, as a backend get or put does.
@@ -405,8 +463,8 @@ TEST(StoreSemantics, MultiVersionIndexExactUnderRandomOps)
             ++cookie;
             auto chain = store.find(key);
             auto other = twin.find(key);
-            ASSERT_EQ(chain ? chain.relocate(v(ts), Loc{cookie}) : false,
-                      other ? other.relocate(v(ts), Loc{cookie}) : false)
+            ASSERT_EQ(chain ? chain.relocate(v(ts), L{cookie}) : false,
+                      other ? other.relocate(v(ts), L{cookie}) : false)
                 << "step " << step;
         } else if (op < 880) {
             ASSERT_EQ(store.erase(key), twin.erase(key))
@@ -416,11 +474,11 @@ TEST(StoreSemantics, MultiVersionIndexExactUnderRandomOps)
             watermark += static_cast<Time>(rng() % 24);
             std::multiset<std::pair<Version, std::uint64_t>> a, b;
             store.pruneMultiVersion(watermark, [&](const auto &e) {
-                a.emplace(e.version, e.loc.cookie);
+                a.emplace(e.version, cookieOf(e.loc));
             });
-            twin.forEach([&](Key, Store::ChainRef chain) {
+            twin.forEach([&](Key, auto chain) {
                 chain.pruneBelowWatermark(watermark, [&](const auto &e) {
-                    b.emplace(e.version, e.loc.cookie);
+                    b.emplace(e.version, cookieOf(e.loc));
                 });
             });
             ASSERT_EQ(a, b) << "step " << step;
@@ -444,6 +502,15 @@ TEST(StoreSemantics, MultiVersionIndexExactUnderRandomOps)
         ASSERT_EQ(indexMismatch(twin), "") << "step " << step;
     }
     EXPECT_EQ(contents(store), contents(twin));
+}
+
+} // namespace
+
+TEST(StoreSemantics, MultiVersionIndexExactUnderRandomOps)
+{
+    replayIndexedAgainstFullSweeps<Loc>();
+    replayIndexedAgainstFullSweeps<StrLoc>();
+    EXPECT_EQ(StrLoc::live, 0) << "a chain move lost or duplicated one";
 }
 
 TEST(StoreSemantics, MultiVersionIndexSurvivesEraseChurnAndGrowth)
