@@ -65,7 +65,7 @@ main(int argc, char **argv)
     const double alpha = args.getDouble("alpha", 0.7);
     const std::uint64_t seed = args.getInt("seed", 1);
 
-    bench::Report report("ablation_clock_sweep");
+    bench::Report report("ablation_clock_sweep", args.getString("json", ""));
     report.params()
         .set("keys", keys)
         .set("alpha", alpha)
@@ -87,6 +87,7 @@ main(int argc, char **argv)
                                      BackendKind::Mftl};
 
     bench::SweepRunner runner(bench::jobsFromArgs(args));
+    args.rejectUnknown();
     std::vector<Cell> cells(clockKinds.size() * 2);
     runner.run(cells.size(), [&](std::size_t i) {
         cells[i] = runCell(clockKinds[i / 2], backends[i % 2], alpha,
@@ -113,6 +114,6 @@ main(int argc, char **argv)
         "clocks — their aborts are genuine OCC conflicts; NTP's\n"
         "millisecond skew adds a large spurious-abort component on\n"
         "top (Figure 1's model).\n");
-    report.write(args);
+    report.write();
     return 0;
 }

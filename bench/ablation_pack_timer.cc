@@ -81,7 +81,7 @@ main(int argc, char **argv)
     const auto warmup = args.getInt("warmup", 1) * kSecond;
     const auto measure = args.getInt("seconds", 2) * kSecond;
 
-    bench::Report report("ablation_pack_timer");
+    bench::Report report("ablation_pack_timer", args.getString("json", ""));
     report.params()
         .set("keys", keys)
         .set("warmup_s", common::toSeconds(warmup))
@@ -101,6 +101,7 @@ main(int argc, char **argv)
         1000 * kMicrosecond, 2000 * kMicrosecond, 4000 * kMicrosecond};
 
     bench::SweepRunner runner(bench::jobsFromArgs(args));
+    args.rejectUnknown();
     std::vector<Cell> cells(timeouts.size());
     runner.run(timeouts.size(), [&](std::size_t i) {
         cells[i] = runCell(timeouts[i], keys, warmup, measure);
@@ -119,6 +120,6 @@ main(int argc, char **argv)
             .set("put_latency_us", cell.putLatencyUs)
             .set("pages_written", cell.pagesWritten);
     }
-    report.write(args);
+    report.write();
     return 0;
 }

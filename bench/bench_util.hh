@@ -12,6 +12,8 @@
  *   --full        paper-scale parameters (slower)
  *   --json=PATH   write a milana-bench-v1 JSON report to PATH
  *
+ * and rejects any other flag it does not read (Args::rejectUnknown).
+ *
  * Defaults are sized so the whole bench suite finishes in minutes of
  * wall time while preserving the paper's shapes; EXPERIMENTS.md records
  * the settings used for the committed results.
@@ -20,6 +22,7 @@
 #ifndef BENCH_BENCH_UTIL_HH
 #define BENCH_BENCH_UTIL_HH
 
+#include <algorithm>
 #include <charconv>
 #include <cmath>
 #include <cstdint>
@@ -31,6 +34,7 @@
 #include <memory>
 #include <optional>
 #include <ostream>
+#include <set>
 #include <string>
 #include <system_error>
 #include <type_traits>
@@ -51,11 +55,7 @@ namespace bench {
 class Args
 {
   public:
-    Args(int argc, char **argv)
-    {
-        for (int i = 1; i < argc; ++i)
-            args_.emplace_back(argv[i]);
-    }
+    Args(int argc, char **argv) : args_(argv + 1, argv + argc) {}
 
     /**
      * A real-valued flag (every one is a Zipf exponent): a finite,
@@ -114,12 +114,9 @@ class Args
     bool
     has(const std::string &name) const
     {
-        const std::string flag = "--" + name;
-        for (const auto &a : args_) {
-            if (a == flag)
-                return true;
-        }
-        return false;
+        read_.insert(name);
+        return std::find(args_.begin(), args_.end(), "--" + name) !=
+               args_.end();
     }
 
     /**
@@ -145,6 +142,24 @@ class Args
         return d;
     }
 
+    /**
+     * Exits 2, naming it, on any argument that no get*() or has() call
+     * has read. Call it after the last read and before the first cell
+     * runs: read as absent, `--kyes=2000` would run the default keys.
+     */
+    void
+    rejectUnknown() const
+    {
+        for (const auto &a : args_) {
+            const std::string name =
+                a.starts_with("--") ? a.substr(2, a.find('=') - 2) : "";
+            if (!read_.contains(name)) {
+                std::fprintf(stderr, "unknown argument %s\n", a.c_str());
+                std::exit(2);
+            }
+        }
+    }
+
   private:
     /**
      * The text after `--name=`, or nothing when the flag is absent.
@@ -154,6 +169,7 @@ class Args
     std::optional<std::string>
     valueOf(const std::string &name) const
     {
+        read_.insert(name);
         const std::string flag = "--" + name;
         for (const auto &a : args_) {
             if (a == flag) {
@@ -169,6 +185,8 @@ class Args
     }
 
     std::vector<std::string> args_;
+    /** Every flag name asked for so far, for rejectUnknown(). */
+    mutable std::set<std::string> read_;
 };
 
 /** Open @p path for writing. Exits on I/O error, so scripted
@@ -182,28 +200,6 @@ openOutput(const std::string &path)
         std::exit(1);
     }
     return os;
-}
-
-/**
- * Write a TimeSeriesLog as the `milana-metrics-v1` JSON document at
- * @p path plus a sibling CSV of its deterministic series (PATH with
- * a .json suffix swapped for .csv, else PATH + ".csv"). Exits on I/O
- * error, like Report::write.
- */
-inline void
-writeMetricsOutputs(const common::TimeSeriesLog &log,
-                    const std::string &path)
-{
-    std::ofstream os = openOutput(path);
-    log.writeJson(os);
-    std::string csv_path = path;
-    if (csv_path.ends_with(".json"))
-        csv_path.resize(csv_path.size() - 5);
-    csv_path += ".csv";
-    std::ofstream cs = openOutput(csv_path);
-    log.writeCsv(cs);
-    std::printf("wrote %s and %s (%zu series)\n", path.c_str(),
-                csv_path.c_str(), log.seriesCount());
 }
 
 /**
@@ -225,38 +221,39 @@ monitorConfigFor(const workload::ClusterConfig &cfg)
 /**
  * The observers a run's flags ask for, on one cell:
  *
- *   --trace=PATH          event trace (.csv extension = CSV, else JSON)
+ *   --trace=PATH          milana-trace-v2 JSON event trace
  *   --perfetto=PATH       the same trace as Chrome/Perfetto JSON
  *   --monitor             online invariant checks over the trace;
  *                         violations fail the run
  *   --trace-capacity=N    trace ring size in events (default 262144)
- *   --metrics=PATH        milana-metrics-v1 time series (JSON + CSV)
+ *   --metrics=PATH        milana-metrics-v1 JSON time series
  *   --metrics-interval=D  sampling window (default 100ms)
  */
 class Observers
 {
   public:
     /** Build what @p args asks for and point @p cfg's trace and
-     *  metrics at it; the monitor's checks follow @p cfg. */
+     *  metrics at it; the monitor's checks follow @p cfg. Reads every
+     *  flag above, given or not. */
     Observers(const Args &args, workload::ClusterConfig &cfg)
         : tracePath_(args.getString("trace", "")),
           perfettoPath_(args.getString("perfetto", "")),
           metricsPath_(args.getString("metrics", ""))
     {
         const bool monitor_on = args.has("monitor");
+        const auto capacity = static_cast<std::size_t>(
+            args.getInt("trace-capacity", 262'144));
+        const common::Duration interval = args.getDuration(
+            "metrics-interval", 100 * common::kMillisecond);
         if (!tracePath_.empty() || !perfettoPath_.empty() || monitor_on)
-            trace_ = std::make_unique<common::TraceLog>(
-                static_cast<std::size_t>(
-                    args.getInt("trace-capacity", 262'144)));
+            trace_ = std::make_unique<common::TraceLog>(capacity);
         if (monitor_on) {
             monitor_ = std::make_unique<common::InvariantMonitor>(
                 monitorConfigFor(cfg), &std::cerr);
             monitor_->attach(*trace_);
         }
         if (!metricsPath_.empty())
-            metrics_ = std::make_unique<common::MetricsRegistry>(
-                args.getDuration("metrics-interval",
-                                 100 * common::kMillisecond));
+            metrics_ = std::make_unique<common::MetricsRegistry>(interval);
         cfg.trace = trace_.get();
         cfg.metrics = metrics_.get();
     }
@@ -274,10 +271,7 @@ class Observers
     {
         if (!tracePath_.empty()) {
             std::ofstream os = openOutput(tracePath_);
-            if (tracePath_.ends_with(".csv"))
-                trace_->writeCsv(os);
-            else
-                trace_->writeJson(os);
+            trace_->writeJson(os);
             std::printf("wrote %s (%zu events kept, %llu dropped)\n",
                         tracePath_.c_str(), trace_->size(),
                         static_cast<unsigned long long>(trace_->dropped()));
@@ -290,8 +284,12 @@ class Observers
                         "ui.perfetto.dev)\n",
                         perfettoPath_.c_str());
         }
-        if (metrics_ != nullptr)
-            writeMetricsOutputs(metrics_->log(), metricsPath_);
+        if (metrics_ != nullptr) {
+            std::ofstream os = openOutput(metricsPath_);
+            metrics_->log().writeJson(os);
+            std::printf("wrote %s (%zu series)\n", metricsPath_.c_str(),
+                        metrics_->log().seriesCount());
+        }
         if (monitor_ == nullptr)
             return true;
         monitor_->report(std::cout);
@@ -376,12 +374,14 @@ class KvList
  *
  * Each printed table cell becomes one row object; "stats" carries the
  * optional full StatSet dumps (e.g. the traced cell of fig6). Finish
- * with write(args): a no-op unless the user passed --json=PATH.
+ * with write(): a no-op unless the harness passed a non-empty path
+ * (its --json=PATH).
  */
 class Report
 {
   public:
-    explicit Report(std::string bench) : bench_(std::move(bench)) {}
+    explicit Report(std::string bench, std::string path = "")
+        : bench_(std::move(bench)), path_(std::move(path)) {}
 
     KvList &params() { return params_; }
 
@@ -427,21 +427,22 @@ class Report
         os << "\n";
     }
 
-    /** Write the report to --json=PATH if given; exits on I/O error so
-     *  scripted pipelines fail loudly rather than read a stale file. */
+    /** Write the report to its path if it has one; exits on I/O error
+     *  so scripted pipelines fail loudly rather than read a stale
+     *  file. */
     void
-    write(const Args &args) const
+    write() const
     {
-        const std::string path = args.getString("json", "");
-        if (path.empty())
+        if (path_.empty())
             return;
-        std::ofstream os = openOutput(path);
+        std::ofstream os = openOutput(path_);
         writeTo(os);
-        std::printf("\nwrote %s\n", path.c_str());
+        std::printf("\nwrote %s\n", path_.c_str());
     }
 
   private:
     std::string bench_;
+    std::string path_;
     KvList params_;
     std::vector<KvList> rows_;
     std::vector<std::pair<std::string, std::pair<std::string, common::StatSet>>>

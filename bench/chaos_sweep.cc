@@ -208,6 +208,7 @@ main(int argc, char **argv)
     const auto measure = args.getInt("seconds", 1) * kSecond;
     const std::uint64_t seed = args.getInt("seed", 1);
     const std::uint64_t chaosSeed = args.getInt("chaos-seed", 42);
+    const std::string path = args.getString("json", "");
 
     // Cell list: fault-free baselines first (one per preset x
     // workload), then every scenario under its two eligible presets.
@@ -233,6 +234,7 @@ main(int argc, char **argv)
         "per-scenario bound");
 
     bench::SweepRunner runner(bench::jobsFromArgs(args));
+    args.rejectUnknown();
     std::vector<CellResult> results(cells.size());
     runner.run(cells.size(), [&](std::size_t i) {
         results[i] = runCell(cells[i], i, keys, warmup, measure, seed,
@@ -339,7 +341,6 @@ main(int argc, char **argv)
                 static_cast<unsigned long long>(late_merges),
                 pass ? "PASS" : "FAIL");
 
-    const std::string path = args.getString("json", "");
     if (!path.empty()) {
         std::ofstream os(path);
         if (!os) {

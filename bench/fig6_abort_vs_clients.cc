@@ -13,7 +13,7 @@
  *                         sweep_runner.hh; output is identical for
  *                         any N, including the --json report)
  *   --trace=PATH          rerun one cell with tracing on and dump the
- *                         event log (.csv extension = CSV, else JSON)
+ *                         event log as milana-trace-v2 JSON
  *   --perfetto=PATH       same rerun, exported as Chrome/Perfetto
  *                         trace-event JSON (combines with --trace)
  *   --monitor             run the online invariant monitor over the
@@ -23,9 +23,8 @@
  *   --trace-capacity=N    trace ring size in events (default 262144)
  *   --metrics=PATH        rerun the same cell with the time-series
  *                         metrics plane on and write milana-metrics-v1
- *                         JSON to PATH plus a sibling CSV; the
- *                         deterministic sections are byte-identical
- *                         across runs of one seed
+ *                         JSON to PATH, byte-identical across runs of
+ *                         one seed
  *   --metrics-interval=D  sampling window (default 100ms; accepts
  *                         ns/us/ms/s suffixes)
  * The traced cell's full client/server StatSets are embedded in the
@@ -88,7 +87,8 @@ main(int argc, char **argv)
         args.getInt("seconds", args.has("full") ? 60 : 4) * kSecond;
     const std::uint64_t seed = args.getInt("seed", 1);
 
-    bench::Report report("fig6_abort_vs_clients");
+    bench::Report report("fig6_abort_vs_clients",
+                         args.getString("json", ""));
     report.params()
         .set("keys", keys)
         .set("warmup_s", common::toSeconds(warmup))
@@ -135,7 +135,15 @@ main(int argc, char **argv)
         return 1;
     }
 
+    const double trace_alpha = args.getDouble("trace-alpha", 0.8);
+    const auto trace_clients =
+        static_cast<std::uint32_t>(args.getInt("trace-clients", 16));
+    CellSpec traced = fig6Cell(BackendKind::Mftl, trace_clients,
+                               trace_alpha, keys, warmup, measure, seed);
+    const bench::Observers observers(args, traced.cluster);
+
     bench::SweepRunner runner(bench::jobsFromArgs(args));
+    args.rejectUnknown();
     std::vector<double> abortPct(cells.size());
     std::vector<double> populateSecs(cells.size());
     runner.run(cells.size(), [&](std::size_t i) {
@@ -171,12 +179,6 @@ main(int argc, char **argv)
         "tardy read-only transactions commit from a snapshot; the gap\n"
         "grows with contention and client count.\n");
 
-    const double trace_alpha = args.getDouble("trace-alpha", 0.8);
-    const auto trace_clients =
-        static_cast<std::uint32_t>(args.getInt("trace-clients", 16));
-    CellSpec traced = fig6Cell(BackendKind::Mftl, trace_clients,
-                               trace_alpha, keys, warmup, measure, seed);
-    const bench::Observers observers(args, traced.cluster);
     bool monitor_failed = false;
     if (observers.any()) {
         std::printf("\ntracing one MFTL cell (alpha=%.2f, %u clients)"
@@ -193,6 +195,6 @@ main(int argc, char **argv)
         report.addStats("traced_cell.server", cell.server, "server.");
     }
 
-    report.write(args);
+    report.write();
     return monitor_failed ? 1 : 0;
 }

@@ -75,7 +75,7 @@ main(int argc, char **argv)
         args.getInt("seconds", args.has("full") ? 60 : 4) * kSecond;
     const std::uint64_t seed = args.getInt("seed", 1);
 
-    bench::Report report("fig7_ptp_vs_ntp");
+    bench::Report report("fig7_ptp_vs_ntp", args.getString("json", ""));
     report.params()
         .set("keys", keys)
         .set("clients", clients)
@@ -108,6 +108,7 @@ main(int argc, char **argv)
     }
 
     bench::SweepRunner runner(bench::jobsFromArgs(args));
+    args.rejectUnknown();
     std::vector<Cell> ptpCells(coords.size());
     std::vector<Cell> ntpCells(coords.size());
     runner.run(coords.size() * 2, [&](std::size_t i) {
@@ -149,6 +150,6 @@ main(int argc, char **argv)
     std::printf(
         "Paper (Figure 7): PTP's tighter sync lowers abort rates (up\n"
         "to 43%%); NTP hurts most on the fastest backend (DRAM).\n");
-    report.write(args);
+    report.write();
     return 0;
 }

@@ -74,7 +74,7 @@ main(int argc, char **argv)
         args.getInt("seconds", args.has("full") ? 60 : 4) * kSecond;
     const std::uint64_t seed = args.getInt("seed", 1);
 
-    bench::Report report("fig8_latency_throughput");
+    bench::Report report("fig8_latency_throughput", args.getString("json", ""));
     report.params()
         .set("keys", keys)
         .set("warmup_s", common::toSeconds(warmup))
@@ -106,6 +106,7 @@ main(int argc, char **argv)
     }
 
     bench::SweepRunner runner(bench::jobsFromArgs(args));
+    args.rejectUnknown();
     std::vector<Cell> cells(coords.size());
     runner.run(coords.size(), [&](std::size_t i) {
         const Coord &c = coords[i];
@@ -130,6 +131,6 @@ main(int argc, char **argv)
         "\nPaper (Figure 8): local validation: up to +55%% throughput\n"
         "and -35%% latency; MFTL ~ +15%% throughput vs VFTL; VFTL w/ LV\n"
         "outperforms MFTL w/o LV.\n");
-    report.write(args);
+    report.write();
     return 0;
 }

@@ -90,7 +90,7 @@ main(int argc, char **argv)
         args.getInt("seconds", args.has("full") ? 60 : 2) * kSecond;
     const std::uint64_t seed = args.getInt("seed", 1);
 
-    bench::Report report("fig9_centiman");
+    bench::Report report("fig9_centiman", args.getString("json", ""));
     report.params()
         .set("keys", keys)
         .set("clients", clients)
@@ -111,6 +111,7 @@ main(int argc, char **argv)
 
     const std::vector<double> alphas = {0.4, 0.5, 0.6, 0.7, 0.8};
     bench::SweepRunner runner(bench::jobsFromArgs(args));
+    args.rejectUnknown();
     std::vector<Cell> milanaCells(alphas.size());
     std::vector<Cell> centiCells(alphas.size());
     runner.run(alphas.size() * 2, [&](std::size_t i) {
@@ -143,6 +144,6 @@ main(int argc, char **argv)
         "\nPaper (Figure 9): equal at alpha=0.4; Centiman's LV success\n"
         "drops 89%% -> 25%% with contention, MILANA stays at 100%% and\n"
         "ends ~20%% ahead in throughput; abort rates similar.\n");
-    report.write(args);
+    report.write();
     return 0;
 }

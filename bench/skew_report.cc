@@ -26,7 +26,8 @@ main(int argc, char **argv)
         static_cast<int>(args.getInt("seconds", 120));
     const std::uint64_t seed = args.getInt("seed", 42);
 
-    bench::Report report("skew_report");
+    bench::Report report("skew_report", args.getString("json", ""));
+    args.rejectUnknown();
     report.params()
         .set("nodes", nodes)
         .set("seconds", seconds)
@@ -72,6 +73,6 @@ main(int argc, char **argv)
             .set("exchanges",
                  ensemble.stats().counterValue("clocksync.exchanges"));
     }
-    report.write(args);
+    report.write();
     return 0;
 }

@@ -37,7 +37,7 @@
  *    is one chain visited; 0 allocs.
  *
  * Heap traffic is measured by interposing global operator new/delete
- * (sim_core.cc discipline), so allocs/op is exact. BENCH_store_core.json
+ * (alloc_counter.cc), so allocs/op is exact. BENCH_store_core.json
  * is the committed baseline; CI fails on any allocs/op rise, a >20%
  * throughput drop, or a steady-state phase (get/put/prune/sweep) above
  * 0 allocs/op.
@@ -46,15 +46,13 @@
  * --full (adds the 6M-key tier and 4x ops), --json=PATH.
  */
 
-#include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
-#include <new>
 #include <string>
 #include <vector>
 
+#include "alloc_counter.hh"
 #include "bench_util.hh"
 #include "common/logging.hh"
 #include "common/random.hh"
@@ -62,83 +60,12 @@
 #include "flash/geometry.hh"
 #include "ftl/mapping_table.hh"
 
-// ---------------------------------------------------------------------
-// Interposed allocation counter (see sim_core.cc).
-// ---------------------------------------------------------------------
-
 namespace {
 
-std::atomic<std::uint64_t> g_allocCalls{0};
-std::atomic<std::uint64_t> g_allocBytes{0};
-std::atomic<std::uint64_t> g_freeCalls{0};
-
-void *
-countedAlloc(std::size_t size)
-{
-    g_allocCalls.fetch_add(1, std::memory_order_relaxed);
-    g_allocBytes.fetch_add(size, std::memory_order_relaxed);
-    void *p = std::malloc(size ? size : 1);
-    if (!p)
-        std::abort();
-    return p;
-}
-
-void
-countedFree(void *p) noexcept
-{
-    if (!p)
-        return;
-    g_freeCalls.fetch_add(1, std::memory_order_relaxed);
-    std::free(p);
-}
-
-} // namespace
-
-void *operator new(std::size_t size) { return countedAlloc(size); }
-void *operator new[](std::size_t size) { return countedAlloc(size); }
-void *
-operator new(std::size_t size, const std::nothrow_t &) noexcept
-{
-    return countedAlloc(size);
-}
-void *
-operator new[](std::size_t size, const std::nothrow_t &) noexcept
-{
-    return countedAlloc(size);
-}
-void operator delete(void *p) noexcept { countedFree(p); }
-void operator delete[](void *p) noexcept { countedFree(p); }
-void operator delete(void *p, std::size_t) noexcept { countedFree(p); }
-void operator delete[](void *p, std::size_t) noexcept { countedFree(p); }
-void
-operator delete(void *p, const std::nothrow_t &) noexcept
-{
-    countedFree(p);
-}
-void
-operator delete[](void *p, const std::nothrow_t &) noexcept
-{
-    countedFree(p);
-}
-
-namespace {
-
+using bench::AllocSnapshot;
 using common::Key;
 using common::Time;
 using common::Version;
-
-struct AllocSnapshot
-{
-    std::uint64_t calls;
-    std::uint64_t bytes;
-
-    static AllocSnapshot
-    take()
-    {
-        return {g_allocCalls.load(std::memory_order_relaxed),
-                g_allocBytes.load(std::memory_order_relaxed)};
-    }
-};
 
 double
 wallSeconds(std::chrono::steady_clock::time_point start)
@@ -433,7 +360,8 @@ main(int argc, char **argv)
     if (full)
         tiers.push_back(6'000'000);
 
-    bench::Report report("store_core");
+    bench::Report report("store_core", args.getString("json", ""));
+    args.rejectUnknown();
     report.params().set("ops", ops).set("full", full);
 
     bench::printHeader(
@@ -473,6 +401,6 @@ main(int argc, char **argv)
         }
     }
 
-    report.write(args);
+    report.write();
     return 0;
 }

@@ -118,7 +118,7 @@ main(int argc, char **argv)
     const std::uint32_t workers =
         static_cast<std::uint32_t>(args.getInt("workers", 64));
 
-    bench::Report report("table1_ftl_perf");
+    bench::Report report("table1_ftl_perf", args.getString("json", ""));
     report.params()
         .set("keys", keys)
         .set("workers", workers)
@@ -126,6 +126,12 @@ main(int argc, char **argv)
         .set("seconds", common::toSeconds(measure))
         .set("seed", seed)
         .set("full", args.has("full"));
+    // Opt-in so the default report stays byte-identical across
+    // revisions; with --mem each row gains deterministic data-plane
+    // bytes/key from the table + arena accounting.
+    const bool mem = args.has("mem");
+    if (mem)
+        report.params().set("mem", true);
 
     bench::printHeader(
         "Table 1: Single SSD Multi-version FTL Performance\n"
@@ -138,6 +144,7 @@ main(int argc, char **argv)
 
     const std::vector<double> getPcts = {100.0, 75.0, 50.0, 25.0};
     bench::SweepRunner runner(bench::jobsFromArgs(args));
+    args.rejectUnknown();
     std::vector<CellResult> vftlCells(getPcts.size());
     std::vector<CellResult> mftlCells(getPcts.size());
     runner.run(getPcts.size() * 2, [&](std::size_t i) {
@@ -146,13 +153,6 @@ main(int argc, char **argv)
                                warmup, measure, seed);
         (unified ? mftlCells : vftlCells)[i / 2] = r;
     });
-
-    // Opt-in so the default report stays byte-identical across
-    // revisions; with --mem each row gains deterministic data-plane
-    // bytes/key from the table + arena accounting.
-    const bool mem = args.has("mem");
-    if (mem)
-        report.params().set("mem", true);
 
     double populate_total = 0;
     for (std::size_t i = 0; i < getPcts.size(); ++i) {
@@ -188,6 +188,6 @@ main(int argc, char **argv)
         "\nPaper (Table 1): MFTL up to +45%% throughput and up to 7x\n"
         "lower GET latency on read-heavy mixes; VFTL lower PUT latency\n"
         "(GC remaps shorten its pack wait) and ahead at 25%% gets.\n");
-    report.write(args);
+    report.write();
     return 0;
 }

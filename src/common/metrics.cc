@@ -1,7 +1,6 @@
 #include "common/metrics.hh"
 
 #include <algorithm>
-#include <cstdio>
 #include <ostream>
 
 #include "common/json.hh"
@@ -60,8 +59,7 @@ TimeSeriesLog::noteWindowEnd(Time end)
 }
 
 TimeSeriesLog::Series &
-TimeSeriesLog::series(std::string_view name, NodeId node,
-                      SeriesKind kind, bool deterministic)
+TimeSeriesLog::series(std::string_view name, NodeId node, SeriesKind kind)
 {
     const auto it = index_.find({std::string(name), node});
     if (it != index_.end())
@@ -70,7 +68,6 @@ TimeSeriesLog::series(std::string_view name, NodeId node,
     s->name = name;
     s->node = node;
     s->kind = kind;
-    s->deterministic = deterministic;
     s->capacity_ = windowCapacity_;
     s->ring_.reserve(windowCapacity_);
     Series *raw = s.get();
@@ -84,15 +81,6 @@ TimeSeriesLog::find(std::string_view name, NodeId node) const
 {
     const auto it = index_.find({std::string(name), node});
     return it == index_.end() ? nullptr : it->second;
-}
-
-void
-TimeSeriesLog::addPoint(std::string_view name, NodeId node,
-                        SeriesKind kind, const MetricPoint &point,
-                        bool deterministic)
-{
-    series(name, node, kind, deterministic).push(point);
-    noteWindowEnd(point.windowEnd);
 }
 
 std::vector<const TimeSeriesLog::Series *>
@@ -146,8 +134,7 @@ TimeSeriesLog::writeSeriesJson(JsonWriter &w, const Series &s) const
 }
 
 void
-TimeSeriesLog::writeJson(std::ostream &os,
-                         bool includeNonDeterministic) const
+TimeSeriesLog::writeJson(std::ostream &os) const
 {
     JsonWriter w(os);
     w.beginObject();
@@ -156,54 +143,12 @@ TimeSeriesLog::writeJson(std::ostream &os,
     w.key("window_capacity")
         .value(static_cast<std::uint64_t>(windowCapacity_));
     w.key("last_window_end_ns").value(lastWindowEnd_);
-    const auto all = sorted();
     w.key("series").beginArray();
-    for (const Series *s : all)
-        if (s->deterministic)
-            writeSeriesJson(w, *s);
+    for (const Series *s : sorted())
+        writeSeriesJson(w, *s);
     w.endArray();
-    if (includeNonDeterministic) {
-        w.key("nondeterministic").beginObject();
-        w.key("series").beginArray();
-        for (const Series *s : all)
-            if (!s->deterministic)
-                writeSeriesJson(w, *s);
-        w.endArray();
-        w.endObject();
-    }
     w.endObject();
     os << "\n";
-}
-
-void
-TimeSeriesLog::writeCsv(std::ostream &os) const
-{
-    os << "series,node,kind,window_start_ns,window_end_ns,value,"
-          "count,p50,p99,p999\n";
-    char buf[32];
-    for (const Series *s : sorted()) {
-        if (!s->deterministic)
-            continue;
-        for (const MetricPoint &p : s->points()) {
-            os << s->name << ',' << s->node << ','
-               << seriesKindName(s->kind) << ',' << p.windowStart
-               << ',' << p.windowEnd << ',';
-            switch (s->kind) {
-            case SeriesKind::Counter:
-                os << static_cast<std::int64_t>(p.value) << ",,,,";
-                break;
-            case SeriesKind::Gauge:
-                std::snprintf(buf, sizeof buf, "%.17g", p.value);
-                os << buf << ",,,,";
-                break;
-            case SeriesKind::Hist:
-                os << ',' << p.count << ',' << p.p50 << ',' << p.p99
-                   << ',' << p.p999;
-                break;
-            }
-            os << '\n';
-        }
-    }
 }
 
 MetricsRegistry::MetricsRegistry(Duration interval,

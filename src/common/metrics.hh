@@ -16,9 +16,7 @@
  * Storage is pre-sized ring buffers: once every series name has been
  * seen, sampling allocates nothing. Sampling runs on simulated time
  * only, so the exported document is byte-identical across runs of
- * one seed and any --jobs value. Series flagged non-deterministic
- * (wall-clock measurements) are exported in a separate JSON section
- * so deterministic byte-compares still pass.
+ * one seed and any --jobs value.
  *
  * Export schema: `milana-metrics-v1` (see OBSERVABILITY.md).
  */
@@ -81,8 +79,6 @@ class TimeSeriesLog
         std::string name;
         NodeId node = 0;
         SeriesKind kind = SeriesKind::Counter;
-        /** False for wall-clock-derived values (profiler stalls). */
-        bool deterministic = true;
 
         void push(const MetricPoint &point);
         std::uint64_t dropped() const
@@ -115,35 +111,16 @@ class TimeSeriesLog
      * Find-or-create a series. Creation reserves the full ring
      * capacity up front, so subsequent push() calls never allocate.
      */
-    Series &series(std::string_view name, NodeId node, SeriesKind kind,
-                   bool deterministic = true);
+    Series &series(std::string_view name, NodeId node, SeriesKind kind);
     const Series *find(std::string_view name, NodeId node) const;
-
-    /** Convenience: find-or-create, then append one point. */
-    void addPoint(std::string_view name, NodeId node, SeriesKind kind,
-                  const MetricPoint &point, bool deterministic = true);
 
     /** All series sorted by (name, node). */
     std::vector<const Series *> sorted() const;
 
     std::size_t seriesCount() const { return series_.size(); }
 
-    /**
-     * Write the `milana-metrics-v1` JSON document. Non-deterministic
-     * series go into a separate "nondeterministic" section (omitted
-     * entirely when @p includeNonDeterministic is false, which is the
-     * byte-comparable form).
-     */
-    void writeJson(std::ostream &os,
-                   bool includeNonDeterministic = true) const;
-
-    /**
-     * CSV export of the deterministic series only:
-     * `series,node,kind,window_start_ns,window_end_ns,value,count,
-     * p50,p99,p999` (value empty for hist rows, quantiles empty for
-     * counter/gauge rows).
-     */
-    void writeCsv(std::ostream &os) const;
+    /** Write the `milana-metrics-v1` JSON document. */
+    void writeJson(std::ostream &os) const;
 
   private:
     void writeSeriesJson(JsonWriter &w, const Series &s) const;

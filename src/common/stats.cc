@@ -1,6 +1,5 @@
 #include "common/stats.hh"
 
-#include <ostream>
 #include <sstream>
 
 #include "common/json.hh"
@@ -92,34 +91,6 @@ StatSet::toJson(JsonWriter &w, const std::string &prefix) const
     }
     w.endObject();
     w.endObject();
-}
-
-void
-StatSet::writeJson(std::ostream &os, const std::string &prefix) const
-{
-    JsonWriter w(os);
-    toJson(w, prefix);
-    os << "\n";
-}
-
-void
-StatSet::writeCsv(std::ostream &os, const std::string &prefix) const
-{
-    os << "metric,value\n";
-    for (const auto &[name, ctr] : counters_)
-        os << prefix << name << ',' << ctr.value() << "\n";
-    for (const auto &[name, hist] : histograms_) {
-        const std::string base = prefix + name;
-        os << base << ".count," << hist.count() << "\n";
-        os << base << ".min," << hist.min() << "\n";
-        os << base << ".max," << hist.max() << "\n";
-        os << base << ".mean," << hist.mean() << "\n";
-        os << base << ".p50," << hist.p50() << "\n";
-        os << base << ".p90," << hist.quantile(0.90) << "\n";
-        os << base << ".p95," << hist.p95() << "\n";
-        os << base << ".p99," << hist.p99() << "\n";
-        os << base << ".p999," << hist.p999() << "\n";
-    }
 }
 
 } // namespace common

@@ -113,25 +113,6 @@ TraceLog::writeJson(std::ostream &os) const
     os << "\n";
 }
 
-void
-TraceLog::writeCsv(std::ostream &os) const
-{
-    os << "seq,true_ns,local_ns,node,kind,span,trace,parent,name,tag,"
-          "arg,arg2\n";
-    for (const TraceEvent &e : snapshot()) {
-        // Names and tags are identifier-like by convention; commas in
-        // them would corrupt the CSV, so map them to ';'.
-        std::string name = e.name;
-        std::string tag = e.tag;
-        std::replace(name.begin(), name.end(), ',', ';');
-        std::replace(tag.begin(), tag.end(), ',', ';');
-        os << e.seq << ',' << e.trueTime << ',' << e.localTime << ','
-           << e.node << ',' << traceKindCode(e.kind) << ',' << e.span
-           << ',' << e.traceId << ',' << e.parentSpan << ',' << name
-           << ',' << tag << ',' << e.arg << ',' << e.arg2 << "\n";
-    }
-}
-
 namespace {
 
 /** Category shown in Perfetto's track/legend: the name's first dot
@@ -173,8 +154,7 @@ TraceLog::writePerfetto(std::ostream &os,
         seenNode.emplace(e.node, true);
     if (metrics != nullptr)
         for (const TimeSeriesLog::Series *s : metrics->sorted())
-            if (s->deterministic)
-                seenNode.emplace(s->node, true);
+            seenNode.emplace(s->node, true);
     for (const auto &[node, unused] : seenNode) {
         os << "\n";
         char label[64];
@@ -235,8 +215,6 @@ TraceLog::writePerfetto(std::ostream &os,
     // window's p99 — timelines render alongside the span tracks.
     if (metrics != nullptr) {
         for (const TimeSeriesLog::Series *s : metrics->sorted()) {
-            if (!s->deterministic)
-                continue;
             for (const MetricPoint &p : s->points()) {
                 double value = 0.0;
                 std::string name = s->name;

@@ -192,15 +192,13 @@ class TraceLog
 
     /** Full trace document (schema milana-trace-v2): header + events. */
     void writeJson(std::ostream &os) const;
-    /** One header line + one line per event. */
-    void writeCsv(std::ostream &os) const;
     /** Chrome/Perfetto trace-event JSON (load at ui.perfetto.dev).
      *  One process ("track group") per node; spans are async events
      *  keyed by span id, so interleaved coroutines render correctly.
-     *  When @p metrics is non-null, its deterministic series are
-     *  emitted as counter ("C") tracks alongside the spans — counter
-     *  series as per-second rates, gauges raw, histogram series as
-     *  their per-window p99. */
+     *  When @p metrics is non-null, its series are emitted as
+     *  counter ("C") tracks alongside the spans — counter series as
+     *  per-second rates, gauges raw, histogram series as their
+     *  per-window p99. */
     void writePerfetto(std::ostream &os,
                        const TimeSeriesLog *metrics = nullptr) const;
 

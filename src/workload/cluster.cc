@@ -110,6 +110,7 @@ flushRegistry(common::MetricsRegistry &reg, common::Time end)
 
 Cluster::Cluster(const ClusterConfig &config)
     : config_(config),
+      perfectClock_(sim_),
       rng_(config.seed),
       net_(sim_, config_.net, rng_.fork()),
       shardMap_(config.numShards),
@@ -147,14 +148,9 @@ Cluster::Cluster(const ClusterConfig &config)
     txn_config.localValidation = config_.localValidation;
     for (std::uint32_t i = 0; i < config_.numClients; ++i) {
         const common::NodeId node = kFirstClientNode + i;
-        clocksync::Clock *clock = nullptr;
-        if (ensemble_ != nullptr) {
-            clock = &ensemble_->clock(i);
-        } else {
-            perfectClocks_.push_back(
-                std::make_unique<clocksync::PerfectClock>(sim_));
-            clock = perfectClocks_.back().get();
-        }
+        clocksync::Clock *clock = ensemble_ != nullptr
+                                      ? &ensemble_->clock(i)
+                                      : &perfectClock_;
         if (config_.centiman) {
             clients_.push_back(std::make_unique<milana::CentimanClient>(
                 sim_, net_, node, i + 1, *clock, master_, directory_,
@@ -225,15 +221,14 @@ Cluster::attachTracers()
                                        true_now, true_now);
     }
 
+    // Servers run on perfectClock_: their local stamps are TrueTime.
     for (std::size_t i = 0; i < servers_.size(); ++i) {
         milana::MilanaServer *server = servers_[i].get();
-        clocksync::Clock *clock = serverClocks_[i].get();
-        const auto local_now = [clock] { return clock->localNow(); };
         server->tracer().attach(*config_.trace, server->nodeId(),
-                                true_now, local_now);
+                                true_now, true_now);
         if (devices_[i] != nullptr)
             devices_[i]->tracer().attach(*config_.trace, server->nodeId(),
-                                         true_now, local_now);
+                                         true_now, true_now);
     }
     for (std::uint32_t i = 0; i < config_.numClients; ++i) {
         milana::MilanaClient *client = clients_[i].get();
@@ -400,11 +395,8 @@ Cluster::buildStorageNode(common::ShardId shard, std::uint32_t replica)
       }
     }
 
-    serverClocks_.push_back(
-        std::make_unique<clocksync::PerfectClock>(sim_));
-
     servers_.push_back(std::make_unique<milana::MilanaServer>(
-        sim_, net_, node, shard, *backend, *serverClocks_.back(),
+        sim_, net_, node, shard, *backend, perfectClock_,
         config_.numClients, master_, directory_));
     directory_.add(servers_.back().get());
 }

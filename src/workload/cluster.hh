@@ -218,6 +218,9 @@ class Cluster
 
     ClusterConfig config_;
     sim::Simulator sim_;
+    /** Every server's clock, and every client's without an ensemble:
+     *  stateless, so one serves them all. */
+    clocksync::PerfectClock perfectClock_;
     common::Rng rng_;
     net::Network net_;
     bool metricsFinished_ = false;
@@ -229,12 +232,10 @@ class Cluster
     std::vector<std::unique_ptr<flash::SsdDevice>> devices_;
     std::vector<std::unique_ptr<ftl::Sftl>> sftls_;
     std::vector<std::unique_ptr<ftl::KvBackend>> backends_;
-    std::vector<std::unique_ptr<clocksync::PerfectClock>> serverClocks_;
     std::vector<std::unique_ptr<milana::MilanaServer>> servers_;
 
-    // Client clocks: either an ensemble or perfect clocks.
+    // Client clocks: an ensemble, or perfectClock_ for every client.
     std::unique_ptr<clocksync::ClockEnsemble> ensemble_;
-    std::vector<std::unique_ptr<clocksync::PerfectClock>> perfectClocks_;
     milana::CentimanSystem centimanSystem_;
     std::vector<std::unique_ptr<milana::MilanaClient>> clients_;
 };

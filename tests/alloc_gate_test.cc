@@ -22,21 +22,20 @@
  * cycle (record, diff against a snapshot, re-snapshot): once it has
  * seen its octaves, the cycle allocates nothing.
  *
- * The binary replaces the global operator new/delete with counters, as
- * bench/store_core and e2e_bench/e2e_core do, and counts only inside
- * the measured window's run loop. It runs alone (its own executable),
- * and is left out of sanitizer builds, whose runtimes replace the
- * allocator themselves.
+ * The binary links bench/alloc_counter.cc, which replaces the global
+ * operator new/delete with counters, and counts the measured window's
+ * run loop as the difference of snapshots taken around each step. It
+ * runs alone (its own executable), and is left out of sanitizer
+ * builds, whose runtimes replace the allocator themselves.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
-#include <new>
 
+#include "../bench/alloc_counter.hh"
 #include "common/histogram.hh"
 #include "common/random.hh"
 #include "common/types.hh"
@@ -45,54 +44,7 @@
 
 namespace {
 
-bool g_counting = false;
-std::uint64_t g_allocCalls = 0;
-std::uint64_t g_allocBytes = 0;
-
-void *
-countedAlloc(std::size_t size)
-{
-    if (g_counting) {
-        ++g_allocCalls;
-        g_allocBytes += size;
-    }
-    void *p = std::malloc(size ? size : 1);
-    if (!p)
-        std::abort();
-    return p;
-}
-
-} // namespace
-
-void *operator new(std::size_t size) { return countedAlloc(size); }
-void *operator new[](std::size_t size) { return countedAlloc(size); }
-void *
-operator new(std::size_t size, const std::nothrow_t &) noexcept
-{
-    return countedAlloc(size);
-}
-void *
-operator new[](std::size_t size, const std::nothrow_t &) noexcept
-{
-    return countedAlloc(size);
-}
-void operator delete(void *p) noexcept { std::free(p); }
-void operator delete[](void *p) noexcept { std::free(p); }
-void operator delete(void *p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void *p, std::size_t) noexcept { std::free(p); }
-void
-operator delete(void *p, const std::nothrow_t &) noexcept
-{
-    std::free(p);
-}
-void
-operator delete[](void *p, const std::nothrow_t &) noexcept
-{
-    std::free(p);
-}
-
-namespace {
-
+using bench::AllocSnapshot;
 using common::kMillisecond;
 using common::kMicrosecond;
 using common::kSecond;
@@ -156,13 +108,11 @@ measure(const char *name, Cell &cell, common::Duration window)
     const std::uint64_t a0 = cell.attempts();
     const Time end = cell.cluster.now() + window;
     while (cell.cluster.now() < end) {
-        const std::uint64_t calls0 = g_allocCalls;
-        const std::uint64_t bytes0 = g_allocBytes;
-        g_counting = true;
+        const AllocSnapshot before = AllocSnapshot::take();
         cell.runFor(10 * kMillisecond);
-        g_counting = false;
-        w.allocs += g_allocCalls - calls0;
-        w.bytes += g_allocBytes - bytes0;
+        const AllocSnapshot after = AllocSnapshot::take();
+        w.allocs += after.calls - before.calls;
+        w.bytes += after.bytes - before.bytes;
     }
     w.attempts = cell.attempts() - a0;
     std::printf("%s: %llu attempts, %llu allocations (%llu B), "
@@ -252,8 +202,7 @@ TEST(HistogramSteadyState, RecordCopyAndDeltaAllocateNothing)
     prev = h;
 
     common::Rng r(3);
-    const std::uint64_t calls0 = g_allocCalls;
-    g_counting = true;
+    const AllocSnapshot before = AllocSnapshot::take();
     for (int i = 1; i <= 1'000'000; ++i) {
         const auto shift = static_cast<int>(r.nextBounded(kOctaves - 1));
         h.record((std::int64_t{64} + r.nextRange(0, 63)) << shift);
@@ -262,8 +211,7 @@ TEST(HistogramSteadyState, RecordCopyAndDeltaAllocateNothing)
             prev = h;
         }
     }
-    g_counting = false;
-    EXPECT_EQ(g_allocCalls - calls0, 0u);
+    EXPECT_EQ(AllocSnapshot::take().calls - before.calls, 0u);
     EXPECT_EQ(h.count(), 1'000'000u + kOctaves);
     EXPECT_EQ(delta.count(), 10'000u);
 }

@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "common/histogram.hh"
+#include "common/json.hh"
 #include "common/random.hh"
 #include "common/small_vector.hh"
 #include "common/stats.hh"
@@ -689,7 +690,8 @@ TEST(StatSet, HandleCreatesEntryOnFirstUseOnly)
 {
     const auto json = [](const StatSet &set) {
         std::ostringstream os;
-        set.writeJson(os);
+        common::JsonWriter w(os);
+        set.toJson(w);
         return os.str();
     };
     StatSet empty;

@@ -146,8 +146,7 @@ TEST(MetricsRegistry, HistogramWindowQuantilesAreWindowLocal)
 /** A small fig6-style cell with the metrics plane on. */
 struct CellRun
 {
-    std::string json; ///< deterministic-only JSON export
-    std::string csv;
+    std::string json; ///< milana-metrics-v1 export
     std::uint64_t committed = 0;
     std::uint64_t aborted = 0;
     std::vector<MetricPoint> commitPoints;
@@ -183,11 +182,9 @@ runCell(common::Duration measure)
     cluster.finishMetrics();
 
     CellRun run;
-    std::ostringstream js, cs;
-    metrics.log().writeJson(js, /*includeNonDeterministic=*/false);
-    metrics.log().writeCsv(cs);
+    std::ostringstream js;
+    metrics.log().writeJson(js);
     run.json = js.str();
-    run.csv = cs.str();
     run.committed =
         cluster.clientStats().counterValue("txn.committed");
     run.aborted = cluster.clientStats().counterValue("txn.aborted");
@@ -242,7 +239,6 @@ TEST(MetricsPlane, DeterministicExportsIdenticalAcrossRuns)
 
     const CellRun two = runCell(kSecond / 2);
     EXPECT_EQ(one.json, two.json);
-    EXPECT_EQ(one.csv, two.csv);
 }
 
 /** --metrics-interval=@p value, read the way milana-sim and fig6 do. */
@@ -301,6 +297,23 @@ TEST(IntFlagDeathTest, AcceptsOnlyWholeNonNegativeDecimals)
     // Read as absent, the two-token form would run with the default.
     EXPECT_EXIT(commandLine({"--keys", "2000"}).getInt("keys", 7),
                 ::testing::ExitedWithCode(2), "keys");
+}
+
+TEST(UnknownFlagDeathTest, RejectsEveryArgumentNoReadAskedFor)
+{
+    const bench::Args args = commandLine({"--keys=2000", "--full"});
+    EXPECT_EQ(args.getInt("keys", 7), 2000);
+    EXPECT_TRUE(args.has("full"));
+    args.rejectUnknown(); // every flag given was read: no exit
+    // Mistyped, a flag would otherwise leave its default in force.
+    for (const char *bad : {"--kyes=2000", "--ful", "--=1", "--", "keys"}) {
+        const bench::Args typo = commandLine({"--keys=2000", bad});
+        typo.getInt("keys", 7);
+        typo.has("full");
+        EXPECT_EXIT(typo.rejectUnknown(), ::testing::ExitedWithCode(2),
+                    std::string("unknown argument ") + bad)
+            << bad;
+    }
 }
 
 /** --alpha=@p value, read the way every bench and milana-sim read a

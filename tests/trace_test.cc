@@ -1,8 +1,9 @@
 /**
  * @file
  * Tests for the observability layer: TraceLog ring-buffer bounding and
- * ordering, Tracer/ScopedSpan emission semantics, and the StatSet
- * JSON/CSV exporters (including a parse-back round trip and merge()).
+ * ordering, Tracer/ScopedSpan emission semantics, and the trace and
+ * StatSet JSON exporters (including parse-back round trips and
+ * merge()).
  */
 
 #include <gtest/gtest.h>
@@ -39,6 +40,16 @@ struct TestClock
         return tracer;
     }
 };
+
+/** @p stats as the JSON object a bench report embeds. */
+std::string
+statsJson(const StatSet &stats, const std::string &prefix = "")
+{
+    std::ostringstream os;
+    common::JsonWriter w(os);
+    stats.toJson(w, prefix);
+    return os.str();
+}
 
 TEST(TraceLog, BoundedRingEvictsOldest)
 {
@@ -204,24 +215,19 @@ TEST(TraceLog, JsonExportRoundTrips)
     EXPECT_EQ(first.at("t").asInt(), 20);
     EXPECT_EQ(first.at("lt").asInt(), 21);
     EXPECT_EQ(first.at("kind").asString(), "I");
-}
 
-TEST(TraceLog, CsvExportHasHeaderAndRows)
-{
-    TraceLog log;
-    TestClock clock;
-    Tracer tracer = clock.makeTracer(log, 1);
-    tracer.instant("a,b", "x,y"); // commas must not corrupt the CSV
-    std::ostringstream os;
-    log.writeCsv(os);
-    std::istringstream is(os.str());
-    std::string header, row;
-    ASSERT_TRUE(std::getline(is, header));
-    EXPECT_EQ(header, "seq,true_ns,local_ns,node,kind,span,trace,parent,"
-                      "name,tag,arg,arg2");
-    ASSERT_TRUE(std::getline(is, row));
-    EXPECT_NE(row.find("a;b"), std::string::npos);
-    EXPECT_NE(row.find("x;y"), std::string::npos);
+    // A name and a tag holding JSON's and CSV's special characters
+    // come back from the trace loader unchanged.
+    TraceLog quoted;
+    Tracer q = clock.makeTracer(quoted, 1);
+    q.instant("a,b\"c\\d", "x,y\"z\\w");
+    std::ostringstream qs;
+    quoted.writeJson(qs);
+    common::ParsedTrace parsed;
+    ASSERT_TRUE(common::parseTraceJson(qs.str(), parsed, error)) << error;
+    ASSERT_EQ(parsed.events.size(), 1u);
+    EXPECT_EQ(parsed.events[0].name, "a,b\"c\\d");
+    EXPECT_EQ(parsed.events[0].tag, "x,y\"z\\w");
 }
 
 TEST(StatSet, FindDoesNotCreate)
@@ -245,10 +251,9 @@ TEST(StatSet, JsonExportRoundTrips)
     for (int i = 1; i <= 100; ++i)
         stats.histogram("txn.latency").record(i * 1000);
 
-    std::ostringstream os;
-    stats.writeJson(os, "client.");
     std::string error;
-    const JsonValue doc = JsonValue::parse(os.str(), &error);
+    const JsonValue doc =
+        JsonValue::parse(statsJson(stats, "client."), &error);
     ASSERT_TRUE(doc.isObject()) << error;
 
     const JsonValue &counters = doc.at("counters");
@@ -282,10 +287,8 @@ TEST(StatSet, MergedSetsExportCombinedValues)
 
     a.merge(b);
 
-    std::ostringstream os;
-    a.writeJson(os);
     std::string error;
-    const JsonValue doc = JsonValue::parse(os.str(), &error);
+    const JsonValue doc = JsonValue::parse(statsJson(a), &error);
     ASSERT_TRUE(doc.isObject()) << error;
     EXPECT_EQ(doc.at("counters").at("txn.committed").asInt(), 15);
     EXPECT_EQ(doc.at("counters").at("txn.aborted").asInt(), 2);
@@ -294,19 +297,6 @@ TEST(StatSet, MergedSetsExportCombinedValues)
     EXPECT_EQ(lat.at("min").asInt(), 100);
     EXPECT_EQ(lat.at("max").asInt(), 300);
     EXPECT_NEAR(lat.at("mean").asDouble(), 200.0, 10.0);
-}
-
-TEST(StatSet, CsvExportListsEveryMetric)
-{
-    StatSet stats;
-    stats.counter("c").inc(9);
-    stats.histogram("h").record(500);
-    std::ostringstream os;
-    stats.writeCsv(os, "server.");
-    const std::string csv = os.str();
-    EXPECT_NE(csv.find("server.c,9"), std::string::npos);
-    EXPECT_NE(csv.find("server.h.count,1"), std::string::npos);
-    EXPECT_NE(csv.find("server.h.p99,"), std::string::npos);
 }
 
 } // namespace

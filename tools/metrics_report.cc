@@ -8,9 +8,8 @@
  * Prints a windowed timeline correlating the transaction abort rate
  * (from the client.txn.committed / client.txn.aborted counter deltas,
  * summed across client nodes) with the instantaneous clock skew (the
- * clocksync.max_pairwise_skew_ns gauge when present, else max-min over
- * the per-node clocksync.offset_ns gauges), then the Pearson
- * correlation between the two. Exit codes: 0 ok, 1 I/O or parse
+ * clocksync.max_pairwise_skew_ns gauge; 0 on perfect clocks), then the
+ * Pearson correlation between the two. Exit codes: 0 ok, 1 I/O or parse
  * error, 2 usage.
  */
 
@@ -43,13 +42,12 @@ struct Series
     std::string name;
     std::uint32_t node = 0;
     std::string kind; ///< "counter" | "gauge" | "hist"
-    bool deterministic = true;
     std::vector<Point> points;
 };
 
 bool
-loadSeries(const common::JsonValue &arr, bool deterministic,
-           std::vector<Series> &out, std::string &error)
+loadSeries(const common::JsonValue &arr, std::vector<Series> &out,
+           std::string &error)
 {
     if (!arr.isArray()) {
         error = "\"series\" is not an array";
@@ -61,7 +59,6 @@ loadSeries(const common::JsonValue &arr, bool deterministic,
         series.name = s.at("name").asString();
         series.node = static_cast<std::uint32_t>(s.at("node").asInt());
         series.kind = s.at("kind").asString();
-        series.deterministic = deterministic;
         const common::JsonValue &pts = s.at("points");
         if (series.name.empty() || !pts.isArray()) {
             error = "malformed series entry #" + std::to_string(i);
@@ -160,14 +157,7 @@ main(int argc, char **argv)
     }
 
     std::vector<Series> series;
-    if (!loadSeries(doc.at("series"), true, series, error)) {
-        std::fprintf(stderr, "error: %s: %s\n", path.c_str(),
-                     error.c_str());
-        return 1;
-    }
-    if (doc.has("nondeterministic") &&
-        !loadSeries(doc.at("nondeterministic").at("series"), false,
-                    series, error)) {
+    if (!loadSeries(doc.at("series"), series, error)) {
         std::fprintf(stderr, "error: %s: %s\n", path.c_str(),
                      error.c_str());
         return 1;
@@ -187,9 +177,6 @@ main(int argc, char **argv)
         std::int64_t end = 0;
         double committed = 0.0, aborted = 0.0;
         double maxSkew = 0.0;
-        bool haveSkewGauge = false;
-        double offsetMin = 0.0, offsetMax = 0.0;
-        bool haveOffset = false;
     };
     std::map<std::int64_t, Window> windows; // keyed by windowStart
 
@@ -201,26 +188,9 @@ main(int argc, char **argv)
                 w.committed += p.value;
             else if (s.name == "client.txn.aborted")
                 w.aborted += p.value;
-            else if (s.name == "clocksync.max_pairwise_skew_ns") {
+            else if (s.name == "clocksync.max_pairwise_skew_ns")
                 w.maxSkew = std::max(w.maxSkew, p.value);
-                w.haveSkewGauge = true;
-            } else if (s.name == "clocksync.offset_ns") {
-                if (!w.haveOffset) {
-                    w.offsetMin = w.offsetMax = p.value;
-                    w.haveOffset = true;
-                } else {
-                    w.offsetMin = std::min(w.offsetMin, p.value);
-                    w.offsetMax = std::max(w.offsetMax, p.value);
-                }
-            }
         }
-    }
-    // Fallback: derive max pairwise skew from per-node offsets when
-    // the cluster-wide gauge is absent (no clock ensemble).
-    for (auto &[start, w] : windows) {
-        (void)start;
-        if (!w.haveSkewGauge && w.haveOffset)
-            w.maxSkew = w.offsetMax - w.offsetMin;
     }
 
     double maxAbortPct = 0.0, maxSkewUs = 0.0;

@@ -93,14 +93,12 @@ main(int argc, char **argv)
             "  --dump-stats\n"
             "  --json=PATH  (milana-bench-v1 report with full stat "
             "sets)\n"
-            "  --trace=PATH (event trace; .csv extension = CSV, else "
-            "JSON)\n"
+            "  --trace=PATH (milana-trace-v2 JSON event trace)\n"
             "  --trace-capacity=N (trace ring size, default 262144)\n"
             "  --perfetto=PATH (Chrome/Perfetto trace-event JSON)\n"
             "  --monitor (online invariant checks; violations exit 1)\n"
-            "  --metrics=PATH (milana-metrics-v1 time-series JSON +\n"
-            "                  sibling CSV; feed to tools/metrics-"
-            "report)\n"
+            "  --metrics=PATH (milana-metrics-v1 time-series JSON; feed\n"
+            "                  to tools/metrics-report)\n"
             "  --metrics-interval=D (sampling window, default 100ms;\n"
             "                        ns/us/ms/s suffixes)\n");
         return 0;
@@ -125,10 +123,11 @@ main(int argc, char **argv)
     spec.window = args.getInt("seconds", 5) * kSecond;
 
     const std::string chaos_path = args.getString("chaos", "");
+    const std::int64_t chaos_seed = args.getInt("chaos-seed", 42);
     std::unique_ptr<common::ChaosEngine> chaos;
     if (!chaos_path.empty()) {
         chaos = std::make_unique<common::ChaosEngine>(
-            static_cast<std::uint64_t>(args.getInt("chaos-seed", 42)));
+            static_cast<std::uint64_t>(chaos_seed));
         std::string error;
         if (!chaos->parseFile(chaos_path, &error)) {
             std::fprintf(stderr, "error: %s: %s\n", chaos_path.c_str(),
@@ -138,6 +137,9 @@ main(int argc, char **argv)
         cfg.chaos = chaos.get();
     }
     const bench::Observers observers(args, cfg);
+    const bool dump_stats = args.has("dump-stats");
+    bench::Report report("milana_sim", args.getString("json", ""));
+    args.rejectUnknown();
 
     std::printf("milana_sim: %u shard(s) x %u replica(s), %u clients, "
                 "%s backend, %s clocks, alpha=%.2f%s%s\n",
@@ -155,8 +157,7 @@ main(int argc, char **argv)
         std::printf("chaos: %zu fault(s) from %s (seed %lld), armed "
                     "after warmup\n",
                     chaos->faultCount(), chaos_path.c_str(),
-                    static_cast<long long>(
-                        args.getInt("chaos-seed", 42)));
+                    static_cast<long long>(chaos_seed));
     }
     const workload::CellReport r = workload::runCell(spec);
 
@@ -199,7 +200,7 @@ main(int argc, char **argv)
         {"backend", r.backend, "ftl."},
         {"device", r.device, "flash."},
     };
-    if (args.has("dump-stats")) {
+    if (dump_stats) {
         std::printf("\n");
         for (const auto &section : sections)
             std::printf("--- %s stats ---\n%s", section.name,
@@ -207,7 +208,6 @@ main(int argc, char **argv)
     }
     const bool monitor_ok = observers.finish();
 
-    bench::Report report("milana_sim");
     report.params()
         .set("shards", cfg.numShards)
         .set("replicas", cfg.replicasPerShard)
@@ -225,7 +225,7 @@ main(int argc, char **argv)
     if (chaos != nullptr) {
         report.params()
             .set("chaos", chaos_path)
-            .set("chaos_seed", args.getInt("chaos-seed", 42))
+            .set("chaos_seed", chaos_seed)
             .set("chaos_injections", chaos->injections())
             .set("chaos_heals", chaos->heals());
     }
@@ -243,6 +243,6 @@ main(int argc, char **argv)
         .set("avg_client_skew_us", r.avgSkewNs / 1000.0);
     for (const auto &section : sections)
         report.addStats(section.name, section.stats, section.prefix);
-    report.write(args);
+    report.write();
     return monitor_ok ? 0 : 1;
 }

@@ -2,8 +2,8 @@
  * @file
  * trace-report — offline analysis of a milana-trace event log (the
  * --trace output of fig6_abort_vs_clients, milana-sim, or any harness
- * wired through ClusterConfig::trace). Reads milana-trace-v2 documents
- * (JSON or CSV, chosen by file extension).
+ * wired through ClusterConfig::trace). Reads milana-trace-v2 JSON
+ * documents.
  *
  * Default report:
  *
@@ -46,69 +46,6 @@ using common::TraceEvent;
 using common::TraceKind;
 
 namespace {
-
-bool
-loadCsv(std::istream &is, common::ParsedTrace &trace, std::string &error)
-{
-    std::string line;
-    if (!std::getline(is, line) ||
-        line != "seq,true_ns,local_ns,node,kind,span,trace,parent,name,"
-                "tag,arg,arg2") {
-        error = "missing milana-trace-v2 CSV header";
-        return false;
-    }
-    const std::size_t expect = 12;
-    std::size_t lineno = 1;
-    while (std::getline(is, line)) {
-        ++lineno;
-        if (line.empty())
-            continue;
-        std::vector<std::string> fields;
-        std::size_t start = 0;
-        for (std::size_t i = 0; i <= line.size(); ++i) {
-            if (i == line.size() || line[i] == ',') {
-                fields.push_back(line.substr(start, i - start));
-                start = i + 1;
-            }
-        }
-        if (fields.size() != expect) {
-            error = "line " + std::to_string(lineno) + ": expected " +
-                    std::to_string(expect) + " fields, got " +
-                    std::to_string(fields.size());
-            return false;
-        }
-        TraceEvent ev;
-        std::size_t f = 0;
-        ev.seq = std::strtoull(fields[f++].c_str(), nullptr, 10);
-        ev.trueTime = std::strtoll(fields[f++].c_str(), nullptr, 10);
-        ev.localTime = std::strtoll(fields[f++].c_str(), nullptr, 10);
-        ev.node = static_cast<std::uint32_t>(
-            std::strtoul(fields[f++].c_str(), nullptr, 10));
-        const std::string &kind = fields[f++];
-        ev.kind = kind == "B"   ? TraceKind::SpanBegin
-                  : kind == "E" ? TraceKind::SpanEnd
-                                : TraceKind::Instant;
-        ev.span = std::strtoull(fields[f++].c_str(), nullptr, 10);
-        ev.traceId = std::strtoull(fields[f++].c_str(), nullptr, 10);
-        ev.parentSpan = std::strtoull(fields[f++].c_str(), nullptr, 10);
-        ev.name = fields[f++];
-        ev.tag = fields[f++];
-        ev.arg = std::strtoll(fields[f++].c_str(), nullptr, 10);
-        ev.arg2 = std::strtoll(fields[f++].c_str(), nullptr, 10);
-        trace.events.push_back(std::move(ev));
-    }
-    // CSV carries no recorded/dropped header counters, but seq is the
-    // global append order: everything before the oldest surviving
-    // event was evicted.
-    std::uint64_t minSeq = ~0ULL, maxSeq = 0;
-    for (const TraceEvent &e : trace.events) {
-        minSeq = std::min(minSeq, e.seq);
-        maxSeq = std::max(maxSeq, e.seq);
-    }
-    trace.recorded = trace.events.empty() ? 0 : maxSeq + 1;
-    trace.dropped = trace.events.empty() ? 0 : minSeq;
-    return true;
-}
 
 std::string
 layerOf(const std::string &name)
@@ -403,7 +340,7 @@ main(int argc, char **argv)
         std::fprintf(
             stderr,
             "usage: trace-report [--strict] [--txn=<id>] "
-            "[--csv=PATH] <trace.json | trace.csv>\n"
+            "[--csv=PATH] <trace.json>\n"
             "analyzes a milana-trace-v2 event log; see "
             "OBSERVABILITY.md\n"
             "  --strict   exit 3 when the ring evicted events\n"
@@ -422,23 +359,12 @@ main(int argc, char **argv)
 
     common::ParsedTrace trace;
     std::string error;
-    const bool is_csv =
-        path.size() >= 4 &&
-        path.compare(path.size() - 4, 4, ".csv") == 0;
-    if (is_csv) {
-        if (!loadCsv(is, trace, error)) {
-            std::fprintf(stderr, "error: %s: %s\n", path.c_str(),
-                         error.c_str());
-            return 1;
-        }
-    } else {
-        std::stringstream buffer;
-        buffer << is.rdbuf();
-        if (!common::parseTraceJson(buffer.str(), trace, error)) {
-            std::fprintf(stderr, "error: %s: %s\n", path.c_str(),
-                         error.c_str());
-            return 1;
-        }
+    std::stringstream buffer;
+    buffer << is.rdbuf();
+    if (!common::parseTraceJson(buffer.str(), trace, error)) {
+        std::fprintf(stderr, "error: %s: %s\n", path.c_str(),
+                     error.c_str());
+        return 1;
     }
 
     if (trace.events.empty()) {
