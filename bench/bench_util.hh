@@ -122,21 +122,21 @@ class Args
     /**
      * A positive duration flag: "100ms", "250us", "2s", "500ns"; a bare
      * number means milliseconds (common::parseDuration). Returns @p def
-     * when absent; exits 2, naming the flag, on a malformed or
+     * when absent; exits 2, naming the flag, on an empty, malformed or
      * non-positive value.
      */
     common::Duration
     getDuration(const std::string &name, common::Duration def) const
     {
-        const std::string text = getString(name, "");
-        if (text.empty())
+        const std::optional<std::string> text = valueOf(name);
+        if (!text)
             return def;
         common::Duration d = 0;
-        if (!common::parseDuration(text, &d) || d <= 0) {
+        if (text->empty() || !common::parseDuration(*text, &d) || d <= 0) {
             std::fprintf(stderr,
                          "bad --%s '%s' (a positive duration: "
                          "ns/us/ms/s suffix, bare number = ms)\n",
-                         name.c_str(), text.c_str());
+                         name.c_str(), text->c_str());
             std::exit(2);
         }
         return d;

@@ -5,7 +5,8 @@
  * Defaults reproduce the emulated Open-Channel SSD of the paper's
  * experimental setup (section 5): 4 KB pages, 32 pages per block,
  * 50 us page read, 100 us page program, 1 ms block erase, hardware
- * queue depth 128.
+ * queue depth 128. Pages and tuples have the paper's fixed sizes, so a
+ * page holds at most eight tuples.
  */
 
 #ifndef FLASH_GEOMETRY_HH
@@ -19,10 +20,15 @@ namespace flash {
 
 using common::Duration;
 
+/** Page size in bytes (smallest read/program unit). */
+inline constexpr std::uint32_t kPageSize = 4096;
+/** Accounted on-flash size of one key-value tuple (paper: 512 B). */
+inline constexpr std::uint32_t kRecordSize = 512;
+/** Tuples one page holds. */
+inline constexpr std::uint32_t kRecordsPerPage = kPageSize / kRecordSize;
+
 struct Geometry
 {
-    /** Page size in bytes (smallest read/program unit). */
-    std::uint32_t pageSize = 4096;
     /** Pages per erase block. */
     std::uint32_t pagesPerBlock = 32;
     /** Total number of erase blocks on the device. */
@@ -45,7 +51,7 @@ struct Geometry
     std::uint64_t
     capacityBytes() const
     {
-        return totalPages() * pageSize;
+        return totalPages() * kPageSize;
     }
 
     /**
@@ -59,7 +65,7 @@ struct Geometry
         const std::uint64_t needed = static_cast<std::uint64_t>(
             static_cast<double>(data_bytes) / target_utilization);
         const std::uint64_t block_bytes =
-            static_cast<std::uint64_t>(g.pageSize) * g.pagesPerBlock;
+            static_cast<std::uint64_t>(kPageSize) * g.pagesPerBlock;
         g.numBlocks = static_cast<std::uint32_t>(
             (needed + block_bytes - 1) / block_bytes);
         if (g.numBlocks < 64)

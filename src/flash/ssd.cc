@@ -1,6 +1,11 @@
 #include "flash/ssd.hh"
 
 #include <algorithm>
+#include <cstdint>
+#include <memory>
+#include <new>
+
+#include <sys/mman.h>
 
 #include "common/logging.hh"
 
@@ -10,8 +15,13 @@ SsdDevice::SsdDevice(sim::Simulator &sim, const Geometry &geometry)
     : sim_(sim),
       geometry_(geometry),
       blocks_(geometry.numBlocks),
-      pages_(geometry.totalPages()),
-      states_(geometry.totalPages(), PageState::Erased),
+      // Raw, never-initialized storage: a page's slots are first
+      // touched by its first program, so an unwritten page costs no
+      // host memory.
+      records_(static_cast<Record *>(::operator new(
+          geometry.totalPages() * kRecordsPerPage * sizeof(Record),
+          std::align_val_t{kOsPage}))),
+      counts_(geometry.totalPages(), kErased),
       pins_(geometry.numBlocks, 0),
       queue_(sim, geometry.queueDepth)
 {
@@ -23,6 +33,21 @@ SsdDevice::SsdDevice(sim::Simulator &sim, const Geometry &geometry)
             &stats_.counter("ssd.channel." + std::to_string(c) + ".ops"));
     }
     channelFactor_.assign(geometry.numChannels, 1.0);
+}
+
+SsdDevice::~SsdDevice()
+{
+    clearPages(0, counts_.size());
+}
+
+void
+SsdDevice::clearPages(std::size_t first, std::size_t last)
+{
+    for (std::size_t i = first; i < last; ++i) {
+        if (counts_[i] != kErased)
+            std::destroy_n(slots(i), counts_[i]);
+        counts_[i] = kErased;
+    }
 }
 
 sim::Task<void>
@@ -55,14 +80,13 @@ SsdDevice::service(std::uint32_t block, common::Duration latency,
     trace_.instant("flash.ssd.release", op, chan);
 }
 
-sim::Task<const PageData *>
+sim::Task<PageRecords>
 SsdDevice::readPage(PageAddr addr)
 {
     if (addr.block >= blocks_.size() ||
         addr.page >= geometry_.pagesPerBlock)
         PANIC("readPage out of range: " << addr.block << "/" << addr.page);
-    const std::size_t at = pageIndex(addr);
-    if (states_[at] != PageState::Programmed)
+    if (pageState(addr) != PageState::Programmed)
         PANIC("read of unprogrammed page " << addr.block << "/"
                                            << addr.page);
     co_await service(addr.block, geometry_.readLatency, "read");
@@ -76,7 +100,7 @@ SsdDevice::readPage(PageAddr addr)
         co_await service(addr.block, geometry_.readLatency, "read_retry");
     }
     reads_.inc();
-    co_return &pages_[at];
+    co_return peekPage(addr);
 }
 
 sim::Task<void>
@@ -87,23 +111,23 @@ SsdDevice::programPage(PageAddr addr, PageData data)
         PANIC("programPage out of range");
     auto &block = blocks_[addr.block];
     const std::size_t at = pageIndex(addr);
-    if (states_[at] != PageState::Erased)
+    if (counts_[at] != kErased)
         PANIC("program of non-erased page " << addr.block << "/"
                                             << addr.page);
     if (addr.page != block.nextProgramPage)
         PANIC("out-of-order program within block " << addr.block << ": page "
               << addr.page << " but next is " << block.nextProgramPage);
-    if (data.bytes() > geometry_.pageSize)
-        PANIC("page overflow: " << data.bytes() << " bytes");
+    if (data.records.size() > kRecordsPerPage)
+        PANIC("page overflow: " << data.records.size() << " records");
 
     // Commit functional state before the timing wait so a reader that
     // observes the mapping update (made by the FTL after we return)
     // always finds the data. NAND-wise the data is on the page once
     // program completes; the FTL publishes the mapping only after that.
-    states_[at] = PageState::Programmed;
     block.nextProgramPage = addr.page + 1;
-    pages_[at] = std::move(data);
-    ++programmedPages_;
+    std::uninitialized_move(data.records.begin(), data.records.end(),
+                            slots(at));
+    counts_[at] = static_cast<std::uint8_t>(data.records.size());
 
     co_await service(addr.block, geometry_.writeLatency, "program");
     programs_.inc();
@@ -121,52 +145,41 @@ SsdDevice::eraseBlock(std::uint32_t block_index)
     co_await service(block_index, geometry_.eraseLatency, "erase");
 
     auto &block = blocks_[block_index];
-    // A page's storage stays put until here: readers hold a pointer
-    // to it (under a pin) across suspensions. A program that does not
-    // take its buffer from pageBuffer() leaves a spare behind, so the
-    // spares are capped at the erased pages.
-    programmedPages_ -= block.nextProgramPage;
-    const std::uint64_t erased = geometry_.totalPages() - programmedPages_;
+    // A page's records stay put until here: readers hold a span of
+    // them (under a pin) across suspensions.
     const std::size_t first = pageIndex({block_index, 0});
     const std::size_t last = first + geometry_.pagesPerBlock;
-    for (std::size_t i = first; i < last; ++i) {
-        auto &records = pages_[i].records;
-        if (records.capacity() != 0 && spareRecords_.size() < erased) {
-            records.clear();
-            spareRecords_.push_back(std::move(records));
-        }
-        records = {};
-    }
-    std::fill(states_.begin() + first, states_.begin() + last,
-              PageState::Erased);
+    clearPages(first, last);
+    // Hand the OS pages wholly inside the block's slots back (the
+    // process's own memory; no system setting): wear-levelling
+    // programs every block in turn, and the store's host memory must
+    // follow the programmed pages, not every page ever programmed. A
+    // reprogram faults them in again, zeroed.
+    const auto lo = (reinterpret_cast<std::uintptr_t>(slots(first)) +
+                     kOsPage - 1) & ~(kOsPage - 1);
+    const auto hi =
+        reinterpret_cast<std::uintptr_t>(slots(last)) & ~(kOsPage - 1);
+    if (lo < hi)
+        ::madvise(reinterpret_cast<void *>(lo), hi - lo, MADV_DONTNEED);
     block.nextProgramPage = 0;
     ++block.eraseCount;
     erases_.inc();
 }
 
-PageData
-SsdDevice::pageBuffer()
-{
-    PageData page;
-    if (!spareRecords_.empty()) {
-        page.records = std::move(spareRecords_.back());
-        spareRecords_.pop_back();
-    }
-    return page;
-}
-
 PageState
 SsdDevice::pageState(PageAddr addr) const
 {
-    return states_[pageIndex(addr)];
+    return counts_[pageIndex(addr)] == kErased ? PageState::Erased
+                                               : PageState::Programmed;
 }
 
-const PageData &
+PageRecords
 SsdDevice::peekPage(PageAddr addr) const
 {
-    if (pageState(addr) != PageState::Programmed)
+    const std::size_t at = pageIndex(addr);
+    if (counts_[at] == kErased)
         PANIC("peek of unprogrammed page");
-    return pages_[pageIndex(addr)];
+    return {slots(at), counts_[at]};
 }
 
 std::uint32_t

@@ -14,9 +14,13 @@
  * effects the paper's Table 1 depends on: read/program/erase latency
  * asymmetry and queueing delay under background GC traffic.
  *
- * Functional model: a page stores a small vector of records (packed
- * key-value tuples). Byte layout is accounted for, not materialized,
- * so large simulated devices stay cheap in host memory.
+ * Functional model: a page holds up to kRecordsPerPage records (packed
+ * key-value tuples) in its slots of one record array over the whole
+ * device. Byte layout is accounted for, not materialized. A slot is
+ * constructed when its page is programmed and destroyed when its
+ * block is erased. The array is never zero-filled, and an erase hands
+ * the block's OS pages back, so a large simulated device costs host
+ * memory only for the pages that hold records.
  */
 
 #ifndef FLASH_SSD_HH
@@ -24,9 +28,12 @@
 
 #include <cstdint>
 #include <memory>
+#include <new>
+#include <span>
 #include <vector>
 
 #include "common/random.hh"
+#include "common/small_vector.hh"
 #include "common/stats.hh"
 #include "common/trace.hh"
 #include "common/types.hh"
@@ -41,36 +48,26 @@ using common::Key;
 using common::Value;
 using common::Version;
 
-/**
- * One packed tuple in a flash page. `lba` carries the owning logical
- * block address when the page belongs to a block-device FTL (Sftl);
- * key/version identify the tuple for KV FTLs. `sizeBytes` is the
- * accounted on-flash footprint.
- */
+/** One packed tuple in a flash page: key/version identify it for the
+ *  KV FTLs; every tuple accounts for kRecordSize bytes of its page. */
 struct Record
 {
     Key key = 0;
     Version version;
     Value value;
-    std::int64_t lba = -1;
-    std::uint32_t sizeBytes = 512;
     bool tombstone = false;
 };
+static_assert(sizeof(Record) <= 64, "a page's eight slots fit 512 B");
 
-/** Contents of one programmed page. */
+/** The records a writer fills into one page; kept inline, so building
+ *  or copying out a page never touches the heap. */
 struct PageData
 {
-    std::vector<Record> records;
-
-    std::uint32_t
-    bytes() const
-    {
-        std::uint32_t total = 0;
-        for (const auto &r : records)
-            total += r.sizeBytes;
-        return total;
-    }
+    common::SmallVector<Record, kRecordsPerPage> records;
 };
+
+/** A programmed page's records, in place on the device. */
+using PageRecords = std::span<const Record>;
 
 /** Lifecycle state of a physical page. */
 enum class PageState : std::uint8_t
@@ -83,30 +80,24 @@ class SsdDevice
 {
   public:
     SsdDevice(sim::Simulator &sim, const Geometry &geometry);
+    ~SsdDevice();
 
     const Geometry &geometry() const { return geometry_; }
 
     /**
-     * Read a programmed page. The returned pointer is valid until the
-     * block is erased; callers must hold a block read-pin (see
+     * Read a programmed page. The returned records stay in place until
+     * the block is erased; callers must hold a block read-pin (see
      * pinBlock) if a concurrent GC could erase it.
      */
-    sim::Task<const PageData *> readPage(PageAddr addr);
+    sim::Task<PageRecords> readPage(PageAddr addr);
 
-    /** Program an erased page. Pages within a block must be programmed
-     *  in order (NAND constraint); violating this panics. */
+    /** Program an erased page with at most kRecordsPerPage records.
+     *  Pages within a block must be programmed in order (NAND
+     *  constraint); violating this panics. */
     sim::Task<void> programPage(PageAddr addr, PageData data);
 
-    /**
-     * An empty page to fill and program. Its record vector is one an
-     * erase gave back, with that page's capacity, when one is spare,
-     * so the steady state's programs reuse the buffers its erases
-     * free and only a page programmed for the first time allocates.
-     */
-    PageData pageBuffer();
-
-    /** Erase a whole block; all its pages become Erased. Their record
-     *  vectors, cleared, become spare buffers for pageBuffer(). */
+    /** Erase a whole block; all its pages become Erased and their
+     *  records are destroyed. */
     sim::Task<void> eraseBlock(std::uint32_t block);
 
     PageState pageState(PageAddr addr) const;
@@ -118,7 +109,7 @@ class SsdDevice
      * flash read, so it must not stand in for one on the simulated
      * path.
      */
-    const PageData &peekPage(PageAddr addr) const;
+    PageRecords peekPage(PageAddr addr) const;
 
     /** Number of times the block has been erased (wear). */
     std::uint32_t eraseCount(std::uint32_t block) const;
@@ -183,7 +174,7 @@ class SsdDevice
         std::uint32_t eraseCount = 0;
     };
 
-    /** Index of @p addr in pages_ and states_. */
+    /** Index of @p addr in counts_. */
     std::size_t
     pageIndex(PageAddr addr) const
     {
@@ -191,6 +182,35 @@ class SsdDevice
                    geometry_.pagesPerBlock +
                addr.page;
     }
+
+    /** Page @p at's kRecordsPerPage slots in records_. */
+    Record *
+    slots(std::size_t at) const
+    {
+        return records_.get() + at * kRecordsPerPage;
+    }
+
+    /** Destroy the records of pages [@p first, @p last), leaving them
+     *  Erased. */
+    void clearPages(std::size_t first, std::size_t last);
+
+    /** The record array starts on an OS page, so that an erase can
+     *  hand a block's whole OS pages back (see eraseBlock). */
+    static constexpr std::size_t kOsPage = 4096;
+
+    /** Frees the record array's raw storage; clearPages destroys the
+     *  records in it first. */
+    struct FreeStorage
+    {
+        void
+        operator()(Record *slots) const
+        {
+            ::operator delete(slots, std::align_val_t{kOsPage});
+        }
+    };
+
+    /** counts_ value of an erased page. */
+    static constexpr std::uint8_t kErased = 0xff;
 
     /** Acquire queue slot + channel, wait the service time. @p op
      *  ("read" | "program" | "erase") labels the trace span. */
@@ -203,15 +223,15 @@ class SsdDevice
     sim::Simulator &sim_;
     Geometry geometry_;
     std::vector<Block> blocks_;
-    /** The page store, flat over the device: block b's pages are
-     *  [b * pagesPerBlock, (b + 1) * pagesPerBlock). */
-    std::vector<PageData> pages_;
-    std::vector<PageState> states_;
+    /** The page store, flat over the device: page i's slots are
+     *  [i * kRecordsPerPage, (i + 1) * kRecordsPerPage), block b's
+     *  pages [b * pagesPerBlock, (b + 1) * pagesPerBlock). Raw
+     *  storage: only the first counts_[i] slots of a programmed page
+     *  hold constructed records. */
+    std::unique_ptr<Record, FreeStorage> records_;
+    /** Records on each page, or kErased. */
+    std::vector<std::uint8_t> counts_;
     std::vector<std::uint32_t> pins_;
-    /** Cleared record vectors of erased pages, for pageBuffer(); never
-     *  more of them than erased pages. */
-    std::vector<std::vector<Record>> spareRecords_;
-    std::uint64_t programmedPages_ = 0;
     sim::Semaphore queue_;
     std::vector<std::unique_ptr<sim::Mutex>> channels_;
     common::StatSet stats_;

@@ -31,9 +31,9 @@ class FlashPages
   public:
     using Device = flash::SsdDevice;
     using Addr = flash::PageAddr;
-    /** A read returns the device's page, valid while its block is
-     *  pinned. */
-    using Page = const flash::PageData *;
+    /** A read returns the device's records in place, valid while
+     *  their block is pinned. */
+    using Page = flash::PageRecords;
 
     /** Name and stats of the KV layer on this medium (MFTL). */
     static constexpr const char *kName = "mftl";
@@ -71,6 +71,7 @@ class FlashPages
     }
 
     static std::uint32_t unitOf(flash::PageAddr addr) { return addr.block; }
+    static flash::PageRecords records(Page page) { return page; }
 
     /** Fresh blocks a pass relocating @p live items may consume: a
      *  block beyond the exact need plus one for the open block. */
@@ -86,7 +87,6 @@ class FlashPages
     {
         return device_.geometry().pagesPerBlock;
     }
-    std::uint32_t pageSize() const { return device_.geometry().pageSize; }
     std::size_t freeUnits() const { return free_.size(); }
 
     /** The next page of @p stream's open block; when it is full, open
@@ -107,7 +107,6 @@ class FlashPages
         return addr;
     }
 
-    flash::PageData pageBuffer() { return device_.pageBuffer(); }
     auto
     write(flash::PageAddr addr, flash::PageData page)
     {
@@ -115,7 +114,7 @@ class FlashPages
     }
     void written(flash::PageAddr addr) { --pendingPrograms_[addr.block]; }
     /** The programmed page's contents, without a timed read. */
-    const flash::PageData &
+    flash::PageRecords
     peek(flash::PageAddr addr) const
     {
         return device_.peekPage(addr);

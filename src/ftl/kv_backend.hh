@@ -28,9 +28,6 @@ using common::Time;
 using common::Value;
 using common::Version;
 
-/** Accounted on-flash tuple size of every flash backend (paper: 512 B). */
-inline constexpr std::uint32_t kRecordSize = 512;
-
 /** Result of a read. */
 struct GetResult
 {

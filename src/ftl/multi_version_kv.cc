@@ -18,14 +18,14 @@ MultiVersionKv<Medium>::MultiVersionKv(sim::Simulator &sim,
     : sim_(sim),
       medium_(device),
       config_(config),
-      packLog_(sim, medium_.pageSize(), config.packTimeout,
+      packLog_(sim, config.packTimeout,
                [this](std::vector<Pending> batch) {
                    flushBatch(std::move(batch));
                }),
       gc_(sim, medium_, *this, stats_,
           {.name = Medium::kName,
            .perUnit = static_cast<std::uint64_t>(medium_.pagesPerUnit()) *
-                      (medium_.pageSize() / kRecordSize),
+                      flash::kRecordsPerPage,
            .lowFraction = kReserveFraction,
            .highFraction = Medium::kGcTargetFraction,
            .victimsStat = kStats.gcVictims,
@@ -75,12 +75,9 @@ MultiVersionKv<Medium>::flushTask(std::vector<Pending> batch)
     // working room (write-cliff backpressure, as real FTLs apply).
     const Addr addr = co_await gc_.allocate(0, has_relocation ? 1 : 3);
 
-    // The tuples move into a recycled page buffer, sized for a full
-    // page so that any later batch fits it; the publish loop reads
-    // them back from the programmed page.
-    flash::PageData page = medium_.pageBuffer();
-    page.records.reserve(std::max<std::size_t>(
-        batch.size(), medium_.pageSize() / kRecordSize));
+    // The tuples move into the page; the publish loop reads them back
+    // from where the program stored them.
+    flash::PageData page;
     for (auto &p : batch)
         page.records.push_back(std::move(p.record));
 
@@ -89,9 +86,9 @@ MultiVersionKv<Medium>::flushTask(std::vector<Pending> batch)
     unitsWritten_.inc();
 
     // Publish the new locations in the mapping table.
-    const flash::PageData &programmed = medium_.peek(addr);
+    const flash::PageRecords programmed = medium_.peek(addr);
     for (std::size_t i = 0; i < batch.size(); ++i) {
-        const flash::Record &rec = programmed.records[i];
+        const flash::Record &rec = programmed[i];
         const Loc loc{addr, static_cast<std::uint16_t>(i)};
         if (rec.tombstone) {
             // A durable delete: drop the versions it covers.
@@ -144,13 +141,13 @@ MultiVersionKv<Medium>::get(Key key, Version at)
     const Version version = entry->version;
     medium_.pin(Medium::unitOf(loc.addr));
     const auto page = co_await medium_.read(loc.addr);
+    const flash::PageRecords records = Medium::records(page);
     GetResult result;
-    if (page && loc.slot < page->records.size() &&
-        page->records[loc.slot].key == key &&
-        page->records[loc.slot].version == version) {
+    if (loc.slot < records.size() && records[loc.slot].key == key &&
+        records[loc.slot].version == version) {
         result.found = true;
         result.version = version;
-        result.value = page->records[loc.slot].value;
+        result.value = records[loc.slot].value;
     } else {
         PANIC(Medium::kName << ": mapping points at wrong tuple");
     }
@@ -170,7 +167,6 @@ MultiVersionKv<Medium>::put(Key key, Value value, Version version)
     record.key = key;
     record.version = version;
     record.value = std::move(value);
-    record.sizeBytes = kRecordSize;
     auto ack = packLog_.append(std::move(record), false);
     const PutStatus status = co_await ack;
     putLatency_.record(sim_.now() - start);
@@ -186,7 +182,6 @@ MultiVersionKv<Medium>::erase(Key key, Version version)
     flash::Record record;
     record.key = key;
     record.version = version;
-    record.sizeBytes = kRecordSize;
     record.tombstone = true;
     auto ack = packLog_.append(std::move(record), false);
     co_await ack;
@@ -269,13 +264,11 @@ MultiVersionKv<Medium>::relocate(const std::vector<std::uint32_t> &victims)
     }
 
     for (const Scan &scan : scans_) {
-        // A vanished page keeps its tuples counted live, so the
-        // collector fails on its unit.
-        if (!scan.page)
-            continue;
-        for (std::uint16_t slot = 0; slot < scan.page->records.size();
-             ++slot) {
-            const auto &rec = scan.page->records[slot];
+        // A vanished page has no records, so its tuples stay counted
+        // live and the collector fails on its unit.
+        const flash::PageRecords records = Medium::records(scan.page);
+        for (std::uint16_t slot = 0; slot < records.size(); ++slot) {
+            const auto &rec = records[slot];
             if (rec.tombstone)
                 continue;
             auto chain = map_.find(rec.key);
@@ -308,9 +301,9 @@ MultiVersionKv<Medium>::rebuild()
     // The medium scans in address order, not write order, so a
     // tombstone is applied only once every version it covers is back.
     std::vector<std::pair<Key, Version>> tombstones;
-    medium_.scan([&](Addr addr, const flash::PageData &page) {
-        for (std::uint16_t slot = 0; slot < page.records.size(); ++slot) {
-            const auto &rec = page.records[slot];
+    medium_.scan([&](Addr addr, flash::PageRecords page) {
+        for (std::uint16_t slot = 0; slot < page.size(); ++slot) {
+            const auto &rec = page[slot];
             if (rec.tombstone) {
                 tombstones.emplace_back(rec.key, rec.version);
                 continue;

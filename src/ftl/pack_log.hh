@@ -3,8 +3,9 @@
  * The packing logic of the paper's section 5: key-value tuples are
  * 512 B while a flash page is 4 KB, so the FTL "waits for up to 1 ms
  * (tunable) to pack data of multiple keys (puts or remapped keys) into
- * a page". A page flushes when it is full or when the pack timer for
- * its oldest tuple expires, whichever comes first.
+ * a page". A page flushes when it holds flash::kRecordsPerPage tuples
+ * or when the pack timer for its oldest tuple expires, whichever comes
+ * first.
  *
  * Put latency therefore includes the residual pack wait — the reason
  * MFTL's put latency in Table 1 exceeds VFTL's: VFTL garbage-collects
@@ -53,8 +54,7 @@ class PackLog
      *              eventually resolve every Pending's ack. Invoked
      *              from event context; implementations spawn a task.
      */
-    PackLog(sim::Simulator &sim, std::uint32_t page_bytes,
-            common::Duration pack_timeout,
+    PackLog(sim::Simulator &sim, common::Duration pack_timeout,
             std::function<void(std::vector<Pending>)> flush);
 
     /**
@@ -71,20 +71,17 @@ class PackLog
     void recycle(std::vector<Pending> batch);
 
     bool empty() const { return buffer_.empty(); }
-    std::uint32_t bufferedBytes() const { return bytes_; }
 
   private:
     void armTimer();
     void doFlush();
 
     sim::Simulator &sim_;
-    std::uint32_t pageBytes_;
     common::Duration packTimeout_;
     std::function<void(std::vector<Pending>)> flush_;
     std::vector<Pending> buffer_;
     /** Recycled, empty batch vectors (see recycle()). */
     std::vector<std::vector<Pending>> spares_;
-    std::uint32_t bytes_ = 0;
     /** Invalidates pack timers armed for batches already flushed. */
     std::uint64_t epoch_ = 0;
 };

@@ -57,13 +57,13 @@ Sftl::mapped(Lba lba) const
     return lbaMap_[static_cast<std::size_t>(lba)] != flash::kNoPage;
 }
 
-const flash::PageData *
+flash::PageRecords
 Sftl::peek(Lba lba) const
 {
     const flash::PageAddr addr = lbaMap_[static_cast<std::size_t>(lba)];
     if (addr == flash::kNoPage)
-        return nullptr;
-    return &blocks_.peek(addr);
+        return {};
+    return blocks_.peek(addr);
 }
 
 sim::Task<std::optional<flash::PageData>>
@@ -74,9 +74,8 @@ Sftl::read(Lba lba)
     if (addr == flash::kNoPage)
         co_return std::nullopt;
     blocks_.pin(addr.block);
-    const flash::PageData *page = co_await blocks_.read(addr);
-    flash::PageData copy = blocks_.pageBuffer();
-    copy.records = page->records;
+    const flash::PageRecords page = co_await blocks_.read(addr);
+    flash::PageData copy{{page.begin(), page.end()}};
     blocks_.unpin(addr.block);
     co_return copy;
 }
@@ -124,9 +123,8 @@ sim::Task<void>
 Sftl::moveValidPage(flash::PageAddr addr, sim::Quorum *done)
 {
     const Lba lba = owner(addr);
-    const flash::PageData *page = co_await blocks_.read(addr);
-    flash::PageData copy = blocks_.pageBuffer();
-    copy.records = page->records;
+    const flash::PageRecords page = co_await blocks_.read(addr);
+    flash::PageData copy{{page.begin(), page.end()}};
     gcPageReads_.inc();
 
     const flash::PageAddr dst = co_await gc_.allocate(kMoveStream, 1);
@@ -145,9 +143,9 @@ SingleVersionKv::SingleVersionKv(sim::Simulator &sim, Sftl &sftl,
                                  const Config &config)
     : sim_(sim), sftl_(sftl), config_(config)
 {
-    recordsPerPage_ = sftl.pageSize() / kRecordSize;
     const std::uint64_t lbas_needed =
-        (config.capacityKeys + recordsPerPage_ - 1) / recordsPerPage_;
+        (config.capacityKeys + flash::kRecordsPerPage - 1) /
+        flash::kRecordsPerPage;
     if (lbas_needed > sftl.logicalBlocks())
         FATAL("SingleVersionKv: " << config.capacityKeys
                                   << " keys exceed device capacity");
@@ -158,13 +156,13 @@ SingleVersionKv::SingleVersionKv(sim::Simulator &sim, Sftl &sftl,
 Lba
 SingleVersionKv::lbaOf(Key key) const
 {
-    return static_cast<Lba>(key / recordsPerPage_);
+    return static_cast<Lba>(key / flash::kRecordsPerPage);
 }
 
 std::uint32_t
 SingleVersionKv::slotOf(Key key) const
 {
-    return static_cast<std::uint32_t>(key % recordsPerPage_);
+    return static_cast<std::uint32_t>(key % flash::kRecordsPerPage);
 }
 
 sim::Mutex &
@@ -212,11 +210,8 @@ SingleVersionKv::put(Key key, Value value, Version version)
     if (page.has_value()) {
         data = std::move(*page);
     } else {
-        data.records.assign(recordsPerPage_, flash::Record{});
-        for (auto &r : data.records) {
-            r.tombstone = true;
-            r.sizeBytes = kRecordSize;
-        }
+        for (std::uint32_t i = 0; i < flash::kRecordsPerPage; ++i)
+            data.records.emplace_back().tombstone = true;
     }
     auto &rec = data.records[slotOf(key)];
     if (!rec.tombstone && rec.version >= version) {
@@ -229,7 +224,6 @@ SingleVersionKv::put(Key key, Value value, Version version)
     rec.version = version;
     rec.value = std::move(value);
     rec.tombstone = false;
-    rec.sizeBytes = kRecordSize;
     co_await sftl_.write(lba, std::move(data));
     putLatency_.record(sim_.now() - start);
     co_return PutStatus::Ok;

@@ -56,9 +56,6 @@ class Sftl
     /** Number of addressable logical blocks. */
     std::uint64_t logicalBlocks() const { return lbaMap_.size(); }
 
-    /** Logical block size in bytes (= flash page size). */
-    std::uint32_t pageSize() const { return blocks_.pageSize(); }
-
     /**
      * Read a logical block. Returns the page content, or nullopt if
      * the LBA has never been written (or was trimmed).
@@ -68,18 +65,15 @@ class Sftl
     /** Overwrite a logical block (log-structured remap). */
     sim::Task<PutStatus> write(Lba lba, flash::PageData data);
 
-    /** An empty block to fill and write (SsdDevice::pageBuffer). */
-    flash::PageData pageBuffer() { return blocks_.pageBuffer(); }
-
     /** Discard a logical block's contents. */
     sim::Task<void> trim(Lba lba);
 
     bool mapped(Lba lba) const;
 
     /** Timing-free functional read of a mapped LBA (recovery scans,
-     *  tests, reading back a block just written). Returns nullptr for
-     *  unmapped LBAs. */
-    const flash::PageData *peek(Lba lba) const;
+     *  tests, reading back a block just written). An unmapped LBA
+     *  holds no records. */
+    flash::PageRecords peek(Lba lba) const;
 
     common::StatSet &stats() { return stats_; }
 
@@ -120,7 +114,7 @@ class Sftl
 
 /**
  * A single-version key-value store over SFTL: keys occupy fixed slots
- * (recordsPerPage keys per logical block) and an update is a
+ * (flash::kRecordsPerPage keys per logical block) and an update is a
  * read-modify-write of the owning block. Multi-versioning is
  * impossible, so snapshot reads are not supported: get() ignores the
  * `at` bound and returns the current version — which is exactly why
@@ -151,7 +145,6 @@ class SingleVersionKv : public KvBackend
     sim::Simulator &sim_;
     Sftl &sftl_;
     Config config_;
-    std::uint32_t recordsPerPage_;
     /** Per-LBA write serialization (read-modify-write atomicity). */
     std::vector<std::unique_ptr<sim::Mutex>> stripes_;
     common::StatSet stats_;

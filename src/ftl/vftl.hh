@@ -82,6 +82,13 @@ class SftlLbas
     {
         return static_cast<std::uint32_t>(lba);
     }
+    /** A block read of an unmapped LBA holds no records. */
+    static flash::PageRecords
+    records(const Page &page)
+    {
+        return page ? flash::PageRecords(page->records)
+                    : flash::PageRecords();
+    }
 
     /** Fresh LBAs a pass relocating @p live tuples consumes. */
     static std::uint64_t
@@ -96,7 +103,6 @@ class SftlLbas
         return static_cast<std::uint32_t>(sftl_.logicalBlocks());
     }
     std::uint32_t pagesPerUnit() const { return 1; }
-    std::uint32_t pageSize() const { return sftl_.pageSize(); }
     std::size_t freeUnits() const { return free_.size(); }
 
     /** The first-freed LBA, if at least @p min_free are free (one
@@ -113,7 +119,6 @@ class SftlLbas
         return lba;
     }
 
-    flash::PageData pageBuffer() { return sftl_.pageBuffer(); }
     auto
     write(Lba lba, flash::PageData page)
     {
@@ -121,7 +126,7 @@ class SftlLbas
     }
     void written(Lba lba) { pendingWrite_[unitOf(lba)] = false; }
     /** The written block's tuples, without a timed read. */
-    const flash::PageData &peek(Lba lba) const { return *sftl_.peek(lba); }
+    flash::PageRecords peek(Lba lba) const { return sftl_.peek(lba); }
     /** Second mapping step: LBA -> physical page, inside SFTL. */
     auto read(Lba lba) { return sftl_.read(lba); }
 
@@ -169,8 +174,8 @@ class SftlLbas
         std::fill(isFree_.begin(), isFree_.end(), false);
         free_.clear();
         for (std::uint32_t lba = 0; lba < units(); ++lba) {
-            if (const flash::PageData *page = sftl_.peek(lba))
-                visit(Lba{lba}, *page);
+            if (sftl_.mapped(lba))
+                visit(Lba{lba}, sftl_.peek(lba));
             else
                 release(lba);
         }

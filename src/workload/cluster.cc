@@ -337,7 +337,7 @@ Cluster::buildStorageNode(common::ShardId shard, std::uint32_t replica)
     // margin for hash imbalance), at the configured utilization.
     const std::uint64_t shard_keys =
         config_.numKeys / config_.numShards + config_.numKeys / 10 + 64;
-    const std::uint64_t shard_bytes = shard_keys * ftl::kRecordSize;
+    const std::uint64_t shard_bytes = shard_keys * flash::kRecordSize;
 
     ftl::KvBackend *backend = nullptr;
     switch (config_.backend) {
@@ -379,7 +379,7 @@ Cluster::buildStorageNode(common::ShardId shard, std::uint32_t replica)
       case BackendKind::SingleVersion: {
         // Slot mapping covers the whole key range.
         auto geo = flash::Geometry::scaledFor(
-            config_.numKeys * ftl::kRecordSize, 0.5);
+            config_.numKeys * flash::kRecordSize, 0.5);
         geo.numChannels = kDeviceChannels;
         devices_.push_back(
             std::make_unique<flash::SsdDevice>(sim_, geo));

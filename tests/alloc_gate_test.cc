@@ -13,14 +13,17 @@
  *    binds its stat handle. Those die out as the run goes on (at this
  *    seed none is left after 5 s); a per-round allocation does not.
  *  - fig6-shaped: 1x1 MFTL, 20k keys, 16 clients, alpha 0.8, warmed up
- *    until the collector has erased blocks, so programs reuse the page
- *    buffers erases free. What may remain is a pool's high-water mark
- *    still rising under a burst of GC reads, and pages programmed for
- *    the first time: at most 0.05 allocations per attempt.
+ *    until the collector has erased blocks, so the window runs in the
+ *    erase/program steady state. Pages are built inline and programmed
+ *    into the device's flat record array, so what may remain is a
+ *    pool's high-water mark still rising under a burst of GC reads: at
+ *    most 0.05 allocations per attempt.
  *
- * A third case holds one histogram to the metrics plane's per-window
- * cycle (record, diff against a snapshot, re-snapshot): once it has
- * seen its octaves, the cycle allocates nothing.
+ * A device case holds the flash model alone to that: once every page
+ * has been programmed, read and erased, another such pass allocates
+ * nothing. A histogram case holds one histogram to the metrics plane's
+ * per-window cycle (record, diff against a snapshot, re-snapshot):
+ * once it has seen its octaves, the cycle allocates nothing.
  *
  * The binary links bench/alloc_counter.cc, which replaces the global
  * operator new/delete with counters, and counts the measured window's
@@ -39,6 +42,9 @@
 #include "common/histogram.hh"
 #include "common/random.hh"
 #include "common/types.hh"
+#include "flash/ssd.hh"
+#include "sim/simulator.hh"
+#include "sim/task.hh"
 #include "workload/cluster.hh"
 #include "workload/retwis.hh"
 
@@ -183,6 +189,55 @@ TEST(AllocGate, Fig6ShapedCellReusesErasedPageBuffers)
     ASSERT_GT(w.attempts, 1'000u);
     EXPECT_GT(erases, 0u);
     EXPECT_LE(w.perAttempt(), 0.05);
+}
+
+/**
+ * A tiny device driven through whole passes: program every page full,
+ * read each one, erase every block. The first pass warms the
+ * simulator's event queue and frame pool; the second must allocate
+ * nothing, so neither a program, a read nor an erase reaches the heap.
+ */
+TEST(AllocGate, DeviceProgramReadErasePassAllocatesNothing)
+{
+    flash::Geometry g;
+    g.numBlocks = 4;
+    g.pagesPerBlock = 4;
+    g.numChannels = 2;
+    g.queueDepth = 4;
+    sim::Simulator sim;
+    flash::SsdDevice ssd(sim, g);
+    std::uint64_t records_read = 0;
+    auto pass = [&]() -> sim::Task<void> {
+        for (std::uint32_t b = 0; b < g.numBlocks; ++b) {
+            for (std::uint32_t p = 0; p < g.pagesPerBlock; ++p) {
+                flash::PageData page;
+                for (std::uint32_t i = 0; i < flash::kRecordsPerPage; ++i) {
+                    flash::Record &r = page.records.emplace_back();
+                    r.key = (b * g.pagesPerBlock + p) * 8 + i;
+                    r.value = "v"; // inline: only the device may allocate
+                }
+                co_await ssd.programPage({b, p}, std::move(page));
+            }
+        }
+        for (std::uint32_t b = 0; b < g.numBlocks; ++b)
+            for (std::uint32_t p = 0; p < g.pagesPerBlock; ++p)
+                records_read += (co_await ssd.readPage({b, p})).size();
+        for (std::uint32_t b = 0; b < g.numBlocks; ++b)
+            co_await ssd.eraseBlock(b);
+    };
+    // Spawned from an event, so the pass's frame comes from the
+    // simulator's frame pool like every frame beneath it.
+    auto run_pass = [&] {
+        sim.schedule(0, [&] { sim::spawn(pass()); });
+        sim.run();
+    };
+    run_pass();
+    const AllocSnapshot before = AllocSnapshot::take();
+    run_pass();
+    const AllocSnapshot after = AllocSnapshot::take();
+    EXPECT_EQ(after.calls - before.calls, 0u);
+    EXPECT_EQ(records_read, 2u * g.numBlocks * g.pagesPerBlock * 8);
+    EXPECT_EQ(ssd.stats().counterValue("ssd.erases"), 2u * g.numBlocks);
 }
 
 /**

@@ -26,7 +26,7 @@ struct Capture
     PackLog log;
 
     explicit Capture(common::Duration timeout = kMillisecond)
-        : log(sim, 4096, timeout, [this](std::vector<Pending> b) {
+        : log(sim, timeout, [this](std::vector<Pending> b) {
               // Resolve acks immediately (stand-in for a flush task).
               for (auto &p : b)
                   p.ack.set(PutStatus::Ok);
@@ -36,11 +36,10 @@ struct Capture
     }
 
     flash::Record
-    record(common::Key key, std::uint32_t bytes = 512)
+    record(common::Key key)
     {
         flash::Record r;
         r.key = key;
-        r.sizeBytes = bytes;
         return r;
     }
 };
@@ -52,7 +51,7 @@ TEST(PackLog, FullPageFlushesImmediately)
     Capture c;
     for (common::Key k = 0; k < 8; ++k)
         (void)c.log.append(c.record(k), false);
-    // 8 x 512B == 4096: the batch must have flushed synchronously.
+    // 8 tuples fill a page: the batch must have flushed synchronously.
     ASSERT_EQ(c.batches.size(), 1u);
     EXPECT_EQ(c.batches[0].size(), 8u);
     EXPECT_TRUE(c.log.empty());
@@ -83,15 +82,20 @@ TEST(PackLog, StaleTimerDoesNotDoubleFlush)
     EXPECT_EQ(c.batches.size(), 1u);
 }
 
-TEST(PackLog, OversizeRecordStartsNewPage)
+TEST(PackLog, NinthTupleOpensANewPage)
 {
     Capture c;
-    (void)c.log.append(c.record(1, 2048), false);
-    (void)c.log.append(c.record(2, 3000), false); // 2048+3000 > 4096
-    // First record flushed alone to make room.
+    for (common::Key k = 0; k < 9; ++k)
+        (void)c.log.append(c.record(k), false);
+    // The first 8 flushed as one page; the 9th waits alone in the next.
     ASSERT_EQ(c.batches.size(), 1u);
-    EXPECT_EQ(c.batches[0].size(), 1u);
-    EXPECT_EQ(c.log.bufferedBytes(), 3000u);
+    EXPECT_EQ(c.batches[0].size(), 8u);
+    EXPECT_EQ(c.batches[0].back().record.key, 7u);
+    EXPECT_FALSE(c.log.empty());
+    c.log.flushNow();
+    ASSERT_EQ(c.batches.size(), 2u);
+    ASSERT_EQ(c.batches[1].size(), 1u);
+    EXPECT_EQ(c.batches[1][0].record.key, 8u);
 }
 
 TEST(PackLog, FlushNowForcesPartial)
@@ -117,17 +121,6 @@ TEST(PackLog, RelocationFlagPreserved)
     EXPECT_TRUE(c.batches[0][1].relocation);
 }
 
-TEST(PackLog, MixedSizesPackUntilFull)
-{
-    Capture c;
-    // 5 x 768 = 3840; the 6th (768) would exceed 4096.
-    for (common::Key k = 0; k < 6; ++k)
-        (void)c.log.append(c.record(k, 768), false);
-    ASSERT_EQ(c.batches.size(), 1u);
-    EXPECT_EQ(c.batches[0].size(), 5u);
-    EXPECT_EQ(c.log.bufferedBytes(), 768u);
-}
-
 TEST(PackLog, RecycledBatchBecomesTheNextBuffer)
 {
     // A flush function that hands its batch back: the capacity is
@@ -136,7 +129,7 @@ TEST(PackLog, RecycledBatchBecomesTheNextBuffer)
     std::vector<const Pending *> storage;
     std::vector<std::size_t> sizes;
     PackLog *self = nullptr;
-    PackLog log(sim, 4096, kMillisecond, [&](std::vector<Pending> b) {
+    PackLog log(sim, kMillisecond, [&](std::vector<Pending> b) {
         storage.push_back(b.data());
         sizes.push_back(b.size());
         for (auto &p : b)
@@ -145,7 +138,6 @@ TEST(PackLog, RecycledBatchBecomesTheNextBuffer)
     });
     self = &log;
     flash::Record r;
-    r.sizeBytes = 512;
     for (common::Key k = 0; k < 24; ++k) {
         r.key = k;
         (void)log.append(r, false);

@@ -26,6 +26,7 @@
  */
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -323,8 +324,18 @@ main(int argc, char **argv)
         } else if (arg.rfind("--csv=", 0) == 0) {
             csvPath = arg.substr(6);
         } else if (arg.rfind("--txn=", 0) == 0) {
+            // The whole value must be the id: "12abc" is not txn 12.
+            const char *first = arg.c_str() + 6;
+            const char *last = arg.c_str() + arg.size();
+            const auto [end, ec] = std::from_chars(first, last, txnId);
+            if (ec != std::errc() || end != last) {
+                std::fprintf(stderr,
+                             "error: bad --txn '%s' (a whole decimal "
+                             "transaction id)\n",
+                             first);
+                return 2;
+            }
             haveTxn = true;
-            txnId = std::strtoull(arg.c_str() + 6, nullptr, 10);
         } else if (!arg.empty() && arg[0] == '-') {
             std::fprintf(stderr, "error: unknown option %s\n",
                          arg.c_str());
