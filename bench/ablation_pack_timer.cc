@@ -41,8 +41,8 @@ runCell(common::Duration timeout, std::uint64_t keys,
         common::Duration warmup, common::Duration measure)
 {
     sim::Simulator sim;
-    flash::SsdDevice ssd(sim,
-                         flash::Geometry::scaledFor(keys * 512, 0.35));
+    flash::SsdDevice ssd(
+        sim, flash::Geometry::scaledFor(keys * flash::kRecordSize, 0.35));
     ftl::Mftl::Config cfg;
     cfg.packTimeout = timeout;
     ftl::Mftl mftl(sim, ssd, cfg);

@@ -57,7 +57,7 @@ runCell(bool unified, double get_percent, std::uint64_t keys,
         common::Duration measure, std::uint64_t seed)
 {
     sim::Simulator sim;
-    const auto data_bytes = keys * 512ull;
+    const auto data_bytes = keys * flash::kRecordSize;
     flash::SsdDevice ssd(sim, flash::Geometry::scaledFor(data_bytes, 0.35));
 
     std::unique_ptr<ftl::Sftl> sftl;

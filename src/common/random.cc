@@ -93,16 +93,6 @@ Rng::nextGaussian(double mean, double stddev)
     return mean + stddev * nextGaussian();
 }
 
-double
-Rng::nextExponential(double mean)
-{
-    double u = 0.0;
-    do {
-        u = nextDouble();
-    } while (u <= 0.0);
-    return -mean * std::log(u);
-}
-
 bool
 Rng::nextBool(double p)
 {

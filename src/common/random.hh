@@ -44,9 +44,6 @@ class Rng
     /** Normal deviate with the given mean and standard deviation. */
     double nextGaussian(double mean, double stddev);
 
-    /** Exponential deviate with the given mean. */
-    double nextExponential(double mean);
-
     /** Bernoulli trial: true with probability p. */
     bool nextBool(double p);
 

@@ -28,7 +28,7 @@ SsdDevice::SsdDevice(sim::Simulator &sim, const Geometry &geometry)
     channels_.reserve(geometry.numChannels);
     channelOps_.reserve(geometry.numChannels);
     for (std::uint32_t c = 0; c < geometry.numChannels; ++c) {
-        channels_.push_back(std::make_unique<sim::Mutex>(sim));
+        channels_.push_back(std::make_unique<sim::Semaphore>(sim, 1));
         channelOps_.push_back(
             &stats_.counter("ssd.channel." + std::to_string(c) + ".ops"));
     }
@@ -69,13 +69,13 @@ SsdDevice::service(std::uint32_t block, common::Duration latency,
     // trace-report split flash.ssd.op into queueing vs. device time.
     trace_.instant("flash.ssd.admit", op, chan, sim_.now() - entered);
     auto &channel = *channels_[chan];
-    co_await channel.lock();
+    co_await channel.acquire();
     // Time from arrival to channel grant: the queueing delay Table 1's
     // GC-interference numbers come from.
     queueWait_.record(sim_.now() - entered);
     channelOps_[chan]->inc();
     co_await sim::sleepFor(sim_, latency);
-    channel.unlock();
+    channel.release();
     queue_.release();
     trace_.instant("flash.ssd.release", op, chan);
 }
@@ -260,7 +260,7 @@ SsdDevice::busyChannels() const
 {
     std::uint32_t n = 0;
     for (const auto &ch : channels_)
-        if (ch->locked())
+        if (ch->available() == 0)
             ++n;
     return n;
 }

@@ -233,7 +233,7 @@ class SsdDevice
     std::vector<std::uint8_t> counts_;
     std::vector<std::uint32_t> pins_;
     sim::Semaphore queue_;
-    std::vector<std::unique_ptr<sim::Mutex>> channels_;
+    std::vector<std::unique_ptr<sim::Semaphore>> channels_;
     common::StatSet stats_;
     // Stat handles, each bound at its first use.
     common::CounterHandle erases_{stats_, "ssd.erases"};

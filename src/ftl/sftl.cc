@@ -150,7 +150,7 @@ SingleVersionKv::SingleVersionKv(sim::Simulator &sim, Sftl &sftl,
         FATAL("SingleVersionKv: " << config.capacityKeys
                                   << " keys exceed device capacity");
     for (std::size_t i = 0; i < kStripes; ++i)
-        stripes_.push_back(std::make_unique<sim::Mutex>(sim));
+        stripes_.push_back(std::make_unique<sim::Semaphore>(sim, 1));
 }
 
 Lba
@@ -165,7 +165,7 @@ SingleVersionKv::slotOf(Key key) const
     return static_cast<std::uint32_t>(key % flash::kRecordsPerPage);
 }
 
-sim::Mutex &
+sim::Semaphore &
 SingleVersionKv::stripe(Lba lba)
 {
     return *stripes_[static_cast<std::size_t>(lba) % kStripes];
@@ -202,8 +202,8 @@ SingleVersionKv::put(Key key, Value value, Version version)
         co_return PutStatus::DeviceFull;
     const Lba lba = lbaOf(key);
 
-    co_await stripe(lba).lock();
-    sim::LockGuard guard(stripe(lba));
+    co_await stripe(lba).acquire();
+    sim::Semaphore::Held held(stripe(lba));
 
     auto page = co_await sftl_.read(lba);
     flash::PageData data;
@@ -235,8 +235,8 @@ SingleVersionKv::erase(Key key, Version version)
     if (key >= config_.capacityKeys)
         co_return;
     const Lba lba = lbaOf(key);
-    co_await stripe(lba).lock();
-    sim::LockGuard guard(stripe(lba));
+    co_await stripe(lba).acquire();
+    sim::Semaphore::Held held(stripe(lba));
     auto page = co_await sftl_.read(lba);
     if (!page.has_value())
         co_return;

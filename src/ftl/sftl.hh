@@ -140,13 +140,13 @@ class SingleVersionKv : public KvBackend
   private:
     Lba lbaOf(Key key) const;
     std::uint32_t slotOf(Key key) const;
-    sim::Mutex &stripe(Lba lba);
+    sim::Semaphore &stripe(Lba lba);
 
     sim::Simulator &sim_;
     Sftl &sftl_;
     Config config_;
     /** Per-LBA write serialization (read-modify-write atomicity). */
-    std::vector<std::unique_ptr<sim::Mutex>> stripes_;
+    std::vector<std::unique_ptr<sim::Semaphore>> stripes_;
     common::StatSet stats_;
     // Stat handles, each bound at its first use.
     common::CounterHandle gets_{stats_, "svkv.gets"};

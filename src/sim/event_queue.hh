@@ -20,7 +20,7 @@
  *
  *  - Events scheduled for the instant currently being processed (the
  *    overwhelmingly common delay-0 case: future resolutions, semaphore
- *    pumps, mutex handoffs) bypass the heap entirely and go into a
+ *    handoffs, quorum wakes) bypass the heap entirely and go into a
  *    FIFO bucket drained before time advances. A burst of N
  *    same-instant events costs N appends instead of N sift-up/down
  *    pairs. Ordering stays exact: any heap event at the bucket's

@@ -14,8 +14,9 @@
  * Hot-path design (see PERFORMANCE.md):
  *
  *  - FutureState is pool-allocated from the owning simulator's
- *    free-list (sim/pool.hh) and intrusively refcounted by StateRef —
- *    no std::make_shared control block, no atomic refcounts (each
+ *    free-list (sim/pool.hh) and held through detail::PoolRef, the
+ *    intrusively refcounted handle quorums use too — no
+ *    std::make_shared control block, no atomic refcounts (each
  *    simulator is single-threaded). A consequence: futures must not
  *    outlive their Simulator (already implied — resolving schedules
  *    onto it).
@@ -41,7 +42,6 @@
 #include <array>
 #include <coroutine>
 #include <cstdint>
-#include <new>
 #include <optional>
 #include <utility>
 #include <vector>
@@ -53,9 +53,6 @@
 namespace sim {
 
 namespace detail {
-
-template <typename T>
-class StateRef;
 
 template <typename T>
 struct FutureState
@@ -86,6 +83,7 @@ struct FutureState
     std::vector<Waiter> rest;
 
     bool resolved() const { return value.has_value(); }
+    Simulator &simulator() const { return *sim; }
 
     void
     addWaiter(Waiter w)
@@ -164,7 +162,7 @@ struct FutureState
             return;
         }
         // Timed waiter: race against its timer via the pending set.
-        StateRef<T> self(this);
+        PoolRef<FutureState> self(this);
         sim->scheduleWithContext(
             0, w.ctx,
             [self = std::move(self), h = w.handle, ticket = w.ticket] {
@@ -175,85 +173,8 @@ struct FutureState
     }
 };
 
-/**
- * Intrusive refcounted handle to a pool-allocated FutureState. The
- * non-atomic refcount is correct because a simulator (and everything
- * scheduled on it) is confined to one thread.
- */
 template <typename T>
-class StateRef
-{
-  public:
-    StateRef() = default;
-
-    /** Adopt an additional reference to @p s (increments). */
-    explicit StateRef(FutureState<T> *s) : p_(s)
-    {
-        if (p_)
-            ++p_->refs;
-    }
-
-    /** Allocate a fresh state (refcount 1) from @p sim's pool. */
-    static StateRef
-    make(Simulator &sim)
-    {
-        void *mem = sim.pool().allocate(sizeof(FutureState<T>));
-        StateRef r;
-        r.p_ = ::new (mem) FutureState<T>(sim);
-        return r;
-    }
-
-    StateRef(const StateRef &other) : p_(other.p_)
-    {
-        if (p_)
-            ++p_->refs;
-    }
-
-    StateRef(StateRef &&other) noexcept
-        : p_(std::exchange(other.p_, nullptr))
-    {
-    }
-
-    StateRef &
-    operator=(const StateRef &other)
-    {
-        StateRef copy(other);
-        std::swap(p_, copy.p_);
-        return *this;
-    }
-
-    StateRef &
-    operator=(StateRef &&other) noexcept
-    {
-        if (this != &other) {
-            release();
-            p_ = std::exchange(other.p_, nullptr);
-        }
-        return *this;
-    }
-
-    ~StateRef() { release(); }
-
-    FutureState<T> *get() const { return p_; }
-    FutureState<T> *operator->() const { return p_; }
-    explicit operator bool() const { return p_ != nullptr; }
-
-  private:
-    void
-    release() noexcept
-    {
-        if (!p_)
-            return;
-        if (--p_->refs == 0) {
-            Simulator *sim = p_->sim;
-            p_->~FutureState<T>();
-            sim->pool().deallocate(p_, sizeof(FutureState<T>));
-        }
-        p_ = nullptr;
-    }
-
-    FutureState<T> *p_ = nullptr;
-};
+using StateRef = PoolRef<FutureState<T>>;
 
 } // namespace detail
 
@@ -411,13 +332,6 @@ sleepFor(Simulator &sim, Duration d)
     if (d < 0)
         PANIC("sleepFor negative duration");
     return Awaiter{sim, d};
-}
-
-/** Awaitable that reschedules the coroutine as a fresh event "now". */
-inline auto
-yieldNow(Simulator &sim)
-{
-    return sleepFor(sim, 0);
 }
 
 } // namespace sim

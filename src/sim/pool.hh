@@ -1,7 +1,8 @@
 /**
  * @file
  * Per-simulator free-list allocator for short-lived DES bookkeeping
- * objects: future states and coroutine frames (see sim/task.hh).
+ * objects: future states, shared quorums and coroutine frames (see
+ * sim/task.hh).
  *
  * The simulator allocates and frees the same handful of object sizes
  * millions of times per run (one FutureState per RPC, one frame per

@@ -39,9 +39,8 @@ std::uint64_t
 Simulator::runLoop(Time limit, bool bounded)
 {
     std::uint64_t processed = 0;
-    stopped_ = false;
     detail::FramePoolScope frames(pool_);
-    while (!queue_.empty() && !stopped_) {
+    while (!queue_.empty()) {
         if (bounded && queue_.nextTime() > limit)
             break;
         Event ev = queue_.pop();

@@ -20,14 +20,16 @@
  * it before the callback runs, so no capture wrapper is allocated.
  * Callbacks are sim::Callback (48-byte inline storage, no heap for
  * typical captures). The simulator also owns a BlockPool that recycles
- * future states and, while its run loop executes, coroutine frames for
- * the run's lifetime.
+ * future states, shared quorums and, while its run loop executes,
+ * coroutine frames for the run's lifetime.
  */
 
 #ifndef SIM_SIMULATOR_HH
 #define SIM_SIMULATOR_HH
 
 #include <cstdint>
+#include <new>
+#include <utility>
 
 #include "common/trace.hh"
 #include "common/types.hh"
@@ -57,7 +59,7 @@ class Simulator
     /**
      * Schedule @p fn after @p delay, to run under @p ctx instead of
      * the caller's context. This is how a releaser (promise resolve,
-     * semaphore release, mutex unlock) wakes a waiter inside the
+     * semaphore release, quorum arrival) wakes a waiter inside the
      * *waiter's* transaction without a context-restoring wrapper
      * closure.
      */
@@ -65,10 +67,7 @@ class Simulator
                              const common::TraceContext &ctx,
                              Callback fn);
 
-    /**
-     * Run until the event queue is empty or stop() is called.
-     * @return the number of events processed.
-     */
+    /** Run until the event queue is empty; returns the events run. */
     std::uint64_t run();
 
     /**
@@ -89,12 +88,10 @@ class Simulator
     void requestStop() { stopRequested_ = true; }
     bool stopRequested() const { return stopRequested_; }
 
-    /** Abort run() from inside an event (used by a few tests). */
-    void stop() { stopped_ = true; }
-
     /** Free-list allocator for per-simulator bookkeeping (future
-     *  states, coroutine frames). Objects allocated here must not
-     *  outlive the simulator; frames are exempt (see sim/task.hh). */
+     *  states, shared quorums, coroutine frames). Objects allocated
+     *  here must not outlive the simulator; frames are exempt (see
+     *  sim/task.hh). */
     detail::BlockPool &pool() { return pool_; }
 
   private:
@@ -103,9 +100,75 @@ class Simulator
     EventQueue queue_;
     detail::BlockPool pool_;
     Time now_ = 0;
-    bool stopped_ = false;
     bool stopRequested_ = false;
 };
+
+namespace detail {
+
+/**
+ * Handle to a T in its simulator's BlockPool, intrusively refcounted:
+ * T carries `std::uint32_t refs` (1 when made) and `simulator()`. A
+ * round of an RPC or a replication fan-out costs a free-list pop, not
+ * a make_shared, and the block returns to the pool with the last
+ * handle. The count is not atomic: a simulator and everything on it
+ * stay on one thread. Like the pool, a T must not outlive its
+ * simulator.
+ */
+template <typename T>
+class PoolRef
+{
+  public:
+    PoolRef() = default;
+
+    /** A new T(sim, args...) with one reference. */
+    template <typename... Args>
+    static PoolRef
+    make(Simulator &sim, Args &&...args)
+    {
+        PoolRef r;
+        r.p_ = ::new (sim.pool().allocate(sizeof(T)))
+            T(sim, std::forward<Args>(args)...);
+        return r;
+    }
+
+    /** Another reference to @p p. */
+    explicit PoolRef(T *p) : p_(p) { ++p_->refs; }
+
+    PoolRef(const PoolRef &other) : p_(other.p_)
+    {
+        if (p_)
+            ++p_->refs;
+    }
+
+    PoolRef(PoolRef &&other) noexcept : p_(std::exchange(other.p_, nullptr))
+    {
+    }
+
+    PoolRef &
+    operator=(PoolRef other) noexcept
+    {
+        std::swap(p_, other.p_);
+        return *this;
+    }
+
+    ~PoolRef()
+    {
+        if (p_ == nullptr || --p_->refs != 0)
+            return;
+        Simulator &sim = p_->simulator();
+        p_->~T();
+        sim.pool().deallocate(p_, sizeof(T));
+    }
+
+    T *get() const { return p_; }
+    T *operator->() const { return p_; }
+    explicit operator bool() const { return p_ != nullptr; }
+
+  private:
+    T *p_ = nullptr;
+};
+
+} // namespace detail
 
 } // namespace sim
 

@@ -6,20 +6,22 @@
  * single-threaded. They exist because coroutines interleave at await
  * points, which creates the same logical races as preemptive threads.
  *
- *  - Semaphore: bounded resource (e.g. an SSD's hardware queue depth).
- *  - Mutex:     exclusive section spanning awaits (e.g. GC vs. writes).
+ *  - Semaphore: bounded resource (e.g. an SSD's hardware queue depth);
+ *               one of one unit is the mutex of a section spanning
+ *               awaits (an SSD channel, a key stripe's read-modify-
+ *               write).
  *  - Quorum:    wait until k of n expected arrivals (replication ACKs).
  *  - SharedQuorum: a pool-allocated Quorum whose late arrivals may
  *               outlive the waiter (a primary answering at f acks).
  *
  * Waiter lifetime rule: a waiter's list node lives in its suspended
- * frame. Semaphore and Mutex keep their waiters on an intrusive FIFO
- * list whose nodes are the awaiter objects themselves, which sit in
- * the awaiting coroutine's frame from suspension until the wake event
- * resumes it. Queueing a waiter therefore never allocates. The list
- * only links nodes: it unlinks one before scheduling its wake, and a
- * primitive destroyed with waiters still queued touches none of their
- * frames (those coroutines simply never resume).
+ * frame. Semaphore keeps its waiters on an intrusive FIFO list whose
+ * nodes are the awaiter objects themselves, which sit in the awaiting
+ * coroutine's frame from suspension until the wake event resumes it.
+ * Queueing a waiter therefore never allocates. The list only links
+ * nodes: it unlinks one before scheduling its wake, and a primitive
+ * destroyed with waiters still queued touches none of their frames
+ * (those coroutines simply never resume).
  */
 
 #ifndef SIM_SYNC_HH
@@ -28,8 +30,6 @@
 #include <coroutine>
 #include <cstddef>
 #include <cstdint>
-#include <new>
-#include <utility>
 
 #include "common/logging.hh"
 #include "common/trace.hh"
@@ -41,11 +41,11 @@ namespace detail {
 
 /**
  * A suspended coroutine plus the TraceContext it was suspended under.
- * Wakeups are scheduled from the *releaser's* stack (release/unlock/
- * arrive), so the waiter's context must be pinned at suspension and
- * the wakeup event scheduled under it (scheduleWithContext) —
- * otherwise the waiter would be stamped with the releaser's
- * transaction. `next` links the node into a WaiterList.
+ * Wakeups are scheduled from the *releaser's* stack (release/arrive),
+ * so the waiter's context must be pinned at suspension and the wakeup
+ * event scheduled under it (scheduleWithContext) — otherwise the
+ * waiter would be stamped with the releaser's transaction. `next`
+ * links the node into a WaiterList.
  */
 struct Waiter
 {
@@ -115,14 +115,32 @@ class WaiterList
 
 } // namespace detail
 
-/** Counting semaphore with FIFO wakeup. */
+/**
+ * Counting semaphore with FIFO wakeup. A waiter gets a unit on the
+ * fast path only if one is free and nobody waits; a release hands its
+ * unit to the oldest waiter and wakes it as one zero-delay event.
+ */
 class Semaphore
 {
   public:
     Semaphore(Simulator &sim, std::int64_t initial)
-        : sim_(sim), count_(initial)
+        : sim_(sim), count_(initial), capacity_(initial)
     {
     }
+
+    /** Releases one acquired unit at scope exit, for a section with
+     *  early returns (use after co_await sem.acquire()). */
+    class Held
+    {
+      public:
+        explicit Held(Semaphore &sem) : sem_(sem) {}
+        ~Held() { sem_.release(); }
+        Held(const Held &) = delete;
+        Held &operator=(const Held &) = delete;
+
+      private:
+        Semaphore &sem_;
+    };
 
     /** Awaitable acquire of one unit. */
     auto
@@ -132,16 +150,14 @@ class Semaphore
         {
             Semaphore &sem;
             detail::Waiter node{};
-            bool fast = false;
 
             bool
             await_ready() noexcept
             {
-                if (sem.count_ > 0 && sem.waiters_.empty()) {
-                    fast = true;
-                    return true;
-                }
-                return false;
+                if (sem.count_ <= 0 || !sem.waiters_.empty())
+                    return false;
+                --sem.count_;
+                return true;
             }
 
             void
@@ -151,117 +167,36 @@ class Semaphore
                 sem.waiters_.push(node);
             }
 
-            // The slow path's unit was already reserved by pump().
-            void
-            await_resume()
-            {
-                if (fast)
-                    --sem.count_;
-            }
+            // A woken waiter's unit was handed over by release().
+            void await_resume() const noexcept {}
         };
         return Awaiter{*this};
     }
 
-    /** Release one unit, waking the oldest waiter (as a new event). */
+    /** Release one unit, handing it to the oldest waiter (woken as a
+     *  new event). Releasing a unit nobody holds is a bug. */
     void
     release()
     {
-        ++count_;
-        pump();
+        if (count_ >= capacity_)
+            PANIC("semaphore released beyond its " << capacity_ << " units");
+        // A waiter takes the unit here, not when it resumes, so an
+        // acquire() racing in before the scheduled resume cannot steal
+        // it.
+        if (waiters_.empty())
+            ++count_;
+        else
+            waiters_.pop().wake(sim_);
     }
 
     std::int64_t available() const { return count_; }
     std::size_t waiting() const { return waiters_.size(); }
 
   private:
-    void
-    pump()
-    {
-        while (count_ > 0 && !waiters_.empty()) {
-            // Reserve the unit here so an acquire() racing in before
-            // the scheduled resume cannot steal it.
-            --count_;
-            waiters_.pop().wake(sim_);
-        }
-    }
-
     Simulator &sim_;
     std::int64_t count_;
+    const std::int64_t capacity_;
     detail::WaiterList waiters_;
-};
-
-/** Async mutex: exclusive ownership across awaits; FIFO handoff. */
-class Mutex
-{
-  public:
-    explicit Mutex(Simulator &sim) : sim_(sim) {}
-
-    auto
-    lock()
-    {
-        struct Awaiter
-        {
-            Mutex &mtx;
-            detail::Waiter node{};
-
-            bool
-            await_ready() const noexcept
-            {
-                return !mtx.locked_ && mtx.waiters_.empty();
-            }
-
-            void
-            await_suspend(std::coroutine_handle<> h)
-            {
-                node = detail::Waiter::suspend(h);
-                mtx.waiters_.push(node);
-            }
-
-            void await_resume() { mtx.locked_ = true; }
-        };
-        return Awaiter{*this};
-    }
-
-    void
-    unlock()
-    {
-        if (!locked_)
-            PANIC("unlock of unlocked mutex");
-        locked_ = false;
-        if (!waiters_.empty()) {
-            locked_ = true; // hand off directly; awaiter re-asserts
-            waiters_.pop().wake(sim_);
-        }
-    }
-
-    bool locked() const { return locked_; }
-    std::size_t waiting() const { return waiters_.size(); }
-
-  private:
-    Simulator &sim_;
-    bool locked_ = false;
-    detail::WaiterList waiters_;
-};
-
-/** RAII guard for Mutex (use after co_await m.lock()). */
-class LockGuard
-{
-  public:
-    explicit LockGuard(Mutex &m) : mtx_(&m) {}
-    ~LockGuard()
-    {
-        if (mtx_)
-            mtx_->unlock();
-    }
-    LockGuard(const LockGuard &) = delete;
-    LockGuard &operator=(const LockGuard &) = delete;
-    LockGuard(LockGuard &&other) noexcept
-        : mtx_(std::exchange(other.mtx_, nullptr))
-    {
-    }
-
-  private:
-    Mutex *mtx_;
 };
 
 /**
@@ -324,61 +259,33 @@ class Quorum
 };
 
 /**
- * Handle to a Quorum taken from the simulator's BlockPool, for
- * fan-outs whose late arrivals can outlive the waiter: a primary
- * answers once f backups acked while the rest are still in flight,
- * and each spawned child holds a handle until its ack lands. The
- * refcount is intrusive and non-atomic (a simulator is confined to
- * one thread), as for future states (sim::detail::StateRef), so a
- * round costs a free-list pop rather than a make_shared, and the
- * block returns to the pool when the last handle drops. Like a future
- * state, a SharedQuorum must not outlive its Simulator.
+ * A Quorum in the simulator's BlockPool, for fan-outs whose late
+ * arrivals can outlive the waiter: a primary answers once f backups
+ * acked while the rest are still in flight, and each spawned child
+ * holds a copy until its ack lands. Copies share the quorum through
+ * detail::PoolRef, the refcounted handle future states use, so a
+ * round costs a free-list pop and the block returns to the pool with
+ * the last copy. Like a future, it must not outlive its Simulator.
  */
 class SharedQuorum
 {
   public:
     SharedQuorum(Simulator &sim, std::uint32_t needed)
-        : node_(::new (sim.pool().allocate(sizeof(Node)))
-                    Node{Quorum(sim, needed)})
+        : node_(detail::PoolRef<Node>::make(sim, needed))
     {
     }
 
-    SharedQuorum(const SharedQuorum &other) : node_(other.node_)
-    {
-        ++node_->refs;
-    }
-
-    SharedQuorum(SharedQuorum &&other) noexcept
-        : node_(std::exchange(other.node_, nullptr))
-    {
-    }
-
-    SharedQuorum &
-    operator=(SharedQuorum other) noexcept
-    {
-        std::swap(node_, other.node_);
-        return *this;
-    }
-
-    ~SharedQuorum()
-    {
-        if (node_ == nullptr || --node_->refs != 0)
-            return;
-        Simulator &sim = node_->quorum.sim_;
-        node_->~Node();
-        sim.pool().deallocate(node_, sizeof(Node));
-    }
-
-    Quorum *operator->() const { return &node_->quorum; }
+    Quorum *operator->() const { return node_.get(); }
 
   private:
-    struct Node
+    struct Node : Quorum
     {
-        Quorum quorum;
+        using Quorum::Quorum;
+        Simulator &simulator() const { return sim_; }
         std::uint32_t refs = 1;
     };
 
-    Node *node_;
+    detail::PoolRef<Node> node_;
 };
 
 } // namespace sim

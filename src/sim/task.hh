@@ -37,7 +37,7 @@ class Task;
 
 namespace detail {
 
-/** State shared by value and void promise types. */
+/** Promise state that does not depend on the result type. */
 template <typename Promise>
 struct PromiseBase
 {
@@ -118,6 +118,29 @@ struct PromiseBase
     }
 };
 
+/** Where a promise keeps what its coroutine returns. */
+template <typename T>
+struct Result
+{
+    T value;
+
+    template <typename U>
+    void
+    return_value(U &&v)
+    {
+        value = std::forward<U>(v);
+    }
+
+    T take() { return std::move(value); }
+};
+
+template <>
+struct Result<void>
+{
+    void return_void() {}
+    void take() {}
+};
+
 } // namespace detail
 
 /**
@@ -127,22 +150,14 @@ template <typename T>
 class [[nodiscard]] Task
 {
   public:
-    struct promise_type : detail::PromiseBase<promise_type>
+    struct promise_type : detail::PromiseBase<promise_type>,
+                          detail::Result<T>
     {
-        T value;
-
         Task
         get_return_object()
         {
             return Task(
                 std::coroutine_handle<promise_type>::from_promise(*this));
-        }
-
-        template <typename U>
-        void
-        return_value(U &&v)
-        {
-            value = std::forward<U>(v);
         }
     };
 
@@ -189,11 +204,7 @@ class [[nodiscard]] Task
                 return child;
             }
 
-            T
-            await_resume()
-            {
-                return std::move(child.promise().value);
-            }
+            T await_resume() { return child.promise().take(); }
         };
         return Awaiter{handle_};
     }
@@ -212,92 +223,6 @@ class [[nodiscard]] Task
     }
 
     /** Release ownership of the frame (for spawn). */
-    std::coroutine_handle<promise_type>
-    release()
-    {
-        return std::exchange(handle_, nullptr);
-    }
-
-    std::coroutine_handle<promise_type> handle_;
-};
-
-/** Task<void> specialization. */
-template <>
-class [[nodiscard]] Task<void>
-{
-  public:
-    struct promise_type : detail::PromiseBase<promise_type>
-    {
-        Task
-        get_return_object()
-        {
-            return Task(
-                std::coroutine_handle<promise_type>::from_promise(*this));
-        }
-
-        void return_void() {}
-    };
-
-    Task() = default;
-
-    explicit Task(std::coroutine_handle<promise_type> h) : handle_(h) {}
-
-    Task(Task &&other) noexcept
-        : handle_(std::exchange(other.handle_, nullptr))
-    {
-    }
-
-    Task &
-    operator=(Task &&other) noexcept
-    {
-        if (this != &other) {
-            destroy();
-            handle_ = std::exchange(other.handle_, nullptr);
-        }
-        return *this;
-    }
-
-    Task(const Task &) = delete;
-    Task &operator=(const Task &) = delete;
-
-    ~Task() { destroy(); }
-
-    bool valid() const { return handle_ != nullptr; }
-
-    auto
-    operator co_await() &&
-    {
-        struct Awaiter
-        {
-            std::coroutine_handle<promise_type> child;
-
-            bool await_ready() const noexcept { return false; }
-
-            std::coroutine_handle<>
-            await_suspend(std::coroutine_handle<> parent) noexcept
-            {
-                child.promise().continuation = parent;
-                return child;
-            }
-
-            void await_resume() {}
-        };
-        return Awaiter{handle_};
-    }
-
-  private:
-    template <typename U>
-    friend void spawn(Task<U> task);
-
-    void
-    destroy()
-    {
-        if (handle_) {
-            handle_.destroy();
-            handle_ = nullptr;
-        }
-    }
-
     std::coroutine_handle<promise_type>
     release()
     {

@@ -21,9 +21,12 @@
  *
  * A device case holds the flash model alone to that: once every page
  * has been programmed, read and erased, another such pass allocates
- * nothing. A histogram case holds one histogram to the metrics plane's
- * per-window cycle (record, diff against a snapshot, re-snapshot):
- * once it has seen its octaves, the cycle allocates nothing.
+ * nothing. A kernel case does the same for the simulator's
+ * primitives: semaphore handoffs, quorum rounds, nested tasks and
+ * futures raced by timeouts. A histogram case holds one histogram to
+ * the metrics plane's per-window cycle (record, diff against a
+ * snapshot, re-snapshot): once it has seen its octaves, the cycle
+ * allocates nothing.
  *
  * The binary links bench/alloc_counter.cc, which replaces the global
  * operator new/delete with counters, and counts the measured window's
@@ -43,7 +46,9 @@
 #include "common/random.hh"
 #include "common/types.hh"
 #include "flash/ssd.hh"
+#include "sim/future.hh"
 #include "sim/simulator.hh"
+#include "sim/sync.hh"
 #include "sim/task.hh"
 #include "workload/cluster.hh"
 #include "workload/retwis.hh"
@@ -238,6 +243,87 @@ TEST(AllocGate, DeviceProgramReadErasePassAllocatesNothing)
     EXPECT_EQ(after.calls - before.calls, 0u);
     EXPECT_EQ(records_read, 2u * g.numBlocks * g.pagesPerBlock * 8);
     EXPECT_EQ(ssd.stats().counterValue("ssd.erases"), 2u * g.numBlocks);
+}
+
+/**
+ * One loop over every kernel primitive a transaction uses: a one-unit
+ * semaphore handed between four waiters in turn, a SharedQuorum round
+ * whose two late acks outlive its waiter, a Task<void> awaiting a
+ * Task<int> awaiting another, and futures raced by withTimeout, once
+ * won by the value and once by the timer (with the value landing
+ * after). The first pass grows the event queue and the simulator's
+ * pool to the loop's high-water mark; the second allocates nothing.
+ */
+TEST(AllocGate, KernelPrimitivesAllocateNothingAfterWarmUp)
+{
+    sim::Simulator sim;
+    sim::Semaphore mutex(sim, 1);
+    std::uint64_t handoffs = 0;
+    std::uint64_t acks = 0;
+    std::uint64_t sum = 0;
+    std::uint64_t values = 0;
+    std::uint64_t timeouts = 0;
+    auto holder = [&]() -> sim::Task<void> {
+        co_await mutex.acquire();
+        sim::Semaphore::Held held(mutex);
+        ++handoffs;
+        co_await sim::sleepFor(sim, kMicrosecond);
+    };
+    auto ack = [&](sim::SharedQuorum q, common::Duration d)
+        -> sim::Task<void> {
+        co_await sim::sleepFor(sim, d);
+        q->arrive();
+        ++acks;
+    };
+    auto leaf = [&](int x) -> sim::Task<int> {
+        co_await sim::sleepFor(sim, 1);
+        co_return x + 1;
+    };
+    auto middle = [&](int x) -> sim::Task<int> {
+        co_return co_await leaf(x) * 2;
+    };
+    auto nested = [&]() -> sim::Task<void> {
+        sum += static_cast<std::uint64_t>(co_await middle(1));
+    };
+    auto pass = [&]() -> sim::Task<void> {
+        for (int round = 0; round < 1'000; ++round) {
+            for (int w = 0; w < 3; ++w)
+                sim::spawn(holder());
+            co_await mutex.acquire(); // the fourth waiter, behind three
+            mutex.release();
+
+            sim::SharedQuorum q(sim, 1);
+            for (common::Duration d : {1, 2, 3})
+                sim::spawn(ack(q, d));
+            co_await q->wait();
+
+            co_await nested();
+
+            sim::Promise<int> soon(sim);
+            sim.schedule(1, [soon]() mutable { soon.set(7); });
+            if ((co_await soon.future().withTimeout(2)).has_value())
+                ++values;
+            sim::Promise<int> late(sim);
+            if (!(co_await late.future().withTimeout(1)).has_value())
+                ++timeouts;
+            late.set(8);
+        }
+    };
+    auto run_pass = [&] {
+        sim.schedule(0, [&] { sim::spawn(pass()); });
+        sim.run();
+    };
+    run_pass();
+    const AllocSnapshot before = AllocSnapshot::take();
+    run_pass();
+    const AllocSnapshot after = AllocSnapshot::take();
+    EXPECT_EQ(after.calls - before.calls, 0u);
+    EXPECT_EQ(handoffs, 2u * 3'000);
+    EXPECT_EQ(acks, 2u * 3'000);
+    EXPECT_EQ(sum, 2u * 1'000 * 4);
+    EXPECT_EQ(values, 2u * 1'000);
+    EXPECT_EQ(timeouts, 2u * 1'000);
+    EXPECT_EQ(mutex.available(), 1);
 }
 
 /**

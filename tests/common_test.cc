@@ -90,16 +90,6 @@ TEST(Rng, GaussianMoments)
     EXPECT_NEAR(sq / n, 1.0, 0.03);
 }
 
-TEST(Rng, ExponentialMean)
-{
-    Rng r(19);
-    double sum = 0;
-    const int n = 100000;
-    for (int i = 0; i < n; ++i)
-        sum += r.nextExponential(250.0);
-    EXPECT_NEAR(sum / n, 250.0, 5.0);
-}
-
 TEST(Rng, ForkIndependence)
 {
     Rng parent(23);

@@ -284,13 +284,14 @@ semWorker(Simulator &s, Semaphore &sem, int id, Duration hold,
     sem.release();
 }
 
-/** Locks @p m, logging @p id on entry; holds it for @p hold. */
+/** Takes @p mutex (a one-unit semaphore), logging @p id on entry;
+ *  holds it for @p hold and lets a Held guard release it. */
 Task<void>
-mutexWorker(Simulator &s, Mutex &m, int id, Duration hold,
+mutexWorker(Simulator &s, Semaphore &mutex, int id, Duration hold,
             std::vector<int> &order)
 {
-    co_await m.lock();
-    LockGuard guard(m);
+    co_await mutex.acquire();
+    Semaphore::Held held(mutex);
     order.push_back(id);
     co_await sleepFor(s, hold);
 }
@@ -334,17 +335,17 @@ TEST(Semaphore, InterleavedWaitersWakeInArrivalOrder)
     EXPECT_EQ(sem.available(), 1);
 }
 
-TEST(Mutex, InterleavedWaitersWakeInArrivalOrder)
+TEST(OneUnitSemaphore, InterleavedWaitersWakeInArrivalOrder)
 {
     Simulator s;
-    Mutex m(s);
+    Semaphore mutex(s, 1);
     expectInterleavedFifo(
         s,
         [&](int id, std::vector<int> &order) {
-            return mutexWorker(s, m, id, 10, order);
+            return mutexWorker(s, mutex, id, 10, order);
         },
-        [&] { return m.waiting(); });
-    EXPECT_FALSE(m.locked());
+        [&] { return mutex.waiting(); });
+    EXPECT_EQ(mutex.available(), 1);
 }
 
 namespace {
@@ -405,13 +406,6 @@ acquireOnce(Semaphore &sem, bool &resumed)
     resumed = true;
 }
 
-OwnedCoro
-lockOnce(Mutex &m, bool &resumed)
-{
-    co_await m.lock();
-    resumed = true;
-}
-
 /** A snapshot of an OwnedCoro frame (all of one size here). */
 std::vector<unsigned char>
 frameBytes(const void *frame)
@@ -469,29 +463,31 @@ TEST(Semaphore, DestroyedWithSuspendedWaitersTouchesNoFrame)
         });
 }
 
-TEST(Mutex, DestroyedWithSuspendedWaitersTouchesNoFrame)
+TEST(OneUnitSemaphore, DestroyedWithSuspendedWaitersTouchesNoFrame)
 {
-    destroyWithSuspendedWaiters<Mutex>(
+    destroyWithSuspendedWaiters<Semaphore>(
         [](Simulator &s) {
-            auto m = std::make_unique<Mutex>(s);
-            // Hold it (a lock with no waiters completes inline).
+            auto mutex = std::make_unique<Semaphore>(s, 1);
+            // Hold it (an acquire with no waiters completes inline).
             bool held = false;
-            OwnedCoro holder = lockOnce(*m, held);
+            OwnedCoro holder = acquireOnce(*mutex, held);
             EXPECT_TRUE(held);
-            return m;
+            return mutex;
         },
-        [](Mutex &m, bool &resumed) { return lockOnce(m, resumed); });
+        [](Semaphore &mutex, bool &resumed) {
+            return acquireOnce(mutex, resumed);
+        });
 }
 
-TEST(Mutex, ExclusionAcrossAwaits)
+TEST(OneUnitSemaphore, ExclusionAcrossAwaits)
 {
     Simulator s;
-    Mutex m(s);
+    Semaphore mutex(s, 1);
     int inside = 0;
     bool violated = false;
     auto critical = [&]() -> Task<void> {
-        co_await m.lock();
-        LockGuard g(m);
+        co_await mutex.acquire();
+        Semaphore::Held held(mutex);
         if (inside != 0)
             violated = true;
         ++inside;
@@ -502,7 +498,20 @@ TEST(Mutex, ExclusionAcrossAwaits)
         spawn(critical());
     s.run();
     EXPECT_FALSE(violated);
-    EXPECT_FALSE(m.locked());
+    EXPECT_EQ(mutex.available(), 1);
+}
+
+TEST(SemaphoreDeathTest, ReleaseBeyondItsUnitsPanics)
+{
+    Simulator s;
+    Semaphore mutex(s, 1);
+    EXPECT_DEATH(mutex.release(), "released beyond its 1 units");
+    Semaphore pool(s, 2);
+    auto holder = [&]() -> Task<void> { co_await pool.acquire(); };
+    spawn(holder());
+    pool.release();
+    EXPECT_EQ(pool.available(), 2);
+    EXPECT_DEATH(pool.release(), "released beyond its 2 units");
 }
 
 TEST(Quorum, WakesAtThreshold)

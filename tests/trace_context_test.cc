@@ -2,8 +2,8 @@
  * @file
  * Tests for causal trace-context propagation (milana-trace-v2): the
  * ambient TraceContext across coroutine continuations, spawn, and
- * network RPC; ScopedSpan parenting; schema-v1 compatibility of the
- * parser; determinism of the exported trace; and the online invariant
+ * network RPC; ScopedSpan parenting; the parser's rejection of schema
+ * v1; determinism of the exported trace; and the online invariant
  * monitor on hand-built event streams and a real cluster run.
  */
 

@@ -315,7 +315,7 @@ TEST(Micro, MftlSurvivesSustainedMixedLoad)
     // high concurrency must keep flowing through GC pressure.
     sim::Simulator sim;
     flash::SsdDevice ssd(
-        sim, flash::Geometry::scaledFor(5000 * 512, 0.35));
+        sim, flash::Geometry::scaledFor(5000 * flash::kRecordSize, 0.35));
     ftl::Mftl mftl(sim, ssd, ftl::Mftl::Config{});
     MicroConfig cfg;
     cfg.numKeys = 5000;
@@ -337,7 +337,7 @@ TEST(Micro, VftlSurvivesSustainedMixedLoad)
 {
     sim::Simulator sim;
     flash::SsdDevice ssd(
-        sim, flash::Geometry::scaledFor(5000 * 512, 0.35));
+        sim, flash::Geometry::scaledFor(5000 * flash::kRecordSize, 0.35));
     ftl::Sftl sftl(sim, ssd);
     ftl::Vftl vftl(sim, sftl, ftl::Vftl::Config{});
     MicroConfig cfg;
