@@ -8,7 +8,7 @@
  *
  *  - Power-of-two capacity, multiplicative (Fibonacci) hashing,
  *    linear probing with robin-hood displacement, at most 7/8 full.
- *  - Tombstone-free erase by backward shift.
+ *  - Erase by backward shift, with no deleted-slot markers.
  *  - A slot is `Key key`, `std::uint32_t dist` and a payload. The
  *    table places slots; a hooks type sets up and moves payloads, so a
  *    payload that owns memory (a version chain) moves the same way as
@@ -236,17 +236,9 @@ class KeyTable
         Slot *s = find(key);
         if (s == nullptr)
             return false;
-        erase(*s);
-        return true;
-    }
-
-    /** Remove @p slot, found in this table with no insert of a new
-     *  key, erase or reserve since. */
-    void
-    erase(Slot &slot)
-    {
-        backwardShift(static_cast<std::size_t>(&slot - slots_));
+        backwardShift(static_cast<std::size_t>(s - slots_));
         --size_;
+        return true;
     }
 
     /** Drop every slot; capacity is retained. */
@@ -313,7 +305,7 @@ class KeyTable
     }
 
     /**
-     * Tombstone-free erase of slot @p idx (its payload dead): the
+     * Marker-free erase of slot @p idx (its payload dead): the
      * following run members move one slot toward home, and the slot at
      * the end of the run is left empty.
      */

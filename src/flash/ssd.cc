@@ -154,7 +154,8 @@ SsdDevice::eraseBlock(std::uint32_t block_index)
     // process's own memory; no system setting): wear-levelling
     // programs every block in turn, and the store's host memory must
     // follow the programmed pages, not every page ever programmed. A
-    // reprogram faults them in again, zeroed.
+    // reprogram faults them in again, zeroed. An OS page shared with a
+    // neighbouring block stays: that block's records may live in it.
     const auto lo = (reinterpret_cast<std::uintptr_t>(slots(first)) +
                      kOsPage - 1) & ~(kOsPage - 1);
     const auto hi =

@@ -19,8 +19,9 @@
  * device. Byte layout is accounted for, not materialized. A slot is
  * constructed when its page is programmed and destroyed when its
  * block is erased. The array is never zero-filled, and an erase hands
- * the block's OS pages back, so a large simulated device costs host
- * memory only for the pages that hold records.
+ * back the OS pages wholly inside its block, so a large simulated
+ * device costs host memory only for the pages that hold records and
+ * the OS pages that straddle two blocks.
  */
 
 #ifndef FLASH_SSD_HH
@@ -49,15 +50,16 @@ using common::Value;
 using common::Version;
 
 /** One packed tuple in a flash page: key/version identify it for the
- *  KV FTLs; every tuple accounts for kRecordSize bytes of its page. */
+ *  KV FTLs; every tuple accounts for kRecordSize bytes of its page.
+ *  Storage is put-only: every record is a written version, and none
+ *  marks a delete. */
 struct Record
 {
     Key key = 0;
     Version version;
     Value value;
-    bool tombstone = false;
 };
-static_assert(sizeof(Record) <= 64, "a page's eight slots fit 512 B");
+static_assert(sizeof(Record) <= 56, "a page's eight slots fit 448 B");
 
 /** The records a writer fills into one page; kept inline, so building
  *  or copying out a page never touches the heap. */

@@ -37,14 +37,6 @@ DramBackend::put(Key key, Value value, Version version)
     co_return PutStatus::Ok;
 }
 
-sim::Task<void>
-DramBackend::erase(Key key, Version version)
-{
-    deletes_.inc();
-    co_await sim::sleepFor(sim_, kWriteLatency);
-    map_.dropAtOrBelow(key, version, [](const auto &) {});
-}
-
 void
 DramBackend::setWatermark(Time watermark)
 {

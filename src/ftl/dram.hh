@@ -30,7 +30,6 @@ class DramBackend : public KvBackend
 
     sim::Task<GetResult> get(Key key, Version at) override;
     sim::Task<PutStatus> put(Key key, Value value, Version version) override;
-    sim::Task<void> erase(Key key, Version version) override;
     void setWatermark(Time watermark) override;
     std::optional<Version> versionAt(Key key, Version at) override;
     common::StatSet &stats() override { return stats_; }
@@ -55,7 +54,6 @@ class DramBackend : public KvBackend
     Time watermark_ = 0;
     common::StatSet stats_;
     // Stat handles, each bound at its first use.
-    common::CounterHandle deletes_{stats_, "dram.deletes"};
     common::CounterHandle gets_{stats_, "dram.gets"};
     common::CounterHandle puts_{stats_, "dram.puts"};
 };

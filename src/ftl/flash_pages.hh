@@ -38,7 +38,6 @@ class FlashPages
     /** Name and stats of the KV layer on this medium (MFTL). */
     static constexpr const char *kName = "mftl";
     static constexpr KvStatNames kStats{
-        .deletes = "mftl.deletes",
         .gcRemapped = "mftl.gc_remapped",
         .gcVictims = "mftl.gc_victims",
         .gets = "mftl.gets",

@@ -76,10 +76,6 @@ class KvBackend
     virtual sim::Task<PutStatus> put(Key key, Value value,
                                      Version version) = 0;
 
-    /** Delete @p key at stamp @p version: remove every version of it
-     *  stamped <= @p version. */
-    virtual sim::Task<void> erase(Key key, Version version) = 0;
-
     /**
      * Advance the garbage-collection watermark (section 3.1): the
      * backend must retain, for every key, the youngest version with

@@ -8,11 +8,12 @@
  * MFTL and VFTL backends. Design points:
  *
  *  - The table is a common::KeyTable of chain slots (key_table.hh):
- *    robin-hood probing at most 7/8 full, backward-shift erase, slot
- *    arrays on 2 MiB pages at paper scale. VersionStore adds only the
- *    payload: its slot hooks start a new slot as an empty inline chain
- *    and move a chain (inline entry or arena block, with its index
- *    cell) whenever the table moves a slot.
+ *    robin-hood probing at most 7/8 full, slot arrays on 2 MiB pages
+ *    at paper scale. Storage is put-only, so a key stays until
+ *    clear(). VersionStore adds only the payload: its slot hooks
+ *    start a new slot as an empty inline chain and move a chain
+ *    (inline entry or arena block, with its index cell) whenever the
+ *    table moves a slot.
  *  - Slot layout (DRAM backend: 64 bytes, one cache line):
  *
  *        Key      key       8B   }
@@ -37,7 +38,7 @@
  *    slots, with each chain's position kept in the block half of its
  *    slot's union (bytes an inline Entry would use anyway), lets the
  *    backends' watermark sweeps visit those chains alone instead of
- *    every slot. Promotion appends, demotion/erase swap-removes, and
+ *    every slot. Promotion appends, demotion swap-removes, and
  *    the move hook rewrites a moved chain's one index cell, all O(1);
  *    the vector is bounded by the live multi-version chains on every
  *    backend, including DRAM, which never sweeps.
@@ -123,40 +124,6 @@ class VersionStore
         return ChainRef{this, &table_.getOrCreate(key)};
     }
 
-    /** Remove a key and its chain. */
-    bool
-    erase(Key key)
-    {
-        Slot *s = table_.find(key);
-        if (s == nullptr)
-            return false;
-        destroyChain(*s);
-        table_.erase(*s);
-        return true;
-    }
-
-    /**
-     * Apply a delete stamped @p v: drop the key's versions <= @p v,
-     * and the key once none is left. Returns how many were dropped.
-     */
-    template <typename OnDrop>
-    std::size_t
-    dropAtOrBelow(Key key, Version v, OnDrop &&on_drop)
-    {
-        Slot *s = table_.find(key);
-        if (s == nullptr)
-            return 0;
-        Entry *e = entriesOf(*s);
-        const std::size_t from = chain_ops::firstLeq(e, s->count, v);
-        const std::size_t dropped = s->count - from;
-        for (std::size_t i = from; i < s->count; ++i)
-            on_drop(e[i]);
-        truncate(*s, from);
-        if (s->count == 0)
-            table_.erase(*s);
-        return dropped;
-    }
-
     /**
      * Drop every chain; capacity, arena slabs and the index's
      * capacity are retained.
@@ -187,8 +154,8 @@ class VersionStore
 
     /**
      * Visit every (key, chain). @p fn may mutate the chain (insert,
-     * prune, relocate) but must NOT erase keys or insert new ones —
-     * either would move slots under the iteration.
+     * prune, move a locator) but must NOT insert new keys — that
+     * would move slots under the iteration.
      */
     template <typename Fn>
     void
@@ -203,8 +170,8 @@ class VersionStore
     /**
      * Visit every (key, chain) whose chain holds >= 2 versions, each
      * exactly once, in unspecified order. @p fn may mutate the
-     * visited chain (insert, prune, remove, relocate) but must not
-     * erase or insert keys. Visiting runs back to front, so a chain
+     * visited chain (insert, prune, move a locator) but must not
+     * insert keys. Visiting runs back to front, so a chain
      * that drops out of the index under @p fn swaps in an entry that
      * was already visited.
      */
@@ -244,7 +211,7 @@ class VersionStore
 
     /**
      * Borrowed reference to one key's chain. Valid until the next
-     * operation that can move slots (getOrCreate of a new key, erase,
+     * operation that can move slots (getOrCreate of a new key,
      * reserveKeys, clear); chain mutations through the ref itself are
      * fine. Mirrors VersionChain's interface.
      */
@@ -350,32 +317,6 @@ class VersionStore
             store_->truncate(s, first_drop);
         }
 
-        /** Same contract as VersionChain::remove. */
-        bool
-        remove(Version v)
-        {
-            Slot &s = slot();
-            Entry *e = VersionStore::entriesOf(s);
-            const std::size_t idx =
-                chain_ops::firstLeq(e, s.count, v);
-            if (idx < s.count && e[idx].version == v) {
-                store_->removeAt(s, idx);
-                return true;
-            }
-            return false;
-        }
-
-        /** Same contract as VersionChain::relocate. */
-        bool
-        relocate(Version v, Loc loc)
-        {
-            if (Entry *e = find(v)) {
-                e->loc = std::move(loc);
-                return true;
-            }
-            return false;
-        }
-
       private:
         friend class VersionStore;
         ChainRef(VersionStore *store, Slot *slot) : store_(store), slot_(slot)
@@ -462,17 +403,6 @@ class VersionStore
             e[idx] = Entry{v, std::move(loc)};
         }
         ++s.count;
-    }
-
-    void
-    removeAt(Slot &s, std::size_t idx)
-    {
-        Entry *e = entriesOf(s);
-        for (std::size_t j = idx + 1; j < s.count; ++j)
-            e[j - 1] = std::move(e[j]);
-        e[s.count - 1].~Entry();
-        --s.count;
-        maybeShrink(s);
     }
 
     /** Destroy entries [from, count) — the prune tail drop. */

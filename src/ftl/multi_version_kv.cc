@@ -90,11 +90,7 @@ MultiVersionKv<Medium>::flushTask(std::vector<Pending> batch)
     for (std::size_t i = 0; i < batch.size(); ++i) {
         const flash::Record &rec = programmed[i];
         const Loc loc{addr, static_cast<std::uint16_t>(i)};
-        if (rec.tombstone) {
-            // A durable delete: drop the versions it covers.
-            map_.dropAtOrBelow(rec.key, rec.version,
-                               [this](const auto &e) { dropEntry(e); });
-        } else if (batch[i].relocation) {
+        if (batch[i].relocation) {
             auto chain = map_.find(rec.key);
             auto *entry = chain ? chain.find(rec.version) : nullptr;
             if (entry != nullptr) {
@@ -163,28 +159,10 @@ MultiVersionKv<Medium>::put(Key key, Value value, Version version)
     const Time start = sim_.now();
     puts_.inc();
     co_await admitUserWrite();
-    flash::Record record;
-    record.key = key;
-    record.version = version;
-    record.value = std::move(value);
-    auto ack = packLog_.append(std::move(record), false);
+    auto ack = packLog_.append({key, version, std::move(value)}, false);
     const PutStatus status = co_await ack;
     putLatency_.record(sim_.now() - start);
     co_return status;
-}
-
-template <class Medium>
-sim::Task<void>
-MultiVersionKv<Medium>::erase(Key key, Version version)
-{
-    deletes_.inc();
-    co_await admitUserWrite();
-    flash::Record record;
-    record.key = key;
-    record.version = version;
-    record.tombstone = true;
-    auto ack = packLog_.append(std::move(record), false);
-    co_await ack;
 }
 
 template <class Medium>
@@ -269,8 +247,6 @@ MultiVersionKv<Medium>::relocate(const std::vector<std::uint32_t> &victims)
         const flash::PageRecords records = Medium::records(scan.page);
         for (std::uint16_t slot = 0; slot < records.size(); ++slot) {
             const auto &rec = records[slot];
-            if (rec.tombstone)
-                continue;
             auto chain = map_.find(rec.key);
             if (!chain)
                 continue;
@@ -298,16 +274,9 @@ MultiVersionKv<Medium>::rebuild()
     gc_.reset();
 
     std::size_t recovered = 0;
-    // The medium scans in address order, not write order, so a
-    // tombstone is applied only once every version it covers is back.
-    std::vector<std::pair<Key, Version>> tombstones;
     medium_.scan([&](Addr addr, flash::PageRecords page) {
         for (std::uint16_t slot = 0; slot < page.size(); ++slot) {
             const auto &rec = page[slot];
-            if (rec.tombstone) {
-                tombstones.emplace_back(rec.key, rec.version);
-                continue;
-            }
             auto chain = map_.getOrCreate(rec.key);
             if (chain.append(rec.version, Loc{addr, slot})) {
                 ++gc_.live(Medium::unitOf(addr));
@@ -315,9 +284,6 @@ MultiVersionKv<Medium>::rebuild()
             }
         }
     });
-    for (const auto &[key, version] : tombstones)
-        recovered -= map_.dropAtOrBelow(
-            key, version, [this](const auto &e) { dropEntry(e); });
     return recovered;
 }
 

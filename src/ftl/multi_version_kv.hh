@@ -58,7 +58,6 @@ namespace ftl {
 struct KvStatNames
 {
     // The shared operations, under the medium's prefix.
-    const char *deletes;
     const char *gcRemapped;
     const char *gcVictims;
     const char *gets;
@@ -99,7 +98,6 @@ class MultiVersionKv : public KvBackend
     // KvBackend interface.
     sim::Task<GetResult> get(Key key, Version at) override;
     sim::Task<PutStatus> put(Key key, Value value, Version version) override;
-    sim::Task<void> erase(Key key, Version version) override;
     void setWatermark(Time watermark) override;
     std::optional<Version> versionAt(Key key, Version at) override;
     common::StatSet &stats() override { return stats_; }
@@ -179,7 +177,6 @@ class MultiVersionKv : public KvBackend
     common::StatSet stats_;
     // Stat handles, each bound at its first use.
     static constexpr const KvStatNames &kStats = Medium::kStats;
-    common::CounterHandle deletes_{stats_, kStats.deletes};
     common::CounterHandle gcReads_{stats_, kStats.gcReads};
     common::CounterHandle gcRemapped_{stats_, kStats.gcRemapped};
     common::CounterHandle gets_{stats_, kStats.gets};

@@ -182,7 +182,7 @@ SingleVersionKv::get(Key key, Version /* at: single version only */)
     if (!page.has_value())
         co_return GetResult::miss();
     const auto slot = slotOf(key);
-    if (slot >= page->records.size() || page->records[slot].tombstone)
+    if (slot >= page->records.size() || page->records[slot].key != key)
         co_return GetResult::miss();
     const auto &rec = page->records[slot];
     GetResult result;
@@ -211,10 +211,10 @@ SingleVersionKv::put(Key key, Value value, Version version)
         data = std::move(*page);
     } else {
         for (std::uint32_t i = 0; i < flash::kRecordsPerPage; ++i)
-            data.records.emplace_back().tombstone = true;
+            data.records.emplace_back().key = kUnwrittenKey;
     }
     auto &rec = data.records[slotOf(key)];
-    if (!rec.tombstone && rec.version >= version) {
+    if (rec.key == key && rec.version >= version) {
         // At-most-once / stale rejection (section 3.3): a
         // single-version store must not overwrite newer data.
         staleRejects_.inc();
@@ -223,29 +223,9 @@ SingleVersionKv::put(Key key, Value value, Version version)
     rec.key = key;
     rec.version = version;
     rec.value = std::move(value);
-    rec.tombstone = false;
     co_await sftl_.write(lba, std::move(data));
     putLatency_.record(sim_.now() - start);
     co_return PutStatus::Ok;
-}
-
-sim::Task<void>
-SingleVersionKv::erase(Key key, Version version)
-{
-    if (key >= config_.capacityKeys)
-        co_return;
-    const Lba lba = lbaOf(key);
-    co_await stripe(lba).acquire();
-    sim::Semaphore::Held held(stripe(lba));
-    auto page = co_await sftl_.read(lba);
-    if (!page.has_value())
-        co_return;
-    auto &rec = page->records[slotOf(key)];
-    if (rec.tombstone || rec.version > version)
-        co_return;
-    rec.tombstone = true;
-    rec.value.clear();
-    co_await sftl_.write(lba, std::move(*page));
 }
 
 void

@@ -133,11 +133,15 @@ class SingleVersionKv : public KvBackend
 
     sim::Task<GetResult> get(Key key, Version at) override;
     sim::Task<PutStatus> put(Key key, Value value, Version version) override;
-    sim::Task<void> erase(Key key, Version version) override;
     void setWatermark(Time watermark) override;
     common::StatSet &stats() override { return stats_; }
 
   private:
+    /** Key of a slot no put has written: keys are < capacityKeys, so
+     *  no stored key equals it, and a slot is live iff its key is the
+     *  one the slot maps. */
+    static constexpr Key kUnwrittenKey = ~Key{0};
+
     Lba lbaOf(Key key) const;
     std::uint32_t slotOf(Key key) const;
     sim::Semaphore &stripe(Lba lba);

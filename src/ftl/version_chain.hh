@@ -208,34 +208,6 @@ class VersionChain
             entries_.resize(first_drop);
     }
 
-    /**
-     * Remove one exact version (used when GC relocates a record or a
-     * delete removes the key). Returns true if found.
-     */
-    bool
-    remove(Version v)
-    {
-        const std::size_t idx =
-            chain_ops::firstLeq(entries_.data(), entries_.size(), v);
-        if (idx < entries_.size() && entries_[idx].version == v) {
-            entries_.erase(entries_.begin() +
-                           static_cast<std::ptrdiff_t>(idx));
-            return true;
-        }
-        return false;
-    }
-
-    /** Update the locator of an exact version (GC relocation). */
-    bool
-    relocate(Version v, Loc loc)
-    {
-        if (Entry *e = find(v)) {
-            e->loc = std::move(loc);
-            return true;
-        }
-        return false;
-    }
-
   private:
     std::vector<Entry> entries_;
 };

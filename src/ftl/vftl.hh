@@ -47,7 +47,6 @@ class SftlLbas
 
     static constexpr const char *kName = "vftl";
     static constexpr KvStatNames kStats{
-        .deletes = "vftl.deletes",
         .gcRemapped = "vftl.gc_remapped",
         .gcVictims = "vftl.gc_victims",
         .gets = "vftl.gets",

@@ -433,8 +433,9 @@ MilanaClient::commitTransaction(Transaction &txn)
         span.setTag(semel::abortReasonName(txn.abortReason_));
         // Cached reads may have caused the conflict: drop them so the
         // retry reads fresh data.
-        for (const auto &[key, cached] : txn.readSet_)
-            interTxnCache_.erase(key);
+        if (tcfg_.interTxnCacheCapacity > 0)
+            for (const auto &[key, cached] : txn.readSet_)
+                interTxnCache_.erase(key);
         break;
       case CommitResult::Failed:
         failed_.inc();

@@ -101,24 +101,6 @@ Client::put(Key key, Value value)
     co_return PutResult::Failed;
 }
 
-sim::Task<PutResult>
-Client::del(Key key)
-{
-    deletes_.inc();
-    const Version version{clock_.localNow(), clientId_};
-    for (std::uint32_t attempt = 0; attempt <= kMaxRetries; ++attempt) {
-        Server *primary = primaryFor(key);
-        auto resp = co_await net_.callTyped<PutResponse>(
-            node_, primary->nodeId(),
-            primary->handleDelete(key, version));
-        if (resp.has_value()) {
-            noteAcked(version.timestamp);
-            co_return resp->result;
-        }
-    }
-    co_return PutResult::Failed;
-}
-
 sim::Task<void>
 Client::watermarkLoop()
 {

@@ -46,9 +46,6 @@ class Client
     /** Create a new version stamped with the client's current time. */
     sim::Task<PutResult> put(Key key, Value value);
 
-    /** Delete all versions of a key. */
-    sim::Task<PutResult> del(Key key);
-
     /** Start the periodic watermark broadcast. */
     void start();
 
@@ -81,7 +78,6 @@ class Client
     common::StatSet stats_;
     common::Tracer trace_;
     // Stat handles, each bound at its first use.
-    common::CounterHandle deletes_{stats_, "client.deletes"};
     common::CounterHandle getRetries_{stats_, "client.get_retries"};
     common::CounterHandle gets_{stats_, "client.gets"};
     common::CounterHandle putRetries_{stats_, "client.put_retries"};

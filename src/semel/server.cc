@@ -161,30 +161,6 @@ Server::handlePut(PutRequest request)
     co_return resp;
 }
 
-sim::Task<PutResponse>
-Server::handleDelete(Key key, Version version)
-{
-    deletes_.inc();
-    PutResponse resp;
-    const Version latest = latestCommitted(key);
-    if (version < latest) {
-        resp.result = PutResult::StaleRejected;
-        co_return resp;
-    }
-    // Propagate the delete to backups as a tombstone write.
-    for (Server *backup : backups_) {
-        net_.send(id_, backup->nodeId(), [backup, key, version] {
-            sim::spawn([](Server *b, Key k, Version v) -> sim::Task<void> {
-                co_await b->backend().erase(k, v);
-            }(backup, key, version));
-        });
-    }
-    co_await backend_.erase(key, version);
-    keys_.erase(key);
-    resp.result = PutResult::Ok;
-    co_return resp;
-}
-
 sim::Task<bool>
 Server::handleReplicateWrite(ReplicateWrite msg)
 {

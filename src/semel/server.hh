@@ -124,9 +124,6 @@ class Server
     /** Timestamped write: validate freshness, persist, replicate. */
     virtual sim::Task<PutResponse> handlePut(PutRequest request);
 
-    /** Delete all versions of a key (propagated like a write). */
-    sim::Task<PutResponse> handleDelete(Key key, Version version);
-
     /** Backup side: apply one replicated write, in any order. */
     sim::Task<bool> handleReplicateWrite(ReplicateWrite msg);
 
@@ -196,7 +193,6 @@ class Server
     common::StatSet stats_;
     common::Tracer trace_;
     // Stat handles, each bound at its first use.
-    common::CounterHandle deletes_{stats_, "semel.deletes"};
     common::CounterHandle duplicatePuts_{stats_, "semel.duplicate_puts"};
     common::CounterHandle gets_{stats_, "semel.gets"};
     common::CounterHandle puts_{stats_, "semel.puts"};

@@ -194,26 +194,32 @@ TEST(Ssd, PageRecordsStayInPlaceUntilTheirErase)
 
 TEST(Ssd, EraseHandsTheBlocksHostMemoryBack)
 {
-    // A block of 32 pages holds 16 KB of record slots, four whole OS
-    // pages: resident once programmed, handed back by the erase, and
-    // faulted in again (zeroed) by the next program.
+    // A block of 32 pages holds 14 KB of record slots. Block 1's slots
+    // start halfway into an OS page they share with block 0 and end on
+    // an OS page boundary: their three whole OS pages are resident once
+    // programmed, handed back by the erase, and faulted in again
+    // (zeroed) by the next program. The shared page stays, since block
+    // 0's records may live in it.
     Geometry g = tinyGeometry();
     g.pagesPerBlock = 32;
     sim::Simulator s;
     SsdDevice ssd(s, g);
+    constexpr std::uintptr_t kOsPage = 4096;
     const std::size_t span = g.pagesPerBlock * kRecordsPerPage *
                              sizeof(Record);
-    auto resident = [&](const Record *first) {
-        std::vector<unsigned char> in(span / 4096);
-        EXPECT_EQ(::mincore(const_cast<Record *>(first), span, in.data()),
+    // Resident OS pages among the @p n from the one holding @p at.
+    auto resident = [&](std::uintptr_t at, std::size_t n) {
+        std::vector<unsigned char> in(n);
+        EXPECT_EQ(::mincore(reinterpret_cast<void *>(at & ~(kOsPage - 1)),
+                            n * kOsPage, in.data()),
                   0);
-        std::size_t n = 0;
+        std::size_t count = 0;
         for (const unsigned char c : in)
-            n += c & 1;
-        return n;
+            count += c & 1;
+        return count;
     };
-    const Record *first = nullptr;
-    std::size_t before = 0, after = 0;
+    std::uintptr_t first = 0;
+    std::size_t before = 0, after = 0, shared_after = 0;
     bool reread = false;
     auto t = [&]() -> sim::Task<void> {
         for (std::uint32_t p = 0; p < g.pagesPerBlock; ++p) {
@@ -222,20 +228,25 @@ TEST(Ssd, EraseHandsTheBlocksHostMemoryBack)
                 d.records.push_back(onePage(p * 8 + i).records[0]);
             co_await ssd.programPage({1, p}, std::move(d));
         }
-        first = ssd.peekPage({1, 0}).data();
-        before = resident(first);
+        const PageRecords page0 = ssd.peekPage({1, 0});
+        first = reinterpret_cast<std::uintptr_t>(page0.data());
+        before = resident(first + kOsPage, 3);
         co_await ssd.eraseBlock(1);
-        after = resident(first);
+        after = resident(first + kOsPage, 3);
+        shared_after = resident(first, 1);
         co_await ssd.programPage({1, 0}, onePage(5));
         const PageRecords p = co_await ssd.readPage({1, 0});
-        reread = p.data() == first && p.size() == 1 && p[0].key == 5 &&
-                 p[0].value == "v";
+        reread = reinterpret_cast<std::uintptr_t>(p.data()) == first &&
+                 p.size() == 1 && p[0].key == 5 && p[0].value == "v";
     };
     sim::spawn(t());
     s.run();
-    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(first) % 4096, 0u);
-    EXPECT_EQ(before, span / 4096);
+    ASSERT_EQ(span, 14u * 1024);
+    EXPECT_EQ(first % kOsPage, kOsPage / 2);
+    EXPECT_EQ((first + span) % kOsPage, 0u);
+    EXPECT_EQ(before, 3u);
     EXPECT_EQ(after, 0u);
+    EXPECT_EQ(shared_after, 1u);
     EXPECT_TRUE(reread);
 }
 
@@ -286,7 +297,6 @@ TEST(Ssd, EraseClearsOnlyItsOwnBlockOfTheFlatPageStore)
             // Past the short-string buffer: the value owns heap memory.
             r.value = "block" + std::to_string(block) + "-page" +
                       std::to_string(page) + "-record" + std::to_string(i);
-            r.tombstone = (i % 2) == 1;
             d.records.push_back(r);
         }
         return d;
@@ -298,7 +308,7 @@ TEST(Ssd, EraseClearsOnlyItsOwnBlockOfTheFlatPageStore)
             const Record &x = a[i];
             const Record &y = b.records[i];
             if (x.key != y.key || !(x.version == y.version) ||
-                x.value != y.value || x.tombstone != y.tombstone)
+                x.value != y.value)
                 return false;
         }
         return true;

@@ -186,20 +186,6 @@ TEST(Mftl, FullPageFlushesImmediately)
     EXPECT_LT(done, kMillisecond); // did not wait for the pack timer
 }
 
-TEST(Mftl, EraseRemovesAllVersions)
-{
-    MftlFixture f;
-    GetResult got;
-    runSim(f.s, [&]() -> sim::Task<void> {
-        co_await f.mftl.put(9, "a", v(100));
-        co_await f.mftl.put(9, "b", v(200));
-        co_await f.mftl.erase(9, v(200));
-        got = co_await f.mftl.get(9, v(1000));
-    });
-    EXPECT_FALSE(got.found);
-    EXPECT_EQ(f.mftl.versionCount(9), 0u);
-}
-
 TEST(Mftl, WatermarkPrunesOldVersions)
 {
     MftlFixture f;
@@ -295,26 +281,6 @@ TEST(Mftl, RebuildFromFlashRecoversMappings)
     EXPECT_EQ(got.value, "a");
 }
 
-TEST(Mftl, RebuildHonoursTombstones)
-{
-    MftlFixture f;
-    runSim(f.s, [&]() -> sim::Task<void> {
-        co_await f.mftl.put(9, "a", v(100));
-        co_await f.mftl.erase(9, v(200));
-        co_await f.mftl.put(10, "b", v(300));
-    });
-    EXPECT_EQ(f.mftl.rebuild(), 1u);
-    GetResult erased, kept;
-    runSim(f.s, [&]() -> sim::Task<void> {
-        erased = co_await f.mftl.get(9, v(1000));
-        kept = co_await f.mftl.get(10, v(1000));
-    });
-    EXPECT_FALSE(erased.found);
-    EXPECT_EQ(f.mftl.versionCount(9), 0u);
-    EXPECT_TRUE(kept.found);
-    EXPECT_EQ(kept.value, "b");
-}
-
 namespace {
 
 /**
@@ -388,12 +354,12 @@ TEST(Mftl, SweepAfterRebuildPrunesEveryChainToWatermark)
               dropped);
 }
 
-TEST(Mftl, SweepAfterTombstoneAndReputPrunesToWatermark)
+TEST(Mftl, SweepAfterDemotionAndReputPrunesToWatermark)
 {
-    // A tombstone drops a multi-version chain (and its index entry);
-    // re-putting the key builds a fresh chain the sweep must still
-    // find. Key 10 stays multi-version throughout, so the erase
-    // exercises the index's swap-remove.
+    // A read's prune demotes a multi-version chain (and drops its
+    // index entry); re-putting the key builds a fresh multi-version
+    // chain the sweep must still find. Key 10 stays multi-version
+    // throughout, so the demotion exercises the index's swap-remove.
     MftlFixture f;
     runSim(f.s, [&]() -> sim::Task<void> {
         co_await f.mftl.put(9, "a", v(100));
@@ -401,13 +367,14 @@ TEST(Mftl, SweepAfterTombstoneAndReputPrunesToWatermark)
         co_await f.mftl.put(9, "b", v(200));
         co_await f.mftl.put(10, "q", v(200));
         co_await f.mftl.put(10, "r", v(300));
-        co_await f.mftl.erase(9, v(250));
+        f.mftl.setWatermark(250);
+        (void)co_await f.mftl.get(9, v(1000)); // prunes key 9 to v200
         co_await f.mftl.put(9, "c", v(300));
         co_await f.mftl.put(9, "d", v(400));
     });
-    ASSERT_EQ(f.mftl.versionCount(9), 2u);
+    ASSERT_EQ(f.mftl.versionCount(9), 3u);
     ASSERT_EQ(f.mftl.versionCount(10), 3u);
-    const std::uint64_t erased =
+    const std::uint64_t pruned =
         f.mftl.stats().counterValue("mftl.versions_pruned");
 
     f.mftl.start();
@@ -417,7 +384,7 @@ TEST(Mftl, SweepAfterTombstoneAndReputPrunesToWatermark)
     EXPECT_EQ(f.mftl.versionCount(9), 2u);
     EXPECT_EQ(f.mftl.versionCount(10), 1u);
     EXPECT_EQ(f.mftl.stats().counterValue("mftl.versions_pruned"),
-              erased + 2);
+              pruned + 3);
     GetResult got;
     runSim(f.s, [&]() -> sim::Task<void> {
         got = co_await f.mftl.get(9, v(350));
@@ -637,16 +604,33 @@ TEST(SingleVersionKv, ConcurrentRmwSerializes)
     });
 }
 
-TEST(SingleVersionKv, EraseLeavesMiss)
+TEST(SingleVersionKv, UnwrittenSlotOfAWrittenBlockIsAMiss)
 {
-    SvkvFixture f;
-    GetResult got;
-    runSim(f.s, [&]() -> sim::Task<void> {
-        co_await f.kv.put(5, "x", v(10));
-        co_await f.kv.erase(5, v(10));
-        got = co_await f.kv.getLatest(5);
-    });
-    EXPECT_FALSE(got.found);
+    // Keys 0 and 1 share a logical block. A put to one writes the
+    // block with the other's slot unwritten: that key reads as a
+    // miss, and its first put is accepted whatever its stamp. Both
+    // orders, so key 0 (a default record's key) is the unwritten one
+    // once.
+    for (const auto &keys :
+         {std::pair<Key, Key>{0, 1}, std::pair<Key, Key>{1, 0}}) {
+        const Key written = keys.first;
+        const Key unwritten = keys.second;
+        SvkvFixture f;
+        PutStatus put_written{}, first{};
+        GetResult before, after;
+        runSim(f.s, [&]() -> sim::Task<void> {
+            put_written = co_await f.kv.put(written, "a", v(500));
+            before = co_await f.kv.getLatest(unwritten);
+            first = co_await f.kv.put(unwritten, "b", Version::zero());
+            after = co_await f.kv.getLatest(unwritten);
+        });
+        EXPECT_EQ(put_written, PutStatus::Ok);
+        EXPECT_FALSE(before.found) << "unwritten key " << unwritten;
+        EXPECT_EQ(first, PutStatus::Ok) << "unwritten key " << unwritten;
+        EXPECT_TRUE(after.found);
+        EXPECT_EQ(after.value, "b");
+        EXPECT_EQ(f.kv.stats().counterValue("svkv.stale_rejects"), 0u);
+    }
 }
 
 // ---------------------------------------------------------------- VFTL
@@ -792,19 +776,6 @@ TEST(Dram, WatermarkPrunes)
     EXPECT_EQ(dram.versionCount(1), 3u); // v300, v400, v500
 }
 
-TEST(Dram, EraseRemoves)
-{
-    sim::Simulator s;
-    DramBackend dram(s);
-    GetResult got;
-    runSim(s, [&]() -> sim::Task<void> {
-        co_await dram.put(1, "a", v(100));
-        co_await dram.erase(1, v(100));
-        got = co_await dram.getLatest(1);
-    });
-    EXPECT_FALSE(got.found);
-}
-
 // ------------------------------------------------- cross-backend props
 
 class BackendParamTest : public ::testing::TestWithParam<const char *>
@@ -912,26 +883,6 @@ TEST(Vftl, RebuildFromStoreRecoversMappings)
     EXPECT_EQ(got.value, "a");
 }
 
-TEST(Vftl, RebuildHonoursTombstones)
-{
-    VftlFixture f;
-    runSim(f.s, [&]() -> sim::Task<void> {
-        co_await f.vftl.put(9, "a", v(100));
-        co_await f.vftl.erase(9, v(200));
-        co_await f.vftl.put(10, "b", v(300));
-    });
-    EXPECT_EQ(f.vftl.rebuild(), 1u);
-    GetResult erased, kept;
-    runSim(f.s, [&]() -> sim::Task<void> {
-        erased = co_await f.vftl.get(9, v(1000));
-        kept = co_await f.vftl.get(10, v(1000));
-    });
-    EXPECT_FALSE(erased.found);
-    EXPECT_EQ(f.vftl.versionCount(9), 0u);
-    EXPECT_TRUE(kept.found);
-    EXPECT_EQ(kept.value, "b");
-}
-
 TEST(Vftl, SweepAfterRebuildPrunesEveryChainToWatermark)
 {
     VftlFixture f;
@@ -997,7 +948,7 @@ statNames(common::StatSet &stats)
 }
 
 /** Puts, overwrites under an advancing watermark (enough to make the
- *  collector relocate and reclaim), an erase and a read. */
+ *  collector relocate and reclaim) and a read. */
 void
 driveThroughGc(sim::Simulator &s, KvBackend &kv)
 {
@@ -1009,7 +960,6 @@ driveThroughGc(sim::Simulator &s, KvBackend &kv)
                     k, "x", v(round * 1000 + static_cast<int>(k) + 1));
             kv.setWatermark(round * 1000);
         }
-        co_await kv.erase(0, v(100000));
         (void)co_await kv.getLatest(1);
         s.requestStop();
     });
@@ -1026,7 +976,7 @@ TEST(Mftl, EmitsExactlyItsStatNames)
     driveThroughGc(f.s, f.mftl);
     EXPECT_EQ(statNames(f.mftl.stats()),
               (std::set<std::string>{
-                  "mftl.deletes", "mftl.gc_erases", "mftl.gc_page_reads",
+                  "mftl.gc_erases", "mftl.gc_page_reads",
                   "mftl.gc_remapped", "mftl.gc_victims", "mftl.get_latency",
                   "mftl.gets", "mftl.pages_written", "mftl.put_latency",
                   "mftl.puts", "mftl.versions_pruned"}));
@@ -1038,7 +988,7 @@ TEST(Vftl, EmitsExactlyItsStatNames)
     driveThroughGc(f.s, f.vftl);
     EXPECT_EQ(statNames(f.vftl.stats()),
               (std::set<std::string>{
-                  "vftl.deletes", "vftl.gc_lba_reads", "vftl.gc_remapped",
+                  "vftl.gc_lba_reads", "vftl.gc_remapped",
                   "vftl.gc_trims", "vftl.gc_victims", "vftl.get_latency",
                   "vftl.gets", "vftl.lbas_written", "vftl.put_latency",
                   "vftl.puts", "vftl.versions_pruned"}));

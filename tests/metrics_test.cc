@@ -215,8 +215,9 @@ TEST(MetricsPlane, WindowsAlignToIntervalBoundaries)
         // window starts strictly increase, and a drop marks the next
         // series' first point.
         if (i + 1 < run.commitPoints.size() &&
-            run.commitPoints[i + 1].windowStart > p.windowStart)
+            run.commitPoints[i + 1].windowStart > p.windowStart) {
             EXPECT_EQ(p.windowEnd % kInterval, 0);
+        }
     }
 }
 

@@ -325,20 +325,6 @@ TEST(Semel, ConcurrentWritersConverge)
     EXPECT_EQ(got->version, rig.servers[0]->latestCommitted(8));
 }
 
-TEST(Semel, DeleteRemovesKey)
-{
-    SemelRig rig;
-    bool gone = false;
-    sim::spawn([](SemelRig *rig, bool *gone) -> sim::Task<void> {
-        (void)co_await rig->clients[0]->put(6, "x");
-        (void)co_await rig->clients[0]->del(6);
-        auto got = co_await rig->clients[0]->get(6);
-        *gone = got.has_value() && !got->found;
-    }(&rig, &gone));
-    rig.sim.run();
-    EXPECT_TRUE(gone);
-}
-
 TEST(Semel, WatermarkAdvancesAfterAllClientsReport)
 {
     SemelRig rig;
@@ -388,11 +374,11 @@ TEST(Semel, RetriesThroughTransientPartition)
     EXPECT_EQ(result, PutResult::Ok);
 }
 
-TEST(Semel, AtMostOnceStateForgottenWithDeletedKey)
+TEST(Semel, AtMostOnceRemembersNewestCommittedStamp)
 {
-    // A delete drops the key's newest-committed stamp with its
-    // versions: latestCommitted reads zero, and the at-most-once check
-    // starts over for the next write.
+    // Storage is put-only, so a key's newest-committed stamp is never
+    // forgotten: every older write is rejected for good, and a repeat
+    // of the newest is acknowledged again.
     SemelRig rig;
     std::vector<PutResult> results;
     sim::spawn([](SemelRig *rig,
@@ -402,23 +388,18 @@ TEST(Semel, AtMostOnceStateForgottenWithDeletedKey)
             return primary.handlePut(PutRequest{5, "x", v});
         };
         out->push_back((co_await put(Version{100, 1})).result);
-        out->push_back(
-            (co_await primary.handleDelete(5, Version{50, 1})).result);
+        out->push_back((co_await put(Version{50, 1})).result);
         EXPECT_EQ(primary.latestCommitted(5), (Version{100, 1}));
-        out->push_back(
-            (co_await primary.handleDelete(5, Version{200, 1})).result);
-        EXPECT_EQ(primary.latestCommitted(5), Version::zero());
-        EXPECT_EQ(primary.keyTable().find(5), nullptr);
-        // Older than the delete, but nothing remembers it any more.
         out->push_back((co_await put(Version{150, 1})).result);
         out->push_back((co_await put(Version{150, 1})).result); // dup
         out->push_back((co_await put(Version{120, 1})).result);
         EXPECT_EQ(primary.latestCommitted(5), (Version{150, 1}));
+        EXPECT_NE(primary.keyTable().find(5), nullptr);
     }(&rig, &results));
     rig.sim.run();
     const std::vector<PutResult> want = {
         PutResult::Ok, PutResult::StaleRejected, PutResult::Ok,
-        PutResult::Ok, PutResult::Ok,            PutResult::StaleRejected};
+        PutResult::Ok, PutResult::StaleRejected};
     EXPECT_EQ(results, want);
     EXPECT_EQ(rig.servers[0]->stats().counterValue("semel.duplicate_puts"),
               1u);

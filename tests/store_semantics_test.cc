@@ -13,9 +13,8 @@
  * every slot move the table makes runs a real move constructor.
  *
  * Also covers what the reference cannot: table capacity independence
- * (same contents whatever the initial pre-size), robin-hood erase
- * stress (backward-shift must leave every surviving key findable),
- * the multi-version index behind the watermark sweep (exact after
+ * (same contents whatever the initial pre-size), the multi-version
+ * index behind the watermark sweep (exact after
  * every op; an indexed sweep equals a full-table one), and the
  * KeyTable behind the servers' per-key state (against an
  * unordered_map reference), and the slot arrays both tables share,
@@ -181,8 +180,9 @@ TEST(StoreSemantics, InsertKeepsDescendingOrder)
         const auto *re = ref[k].findAt(v(at, 9));
         const auto *se = store.find(k).findAt(v(at, 9));
         ASSERT_EQ(re == nullptr, se == nullptr) << "at " << at;
-        if (re)
+        if (re) {
             EXPECT_EQ(re->loc, se->loc) << "at " << at;
+        }
     }
 }
 
@@ -243,36 +243,14 @@ TEST(StoreSemantics, GcRelocateUpdatesLocator)
         ref[5].insert(v(ts), Loc{unsigned(ts)});
         store.getOrCreate(5).insert(v(ts), Loc{unsigned(ts)});
     }
-    // GC moved the v200 record to a new physical location.
-    EXPECT_TRUE(ref[5].relocate(v(200), Loc{999}));
-    EXPECT_TRUE(store.find(5).relocate(v(200), Loc{999}));
-    // Relocating a missing stamp fails on both.
-    EXPECT_FALSE(ref[5].relocate(v(250), Loc{1}));
-    EXPECT_FALSE(store.find(5).relocate(v(250), Loc{1}));
-    // find() exposes the moved locator for in-place updates.
+    // GC moved the v200 record to a new physical location; the FTLs'
+    // publish loop rewrites the locator in place through find().
+    ref[5].find(v(200))->loc = Loc{999};
+    store.find(5).find(v(200))->loc = Loc{999};
+    // A missing stamp has nothing to move on both.
+    EXPECT_EQ(ref[5].find(v(250)), nullptr);
+    EXPECT_EQ(store.find(5).find(v(250)), nullptr);
     EXPECT_EQ(store.find(5).find(v(200))->loc, (Loc{999}));
-    expectEquivalent(ref, store);
-}
-
-TEST(StoreSemantics, RemoveAndEraseMatchReference)
-{
-    RefStore ref;
-    ftl::VersionStore<Loc> store;
-    for (Time ts : {100, 200, 300}) {
-        ref[9].insert(v(ts), Loc{unsigned(ts)});
-        store.getOrCreate(9).insert(v(ts), Loc{unsigned(ts)});
-    }
-    EXPECT_TRUE(ref[9].remove(v(200)));
-    EXPECT_TRUE(store.find(9).remove(v(200)));
-    EXPECT_FALSE(ref[9].remove(v(200)));
-    EXPECT_FALSE(store.find(9).remove(v(200)));
-    expectEquivalent(ref, store);
-    // Dropping the whole key.
-    ref.chains.erase(9);
-    EXPECT_TRUE(store.erase(9));
-    EXPECT_FALSE(store.erase(9));
-    EXPECT_FALSE(store.find(9));
-    EXPECT_EQ(store.versionCount(9), 0u);
     expectEquivalent(ref, store);
 }
 
@@ -323,19 +301,20 @@ replayRandomOpStream()
             const auto *re = ref[key].findAt(v(ts, 9));
             const auto *se = chain ? chain.findAt(v(ts, 9)) : nullptr;
             ASSERT_EQ(re == nullptr, se == nullptr) << "step " << step;
-            if (re)
+            if (re) {
                 ASSERT_EQ(re->loc, se->loc) << "step " << step;
-        } else if (op < 70) {
-            const bool a = ref[key].remove(v(ts));
+            }
+        } else if (op < 75) {
+            // GC moves a live version: its locator is rewritten in
+            // place.
+            auto *a = ref[key].find(v(ts));
             auto chain = store.find(key);
-            const bool b = chain ? chain.remove(v(ts)) : false;
-            ASSERT_EQ(a, b) << "step " << step;
-        } else if (op < 80) {
-            const bool a = ref[key].relocate(v(ts), L{++cookie});
-            auto chain = store.find(key);
-            const bool b = chain ? chain.relocate(v(ts), L{cookie})
-                                 : false;
-            ASSERT_EQ(a, b) << "step " << step;
+            auto *b = chain ? chain.find(v(ts)) : nullptr;
+            ASSERT_EQ(a == nullptr, b == nullptr) << "step " << step;
+            if (a != nullptr) {
+                a->loc = L{++cookie};
+                b->loc = L{cookie};
+            }
         } else if (op < 90) {
             std::uint64_t a_drops = 0, b_drops = 0;
             ref[key].pruneBelowWatermark(
@@ -344,15 +323,11 @@ replayRandomOpStream()
                 chain.pruneBelowWatermark(
                     ts, [&](const auto &) { ++b_drops; });
             ASSERT_EQ(a_drops, b_drops) << "step " << step;
-        } else if (op < 95) {
+        } else {
             const bool a = ref[key].contains(v(ts));
             auto chain = store.find(key);
             const bool b = chain ? chain.contains(v(ts)) : false;
             ASSERT_EQ(a, b) << "step " << step;
-        } else {
-            const bool had = !ref[key].empty();
-            ref.chains.erase(key);
-            ASSERT_EQ(store.erase(key), had) << "step " << step;
         }
         if (step % 7919 == 0)
             expectEquivalent(ref, store);
@@ -433,17 +408,17 @@ replayIndexedAgainstFullSweeps()
         const Key key = rng() % kKeys;
         const Time ts = watermark + static_cast<Time>(rng() % 64);
         const auto op = rng() % 1000;
-        if (op < 300) {
+        if (op < 350) {
             ++cookie;
             ASSERT_EQ(store.getOrCreate(key).insert(v(ts), L{cookie}),
                       twin.getOrCreate(key).insert(v(ts), L{cookie}))
                 << "step " << step;
-        } else if (op < 450) {
+        } else if (op < 550) {
             ++cookie;
             ASSERT_EQ(store.getOrCreate(key).append(v(ts), L{cookie}),
                       twin.getOrCreate(key).append(v(ts), L{cookie}))
                 << "step " << step;
-        } else if (op < 550) {
+        } else if (op < 700) {
             // Prune-on-access, as a backend get or put does.
             std::uint64_t a = 0, b = 0;
             if (auto chain = store.find(key))
@@ -453,22 +428,17 @@ replayIndexedAgainstFullSweeps()
                 chain.pruneBelowWatermark(
                     watermark, [&](const auto &) { ++b; });
             ASSERT_EQ(a, b) << "step " << step;
-        } else if (op < 700) {
+        } else if (op < 800) {
+            // A GC move: the locator is rewritten in place.
             auto chain = store.find(key);
             auto other = twin.find(key);
-            ASSERT_EQ(chain ? chain.remove(v(ts)) : false,
-                      other ? other.remove(v(ts)) : false)
-                << "step " << step;
-        } else if (op < 780) {
-            ++cookie;
-            auto chain = store.find(key);
-            auto other = twin.find(key);
-            ASSERT_EQ(chain ? chain.relocate(v(ts), L{cookie}) : false,
-                      other ? other.relocate(v(ts), L{cookie}) : false)
-                << "step " << step;
-        } else if (op < 880) {
-            ASSERT_EQ(store.erase(key), twin.erase(key))
-                << "step " << step;
+            auto *a = chain ? chain.find(v(ts)) : nullptr;
+            auto *b = other ? other.find(v(ts)) : nullptr;
+            ASSERT_EQ(a == nullptr, b == nullptr) << "step " << step;
+            if (a != nullptr) {
+                a->loc = L{++cookie};
+                b->loc = L{cookie};
+            }
         } else if (op < 990) {
             // Watermark advance and sweep: indexed vs full table.
             watermark += static_cast<Time>(rng() % 24);
@@ -513,10 +483,11 @@ TEST(StoreSemantics, MultiVersionIndexExactUnderRandomOps)
     EXPECT_EQ(StrLoc::live, 0) << "a chain move lost or duplicated one";
 }
 
-TEST(StoreSemantics, MultiVersionIndexSurvivesEraseChurnAndGrowth)
+TEST(StoreSemantics, MultiVersionIndexSurvivesPruneChurnAndGrowth)
 {
-    // Robin-hood displacement and backward-shift erase move slots
-    // under the index; every move must carry its index cell along.
+    // Robin-hood displacement and growth move slots under the index,
+    // and pruning demotes chains out of it; every move must carry its
+    // index cell along.
     std::mt19937_64 rng(11);
     Store store;
     for (int wave = 0; wave < 30; ++wave) {
@@ -527,8 +498,12 @@ TEST(StoreSemantics, MultiVersionIndexSurvivesEraseChurnAndGrowth)
             if (rng() % 2)
                 chain.insert(v(wave * 10 + 2), Loc{key});
         }
+        // Prune-on-access at a watermark above this wave's stamps
+        // leaves one version.
         for (int i = 0; i < 300; ++i)
-            store.erase(rng() % 1500);
+            if (auto chain = store.find(rng() % 1500))
+                chain.pruneBelowWatermark(wave * 10 + 5,
+                                          [](const auto &) {});
         ASSERT_EQ(indexMismatch(store), "") << "wave " << wave;
     }
     EXPECT_GT(store.multiVersionCount(), 0u);
@@ -585,34 +560,6 @@ TEST(StoreSemantics, ReserveKeysNeverShrinksOrLosesData)
     for (Key k = 0; k < 1000; ++k) {
         ASSERT_TRUE(store.find(k)) << "key " << k;
         EXPECT_EQ(store.find(k).youngest().loc, (Loc{k}));
-    }
-}
-
-// ---------------------------------------------- robin-hood erase stress
-
-TEST(StoreSemantics, EraseChurnKeepsSurvivorsFindable)
-{
-    // Backward-shift erase under heavy collision pressure: insert and
-    // erase in waves, checking the surviving set exactly each wave.
-    std::mt19937_64 rng(7);
-    ftl::VersionStore<Loc> store; // small start: erases + grows mix
-    std::set<Key> alive;
-    for (int wave = 0; wave < 40; ++wave) {
-        for (int i = 0; i < 500; ++i) {
-            const Key key = rng() % 2048;
-            store.getOrCreate(key).insert(v(wave + 1), Loc{key});
-            alive.insert(key);
-        }
-        for (int i = 0; i < 400; ++i) {
-            const Key key = rng() % 2048;
-            ASSERT_EQ(store.erase(key), alive.erase(key) > 0)
-                << "wave " << wave;
-        }
-        ASSERT_EQ(store.size(), alive.size()) << "wave " << wave;
-        for (Key key = 0; key < 2048; ++key)
-            ASSERT_EQ(static_cast<bool>(store.find(key)),
-                      alive.count(key) > 0)
-                << "wave " << wave << " key " << key;
     }
 }
 
